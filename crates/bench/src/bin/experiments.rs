@@ -4,13 +4,13 @@
 //!
 //! ```text
 //! experiments [all|x1|x2|...|x11]... [--topo] [--quick] [--json]
-//!             [--sequential|--parallel] [--engine stepped|batched]
+//!             [--sequential|--parallel] [--engine batched|stepped]
 //!             [--progress] [--telemetry FILE] [--plan] [--store DIR]
 //!             [--shard i/m [--emit-shard]] [--merge-shards FILE...]
 //!             [--spawn-shards m]
 //!             [--fabric workers=N [--fabric-checkpoint FILE] [--fabric-kill-one]]
 //! experiments serve --store DIR [--addr-file FILE]
-//!             [--engine stepped|batched] [--sequential]
+//!             [--engine batched|stepped] [--sequential]
 //! experiments query (--addr ADDR | --addr-file FILE)
 //!             (--token TOKEN | --grid ALGO --spec JSON --l N --cap N | --shutdown)
 //! experiments query --direct --store DIR
@@ -33,10 +33,13 @@
 //! diff <(experiments all --quick --sequential) <(experiments all --quick --parallel)
 //! ```
 //!
-//! `--engine batched` swaps the stepped simulator for the delay-batched
-//! trajectory solver (`BatchExecutor`) in every pair sweep — same knob
-//! shape: the outputs are **byte-identical** to `--engine stepped` (the
-//! default), only faster, and CI diffs the two on every push.
+//! Every pair sweep runs on the delay-batched trajectory solver
+//! (`BatchExecutor`) by default; `--engine stepped` swaps in the stepped
+//! simulator, the oracle — same knob shape: the outputs are
+//! **byte-identical** either way, the batched engine is only faster, and
+//! CI diffs the two on every experiment on every push. The engine name
+//! is part of every `--store` key, so entries written under one engine
+//! miss (and are recomputed) under the other.
 //!
 //! # Sharded sweeps (multi-process)
 //!

@@ -7,7 +7,7 @@ use rendezvous_explore::{Explorer, OrientedRingExplorer};
 use rendezvous_graph::{generators, PortLabeledGraph};
 use rendezvous_runner::{
     AlgorithmExecutor, BatchExecutor, Bounded, Bounds, Grid, GroupStats, PieceExecutor, Runner,
-    SweepReport, Workload,
+    SweepReport, Workload, WorkloadMeta,
 };
 use rendezvous_telemetry::Scope;
 use serde::Serialize;
@@ -78,14 +78,31 @@ where
     W: Workload + ?Sized,
     E: PieceExecutor + ?Sized,
 {
-    let meta = workload.meta();
+    sweep_recorded_cached(context, &workload.meta(), workload, executor, runner).0
+}
+
+/// [`sweep_recorded`] given the workload's `meta` (a caller that also
+/// needs it computes it once), also saying whether the result store
+/// served the report (`true`) instead of this call computing it — one
+/// store lookup answers both.
+pub(crate) fn sweep_recorded_cached<W, E>(
+    context: &str,
+    meta: &WorkloadMeta,
+    workload: &W,
+    executor: &E,
+    runner: &Runner,
+) -> (SweepReport, bool)
+where
+    W: Workload + ?Sized,
+    E: PieceExecutor + ?Sized,
+{
     // `--plan` dry run: describe the sweep, execute nothing. The empty
     // report is safe downstream for the same reason empty shard folds
     // are — every experiment tolerates partial stats, and emission is
     // suppressed in plan mode.
     if crate::plan::active() {
-        crate::plan::note(context, &meta, workload.pieces(0, workload.size()).len());
-        return SweepReport::default();
+        crate::plan::note(context, meta, workload.piece_count(0, workload.size()));
+        return (SweepReport::default(), false);
     }
     // Result store: a cached full report stands in for the whole sweep
     // — zero scenarios execute, no sweep is counted, and every
@@ -93,9 +110,27 @@ where
     // consulted. Every process of a run derives the same key from the
     // same store, so driver, shards and workers all skip the same
     // sweeps and their cursors stay aligned.
-    if let Some(report) = crate::store::lookup(context, &meta) {
-        return report;
+    if let Some(report) = crate::store::lookup(context, meta) {
+        return (report, true);
     }
+    (
+        sweep_uncached(context, *meta, workload, executor, runner),
+        false,
+    )
+}
+
+/// The execution half of [`sweep_recorded`], after a store miss.
+fn sweep_uncached<W, E>(
+    context: &str,
+    meta: WorkloadMeta,
+    workload: &W,
+    executor: &E,
+    runner: &Runner,
+) -> SweepReport
+where
+    W: Workload + ?Sized,
+    E: PieceExecutor + ?Sized,
+{
     // Sweeps *executed* here (Full and Shard plans); a replayed record
     // stands in for execution, so it deliberately counts nothing.
     let count_sweep = || {
@@ -168,7 +203,7 @@ pub fn sweep_worst(
         cost: algorithm.cost_bound(),
     });
     // Both engines fold byte-identical reports (CI diffs them on every
-    // push); `--engine batched` collapses the delay axis per start pair.
+    // push); the batched default collapses the delay axis per start pair.
     // An installed telemetry session observes either engine's executor —
     // plan-cache hit rates and batch classification — without entering
     // the fold (CI also diffs telemetry-on against telemetry-off).

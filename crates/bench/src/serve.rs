@@ -12,16 +12,17 @@
 //! store's read path treats every inconsistency as a miss, and the
 //! token path surfaces the miss kind verbatim.
 //!
-//! Byte-identity discipline: the compute path is
+//! Byte-identity discipline: the compute path is the one behind
 //! [`sweep_single_spec`](crate::x10_topologies::sweep_single_spec) —
 //! the exact path `experiments query --direct` runs locally — so a
 //! served report and a direct run print identical bytes (CI diffs
 //! them on every push).
 
+use crate::x10_topologies::answer_spec_query;
 use rendezvous_fabric::wire::{read_json_frame, write_json_frame};
 use rendezvous_graph::GraphSpec;
-use rendezvous_runner::{Runner, SweepReport, Workload};
-use rendezvous_store::{Miss, Store, StoreKey, SCHEMA_VERSION};
+use rendezvous_runner::{Runner, SweepReport};
+use rendezvous_store::{Miss, Store, SCHEMA_VERSION};
 use serde::{Deserialize, Serialize};
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
@@ -178,7 +179,7 @@ fn answer(store: &Store, query: Query, runner: &Runner) -> Reply {
             spec,
             l,
             cap,
-        } => grid_reply(store, &algorithm, spec, l, cap, runner),
+        } => grid_reply(&algorithm, spec, l, cap, runner),
     }
 }
 
@@ -199,25 +200,17 @@ fn refuse(miss: Miss) -> Reply {
 }
 
 /// The cached-or-computed path: validates the query (the compute
-/// helpers panic on degenerate grids, so refusal happens here), checks
-/// the store for the entry's presence *before* sweeping (that is the
-/// `cached` flag in the reply), and runs the same
-/// [`sweep_single_spec`](crate::x10_topologies::sweep_single_spec)
-/// path a direct run uses — which itself serves from / records into
-/// the store session.
-fn grid_reply(
-    store: &Store,
-    algorithm: &str,
-    spec: GraphSpec,
-    l: u64,
-    cap: usize,
-    runner: &Runner,
-) -> Reply {
-    let Some(context) = crate::x10_topologies::serve_context(algorithm) else {
+/// helpers panic on degenerate grids, so refusal happens here), then
+/// builds its grid once and sweeps it through the same recorded path a
+/// direct run uses ([`answer_spec_query`]) — which serves from / records
+/// into the store session. That one store lookup is also the reply's
+/// `cached` flag.
+fn grid_reply(algorithm: &str, spec: GraphSpec, l: u64, cap: usize, runner: &Runner) -> Reply {
+    if crate::x10_topologies::serve_context(algorithm).is_none() {
         return Reply::BadQuery {
             reason: format!("unknown algorithm `{algorithm}` (expected cheap or fast)"),
         };
-    };
+    }
     if l < 2 {
         return Reply::BadQuery {
             reason: format!("l must be >= 2, got {l}"),
@@ -228,20 +221,13 @@ fn grid_reply(
             reason: "cap must be >= 1".into(),
         };
     }
-    if let Err(e) = spec.build() {
-        return Reply::BadQuery {
-            reason: format!("spec does not build: {e}"),
-        };
-    }
-    let (topo, _) = crate::x10_topologies::build_topo_grid(vec![spec.clone()], l, cap);
-    let key = StoreKey::new(context, &topo.meta(), crate::engine::current().name());
-    let cached = store.load(&key).is_ok();
-    let report = crate::x10_topologies::sweep_single_spec(algorithm, spec, l, cap, runner)
-        .expect("algorithm validated above");
-    Reply::Report {
-        cached,
-        token: key.token().to_string(),
-        report,
+    match answer_spec_query(algorithm, spec, l, cap, runner) {
+        Ok((report, cached, key)) => Reply::Report {
+            cached,
+            token: key.token().to_string(),
+            report,
+        },
+        Err(reason) => Reply::BadQuery { reason },
     }
 }
 

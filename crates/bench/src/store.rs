@@ -50,7 +50,7 @@ pub fn active() -> bool {
 /// The key addressing `context`'s sweep of `meta` under the process's
 /// current engine — one derivation for lookups, write-backs and the
 /// `--plan` store column.
-fn key_of(context: &str, meta: &WorkloadMeta) -> StoreKey {
+pub(crate) fn key_of(context: &str, meta: &WorkloadMeta) -> StoreKey {
     StoreKey::new(context, meta, crate::engine::current().name())
 }
 

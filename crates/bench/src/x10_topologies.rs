@@ -20,11 +20,14 @@
 use crate::common::{markdown_table, standard_delays, standard_label_pairs};
 use rendezvous_core::{Cheap, Fast, LabelSpace, RendezvousAlgorithm};
 use rendezvous_explore::{spec_explorer, Explorer};
-use rendezvous_graph::{ErdosRenyiSpec, GraphSpec, RegularSpec, RingSpec, SeededSpec, TorusSpec};
+use rendezvous_graph::{
+    ErdosRenyiSpec, GraphSpec, PortLabeledGraph, RegularSpec, RingSpec, SeededSpec, TorusSpec,
+};
 use rendezvous_runner::{
     AlgorithmExecutor, BatchExecutor, Bounds, Grid, PieceExecutor, Runner, RunnerError,
-    ScenarioOutcome, SweepReport, TopoEntry, TopoGrid, WorkPiece,
+    ScenarioOutcome, SweepReport, TopoEntry, TopoGrid, WorkPiece, Workload,
 };
+use rendezvous_store::StoreKey;
 use serde::Serialize;
 use std::sync::Arc;
 
@@ -160,10 +163,26 @@ pub fn build_topo_grid(
     l: u64,
     cap: usize,
 ) -> (TopoGrid, Arc<Vec<Arc<dyn Explorer>>>) {
+    let graphs = specs
+        .into_iter()
+        .map(|spec| match spec.build() {
+            Ok(graph) => (spec, Arc::new(graph)),
+            Err(e) => panic!("standard topo specs must build: building {spec:?}: {e}"),
+        })
+        .collect();
+    topo_grid_of(graphs, l, cap)
+}
+
+/// [`build_topo_grid`] over graphs already built from their specs.
+fn topo_grid_of(
+    graphs: Vec<(GraphSpec, Arc<PortLabeledGraph>)>,
+    l: u64,
+    cap: usize,
+) -> (TopoGrid, Arc<Vec<Arc<dyn Explorer>>>) {
     let space = LabelSpace::new(l).expect("l >= 2");
     let pairs = standard_label_pairs(l);
     let mut explorers: Vec<Arc<dyn Explorer>> = Vec::new();
-    let topo = TopoGrid::build(specs, |spec, graph| {
+    let topo = TopoGrid::from_graphs(graphs, |spec, graph| {
         let explorer = spec_explorer(spec, graph.clone()).expect("sound recipe");
         let e = explorer.bound() as u64;
         let cheap = Cheap::new(graph.clone(), explorer.clone(), space);
@@ -175,8 +194,7 @@ pub fn build_topo_grid(
             .delays(&standard_delays(e))
             .all_start_pairs(graph)
             .sample_cap(cap)
-    })
-    .unwrap_or_else(|e| panic!("standard topo specs must build: {e}"));
+    });
     (topo, Arc::new(explorers))
 }
 
@@ -193,12 +211,60 @@ pub fn serve_context(algorithm: &str) -> Option<&'static str> {
     }
 }
 
+/// Answers one sweep-service query — one algorithm over one seeded
+/// topology — building its graph, explorer and grid once and sweeping
+/// them through the shared recorded-sweep path, which serves from and
+/// records into the store session. Returns the report, whether the
+/// store served it, and the store key addressing it.
+///
+/// # Errors
+///
+/// A message naming the unknown algorithm (anything but `cheap`/`fast`)
+/// or why the spec does not build.
+///
+/// # Panics
+///
+/// Panics if the grid is degenerate (`l < 2`, `cap == 0`) — the serve
+/// front end validates queries before calling, and the CLI treats its
+/// own arguments as trusted input.
+pub(crate) fn answer_spec_query(
+    algorithm: &str,
+    spec: GraphSpec,
+    l: u64,
+    cap: usize,
+    runner: &Runner,
+) -> Result<(SweepReport, bool, StoreKey), String> {
+    let (which, context) = match algorithm {
+        "cheap" => (Algo::Cheap, "serve cheap"),
+        "fast" => (Algo::Fast, "serve fast"),
+        _ => {
+            return Err(format!(
+                "unknown algorithm `{algorithm}` (expected cheap or fast)"
+            ))
+        }
+    };
+    let graph = Arc::new(
+        spec.build()
+            .map_err(|e| format!("spec does not build: {e}"))?,
+    );
+    let (topo, explorers) = topo_grid_of(vec![(spec, graph)], l, cap);
+    let exec = AlgoTopoExecutor {
+        space: LabelSpace::new(l).expect("l >= 2"),
+        which,
+        explorers,
+    };
+    let meta = topo.meta();
+    let (report, cached) =
+        crate::common::sweep_recorded_cached(context, &meta, &topo, &exec, runner);
+    Ok((report, cached, crate::store::key_of(context, &meta)))
+}
+
 /// Sweeps a **single** seeded topology with one algorithm through the
 /// shared recorded-sweep path — the compute side of the sweep service.
-/// A served answer and a `query --direct` run both land here with the
-/// same [`serve_context`], so they consult (and populate) the same
-/// store entry and print byte-identical reports. `None` when
-/// `algorithm` is not `cheap`/`fast`.
+/// A served answer and a `query --direct` run both go through
+/// [`answer_spec_query`] with the same [`serve_context`], so they
+/// consult (and populate) the same store entry and print byte-identical
+/// reports. `None` when `algorithm` is not `cheap`/`fast`.
 ///
 /// # Panics
 ///
@@ -213,19 +279,10 @@ pub fn sweep_single_spec(
     cap: usize,
     runner: &Runner,
 ) -> Option<SweepReport> {
-    let (which, context) = match algorithm {
-        "cheap" => (Algo::Cheap, "serve cheap"),
-        "fast" => (Algo::Fast, "serve fast"),
-        _ => return None,
-    };
-    let space = LabelSpace::new(l).expect("l >= 2");
-    let (topo, explorers) = build_topo_grid(vec![spec], l, cap);
-    let exec = AlgoTopoExecutor {
-        space,
-        which,
-        explorers,
-    };
-    Some(crate::common::sweep_recorded(context, &topo, &exec, runner))
+    serve_context(algorithm)?;
+    let (report, _, _) =
+        answer_spec_query(algorithm, spec, l, cap, runner).unwrap_or_else(|e| panic!("{e}"));
+    Some(report)
 }
 
 /// Sweeps one algorithm over the topo grid through the shared

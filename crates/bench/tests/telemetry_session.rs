@@ -25,6 +25,7 @@ fn installed_session_observes_sweep_worst() {
 
     // One stepped sweep, then the same grid batched: both engines feed
     // the same session, and the stats they return must agree.
+    engine::set_engine(engine::Engine::Stepped);
     let stepped = common::sweep_worst(
         &alg,
         &common::all_label_pairs(4),

@@ -9,10 +9,11 @@
 //! algorithm and reports every intermediate quantity, so experiments can
 //! verify the chain numerically.
 
-use crate::{hamiltonian_path, oriented_ring_size, trim, LowerBoundError, TrimmedAlgorithm};
+use crate::trim::{meeting_stats, trim_on};
+use crate::{hamiltonian_path, oriented_ring_size, LowerBoundError, TrimmedAlgorithm};
 use rendezvous_core::{Label, RendezvousAlgorithm};
 use rendezvous_graph::NodeId;
-use rendezvous_sim::{AgentSpec, Simulation};
+use rendezvous_runner::{BatchExecutor, Grid, Runner};
 
 /// Everything the Theorem 3.1 construction produces on a concrete
 /// algorithm.
@@ -59,27 +60,16 @@ impl EagerChainReport {
 /// Runs one execution `α(x, px, y, py)` with simultaneous start and returns
 /// its meeting round.
 fn execution_time(
-    algorithm: &dyn RendezvousAlgorithm,
-    x: Label,
-    px: usize,
-    y: Label,
-    py: usize,
+    runner: &Runner,
+    executor: &BatchExecutor<'_>,
+    (x, px): (Label, usize),
+    (y, py): (Label, usize),
     horizon: u64,
 ) -> Result<u64, LowerBoundError> {
-    let a = algorithm.agent(x, NodeId::new(px))?;
-    let b = algorithm.agent(y, NodeId::new(py))?;
-    let out = Simulation::new(algorithm.graph())
-        .agent(Box::new(a), AgentSpec::immediate(NodeId::new(px)))
-        .agent(Box::new(b), AgentSpec::immediate(NodeId::new(py)))
-        .max_rounds(horizon)
-        .run()?;
-    out.meeting()
-        .map(|m| m.round)
-        .ok_or(LowerBoundError::NoMeeting {
-            labels: (x.get(), y.get()),
-            starts: (px, py),
-            horizon,
-        })
+    let grid = Grid::new(horizon)
+        .label_pairs_ordered(&[(x.get(), y.get())])
+        .start_pairs(&[(NodeId::new(px), NodeId::new(py))]);
+    Ok(meeting_stats(runner, executor, &grid)?.max_time)
 }
 
 /// Runs the full Theorem 3.1 construction for `algorithm` (which must
@@ -91,7 +81,7 @@ fn execution_time(
 ///
 /// # Errors
 ///
-/// * Ring/meeting errors as in [`trim`],
+/// * Ring/meeting errors as in [`trim`](fn@crate::trim),
 /// * [`LowerBoundError::EagerDichotomyViolated`] if some pair violates
 ///   Fact 3.5 — this happens precisely when the algorithm's cost is *not*
 ///   `E + o(E)`, i.e. when the theorem's premise fails.
@@ -102,7 +92,11 @@ pub fn eager_chain_audit(
     let n = oriented_ring_size(algorithm.graph())?;
     let e = (n - 1) as u64;
     let f = e.div_ceil(2);
-    let trimmed = trim(algorithm, horizon)?;
+    // One executor for the whole audit: the trim and the chain
+    // executions below share its plan cache.
+    let runner = Runner::sequential();
+    let executor = BatchExecutor::new(algorithm);
+    let trimmed = trim_on(algorithm, horizon, &runner, &executor)?;
     let phi = trimmed.phi(e);
 
     // Heavy-side selection (mirror if needed).
@@ -141,7 +135,7 @@ pub fn eager_chain_audit(
     for i in 0..k {
         for j in (i + 1)..k {
             let (x, y) = (heavy[i].min(heavy[j]), heavy[i].max(heavy[j]));
-            let t = execution_time(algorithm, x, 0, y, py, horizon)?;
+            let t = execution_time(&runner, &executor, (x, 0), (y, py), horizon)?;
             let (dx, dy) = (disp(x, t), disp(y, t));
             let x_eager = dx >= dy + sign_adjusted_f(f);
             let y_eager = dy >= dx + sign_adjusted_f(f);

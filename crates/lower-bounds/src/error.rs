@@ -1,6 +1,7 @@
 //! Error type for the lower-bound machinery.
 
 use rendezvous_core::CoreError;
+use rendezvous_runner::RunnerError;
 use rendezvous_sim::SimError;
 use std::error::Error;
 use std::fmt;
@@ -43,6 +44,8 @@ pub enum LowerBoundError {
     Algorithm(CoreError),
     /// A simulation-level failure.
     Simulation(SimError),
+    /// A failure of the sweep that ran the executions.
+    Sweep(RunnerError),
 }
 
 impl fmt::Display for LowerBoundError {
@@ -70,6 +73,7 @@ impl fmt::Display for LowerBoundError {
             ),
             LowerBoundError::Algorithm(e) => write!(f, "algorithm error: {e}"),
             LowerBoundError::Simulation(e) => write!(f, "simulation error: {e}"),
+            LowerBoundError::Sweep(e) => write!(f, "sweep error: {e}"),
         }
     }
 }
@@ -79,6 +83,7 @@ impl Error for LowerBoundError {
         match self {
             LowerBoundError::Algorithm(e) => Some(e),
             LowerBoundError::Simulation(e) => Some(e),
+            LowerBoundError::Sweep(e) => Some(e),
             _ => None,
         }
     }
@@ -93,6 +98,12 @@ impl From<CoreError> for LowerBoundError {
 impl From<SimError> for LowerBoundError {
     fn from(e: SimError) -> Self {
         LowerBoundError::Simulation(e)
+    }
+}
+
+impl From<RunnerError> for LowerBoundError {
+    fn from(e: RunnerError) -> Self {
+        LowerBoundError::Sweep(e)
     }
 }
 

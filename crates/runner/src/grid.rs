@@ -503,6 +503,10 @@ impl Workload for Grid {
             scenarios: self.scenarios_in(lo, hi),
         }]
     }
+
+    fn piece_count(&self, lo: usize, hi: usize) -> usize {
+        usize::from(lo < hi)
+    }
 }
 
 /// The saturating three-way product backing [`Grid::full_size`]: grids

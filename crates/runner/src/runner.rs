@@ -1,9 +1,13 @@
 //! The parallel batch executor.
 
-use crate::{Executor, PieceExecutor, RunnerError, Scenario, SweepReport, Workload};
+use crate::{Executor, PieceExecutor, RunnerError, Scenario, SweepReport, WorkPiece, Workload};
 use rendezvous_telemetry::{Metrics, Scope, Stopwatch};
 use std::num::NonZeroUsize;
 use std::sync::Arc;
+
+/// Units per chunk of [`Runner::sweep_range`]: the most scenarios (and
+/// outcomes) one sweep holds in memory at a time.
+pub(crate) const SWEEP_CHUNK: usize = 4096;
 
 /// Executes workload sweeps (and generic per-item jobs) sequentially or
 /// across OS threads.
@@ -187,11 +191,18 @@ impl Runner {
 
     /// Sweeps the global index range `[lo, hi)` of a [`Workload`].
     ///
-    /// Parallelism adapts to the workload's shape: a multi-piece range
-    /// (a topology sweep touching many specs) parallelizes **across
+    /// The range is walked in fixed chunks of [`SWEEP_CHUNK`] units: each
+    /// chunk's pieces are enumerated, run and folded into the one report
+    /// before the next chunk is enumerated, so no more than a chunk's
+    /// scenarios and outcomes are ever held at once, however large the
+    /// workload. Chunking never changes a report: the fold is at global
+    /// indices, so any contiguous split folds to the same aggregates.
+    ///
+    /// Parallelism adapts to each chunk's shape: a multi-piece chunk (a
+    /// topology sweep touching many specs) parallelizes **across
     /// pieces**, each piece running its batch sequentially — nesting two
     /// parallel levels would only oversubscribe cores — while a
-    /// single-piece range (a plain grid) hands this runner to the piece
+    /// single-piece chunk (a plain grid) hands this runner to the piece
     /// executor, which parallelizes across scenarios. Either way the
     /// fold walks outcomes in global order, so parallel and sequential
     /// runs produce identical reports and identical first-error
@@ -211,11 +222,42 @@ impl Runner {
         W: Workload + ?Sized,
         E: PieceExecutor + ?Sized,
     {
-        let pieces = workload.pieces(lo, hi);
+        assert!(
+            lo <= hi && hi <= workload.size(),
+            "sweep range {lo}..{hi} out of bounds for a workload of {}",
+            workload.size()
+        );
+        let chunks = || {
+            (lo..hi)
+                .step_by(SWEEP_CHUNK)
+                .map(|a| (a, hi.min(a + SWEEP_CHUNK)))
+        };
         let telemetry = self.metrics.as_deref();
         if let Some(metrics) = telemetry {
-            metrics.progress().add_planned(hi - lo, pieces.len());
+            // Planned once for the whole range, so live progress shows
+            // whole-sweep totals from the first chunk on.
+            let pieces = chunks().map(|(a, b)| workload.piece_count(a, b)).sum();
+            metrics.progress().add_planned(hi - lo, pieces);
         }
+        let mut report = SweepReport::default();
+        for (a, b) in chunks() {
+            self.fold_chunk(&mut report, workload.pieces(a, b), executor)?;
+        }
+        Ok(report)
+    }
+
+    /// Runs one chunk's pieces and folds their outcomes into `report` in
+    /// global order.
+    fn fold_chunk<E>(
+        &self,
+        report: &mut SweepReport,
+        pieces: Vec<WorkPiece<'_>>,
+        executor: &E,
+    ) -> Result<(), RunnerError>
+    where
+        E: PieceExecutor + ?Sized,
+    {
+        let telemetry = self.metrics.as_deref();
         let inner = if self.is_parallel() && pieces.len() > 1 {
             Runner::sequential()
         } else {
@@ -242,7 +284,6 @@ impl Runner {
                 .map_err(|e| e.in_piece(piece.offset, piece.key))
                 .map(|(outcomes, bounds)| (piece, outcomes, bounds))
         });
-        let mut report = SweepReport::default();
         for result in results {
             let (piece, outcomes, bounds) = result?;
             debug_assert_eq!(outcomes.len(), piece.scenarios.len());
@@ -251,13 +292,260 @@ impl Runner {
                 report.absorb(piece.key, piece.offset + k, spec, outcome, bounds);
             }
         }
-        Ok(report)
+        Ok(())
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::{fold_outcomes, BatchExecutor, Bounds, Grid, ScenarioOutcome, TopoGrid};
+    use rendezvous_core::{Cheap, LabelSpace, RendezvousAlgorithm};
+    use rendezvous_explore::{spec_explorer, OrientedRingExplorer};
+    use rendezvous_graph::{generators, GraphSpec, RingSpec, SeededSpec};
+    use rendezvous_telemetry::ProgressCounts;
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::Mutex;
+
+    fn cheap_ring(n: usize, l: u64) -> Cheap {
+        let g = Arc::new(generators::oriented_ring(n).unwrap());
+        let ex = Arc::new(OrientedRingExplorer::new(g.clone()).unwrap());
+        Cheap::new(g, ex, LabelSpace::new(l).unwrap())
+    }
+
+    fn label_pairs(l: u64) -> Vec<(u64, u64)> {
+        (1..=l)
+            .flat_map(|a| ((a + 1)..=l).map(move |b| (a, b)))
+            .collect()
+    }
+
+    /// Five delays per (labels, starts) group: 5 does not divide
+    /// [`SWEEP_CHUNK`], so batched groups straddle chunk boundaries.
+    const DELAYS: [u64; 5] = [0, 1, 7, 8, 14];
+
+    /// A pair grid several chunks long: 56 label orders × 56 start
+    /// pairs × 5 delays on the 8-ring.
+    fn straddling_grid(alg: &dyn RendezvousAlgorithm) -> Grid {
+        let grid = Grid::new(4 * alg.time_bound())
+            .label_pairs_both_orders(&label_pairs(8))
+            .delays(&DELAYS)
+            .all_start_pairs(alg.graph());
+        assert!(grid.size() > 3 * SWEEP_CHUNK);
+        assert_ne!(
+            SWEEP_CHUNK % DELAYS.len(),
+            0,
+            "a (labels, starts) group must straddle the first chunk boundary"
+        );
+        grid
+    }
+
+    /// The pre-chunking fold: every piece of the whole range run at
+    /// once, outcomes absorbed in global order.
+    fn one_shot<W, E>(workload: &W, executor: &E) -> SweepReport
+    where
+        W: Workload + ?Sized,
+        E: PieceExecutor + ?Sized,
+    {
+        let mut report = SweepReport::default();
+        for piece in workload.pieces(0, workload.size()) {
+            let (outcomes, bounds) = executor
+                .run_piece(&Runner::sequential(), &piece)
+                .expect("reference run succeeds");
+            let spec = piece.entry.map(|e| &e.spec);
+            for (k, outcome) in outcomes.iter().enumerate() {
+                report.absorb(piece.key, piece.offset + k, spec, outcome, bounds);
+            }
+        }
+        report
+    }
+
+    /// Wraps a piece executor, recording every piece it is handed and
+    /// the live progress totals at that moment.
+    struct Recording<'e, E: ?Sized> {
+        inner: &'e E,
+        metrics: Option<Arc<Metrics>>,
+        calls: AtomicUsize,
+        largest: AtomicUsize,
+        units: AtomicUsize,
+        planned: Mutex<Vec<ProgressCounts>>,
+    }
+
+    impl<'e, E: PieceExecutor + ?Sized> Recording<'e, E> {
+        fn new(inner: &'e E, metrics: Option<Arc<Metrics>>) -> Self {
+            Recording {
+                inner,
+                metrics,
+                calls: AtomicUsize::new(0),
+                largest: AtomicUsize::new(0),
+                units: AtomicUsize::new(0),
+                planned: Mutex::new(Vec::new()),
+            }
+        }
+    }
+
+    impl<E: PieceExecutor + ?Sized> PieceExecutor for Recording<'_, E> {
+        fn run_piece(
+            &self,
+            runner: &Runner,
+            piece: &WorkPiece<'_>,
+        ) -> Result<(Vec<ScenarioOutcome>, Option<Bounds>), RunnerError> {
+            let len = piece.scenarios.len();
+            self.calls.fetch_add(1, Ordering::Relaxed);
+            self.largest.fetch_max(len, Ordering::Relaxed);
+            self.units.fetch_add(len, Ordering::Relaxed);
+            if let Some(metrics) = &self.metrics {
+                let counts = metrics.progress().counts();
+                self.planned.lock().unwrap().push(counts);
+            }
+            self.inner.run_piece(runner, piece)
+        }
+    }
+
+    /// Per-piece executor for topology sweeps: `Cheap` on the piece's
+    /// graph, batched.
+    struct CheapTopo;
+
+    impl PieceExecutor for CheapTopo {
+        fn run_piece(
+            &self,
+            runner: &Runner,
+            piece: &WorkPiece<'_>,
+        ) -> Result<(Vec<ScenarioOutcome>, Option<Bounds>), RunnerError> {
+            let entry = piece.entry.expect("topology pieces carry their entry");
+            let explorer = spec_explorer(&entry.spec, entry.graph.clone())
+                .map_err(|e| RunnerError::new(e.to_string()))?;
+            let alg = Cheap::new(entry.graph.clone(), explorer, LabelSpace::new(6).unwrap());
+            let bounds = Some(Bounds {
+                time: alg.time_bound(),
+                cost: alg.cost_bound(),
+            });
+            BatchExecutor::new(&alg)
+                .with_bounds(bounds)
+                .run_piece(runner, piece)
+        }
+    }
+
+    /// Rings and scrambled rings whose grids (30 label orders × n(n−1)
+    /// start pairs × 5 delays) put entry boundaries and chunk
+    /// boundaries at unrelated indices.
+    fn straddling_topo() -> TopoGrid {
+        let specs = vec![
+            GraphSpec::Ring(RingSpec { n: 7 }),
+            GraphSpec::ScrambledRing(SeededSpec { n: 6, seed: 3 }),
+            GraphSpec::Ring(RingSpec { n: 9 }),
+            GraphSpec::ScrambledRing(SeededSpec { n: 5, seed: 8 }),
+        ];
+        let topo = TopoGrid::build(specs, |_, g| {
+            Grid::new(400)
+                .label_pairs_both_orders(&label_pairs(6))
+                .delays(&DELAYS)
+                .all_start_pairs(g)
+        })
+        .unwrap();
+        assert!(topo.size() > 3 * SWEEP_CHUNK);
+        topo
+    }
+
+    #[test]
+    fn no_piece_exceeds_the_chunk() {
+        let alg = cheap_ring(8, 8);
+        let grid = straddling_grid(&alg);
+        let batched = BatchExecutor::new(&alg);
+        let topo = straddling_topo();
+        for runner in [Runner::sequential(), Runner::with_threads(3)] {
+            let recording = Recording::new(&batched, None);
+            assert_eq!(
+                runner.sweep(&grid, &recording).unwrap().executed(),
+                grid.size()
+            );
+            assert!(recording.largest.into_inner() <= SWEEP_CHUNK);
+            assert_eq!(recording.units.into_inner(), grid.size());
+            assert_eq!(
+                recording.calls.into_inner(),
+                grid.size().div_ceil(SWEEP_CHUNK)
+            );
+
+            let recording = Recording::new(&CheapTopo, None);
+            assert_eq!(
+                runner.sweep(&topo, &recording).unwrap().executed(),
+                topo.size()
+            );
+            assert!(recording.largest.into_inner() <= SWEEP_CHUNK);
+            assert_eq!(recording.units.into_inner(), topo.size());
+        }
+    }
+
+    #[test]
+    fn chunked_grid_sweep_equals_one_shot_fold() {
+        let alg = cheap_ring(8, 8);
+        let grid = straddling_grid(&alg);
+        let bounds = Some(Bounds {
+            time: alg.time_bound(),
+            cost: alg.cost_bound(),
+        });
+        let batched = BatchExecutor::new(&alg).with_bounds(bounds);
+        let whole = grid.pieces(0, grid.size()).remove(0);
+        let (outcomes, piece_bounds) = batched
+            .run_piece(&Runner::sequential(), &whole)
+            .expect("one-shot run succeeds");
+        let reference = fold_outcomes(&outcomes, piece_bounds);
+        assert_eq!(reference, one_shot(&grid, &batched));
+        for runner in [Runner::sequential(), Runner::with_threads(3)] {
+            assert_eq!(runner.sweep(&grid, &batched).unwrap(), reference);
+        }
+        // A range that starts and ends mid-chunk folds like the same
+        // slice of the one-shot outcomes.
+        let (lo, hi) = (SWEEP_CHUNK - 2, 2 * SWEEP_CHUNK + 3);
+        let mut slice = SweepReport::default();
+        for (k, outcome) in outcomes[lo..hi].iter().enumerate() {
+            slice.absorb("", lo + k, None, outcome, piece_bounds);
+        }
+        assert_eq!(
+            Runner::with_threads(2)
+                .sweep_range(&grid, lo, hi, &batched)
+                .unwrap(),
+            slice
+        );
+    }
+
+    #[test]
+    fn chunked_topo_sweep_equals_one_shot_fold() {
+        let topo = straddling_topo();
+        let reference = one_shot(&topo, &CheapTopo);
+        assert_eq!(reference.executed(), topo.size());
+        assert!(reference.clean());
+        for runner in [Runner::sequential(), Runner::with_threads(3)] {
+            assert_eq!(runner.sweep(&topo, &CheapTopo).unwrap(), reference);
+        }
+    }
+
+    /// Sweeps `workload` with live progress attached: the planned
+    /// totals are whole-sweep from the first piece on, and met exactly
+    /// at the end.
+    fn assert_whole_sweep_plan<W: Workload, E: PieceExecutor>(workload: &W, executor: &E) {
+        let metrics = Arc::new(Metrics::new());
+        let runner = Runner::sequential().with_metrics(Arc::clone(&metrics));
+        let recording = Recording::new(executor, Some(Arc::clone(&metrics)));
+        let report = runner.sweep(workload, &recording).unwrap();
+        assert_eq!(report.executed(), workload.size());
+        let done = metrics.progress().counts();
+        let size = workload.size() as u64;
+        let pieces = recording.calls.into_inner() as u64;
+        assert_eq!((done.scenarios_done, done.scenarios_total), (size, size));
+        assert_eq!((done.pieces_done, done.pieces_total), (pieces, pieces));
+        let planned = recording.planned.into_inner().unwrap();
+        assert!(planned.len() > 1, "the sweep spans several chunks");
+        for seen in planned {
+            assert_eq!((seen.scenarios_total, seen.pieces_total), (size, pieces));
+        }
+    }
+
+    #[test]
+    fn progress_plans_whole_sweep_totals_under_chunking() {
+        let alg = cheap_ring(8, 8);
+        assert_whole_sweep_plan(&straddling_grid(&alg), &BatchExecutor::new(&alg));
+        assert_whole_sweep_plan(&straddling_topo(), &CheapTopo);
+    }
 
     #[test]
     fn map_preserves_order_under_parallelism() {

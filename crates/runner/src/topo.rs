@@ -70,15 +70,28 @@ impl TopoGrid {
     /// spec so a bad entry in a long sweep list is findable.
     pub fn build(
         specs: Vec<GraphSpec>,
-        mut configure: impl FnMut(&GraphSpec, &Arc<PortLabeledGraph>) -> Grid,
+        configure: impl FnMut(&GraphSpec, &Arc<PortLabeledGraph>) -> Grid,
     ) -> Result<TopoGrid, RunnerError> {
-        let mut entries = Vec::with_capacity(specs.len());
+        let graphs = specs
+            .into_iter()
+            .map(|spec| match spec.build() {
+                Ok(graph) => Ok((spec, Arc::new(graph))),
+                Err(e) => Err(RunnerError::new(format!("building {spec:?}: {e}"))),
+            })
+            .collect::<Result<Vec<_>, _>>()?;
+        Ok(TopoGrid::from_graphs(graphs, configure))
+    }
+
+    /// [`TopoGrid::build`] over graphs the caller already built from
+    /// their specs (a caller that validates a spec by building it need
+    /// not build it twice).
+    pub fn from_graphs(
+        graphs: Vec<(GraphSpec, Arc<PortLabeledGraph>)>,
+        mut configure: impl FnMut(&GraphSpec, &Arc<PortLabeledGraph>) -> Grid,
+    ) -> TopoGrid {
+        let mut entries = Vec::with_capacity(graphs.len());
         let mut offset = 0usize;
-        for (spec_index, spec) in specs.into_iter().enumerate() {
-            let graph = Arc::new(
-                spec.build()
-                    .map_err(|e| RunnerError::new(format!("building {spec:?}: {e}")))?,
-            );
+        for (spec_index, (spec, graph)) in graphs.into_iter().enumerate() {
             let grid = configure(&spec, &graph);
             let size = grid.size();
             entries.push(TopoEntry {
@@ -91,10 +104,10 @@ impl TopoGrid {
             });
             offset += size;
         }
-        Ok(TopoGrid {
+        TopoGrid {
             entries,
             total: offset,
-        })
+        }
     }
 
     /// Total scenarios across all specs (caps applied).
@@ -107,6 +120,22 @@ impl TopoGrid {
     #[must_use]
     pub fn entries(&self) -> &[TopoEntry] {
         &self.entries
+    }
+
+    /// The non-empty intersections of `[lo, hi)` with each entry's
+    /// global range, as `(entry, cut_lo, cut_hi)` in spec order — one
+    /// per piece.
+    fn cuts(&self, lo: usize, hi: usize) -> impl Iterator<Item = (&TopoEntry, usize, usize)> {
+        assert!(
+            lo <= hi && hi <= self.total,
+            "global range {lo}..{hi} out of bounds for a topo grid of {}",
+            self.total
+        );
+        self.entries.iter().filter_map(move |entry| {
+            let cut_lo = lo.max(entry.offset);
+            let cut_hi = hi.min(entry.offset + entry.grid.size());
+            (cut_lo < cut_hi).then_some((entry, cut_lo, cut_hi))
+        })
     }
 }
 
@@ -144,27 +173,20 @@ impl Workload for TopoGrid {
     }
 
     fn pieces(&self, lo: usize, hi: usize) -> Vec<WorkPiece<'_>> {
-        assert!(
-            lo <= hi && hi <= self.total,
-            "global range {lo}..{hi} out of bounds for a topo grid of {}",
-            self.total
-        );
-        let mut out = Vec::new();
-        for entry in &self.entries {
-            let size = entry.grid.size();
-            let (begin, end) = (entry.offset, entry.offset + size);
-            let cut_lo = lo.max(begin);
-            let cut_hi = hi.min(end);
-            if cut_lo < cut_hi {
-                out.push(WorkPiece {
-                    offset: cut_lo,
-                    key: &entry.family,
-                    entry: Some(entry),
-                    scenarios: entry.grid.scenarios_in(cut_lo - begin, cut_hi - begin),
-                });
-            }
-        }
-        out
+        self.cuts(lo, hi)
+            .map(|(entry, cut_lo, cut_hi)| WorkPiece {
+                offset: cut_lo,
+                key: &entry.family,
+                entry: Some(entry),
+                scenarios: entry
+                    .grid
+                    .scenarios_in(cut_lo - entry.offset, cut_hi - entry.offset),
+            })
+            .collect()
+    }
+
+    fn piece_count(&self, lo: usize, hi: usize) -> usize {
+        self.cuts(lo, hi).count()
     }
 }
 

@@ -205,6 +205,18 @@ pub trait Workload: Sync {
     /// Panics if `lo > hi` or `hi > self.size()`.
     fn pieces(&self, lo: usize, hi: usize) -> Vec<WorkPiece<'_>>;
 
+    /// The number of pieces `pieces(lo, hi)` yields. The default
+    /// enumerates them; implementations override it to count without
+    /// materializing scenarios, which is all live progress needs to plan
+    /// a sweep.
+    ///
+    /// # Panics
+    ///
+    /// See [`Workload::pieces`].
+    fn piece_count(&self, lo: usize, hi: usize) -> usize {
+        self.pieces(lo, hi).len()
+    }
+
     /// The global index range of shard `shard` of `of`: the balanced
     /// contiguous partition every workload shares (same stride rule as
     /// the sampling cap), so all workload kinds cut their index spaces
