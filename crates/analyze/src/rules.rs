@@ -302,7 +302,7 @@ const FLOAT_IDENTS: [&str; 7] = ["f32", "f64", "powf", "powi", "sqrt", "log2", "
 
 /// D3 — float types or float math in determinism-critical paths. The
 /// witness tie-break and merge convention is exact u128
-/// cross-multiplication (`ratio_pair_gt/eq`); floats round, and libm
+/// cross-multiplication (`ratio_cmp`); floats round, and libm
 /// functions (`powf`, `log2`) may differ across platforms, so a float
 /// anywhere near a fold needs an exact-integer replacement or an allow
 /// explaining why it is display-only.

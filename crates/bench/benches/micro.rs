@@ -366,6 +366,43 @@ fn store_paths(c: &mut Criterion) {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The sweep fold's fixed per-scenario cost: 432 000 outcomes (x3's
+/// execution sweep) folded the way the `Runner` folds them, one
+/// 4096-outcome chunk piece at a time, under the empty key plain grids
+/// and `Trim` audits use and under a topology family key. The two
+/// medians should stay close: the group is looked up once per piece, so
+/// the key's comparison cost must not show up per outcome.
+fn runner_fold(c: &mut Criterion) {
+    use rendezvous_runner::{Bounds, Scenario, ScenarioOutcome, SweepReport};
+    const TOTAL: usize = 432_000;
+    const PIECE: usize = 4096;
+    let outcomes: Vec<ScenarioOutcome> = (0..PIECE as u64)
+        .map(|i| {
+            let scenario = Scenario::pair(1, 2, NodeId::new(0), NodeId::new(1), i % 97, 1000);
+            ScenarioOutcome::pairwise(scenario, Some(i * 7 % 61), i * 13 % 53, i % 3)
+        })
+        .collect();
+    let bounds = Some(Bounds {
+        time: 60,
+        cost: 100,
+    });
+    for (name, key) in [
+        ("runner/fold_piece_empty_key", ""),
+        ("runner/fold_piece_ring_key", "ring"),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let mut report = SweepReport::default();
+                for offset in (0..TOTAL).step_by(PIECE) {
+                    let len = PIECE.min(TOTAL - offset);
+                    report.absorb_piece(key, offset, None, &outcomes[..len], bounds);
+                }
+                black_box(report.executed())
+            });
+        });
+    }
+}
+
 /// Samples per bench — recorded in the sidecar `meta` so the medians'
 /// stability is interpretable.
 const SAMPLE_SIZE: usize = 20;
@@ -373,7 +410,7 @@ const SAMPLE_SIZE: usize = 20;
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(SAMPLE_SIZE);
-    targets = engine_throughput, engine_occupancy, engine_flat_plan, walk_computation, label_machinery, graph_generation, topo_graph_build, batch_solving, store_paths
+    targets = engine_throughput, engine_occupancy, engine_flat_plan, walk_computation, label_machinery, graph_generation, topo_graph_build, batch_solving, runner_fold, store_paths
 }
 
 /// Runs every group, then persists the recorded medians as

@@ -235,6 +235,22 @@ impl ScheduleBehavior {
         self.phase_idx >= self.schedule.phases().len()
     }
 
+    /// If the current phase is a wait, consumes all its remaining rounds
+    /// at once and returns how many — exactly what that many
+    /// [`next_action`](AgentBehavior::next_action) calls would do (stay
+    /// put, clear the entry port). Returns 0 in an explore phase or once
+    /// the schedule is exhausted.
+    fn skip_wait(&mut self) -> u64 {
+        self.settle();
+        let Some(&Phase::Wait(rounds)) = self.schedule.phases().get(self.phase_idx) else {
+            return 0;
+        };
+        let left = rounds - self.round_in_phase;
+        self.round_in_phase = rounds;
+        self.last_entry = None;
+        left
+    }
+
     /// Skips zero-length phases and starts runs lazily.
     fn settle(&mut self) {
         while let Some(phase) = self.schedule.phases().get(self.phase_idx) {
@@ -270,10 +286,11 @@ impl ScheduleBehavior {
 /// [`AlgorithmExecutor`](../../rendezvous_runner/struct.AlgorithmExecutor.html)
 /// cache exploits.
 ///
-/// The compiler *is* a [`ScheduleBehavior`] driven round by round, so the
-/// flat plan is equal to the stepped execution by construction — the
-/// equivalence test below and the byte-identical experiment outputs both
-/// rest on that.
+/// The compiler *is* a [`ScheduleBehavior`] driven round by round
+/// through every explore phase, and wait phases are appended whole
+/// (stays, a repeated position, no moves) — so the flat plan is equal to
+/// the stepped execution by construction. The equivalence tests below
+/// and the byte-identical experiment outputs both rest on that.
 #[derive(Debug, Clone)]
 pub struct FlatPlan {
     actions: Vec<Action>,
@@ -283,7 +300,8 @@ pub struct FlatPlan {
 
 impl FlatPlan {
     /// Compiles the flat action array of `schedule` from `start` by
-    /// stepping a [`ScheduleBehavior`] through every round.
+    /// stepping a [`ScheduleBehavior`] through every explore round and
+    /// appending each wait phase in bulk.
     ///
     /// # Panics
     ///
@@ -300,7 +318,16 @@ impl FlatPlan {
         let node_index =
             |node: NodeId| u32::try_from(node.index()).expect("node index fits in u32");
         let mut trajectory = Trajectory::new(node_index(start));
-        for round in 0..total {
+        let mut round = 0;
+        while round < total {
+            let idle = behavior.skip_wait();
+            if idle > 0 {
+                let idle_len = usize::try_from(idle).expect("wait fits in memory");
+                actions.resize(actions.len() + idle_len, Action::Stay);
+                trajectory.idle(idle);
+                round += idle;
+                continue;
+            }
             // The behavior reads only the degree from its observation
             // (it tracks position and entry ports internally), so the
             // synthesized observation needs nothing else.
@@ -311,6 +338,7 @@ impl FlatPlan {
             });
             trajectory.push(node_index(behavior.position()), action.is_move());
             actions.push(action);
+            round += 1;
         }
         FlatPlan {
             actions,
@@ -591,6 +619,123 @@ mod tests {
                     let mut tail = plan.behavior();
                     let long = run_solo(&g, &mut tail, start, rounds + 7).unwrap();
                     assert!(long.actions[rounds as usize..].iter().all(|a| !a.is_move()));
+                }
+            }
+        }
+    }
+
+    /// The round-by-round compiler bulk wait compilation replaced: a
+    /// [`ScheduleBehavior`] stepped through every round, waits included.
+    /// Returns the actions, the trajectory and the end position.
+    fn stepped_plan(
+        graph: &Arc<PortLabeledGraph>,
+        schedule: &Arc<Schedule>,
+        start: NodeId,
+    ) -> (Vec<Action>, Trajectory, NodeId) {
+        let node_index = |n: NodeId| u32::try_from(n.index()).unwrap();
+        let mut behavior =
+            ScheduleBehavior::with_shared(Arc::clone(graph), Arc::clone(schedule), start);
+        let mut actions = Vec::new();
+        let mut trajectory = Trajectory::new(node_index(start));
+        for round in 0..schedule.total_rounds() {
+            let action = behavior.next_action(Observation {
+                local_round: round,
+                degree: graph.degree(behavior.position()),
+                entry_port: None,
+            });
+            trajectory.push(node_index(behavior.position()), action.is_move());
+            actions.push(action);
+        }
+        (actions, trajectory, behavior.position())
+    }
+
+    /// Bulk-compiled plans of `schedule` from every start equal the
+    /// stepped compile: actions, positions, prefix moves, end position.
+    fn assert_bulk_compile_is_stepped(graph: &Arc<PortLabeledGraph>, schedule: Schedule) {
+        let schedule = Arc::new(schedule);
+        for start in 0..graph.node_count() {
+            let start = NodeId::new(start);
+            let plan = FlatPlan::compile(Arc::clone(graph), Arc::clone(&schedule), start);
+            let (actions, trajectory, end) = stepped_plan(graph, &schedule, start);
+            let context = format!("{:?} from {start:?}", schedule.phases());
+            assert_eq!(plan.actions(), &actions[..], "actions of {context}");
+            // Trajectory equality covers positions and prefix moves.
+            assert_eq!(plan.trajectory(), &trajectory, "trajectory of {context}");
+            assert_eq!(plan.end_position(), end, "end position of {context}");
+        }
+    }
+
+    /// Wait shapes the bulk path must get exactly right — a leading
+    /// wait, `Wait(0)`, consecutive waits, a trailing wait, wait-only and
+    /// empty schedules — around both a position-free and a map-tracking
+    /// explorer.
+    #[test]
+    fn bulk_wait_compile_equals_stepped_on_wait_shapes() {
+        let ring = Arc::new(generators::oriented_ring(5).unwrap());
+        let grid = Arc::new(generators::grid(3, 3).unwrap());
+        let walk: Arc<dyn Explorer> = Arc::new(BoundedWalkExplorer::new(3));
+        let dfs: Arc<dyn Explorer> = Arc::new(DfsMapExplorer::new(grid.clone()));
+        for (graph, e) in [(&ring, &walk), (&grid, &walk), (&grid, &dfs)] {
+            let explore = || Phase::Explore(Arc::clone(e));
+            let shapes = vec![
+                vec![
+                    Phase::Wait(3),
+                    explore(),
+                    Phase::Wait(0),
+                    explore(),
+                    Phase::Wait(2),
+                    Phase::Wait(5),
+                    explore(),
+                    Phase::Wait(4),
+                ],
+                vec![Phase::Wait(0), explore(), Phase::Wait(0)],
+                vec![explore(), Phase::Wait(1), Phase::Wait(0), Phase::Wait(1)],
+                vec![Phase::Wait(7)],
+                vec![Phase::Wait(0), Phase::Wait(0)],
+                vec![],
+            ];
+            for phases in shapes {
+                assert_bulk_compile_is_stepped(graph, Schedule::new(phases));
+            }
+        }
+    }
+
+    /// Every algorithm's schedules, on an oriented ring and on a DFS-map
+    /// grid: bulk-compiled plans equal the stepped compile.
+    #[test]
+    fn bulk_wait_compile_equals_stepped_for_every_algorithm() {
+        use crate::{
+            BaseAlgorithm, Cheap, Fast, FastWithRelabeling, Iterated, Label, LabelSpace,
+            RendezvousAlgorithm,
+        };
+        use rendezvous_explore::{OrientedRingExplorer, RingDoublingFamily};
+        let ring = Arc::new(generators::oriented_ring(6).unwrap());
+        let grid = Arc::new(generators::grid(3, 3).unwrap());
+        let ring_ex: Arc<dyn Explorer> = Arc::new(OrientedRingExplorer::new(ring.clone()).unwrap());
+        let grid_ex: Arc<dyn Explorer> = Arc::new(DfsMapExplorer::new(grid.clone()));
+        let space = LabelSpace::new(6).unwrap();
+        for (graph, ex) in [(&ring, &ring_ex), (&grid, &grid_ex)] {
+            let iterated = |base| {
+                Iterated::new(
+                    graph.clone(),
+                    Arc::new(RingDoublingFamily::new()),
+                    space,
+                    base,
+                    1..=3,
+                )
+                .unwrap()
+            };
+            let algs: Vec<Box<dyn RendezvousAlgorithm>> = vec![
+                Box::new(Cheap::new(graph.clone(), ex.clone(), space)),
+                Box::new(Fast::new(graph.clone(), ex.clone(), space)),
+                Box::new(FastWithRelabeling::new(graph.clone(), ex.clone(), space, 2).unwrap()),
+                Box::new(iterated(BaseAlgorithm::Cheap)),
+                Box::new(iterated(BaseAlgorithm::Fast)),
+            ];
+            for alg in &algs {
+                for label in [1u64, 4, 6] {
+                    let schedule = alg.schedule(Label::new(label).unwrap()).unwrap();
+                    assert_bulk_compile_is_stepped(graph, schedule);
                 }
             }
         }

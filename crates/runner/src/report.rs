@@ -14,6 +14,7 @@
 use crate::{Scenario, ScenarioOutcome};
 use rendezvous_graph::GraphSpec;
 use serde::{Deserialize, Serialize};
+use std::cmp::Ordering;
 
 /// The paper bounds a sweep (or one piece of it) is checked against.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -72,29 +73,17 @@ impl Witness {
     }
 }
 
-/// `a.0/a.1 > b.0/b.1` by `u128` cross-multiplication — exact, so merge
-/// order can never flip a comparison the way float rounding could.
-pub(crate) fn ratio_pair_gt(a: (u64, u64), b: (u64, u64)) -> bool {
-    u128::from(a.0) * u128::from(b.1) > u128::from(b.0) * u128::from(a.1)
-}
-
-/// `a.0/a.1 == b.0/b.1`, exactly.
-pub(crate) fn ratio_pair_eq(a: (u64, u64), b: (u64, u64)) -> bool {
-    u128::from(a.0) * u128::from(b.1) == u128::from(b.0) * u128::from(a.1)
+/// Orders `a.0/a.1` against `b.0/b.1` by `u128` cross-multiplication —
+/// exact, so merge order can never flip a comparison the way float
+/// rounding could.
+fn ratio_cmp(a: (u64, u64), b: (u64, u64)) -> Ordering {
+    (u128::from(a.0) * u128::from(b.1)).cmp(&(u128::from(b.0) * u128::from(a.1)))
 }
 
 /// The ratio key of a witness: `(time, time_bound)`. Only witnesses with
 /// a bound ever enter the ratio slot.
 fn ratio_of(w: &Witness) -> (u64, u64) {
     (w.time, w.time_bound.expect("ratio witnesses carry a bound"))
-}
-
-fn ratio_gt(a: &Witness, b: &Witness) -> bool {
-    ratio_pair_gt(ratio_of(a), ratio_of(b))
-}
-
-fn ratio_eq(a: &Witness, b: &Witness) -> bool {
-    ratio_pair_eq(ratio_of(a), ratio_of(b))
 }
 
 /// Aggregate statistics of one fold group — one graph family of a
@@ -154,7 +143,7 @@ impl GroupStats {
     /// Mean time over meeting scenarios.
     #[must_use]
     // analyze: allow(d3) — display-only mean; merges and comparisons use the exact
-    // integer totals (`ratio_pair_gt/eq`), never this value
+    // integer totals (`ratio_cmp`), never this value
     pub fn mean_time(&self) -> f64 {
         if self.meetings == 0 {
             0.0
@@ -167,7 +156,7 @@ impl GroupStats {
     /// Mean cost over meeting scenarios.
     #[must_use]
     // analyze: allow(d3) — display-only mean; merges and comparisons use the exact
-    // integer totals (`ratio_pair_gt/eq`), never this value
+    // integer totals (`ratio_cmp`), never this value
     pub fn mean_cost(&self) -> f64 {
         if self.meetings == 0 {
             0.0
@@ -216,32 +205,40 @@ impl GroupStats {
         if cost_bound.is_some_and(|b| outcome.cost > b) {
             self.cost_violations += 1;
         }
+        // Decide every slot on plain integers first: ~10 of a sweep's
+        // hundreds of thousands of outcomes ever win one, and only those
+        // pay for a witness (a scenario and spec clone). The tie-break is
+        // explicit lowest-index (not first-absorbed-wins) so the
+        // documented witness contract survives folds that absorb
+        // outcomes out of index order, e.g. shard merges.
+        let cost = outcome.cost;
+        let takes_time = takes(&self.worst_time, index, |w| time.cmp(&w.time));
+        let takes_cost = takes(&self.worst_cost, index, |w| cost.cmp(&w.cost));
+        let takes_ratio = time_bound.is_some_and(|bound| {
+            takes(&self.worst_ratio, index, |w| {
+                ratio_cmp((time, bound), ratio_of(w))
+            })
+        });
+        if !(takes_time || takes_cost || takes_ratio) {
+            return;
+        }
         let witness = Witness {
             index,
             spec: spec.cloned(),
             scenario: outcome.scenario.clone(),
             time,
-            cost: outcome.cost,
+            cost,
             time_bound,
             cost_bound,
         };
-        // Explicit lowest-index tie-break (not first-absorbed-wins) so
-        // the documented witness contract survives folds that absorb
-        // outcomes out of index order, e.g. shard merges.
-        replace_if(
-            &mut self.worst_time,
-            &witness,
-            |a, b| a.time > b.time,
-            |a, b| a.time == b.time,
-        );
-        replace_if(
-            &mut self.worst_cost,
-            &witness,
-            |a, b| a.cost > b.cost,
-            |a, b| a.cost == b.cost,
-        );
-        if time_bound.is_some() {
-            replace_if(&mut self.worst_ratio, &witness, ratio_gt, ratio_eq);
+        if takes_time {
+            self.worst_time = Some(witness.clone());
+        }
+        if takes_cost {
+            self.worst_cost = Some(witness.clone());
+        }
+        if takes_ratio {
+            self.worst_ratio = Some(witness);
         }
     }
 
@@ -261,56 +258,40 @@ impl GroupStats {
             merges: self.merges + other.merges,
             time_violations: self.time_violations + other.time_violations,
             cost_violations: self.cost_violations + other.cost_violations,
-            worst_time: merge_witness(
-                &self.worst_time,
-                &other.worst_time,
-                |a, b| a.time > b.time,
-                |a, b| a.time == b.time,
-            ),
-            worst_cost: merge_witness(
-                &self.worst_cost,
-                &other.worst_cost,
-                |a, b| a.cost > b.cost,
-                |a, b| a.cost == b.cost,
-            ),
-            worst_ratio: merge_witness(&self.worst_ratio, &other.worst_ratio, ratio_gt, ratio_eq),
+            worst_time: merge_witness(&self.worst_time, &other.worst_time, |a, b| {
+                a.time.cmp(&b.time)
+            }),
+            worst_cost: merge_witness(&self.worst_cost, &other.worst_cost, |a, b| {
+                a.cost.cmp(&b.cost)
+            }),
+            worst_ratio: merge_witness(&self.worst_ratio, &other.worst_ratio, |a, b| {
+                ratio_cmp(ratio_of(a), ratio_of(b))
+            }),
         }
     }
 }
 
-/// Installs `candidate` into `slot` if it beats the incumbent (or ties at
-/// a smaller global index).
-fn replace_if(
-    slot: &mut Option<Witness>,
-    candidate: &Witness,
-    gt: impl Fn(&Witness, &Witness) -> bool,
-    eq: impl Fn(&Witness, &Witness) -> bool,
-) {
-    let wins = match slot {
-        None => true,
-        Some(w) => gt(candidate, w) || (eq(candidate, w) && candidate.index < w.index),
-    };
-    if wins {
-        *slot = Some(candidate.clone());
-    }
+/// Whether a candidate at global `index` takes `slot`: `cmp` orders it
+/// against the incumbent, and it wins when greater, or equal at a
+/// smaller index.
+fn takes(slot: &Option<Witness>, index: usize, cmp: impl Fn(&Witness) -> Ordering) -> bool {
+    slot.as_ref().is_none_or(|w| match cmp(w) {
+        Ordering::Greater => true,
+        Ordering::Equal => index < w.index,
+        Ordering::Less => false,
+    })
 }
 
-/// Lowest-index-on-ties winner between two optional witnesses.
+/// Lowest-index-on-ties winner between two optional witnesses, ordered
+/// by `cmp`: `b` wins exactly when it would take `a`'s slot.
 fn merge_witness(
     a: &Option<Witness>,
     b: &Option<Witness>,
-    gt: impl Fn(&Witness, &Witness) -> bool,
-    eq: impl Fn(&Witness, &Witness) -> bool,
+    cmp: impl Fn(&Witness, &Witness) -> Ordering,
 ) -> Option<Witness> {
-    match (a, b) {
-        (Some(x), Some(y)) => {
-            if gt(x, y) || (eq(x, y) && x.index <= y.index) {
-                Some(x.clone())
-            } else {
-                Some(y.clone())
-            }
-        }
-        (x, y) => x.clone().or_else(|| y.clone()),
+    match b {
+        Some(y) if takes(a, y.index, |x| cmp(y, x)) => b.clone(),
+        _ => a.clone(),
     }
 }
 
@@ -332,7 +313,22 @@ pub struct SweepReport {
 }
 
 impl SweepReport {
-    /// Folds one globally-indexed outcome into its key's group.
+    /// The group of `key`, inserted (empty, in key order) if the report
+    /// has none yet.
+    fn group_mut(&mut self, key: &str) -> &mut GroupStats {
+        let slot = match self.groups.binary_search_by(|g| g.key.as_str().cmp(key)) {
+            Ok(i) => i,
+            Err(i) => {
+                self.groups.insert(i, GroupStats::new(key));
+                i
+            }
+        };
+        &mut self.groups[slot]
+    }
+
+    /// Folds one globally-indexed outcome into its key's group — the
+    /// per-outcome reference that [`SweepReport::absorb_piece`] must
+    /// agree with.
     pub fn absorb(
         &mut self,
         key: &str,
@@ -341,14 +337,28 @@ impl SweepReport {
         outcome: &ScenarioOutcome,
         bounds: Option<Bounds>,
     ) {
-        let slot = match self.groups.binary_search_by(|g| g.key.as_str().cmp(key)) {
-            Ok(i) => i,
-            Err(i) => {
-                self.groups.insert(i, GroupStats::new(key));
-                i
-            }
-        };
-        self.groups[slot].absorb(index, spec, outcome, bounds);
+        self.group_mut(key).absorb(index, spec, outcome, bounds);
+    }
+
+    /// Folds a piece's outcomes, at global indices `offset..`, into
+    /// their key's group with **one** group lookup for the whole piece.
+    /// Equal to calling [`SweepReport::absorb`] per outcome; an empty
+    /// piece leaves the report untouched (no empty group appears).
+    pub fn absorb_piece(
+        &mut self,
+        key: &str,
+        offset: usize,
+        spec: Option<&GraphSpec>,
+        outcomes: &[ScenarioOutcome],
+        bounds: Option<Bounds>,
+    ) {
+        if outcomes.is_empty() {
+            return;
+        }
+        let group = self.group_mut(key);
+        for (k, outcome) in outcomes.iter().enumerate() {
+            group.absorb(offset + k, spec, outcome, bounds);
+        }
     }
 
     /// Combines the reports of two disjoint index ranges of one sweep —
@@ -360,15 +370,15 @@ impl SweepReport {
         while i < self.groups.len() && j < other.groups.len() {
             let (a, b) = (&self.groups[i], &other.groups[j]);
             match a.key.cmp(&b.key) {
-                std::cmp::Ordering::Less => {
+                Ordering::Less => {
                     groups.push(a.clone());
                     i += 1;
                 }
-                std::cmp::Ordering::Greater => {
+                Ordering::Greater => {
                     groups.push(b.clone());
                     j += 1;
                 }
-                std::cmp::Ordering::Equal => {
+                Ordering::Equal => {
                     groups.push(a.merge(b));
                     i += 1;
                     j += 1;
@@ -449,6 +459,7 @@ pub fn fold_outcomes(outcomes: &[ScenarioOutcome], bounds: Option<Bounds>) -> Sw
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rendezvous_graph::NodeId;
 
     fn outcome(time: Option<u64>, cost: u64, crossings: u64) -> ScenarioOutcome {
@@ -741,6 +752,121 @@ mod tests {
         let back: SweepReport =
             serde_json::from_str(&serde_json::to_string(&empty).unwrap()).unwrap();
         assert_eq!(back, empty);
+    }
+
+    /// `Some(value)` unless `flag` is 0 — the vendored proptest has no
+    /// option strategy.
+    fn some_unless_zero(flag: u8, value: u64) -> Option<u64> {
+        (flag != 0).then_some(value)
+    }
+
+    /// One generated outcome: time (`None` = no meeting), cost,
+    /// crossings, per-outcome time bound, merges. Small ranges force
+    /// equal-time, equal-cost and equal-ratio ties at different indices.
+    fn arb_outcome() -> impl Strategy<Value = ScenarioOutcome> {
+        (
+            (0u8..6, 0u64..6),
+            0u64..6,
+            0u64..3,
+            (0u8..2, 1u64..8),
+            0u64..3,
+        )
+            .prop_map(|((met, time), cost, crossings, (own, bound), merges)| {
+                let mut o = outcome(some_unless_zero(met, time), cost, crossings);
+                o.time_bound = some_unless_zero(own, bound);
+                o.merges = merges;
+                o
+            })
+    }
+
+    fn arb_bounds() -> impl Strategy<Value = Option<Bounds>> {
+        (0u8..3, 1u64..8, 1u64..8)
+            .prop_map(|(flag, time, cost)| (flag != 0).then_some(Bounds { time, cost }))
+    }
+
+    const KEYS: [&str; 3] = ["", "ring", "tree"];
+
+    /// A piece: fold key, its outcomes and its piece-level bounds.
+    type Piece = (&'static str, Vec<ScenarioOutcome>, Option<Bounds>);
+
+    fn arb_pieces() -> impl Strategy<Value = Vec<Piece>> {
+        collection::vec(
+            (
+                0usize..KEYS.len(),
+                collection::vec(arb_outcome(), 0..12),
+                arb_bounds(),
+            )
+                .prop_map(|(key, outcomes, bounds)| (KEYS[key], outcomes, bounds)),
+            0..10,
+        )
+    }
+
+    /// The graph recipe a key's witnesses carry (`None` for the empty
+    /// key, like a plain grid).
+    fn spec_of(key: &str) -> Option<GraphSpec> {
+        (!key.is_empty()).then(|| GraphSpec::Ring(rendezvous_graph::RingSpec { n: 3 + key.len() }))
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+
+        /// Folding piece by piece (one group lookup per piece, witnesses
+        /// built only on a win) equals the per-outcome fold, and both
+        /// equal the eager reference: every outcome as its own report,
+        /// merged in reverse index order through the witness-to-witness
+        /// comparisons of `merge`. Folding the pieces in reverse order
+        /// (as a shard merge may) exercises the lowest-index tie-break.
+        #[test]
+        fn piece_fold_equals_per_outcome_and_eager_folds(pieces in arb_pieces()) {
+            let mut by_piece = SweepReport::default();
+            let mut by_outcome = SweepReport::default();
+            let mut singles = Vec::new();
+            let mut placed = Vec::new();
+            let mut offset = 0;
+            for (key, outcomes, bounds) in &pieces {
+                let spec = spec_of(key);
+                by_piece.absorb_piece(key, offset, spec.as_ref(), outcomes, *bounds);
+                placed.push((offset, spec.clone()));
+                for (k, o) in outcomes.iter().enumerate() {
+                    by_outcome.absorb(key, offset + k, spec.as_ref(), o, *bounds);
+                    let mut single = SweepReport::default();
+                    single.absorb(key, offset + k, spec.as_ref(), o, *bounds);
+                    singles.push(single);
+                }
+                offset += outcomes.len();
+            }
+            let eager = singles
+                .iter()
+                .rev()
+                .fold(SweepReport::default(), |acc, single| acc.merge(single));
+            let mut reversed = SweepReport::default();
+            for ((key, outcomes, bounds), (offset, spec)) in pieces.iter().zip(&placed).rev() {
+                reversed.absorb_piece(key, *offset, spec.as_ref(), outcomes, *bounds);
+            }
+            prop_assert_eq!(&by_piece, &by_outcome);
+            prop_assert_eq!(&by_piece, &eager);
+            prop_assert_eq!(&by_piece, &reversed);
+        }
+
+        /// Under one key and one bound, any split of an outcome vector
+        /// into pieces folds to `fold_outcomes`, field for field.
+        #[test]
+        fn split_piece_fold_equals_fold_outcomes(
+            outcomes in collection::vec(arb_outcome(), 0..60),
+            bounds in arb_bounds(),
+            mut cuts in collection::vec(0usize..60, 0..6),
+        ) {
+            cuts.push(outcomes.len());
+            cuts.iter_mut().for_each(|c| *c = (*c).min(outcomes.len()));
+            cuts.sort_unstable();
+            let mut report = SweepReport::default();
+            let mut lo = 0;
+            for hi in cuts {
+                report.absorb_piece("", lo, None, &outcomes[lo..hi], bounds);
+                lo = hi;
+            }
+            prop_assert_eq!(report, fold_outcomes(&outcomes, bounds));
+        }
     }
 
     #[test]

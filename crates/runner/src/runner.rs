@@ -247,7 +247,7 @@ impl Runner {
     }
 
     /// Runs one chunk's pieces and folds their outcomes into `report` in
-    /// global order.
+    /// global order, each piece into its group with one lookup.
     fn fold_chunk<E>(
         &self,
         report: &mut SweepReport,
@@ -288,9 +288,7 @@ impl Runner {
             let (piece, outcomes, bounds) = result?;
             debug_assert_eq!(outcomes.len(), piece.scenarios.len());
             let spec = piece.entry.map(|e| &e.spec);
-            for (k, outcome) in outcomes.iter().enumerate() {
-                report.absorb(piece.key, piece.offset + k, spec, outcome, bounds);
-            }
+            report.absorb_piece(piece.key, piece.offset, spec, &outcomes, bounds);
         }
         Ok(())
     }

@@ -64,6 +64,19 @@ impl Trajectory {
         self.prefix_moves.push(moves);
     }
 
+    /// Appends `rounds` idle rounds at once: the position repeats and no
+    /// edge is traversed — `rounds` calls of `push(end, false)` in bulk.
+    pub fn idle(&mut self, rounds: u64) {
+        let rounds = usize::try_from(rounds).expect("idle rounds fit in memory");
+        let (end, moves) = (
+            self.end(),
+            *self.prefix_moves.last().expect("at least the start"),
+        );
+        self.positions.resize(self.positions.len() + rounds, end);
+        self.prefix_moves
+            .resize(self.prefix_moves.len() + rounds, moves);
+    }
+
     /// Number of recorded rounds `T` (the walk idles at its end position
     /// afterwards).
     #[must_use]
