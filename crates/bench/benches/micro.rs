@@ -40,18 +40,18 @@ fn engine_throughput(c: &mut Criterion) {
     });
 }
 
-/// The hot-loop refactor target: round throughput with many agents, where
-/// the per-round meeting scan and crossing detection dominate. A fleet of
-/// `k` clockwise walkers spread over a large ring never meets, so every
-/// round pays the full occupancy check. Before the hash-based occupancy
-/// map this scan was O(k²) per round.
+/// Round throughput with many agents, where the per-round meeting scan
+/// and crossing detection dominate. A fleet of `k` clockwise walkers
+/// spread over a large ring never meets, so every round pays the full
+/// pairwise occupancy check, O(k²) per round. No experiment runs more
+/// than 6 agents; k = 32 and 128 only chart the quadratic growth.
 fn engine_occupancy(c: &mut Criterion) {
     let g = Arc::new(generators::oriented_ring(4096).unwrap());
     for k in [2usize, 8, 32, 128] {
         c.bench_function(&format!("engine/occupancy_scan_k{k}"), |b| {
             b.iter_batched(
                 || {
-                    // FirstPair is the condition whose scan was quadratic.
+                    // FirstPair is the condition with the quadratic scan.
                     let mut sim = Simulation::new(&g)
                         .max_rounds(256)
                         .meeting_condition(MeetingCondition::FirstPair);

@@ -1,4 +1,5 @@
-//! Regenerates the paper's claims as markdown tables (see `DESIGN.md` §4).
+//! Regenerates the paper's claims as markdown tables, one per experiment
+//! (the index is in the crate docs).
 //!
 //! Usage:
 //!
@@ -6,8 +7,6 @@
 //! experiments [all|x1|x2|...|x11]... [--topo] [--quick] [--json]
 //!             [--sequential|--parallel] [--engine batched|stepped]
 //!             [--progress] [--telemetry FILE] [--plan] [--store DIR]
-//!             [--shard i/m [--emit-shard]] [--merge-shards FILE...]
-//!             [--spawn-shards m]
 //!             [--fabric workers=N [--fabric-checkpoint FILE] [--fabric-kill-one]]
 //! experiments serve --store DIR [--addr-file FILE]
 //!             [--engine batched|stepped] [--sequential]
@@ -18,10 +17,11 @@
 //! ```
 //!
 //! `--quick` shrinks the sweeps (used by CI); the default parameters are
-//! the ones recorded in `EXPERIMENTS.md`. `--json` emits the raw rows as
-//! JSON (one document per experiment) instead of markdown tables, for
-//! plotting pipelines — section headings go to stderr in that mode, so
-//! stdout stays a clean JSON stream (`experiments all --json | jq` works).
+//! the paper-scale ones set in each experiment's function below.
+//! `--json` emits the raw rows as JSON (one document per experiment)
+//! instead of markdown tables, for plotting pipelines — section headings
+//! go to stderr in that mode, so stdout stays a clean JSON stream
+//! (`experiments all --json | jq` works).
 //!
 //! Every experiment executes through the shared `rendezvous-runner`
 //! engine. `--parallel` (the default) uses all hardware threads;
@@ -41,39 +41,19 @@
 //! is part of every `--store` key, so entries written under one engine
 //! miss (and are recomputed) under the other.
 //!
-//! # Sharded sweeps (multi-process)
-//!
-//! `--shard i/m --emit-shard` executes only shard `i` of every
-//! adversarial grid and prints a JSON ledger of per-sweep partial stats
-//! instead of tables; `--merge-shards` merges the `m` ledgers and renders
-//! the ordinary output from the merged stats — byte-identical to a
-//! single-process run with the same selection and flags:
-//!
-//! ```text
-//! for i in 0 1 2; do experiments x1 --json --shard $i/3 --emit-shard > s$i.json; done
-//! experiments x1 --json --merge-shards s0.json s1.json s2.json   # == experiments x1 --json
-//! ```
-//!
-//! `--spawn-shards m` automates the loop above in one invocation: it
-//! re-execs this binary `m` times with `--shard i/m`, captures the
-//! ledgers in memory, merges them, and renders the ordinary output —
-//! still byte-identical to the single-process run.
-//!
 //! # Observability
 //!
 //! `--progress` renders a live pieces/scenarios/rate/ETA line to stderr
 //! while sweeps execute (stdout untouched); `--telemetry FILE` writes a
 //! deterministic `TELEMETRY.json` sidecar after the run — exact
 //! counters in sorted sections, wall-clock data quarantined under
-//! `timing`. Both compose with `--spawn-shards m`: each child streams
-//! `@progress`/`@telemetry` protocol lines over stderr (internal
-//! `--progress-stream`/`--telemetry-stream` flags), the parent
-//! aggregates the live display and merges the children's snapshots
-//! into one sidecar. Neither flag may change the experiment output:
-//! CI byte-diffs telemetry-on against telemetry-off on every push.
-//! `--telemetry` with `--merge-shards` is rejected — a merge replays
-//! recorded sweeps and executes nothing, so its sidecar would be
-//! vacuously empty.
+//! `timing`. Both compose with `--fabric workers=N`: each worker streams
+//! `@progress` protocol lines over stderr (internal `--progress-stream`
+//! flag) and sends its telemetry snapshot in its final `Finished` frame;
+//! the driver aggregates the live display and merges the workers'
+//! snapshots into one sidecar. Neither flag may change the experiment
+//! output: CI byte-diffs telemetry-on against telemetry-off on every
+//! push.
 //!
 //! # Distributed fabric
 //!
@@ -81,8 +61,8 @@
 //! fabric (`rendezvous-fabric`): the driver starts a loopback
 //! coordinator, re-execs itself `N` times with the internal
 //! `--fabric-worker ADDR` flag, and workers *pull* small lease-sized
-//! ranges of every sweep instead of owning fixed stride shards — so
-//! uneven pieces balance themselves, and a worker that dies mid-piece
+//! ranges of every sweep — so uneven pieces balance themselves, and a
+//! worker that dies mid-piece
 //! (heartbeat silence or a dropped connection) has its in-flight ranges
 //! requeued to the survivors. The merged output is byte-identical to
 //! the direct run; CI diffs it — with and without a SIGKILL'd worker —
@@ -90,6 +70,8 @@
 //! per completed range, and a rerun against the same file re-executes
 //! zero completed ranges (`--fabric-kill-one` is the chaos switch CI
 //! uses: worker 0 SIGKILLs itself after its first completed lease).
+//! The driver executes nothing itself: it replays the coordinator's
+//! merged per-sweep reports through the same experiment sequence.
 //!
 //! `--plan` is the zero-cost preview: one line per sweep — context,
 //! canonical workload fingerprint, piece count (the fabric's chunking
@@ -100,15 +82,11 @@
 //! `--store DIR` puts a content-addressed read-through cache in front
 //! of every recorded sweep: a hit returns the stored [`SweepReport`]
 //! byte-identically and executes **zero** scenarios; a miss computes
-//! as usual (through whatever topology the run uses — `--store`
-//! composes with `--spawn-shards` and `--fabric`, the flag is
-//! forwarded to every child process so all of them skip the same
-//! cached sweeps) and writes the full report back. A warm rerun is
-//! byte-identical to the cold one, CI-checked. With `--plan` each line
-//! gains a `store=cached|miss` column. Shard/merge and fabric runs
-//! must all use the same `--store` setting (and store state): the
-//! cache changes *which* sweeps produce ledger records, so mixing
-//! cached and uncached artifacts in one merge is a diagnosed error.
+//! as usual (direct or through `--fabric`; the flag is forwarded to
+//! every worker so all of them skip the same cached sweeps) and writes
+//! the full report back. A warm rerun is byte-identical to the cold
+//! one, CI-checked. With `--plan` each line gains a `store=cached|miss`
+//! column.
 //!
 //! `experiments serve --store DIR` turns the store into a query
 //! service: length-framed JSON queries over a loopback socket (the
@@ -125,31 +103,28 @@
 //! ([`x11_gathering_topo`]): k-agent fleets gathered on every seeded
 //! topology, each run checked against its own merge-and-restart bound.
 //! `all` deliberately excludes both (they are the heaviest tables);
-//! select them explicitly. Sharding works for them exactly as above —
+//! select them explicitly. The fabric works for them exactly as above —
 //! a `TopoGrid` is just another `Workload`, so its per-family reports
-//! ride the same unified ledger as every grid sweep.
+//! are leased, merged and replayed like every grid sweep.
 
 use rendezvous_bench::*;
 use rendezvous_runner::Runner;
-use rendezvous_telemetry::{
-    telemetry_line, ProgressHub, ProgressReporter, StderrPump, TelemetrySnapshot,
-};
+use rendezvous_telemetry::{ProgressHub, ProgressReporter, StderrPump, TelemetrySnapshot};
 use std::sync::Arc;
 
 struct Config {
     quick: bool,
     json: bool,
-    /// Shard mode: suppress the ordinary output (the shard ledger goes to
-    /// stdout instead).
-    emit_shard: bool,
+    /// Suppress the ordinary output: a fabric worker's rows are partial,
+    /// and a `--plan` run prints only its plan lines.
+    suppress_output: bool,
     runner: Runner,
 }
 
-/// Emits either the rendered markdown or the serialized rows. In
-/// `--emit-shard` mode nothing is emitted: the rows are partial (one
-/// shard's worth of scenarios) and stdout is reserved for the ledger.
+/// Emits either the rendered markdown or the serialized rows — or
+/// nothing, when the output is suppressed.
 fn emit<R: serde::Serialize>(cfg: &Config, id: &str, rows: &[R], rendered: String) {
-    if cfg.emit_shard {
+    if cfg.suppress_output {
         return;
     }
     if cfg.json {
@@ -164,9 +139,10 @@ fn emit<R: serde::Serialize>(cfg: &Config, id: &str, rows: &[R], rendered: Strin
 }
 
 /// Prints a section heading: to stdout for markdown output, to stderr in
-/// `--json` and `--emit-shard` modes so stdout stays a clean JSON stream.
+/// `--json` mode (so stdout stays a clean JSON stream) and when the
+/// output is suppressed.
 fn section(cfg: &Config, heading: &str) {
-    if cfg.json || cfg.emit_shard {
+    if cfg.json || cfg.suppress_output {
         eprintln!("{heading}");
     } else {
         println!("{heading}");
@@ -178,134 +154,12 @@ fn usage_error(msg: &str) -> ! {
     std::process::exit(2);
 }
 
-/// Parses `i/m` (as in `--shard 1/3`) into `(shard, of)`.
-fn parse_shard_spec(spec: &str) -> (usize, usize) {
-    let parsed = spec.split_once('/').and_then(|(i, m)| {
-        let shard: usize = i.parse().ok()?;
-        let of: usize = m.parse().ok()?;
-        (of > 0 && shard < of).then_some((shard, of))
-    });
-    match parsed {
-        Some(pair) => pair,
-        None => usage_error(&format!(
-            "--shard expects i/m with i < m (e.g. --shard 1/3), got `{spec}`"
-        )),
-    }
-}
-
-/// Re-execs this binary once per shard (same selection and flags plus
-/// `--shard i/m`), parses the emitted ledgers, and returns them merged —
-/// the driver mode that closes the "spawn the shards and merge
-/// automatically" loop without temp files.
-///
-/// With `progress` the children stream `@progress` protocol lines and
-/// the parent renders their aggregated live display; with `telemetry`
-/// each child's final `@telemetry` snapshot is captured and the merged
-/// snapshot returned (merge order is irrelevant — the fold is
-/// associative and commutative, property-tested in the telemetry
-/// crate). Every child's stderr is drained on a pump thread either
-/// way, so a failed shard's diagnostics still surface verbatim.
-fn spawn_shards(
-    m: usize,
-    passthrough: &[String],
-    progress: bool,
-    telemetry: bool,
-) -> (sharding::MergedLedger, Option<TelemetrySnapshot>) {
-    let exe = std::env::current_exe().unwrap_or_else(|e| {
-        eprintln!("cannot locate own binary: {e}");
-        std::process::exit(1);
-    });
-    // Launch every child before collecting any, so the shards actually
-    // overlap in wall-clock time; collection order is irrelevant to the
-    // result (the merge validates and sorts by shard index).
-    let hub = ProgressHub::new(m);
-    let mut pumps: Vec<StderrPump> = Vec::with_capacity(m);
-    let children: Vec<std::process::Child> = (0..m)
-        .map(|i| {
-            let mut cmd = std::process::Command::new(&exe);
-            cmd.args(passthrough)
-                .arg("--shard")
-                .arg(format!("{i}/{m}"))
-                .stdout(std::process::Stdio::piped())
-                .stderr(std::process::Stdio::piped());
-            if progress {
-                cmd.arg("--progress-stream");
-            }
-            if telemetry {
-                cmd.arg("--telemetry-stream");
-            }
-            let mut child = cmd.spawn().unwrap_or_else(|e| {
-                eprintln!("cannot spawn shard {i}/{m}: {e}");
-                std::process::exit(1);
-            });
-            let stderr = child.stderr.take().expect("child stderr is piped");
-            pumps.push(StderrPump::pump(stderr, &hub, i));
-            child
-        })
-        .collect();
-    let reporter = progress.then(|| ProgressReporter::aggregate(&hub));
-    // Join (and thereby reap) every child before inspecting any status:
-    // bailing out on the first failure would orphan the still-running
-    // shards mid-sweep. A failed shard is a runtime failure (exit 1),
-    // not a usage error.
-    let outputs: Vec<std::io::Result<std::process::Output>> = children
-        .into_iter()
-        .map(std::process::Child::wait_with_output)
-        .collect();
-    // Children have exited, so the pumps see EOF; join them (and stop
-    // the live display) before any diagnostics are printed.
-    let drained: Vec<(String, Option<TelemetrySnapshot>)> =
-        pumps.into_iter().map(StderrPump::finish).collect();
-    if let Some(reporter) = reporter {
-        reporter.finish();
-    }
-    let emissions: Vec<sharding::ShardEmission> = outputs
-        .into_iter()
-        .enumerate()
-        .map(|(i, output)| {
-            let output = output.unwrap_or_else(|e| {
-                eprintln!("cannot join shard {i}/{m}: {e}");
-                std::process::exit(1);
-            });
-            if !output.status.success() {
-                eprintln!(
-                    "shard {i}/{m} failed ({}):\n{}",
-                    output.status, drained[i].0
-                );
-                std::process::exit(1);
-            }
-            let text = String::from_utf8_lossy(&output.stdout);
-            serde_json::from_str(&text).unwrap_or_else(|e| {
-                eprintln!("shard {i}/{m} emitted an invalid ledger: {e}");
-                std::process::exit(1);
-            })
-        })
-        .collect();
-    let snapshot = telemetry.then(|| {
-        drained
-            .iter()
-            .enumerate()
-            .map(|(i, (_, snap))| {
-                snap.as_ref().unwrap_or_else(|| {
-                    eprintln!("shard {i}/{m} exited without a telemetry snapshot");
-                    std::process::exit(1);
-                })
-            })
-            .fold(TelemetrySnapshot::empty(), |acc, s| acc.merge(s))
-    });
-    let names: Vec<String> = (0..m).map(|i| format!("spawned shard {i}/{m}")).collect();
-    let merged = sharding::merge_emissions(emissions, &names).unwrap_or_else(|e| {
-        eprintln!("cannot merge spawned shards: {e}");
-        std::process::exit(1);
-    });
-    (merged, snapshot)
-}
-
 /// Runs the selection on the distributed fabric: starts the loopback
 /// coordinator, re-execs this binary `workers` times in
 /// `--fabric-worker` mode, waits for every worker process, and returns
-/// the coordinator's merged per-sweep ledger plus the workers' merged
-/// telemetry (delivered over the socket in their `Finished` frames).
+/// the coordinator's outcome: the merged per-sweep reports plus the
+/// workers' merged telemetry (delivered over the socket in their
+/// `Finished` frames).
 ///
 /// A worker that exits abnormally while the run still completes is a
 /// *survived* fault — its leases were reassigned — and is only noted on
@@ -317,11 +171,7 @@ fn run_fabric(
     progress: bool,
     checkpoint: Option<&str>,
     kill_one: bool,
-) -> (
-    sharding::MergedLedger,
-    TelemetrySnapshot,
-    rendezvous_fabric::FabricStats,
-) {
+) -> rendezvous_fabric::FabricOutcome {
     use rendezvous_fabric as fab;
     let resume = match checkpoint {
         Some(path) => fab::checkpoint::load(std::path::Path::new(path)).unwrap_or_else(|e| {
@@ -376,8 +226,7 @@ fn run_fabric(
     let reporter = progress.then(|| ProgressReporter::aggregate(&hub));
     let statuses: Vec<std::io::Result<std::process::ExitStatus>> =
         children.into_iter().map(|mut c| c.wait()).collect();
-    let drained: Vec<(String, Option<TelemetrySnapshot>)> =
-        pumps.into_iter().map(StderrPump::finish).collect();
+    let diagnostics: Vec<String> = pumps.into_iter().map(StderrPump::finish).collect();
     if let Some(reporter) = reporter {
         reporter.finish();
     }
@@ -392,22 +241,13 @@ fn run_fabric(
                     Err(e) => eprintln!("cannot join fabric worker {i}: {e}"),
                 }
             }
-            let records: Vec<sharding::LedgerRecord> = outcome
-                .sweeps
-                .into_iter()
-                .map(|(meta, report)| sharding::LedgerRecord::new(meta, report))
-                .collect();
-            let merged = sharding::MergedLedger {
-                records,
-                source: format!("fabric coordinator ({workers} workers)"),
-            };
-            (merged, outcome.telemetry, outcome.stats)
+            outcome
         }
         Err(e) => {
             eprintln!("fabric run failed: {e}");
             for (i, status) in statuses.iter().enumerate() {
                 if !matches!(status, Ok(s) if s.success()) {
-                    eprintln!("fabric worker {i} diagnostics:\n{}", drained[i].0);
+                    eprintln!("fabric worker {i} diagnostics:\n{}", diagnostics[i]);
                 }
             }
             std::process::exit(1);
@@ -702,15 +542,10 @@ fn main() {
     let mut json = false;
     let mut sequential = false;
     let mut parallel = false;
-    let mut emit_shard = false;
     let mut topo = false;
     let mut progress = false;
     let mut progress_stream = false;
-    let mut telemetry_stream = false;
     let mut telemetry_path: Option<String> = None;
-    let mut shard: Option<(usize, usize)> = None;
-    let mut spawn: Option<usize> = None;
-    let mut merge_files: Option<Vec<String>> = None;
     let mut plan = false;
     let mut fabric_workers: Option<usize> = None;
     let mut fabric_worker_addr: Option<String> = None;
@@ -719,8 +554,8 @@ fn main() {
     let mut fabric_self_kill = false;
     let mut store_dir: Option<String> = None;
     let mut wanted: Vec<String> = Vec::new();
-    // Args minus the --spawn-shards directive itself: what each spawned
-    // child re-runs (with its --shard i/m appended).
+    // What each fabric worker re-runs (with its --fabric-worker ADDR
+    // appended): the args minus the driver-only flags.
     let mut passthrough: Vec<String> = Vec::new();
     let mut iter = args.into_iter();
     while let Some(arg) = iter.next() {
@@ -730,16 +565,15 @@ fn main() {
             "--json" => json = true,
             "--sequential" => sequential = true,
             "--parallel" => parallel = true,
-            "--emit-shard" => emit_shard = true,
             "--topo" => topo = true,
-            // Not forwarded: the spawn driver renders the aggregate
-            // display itself and hands children the stream flags below.
+            // Not forwarded: the fabric driver renders the aggregate
+            // display itself and hands workers the stream flag below.
             "--progress" => {
                 progress = true;
                 forward = false;
             }
-            // Not forwarded: each child would clobber the parent's
-            // sidecar; the driver merges child snapshots instead.
+            // Not forwarded: each worker would clobber the driver's
+            // sidecar; workers send their snapshots over the socket.
             "--telemetry" => {
                 telemetry_path = Some(
                     iter.next()
@@ -747,27 +581,14 @@ fn main() {
                 );
                 continue;
             }
-            // Internal (spawned-child) flags: emit `@progress` /
-            // `@telemetry` protocol lines on stderr for the parent.
+            // Internal (fabric-worker) flag: emit `@progress` protocol
+            // lines on stderr for the driver.
             "--progress-stream" => {
                 progress_stream = true;
                 forward = false;
             }
-            "--telemetry-stream" => {
-                telemetry_stream = true;
-                forward = false;
-            }
-            // Not forwarded: --shard cannot combine with --spawn-shards
-            // (rejected below), so passthrough never carries a shard spec.
-            "--shard" => {
-                let spec = iter
-                    .next()
-                    .unwrap_or_else(|| usage_error("--shard requires an i/m argument"));
-                shard = Some(parse_shard_spec(&spec));
-                continue;
-            }
-            // Forwarded (flag and value) so spawned shards sweep through
-            // the same engine as the parent.
+            // Forwarded (flag and value) so fabric workers sweep through
+            // the same engine as the driver.
             "--engine" => {
                 let name = iter
                     .next()
@@ -783,9 +604,9 @@ fn main() {
                 continue;
             }
             // Forwarded (flag and value): every process of a run —
-            // spawned shards, fabric workers, the driver — must open
-            // the same store so all of them skip the same cached
-            // sweeps and their ledgers/cursors stay aligned.
+            // fabric workers and the driver — must open the same store
+            // so all of them skip the same cached sweeps and their
+            // cursors stay aligned.
             "--store" => {
                 let dir = iter
                     .next()
@@ -793,23 +614,6 @@ fn main() {
                 store_dir = Some(dir.clone());
                 passthrough.push(arg);
                 passthrough.push(dir);
-                continue;
-            }
-            "--spawn-shards" => {
-                let count = iter
-                    .next()
-                    .and_then(|s| s.parse::<usize>().ok())
-                    .filter(|&m| m > 0)
-                    .unwrap_or_else(|| {
-                        usage_error("--spawn-shards requires a positive shard count")
-                    });
-                spawn = Some(count);
-                forward = false;
-            }
-            "--merge-shards" => {
-                // Everything after --merge-shards is a shard ledger file;
-                // experiment ids go before the flag.
-                merge_files = Some(iter.by_ref().collect());
                 continue;
             }
             // Not forwarded: workers get --fabric-worker ADDR instead.
@@ -871,33 +675,10 @@ fn main() {
     if sequential && parallel {
         usage_error("--sequential and --parallel are mutually exclusive");
     }
-    if emit_shard && shard.is_none() {
-        usage_error("--emit-shard requires --shard i/m");
-    }
-    // --shard implies --emit-shard: a shard run's rows are partial (one
-    // shard's worth of scenarios) and would be indistinguishable from full
-    // results, so the only meaningful stdout for a shard run is the ledger.
-    let emit_shard = emit_shard || shard.is_some();
-    if merge_files.is_some() && (shard.is_some() || emit_shard) {
-        usage_error("--merge-shards cannot be combined with --shard/--emit-shard");
-    }
-    if spawn.is_some() && (shard.is_some() || emit_shard || merge_files.is_some()) {
-        usage_error("--spawn-shards cannot be combined with --shard/--emit-shard/--merge-shards");
-    }
-    if telemetry_path.is_some() && merge_files.is_some() {
-        usage_error(
-            "--telemetry cannot be combined with --merge-shards: a merge replays recorded \
-             sweeps and executes nothing, so the sidecar would be vacuously empty",
-        );
-    }
-    // One execution topology per invocation: the fabric, the shard
-    // machinery, and the plan dry-run are mutually exclusive modes.
-    let sharded = shard.is_some() || emit_shard || spawn.is_some() || merge_files.is_some();
-    if fabric_workers.is_some() && (sharded || fabric_worker_addr.is_some()) {
-        usage_error("--fabric cannot be combined with --shard/--spawn-shards/--merge-shards");
-    }
-    if fabric_worker_addr.is_some() && sharded {
-        usage_error("--fabric-worker cannot be combined with the shard flags");
+    // One execution mode per invocation: the fabric driver, a fabric
+    // worker, and the plan dry-run are mutually exclusive.
+    if fabric_workers.is_some() && fabric_worker_addr.is_some() {
+        usage_error("--fabric cannot be combined with the internal --fabric-worker");
     }
     if (fabric_checkpoint.is_some() || fabric_kill_one) && fabric_workers.is_none() {
         usage_error("--fabric-checkpoint/--fabric-kill-one require --fabric workers=N");
@@ -908,8 +689,8 @@ fn main() {
     if fabric_self_kill && fabric_worker_addr.is_none() {
         usage_error("--fabric-self-kill is internal to fabric workers");
     }
-    if plan && (sharded || fabric_workers.is_some() || fabric_worker_addr.is_some()) {
-        usage_error("--plan executes nothing and cannot combine with shard or fabric modes");
+    if plan && (fabric_workers.is_some() || fabric_worker_addr.is_some()) {
+        usage_error("--plan executes nothing and cannot combine with fabric modes");
     }
     if plan && telemetry_path.is_some() {
         usage_error("--telemetry with --plan would write a vacuously empty sidecar");
@@ -933,18 +714,13 @@ fn main() {
         wanted.push("x10".into());
     }
     // Telemetry session: installed only in processes that *execute*
-    // sweeps. The spawn and fabric drivers replay their children's
-    // merged ledgers, so observability flags translate into child
-    // stream flags instead of a local sink; a spawned child always has
-    // the stream flags, and a fabric worker always installs a sink —
+    // sweeps. The fabric driver replays its workers' merged reports, so
+    // its observability flags translate into worker stream flags
+    // instead of a local sink; a fabric worker always installs a sink —
     // its snapshot rides the socket in its `Finished` frame.
     let wants_local_telemetry = progress_stream
-        || telemetry_stream
         || fabric_worker_addr.is_some()
-        || (spawn.is_none()
-            && fabric_workers.is_none()
-            && !plan
-            && (progress || telemetry_path.is_some()));
+        || (fabric_workers.is_none() && !plan && (progress || telemetry_path.is_some()));
     let session = wants_local_telemetry.then(telemetry::install);
     let mut runner = if sequential {
         Runner::sequential()
@@ -954,41 +730,35 @@ fn main() {
     if let Some(metrics) = &session {
         runner = runner.with_metrics(Arc::clone(metrics));
     }
-    // Fabric workers and plan runs suppress ordinary emission exactly
-    // like shard runs: their rows are partial (or absent), so stdout
-    // carries only the mode's own stream (nothing for a worker, the
-    // plan lines for --plan).
+    // Fabric workers and plan runs suppress ordinary emission: their
+    // rows are partial (or absent), so stdout carries only the mode's
+    // own stream (nothing for a worker, the plan lines for --plan).
     let cfg = Config {
         quick,
         json,
-        emit_shard: emit_shard || fabric_worker_addr.is_some() || plan,
+        suppress_output: fabric_worker_addr.is_some() || plan,
         runner,
     };
 
     // The read-through result store, installed before any execution
     // mode: the cache consultation happens per sweep inside
-    // `sweep_recorded`, upstream of the shard/fabric/replay machinery.
+    // `sweep_recorded`, upstream of the fabric worker and replay.
     if let Some(dir) = &store_dir {
         store::begin(std::path::Path::new(dir));
     }
 
-    // The spawn/fabric drivers' merged child snapshot (written after the
+    // The fabric driver's merged worker snapshot (written after the
     // replayed render below, so a failed replay never leaves a sidecar).
-    let mut spawned_snapshot: Option<TelemetrySnapshot> = None;
-    if let Some((i, m)) = shard {
-        sharding::begin_shard(i, m);
-    } else if let Some(m) = spawn {
-        let (merged, snapshot) = spawn_shards(m, &passthrough, progress, telemetry_path.is_some());
-        spawned_snapshot = snapshot;
-        sharding::begin_replay(merged.records, merged.source);
-    } else if let Some(m) = fabric_workers {
-        let (merged, snapshot, stats) = run_fabric(
+    let mut fabric_snapshot: Option<TelemetrySnapshot> = None;
+    if let Some(m) = fabric_workers {
+        let outcome = run_fabric(
             m,
             &passthrough,
             progress,
             fabric_checkpoint.as_deref(),
             fabric_kill_one,
         );
+        let stats = outcome.stats;
         if stats.reassigned > 0 || stats.duplicates > 0 || stats.resumed > 0 {
             eprintln!(
                 "fabric: {} range(s) reassigned, {} duplicate result(s) discarded, \
@@ -997,31 +767,18 @@ fn main() {
             );
         }
         if telemetry_path.is_some() {
-            spawned_snapshot = Some(snapshot);
+            fabric_snapshot = Some(outcome.telemetry);
         }
-        sharding::begin_replay(merged.records, merged.source);
+        fabric::begin_replay(outcome.sweeps, format!("fabric coordinator ({m} workers)"));
     } else if let Some(addr) = &fabric_worker_addr {
         fabric::begin_worker(addr, fabric_self_kill);
     } else if plan {
         plan::enable();
-    } else if let Some(files) = &merge_files {
-        let emissions: Vec<sharding::ShardEmission> = files
-            .iter()
-            .map(|path| {
-                let text = std::fs::read_to_string(path)
-                    .unwrap_or_else(|e| usage_error(&format!("cannot read {path}: {e}")));
-                serde_json::from_str(&text)
-                    .unwrap_or_else(|e| usage_error(&format!("{path} is not a shard ledger: {e}")))
-            })
-            .collect();
-        let merged = sharding::merge_emissions(emissions, files)
-            .unwrap_or_else(|e| usage_error(&format!("cannot merge shards: {e}")));
-        sharding::begin_replay(merged.records, merged.source);
     }
 
     // Live progress over the local session: `--progress-stream`
-    // (machine lines for a parent driver) wins over `--progress`
-    // (human display) — a spawned child never renders its own display.
+    // (machine lines for the fabric driver) wins over `--progress`
+    // (human display) — a fabric worker never renders its own display.
     let reporter = match &session {
         Some(metrics) if progress_stream => Some(ProgressReporter::stream(metrics)),
         Some(metrics) if progress => Some(ProgressReporter::human(metrics)),
@@ -1048,14 +805,8 @@ fn main() {
     if let Some(reporter) = reporter {
         reporter.finish();
     }
-    if shard.is_some() {
-        let emission = sharding::finish_shard();
-        println!(
-            "{}",
-            serde_json::to_string_pretty(&emission).expect("serializable ledger")
-        );
-    } else if spawn.is_some() || merge_files.is_some() || fabric_workers.is_some() {
-        sharding::finish_replay();
+    if fabric_workers.is_some() {
+        fabric::finish_replay();
     }
     // A fabric worker's last act: deliver its telemetry snapshot over
     // the socket and half-close, letting the coordinator's handler see
@@ -1064,19 +815,15 @@ fn main() {
         fabric::finish_worker();
     }
     // Telemetry emission, after every exact byte of output is out: the
-    // final `@telemetry` protocol line for a parent driver, the sidecar
-    // file for a local session, the merged child sidecar for the spawn
-    // driver.
-    if let Some(metrics) = &session {
-        if telemetry_stream {
-            eprintln!("{}", telemetry_line(&metrics.snapshot()));
-        }
-        if let Some(path) = &telemetry_path {
+    // sidecar file for a local session, the merged worker sidecar for
+    // the fabric driver.
+    if let Some(path) = &telemetry_path {
+        if let Some(metrics) = &session {
             write_sidecar(path, &metrics.snapshot());
         }
-    }
-    if let (Some(path), Some(snapshot)) = (&telemetry_path, &spawned_snapshot) {
-        write_sidecar(path, snapshot);
+        if let Some(snapshot) = &fabric_snapshot {
+            write_sidecar(path, snapshot);
+        }
     }
 }
 

@@ -49,24 +49,21 @@ pub fn adversarial_grid(
         .all_start_pairs(algorithm.graph())
 }
 
-/// Sweeps any [`Workload`] through a [`PieceExecutor`], honoring an
-/// active sharding session (see [`crate::sharding`]): in shard mode only
-/// this process's shard of the workload executes and the partial
-/// [`SweepReport`] is recorded to the ledger; in replay mode a
-/// previously merged record stands in for execution — both transparently
-/// to callers. This is the **single** workload→report path of the
-/// experiments binary: the pair grids of X1–X8 ([`sweep_worst`]), the
-/// gathering fleet grids of X9, and the topology sweeps of X10/X11 all
-/// run through it, so `--shard`/`--merge-shards`/`--spawn-shards` ride
-/// one code path for every experiment — as do the fabric worker mode
-/// (lease-ranged execution via [`crate::fabric`]) and the `--plan` dry
-/// run (describe, don't execute, via [`crate::plan`]).
+/// Sweeps any [`Workload`] through a [`PieceExecutor`] — the **single**
+/// workload→report path of the experiments binary: the pair grids of
+/// X1–X8 ([`sweep_worst`]), the gathering fleet grids of X9, and the
+/// topology sweeps of X10/X11 all run through it. In order, it honors
+/// the `--plan` dry run (describe, don't execute, via [`crate::plan`]),
+/// the result store ([`crate::store`]), a fabric worker's lease-ranged
+/// execution and a fabric driver's replay of merged reports (both in
+/// [`crate::fabric`]), and otherwise sweeps the whole workload —
+/// transparently to callers.
 ///
 /// # Panics
 ///
 /// Panics on any execution error, on an empty workload (`context` names
-/// the sweep in the message) and — in replay mode — when the merged
-/// ledger's next record disagrees with this run's workload (kind or size
+/// the sweep in the message) and — in a fabric replay — when the next
+/// merged report disagrees with this run's workload (kind or size
 /// fingerprint).
 pub fn sweep_recorded<W, E>(
     context: &str,
@@ -97,19 +94,18 @@ where
     E: PieceExecutor + ?Sized,
 {
     // `--plan` dry run: describe the sweep, execute nothing. The empty
-    // report is safe downstream for the same reason empty shard folds
-    // are — every experiment tolerates partial stats, and emission is
-    // suppressed in plan mode.
+    // report is safe downstream for the same reason a fabric worker's
+    // partial folds are — every experiment tolerates partial stats, and
+    // emission is suppressed in plan mode.
     if crate::plan::active() {
         crate::plan::note(context, meta, workload.piece_count(0, workload.size()));
         return (SweepReport::default(), false);
     }
     // Result store: a cached full report stands in for the whole sweep
-    // — zero scenarios execute, no sweep is counted, and every
-    // downstream topology (sharding, fabric, replay) is simply never
-    // consulted. Every process of a run derives the same key from the
-    // same store, so driver, shards and workers all skip the same
-    // sweeps and their cursors stay aligned.
+    // — zero scenarios execute, no sweep is counted, and the fabric
+    // (worker or replay) is simply never consulted. Every process of a
+    // run derives the same key from the same store, so driver and
+    // workers all skip the same sweeps and their cursors stay aligned.
     if let Some(report) = crate::store::lookup(context, meta) {
         return (report, true);
     }
@@ -131,8 +127,8 @@ where
     W: Workload + ?Sized,
     E: PieceExecutor + ?Sized,
 {
-    // Sweeps *executed* here (Full and Shard plans); a replayed record
-    // stands in for execution, so it deliberately counts nothing.
+    // Sweeps *executed* here; a replayed report stands in for
+    // execution, so it deliberately counts nothing.
     let count_sweep = || {
         if let Some(metrics) = crate::telemetry::current() {
             metrics.counter(Scope::Process, "sweeps").inc();
@@ -147,42 +143,28 @@ where
         count_sweep();
         return report;
     }
-    let report = match crate::sharding::plan_sweep(&meta) {
-        crate::sharding::SweepPlan::Full => {
-            count_sweep();
-            runner
-                .sweep(workload, executor)
-                .unwrap_or_else(|e| panic!("adversarial sweep failed for {context}: {e}"))
-        }
-        crate::sharding::SweepPlan::Shard { shard, of } => {
-            count_sweep();
-            let report = runner
-                .sweep_shard(workload, shard, of, executor)
-                .unwrap_or_else(|e| panic!("adversarial shard sweep failed for {context}: {e}"));
-            crate::sharding::record_sweep(crate::sharding::LedgerRecord::new(meta, report.clone()));
-            // A shard of a small workload may legitimately be empty, so
-            // the non-emptiness sanity check applies only to the whole
-            // space. Shard folds are partial: no store write-back.
-            assert!(workload.size() > 0, "empty adversarial sweep for {context}");
-            return report;
-        }
-        crate::sharding::SweepPlan::Replay(record) => record.report().clone(),
-    };
+    let report = crate::fabric::replayed(&meta).unwrap_or_else(|| {
+        count_sweep();
+        runner
+            .sweep(workload, executor)
+            .unwrap_or_else(|e| panic!("adversarial sweep failed for {context}: {e}"))
+    });
     assert!(
         report.executed() > 0,
         "empty adversarial sweep for {context} — misconfigured workload \
          (no label pairs, no delays, or a graph without distinct start pairs)"
     );
-    // The two full-report paths (direct execution and merged replay —
-    // the latter is how `--spawn-shards` and `--fabric` drivers see
-    // their children's work) populate the cache for the next run.
+    // The two full-report paths (direct execution and the fabric
+    // driver's replay of its workers' merged reports) populate the
+    // cache for the next run.
     crate::store::record(context, &meta, &report);
     report
 }
 
 /// Sweeps the standard adversarial grid through the shared [`Runner`] and
 /// returns the full aggregate statistics, checked against the algorithm's
-/// paper bounds. Sharding sessions are honored via [`sweep_recorded`].
+/// paper bounds. Plan, store and fabric sessions are honored via
+/// [`sweep_recorded`].
 ///
 /// # Panics
 ///

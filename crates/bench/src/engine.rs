@@ -4,7 +4,7 @@
 //! Both engines produce byte-identical experiment outputs (that is
 //! CI-enforced for every experiment); the choice is purely a throughput
 //! knob, surfaced as `experiments --engine {batched,stepped}`. Like the
-//! sharding session ([`crate::sharding`]), the selection is a
+//! fabric session ([`crate::fabric`]), the selection is a
 //! process-global set once by the CLI before any sweep runs — experiment
 //! code just asks [`current`] at its executor switch points
 //! ([`crate::common::sweep_worst`] and the `x10` per-piece executor).

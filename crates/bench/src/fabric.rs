@@ -1,5 +1,6 @@
 //! The experiments binary's side of the sweep fabric: the process-global
-//! worker session.
+//! worker session, and the driver's replay of the coordinator's merged
+//! reports.
 //!
 //! A fabric worker process (`experiments … --fabric-worker ADDR`) runs
 //! the *same* experiment sequence as a direct run — same selection,
@@ -17,9 +18,19 @@
 //! SIGKILLs itself upon being *granted* a lease after completing at
 //! least one — mid-piece from the coordinator's point of view, which is
 //! precisely the window lease reassignment exists for.
+//!
+//! The driver (`experiments … --fabric workers=N`) executes nothing
+//! itself: once its workers finish it installs the coordinator's
+//! per-sweep `(meta, report)` list with [`begin_replay`] and walks the
+//! same experiment sequence, each sweep consuming the next merged report
+//! instead of executing ([`replayed`]). Every replayed report is checked
+//! against the fingerprint of the workload about to sweep, so a driver
+//! and workers that disagree on the sweep sequence fail with a
+//! diagnostic naming the sweep position, the expected versus found
+//! sweep kind, and the report source — instead of folding garbage.
 
 use rendezvous_fabric::WorkerClient;
-use rendezvous_runner::{PieceExecutor, Runner, SweepReport, Workload};
+use rendezvous_runner::{PieceExecutor, Runner, SweepReport, Workload, WorkloadKind, WorkloadMeta};
 use rendezvous_telemetry::TelemetrySnapshot;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, OnceLock};
@@ -93,8 +104,7 @@ pub fn finish_worker() {
 /// [`Runner::sweep_range`] and submitting its fold. Returns the local
 /// merge of this worker's own ranges — partial, and possibly empty on a
 /// resume of a finished checkpoint; output emission is suppressed in
-/// worker mode exactly as in `--emit-shard` mode, so partial rows never
-/// reach stdout.
+/// worker mode, so partial rows never reach stdout.
 ///
 /// # Panics
 ///
@@ -167,5 +177,121 @@ impl WorkerSession {
             // closest thing to an unannounced death available in std.
             std::process::abort();
         }
+    }
+}
+
+/// The driver's replay session: the coordinator's merged reports, one
+/// per sweep in sequence order, consumed front to back.
+struct Replay {
+    sweeps: Vec<(WorkloadMeta, SweepReport)>,
+    cursor: usize,
+    /// Where the reports came from — named in every diagnostic.
+    source: String,
+}
+
+static REPLAY: Mutex<Option<Replay>> = Mutex::new(None);
+
+/// Switches this process into replay mode: every subsequent sweep takes
+/// the next of `sweeps` instead of executing. `source` says where the
+/// reports came from and is named in every diagnostic.
+///
+/// # Panics
+///
+/// Panics if a replay is already active.
+pub fn begin_replay(sweeps: Vec<(WorkloadMeta, SweepReport)>, source: String) {
+    let mut replay = REPLAY.lock().expect("replay session poisoned");
+    assert!(replay.is_none(), "a replay session is already active");
+    *replay = Some(Replay {
+        sweeps,
+        cursor: 0,
+        source,
+    });
+}
+
+/// Ends replay mode, verifying every merged report was consumed (a
+/// leftover means the workers walked a different sweep sequence than
+/// the driver).
+///
+/// # Panics
+///
+/// Panics if reports remain unconsumed or no replay is active.
+pub fn finish_replay() {
+    let replay = REPLAY.lock().expect("replay session poisoned").take();
+    let Some(Replay {
+        sweeps,
+        cursor,
+        source,
+    }) = replay
+    else {
+        panic!("finish_replay without an active replay session");
+    };
+    assert_eq!(
+        cursor,
+        sweeps.len(),
+        "replay consumed {cursor} of {} merged sweeps from {source} — \
+         the workers covered a different experiment selection than \
+         this driver run",
+        sweeps.len()
+    );
+}
+
+/// The next merged report when a replay is active, or `None` (the caller
+/// then executes). `meta` is the fingerprint of the workload about to
+/// sweep; the replayed report must have been recorded under the same
+/// one.
+///
+/// # Panics
+///
+/// Panics when the merged reports are exhausted or the next one came
+/// from a different kind (or size) of sweep; the message names the
+/// sweep's position in the sequence, the expected versus found sweep,
+/// and the source. The failed replay is retired before panicking, so
+/// the process holds no half-consumed session.
+pub(crate) fn replayed(meta: &WorkloadMeta) -> Option<SweepReport> {
+    let mut slot = REPLAY.lock().expect("replay session poisoned");
+    let replay = slot.as_mut()?;
+    let sweep = replay.cursor;
+    // Diagnose inside the lock, panic outside it: a poisoned session
+    // would mask the actual diagnostic in every later caller.
+    let diagnostic = match replay.sweeps.get_mut(sweep) {
+        None => format!(
+            "sweep #{sweep} ({}) requested but the merged ledger from {} \
+             holds only {} records — the workers covered a different \
+             experiment selection",
+            describe(meta),
+            replay.source,
+            replay.sweeps.len()
+        ),
+        Some((recorded, _)) if recorded != meta => format!(
+            "sweep #{sweep} expected a {} but the merged ledger from {} \
+             recorded a {} — workers and driver must use identical \
+             experiment selections and flags",
+            describe(meta),
+            replay.source,
+            describe(recorded)
+        ),
+        Some((_, report)) => {
+            let report = std::mem::take(report);
+            replay.cursor += 1;
+            return Some(report);
+        }
+    };
+    *slot = None;
+    drop(slot);
+    panic!("{diagnostic}");
+}
+
+/// Fingerprint description of a workload for diagnostics — the single
+/// phrasing both sides of every expected-versus-found message use.
+fn describe(meta: &WorkloadMeta) -> String {
+    match meta.kind {
+        WorkloadKind::Grid => format!(
+            "grid sweep of {} scenarios ({} pre-cap)",
+            meta.size, meta.full_size
+        ),
+        WorkloadKind::Topo => format!(
+            "topo sweep of {} (spec × scenario) units ({} pre-cap)",
+            meta.size, meta.full_size
+        ),
     }
 }

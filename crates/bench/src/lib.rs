@@ -1,8 +1,7 @@
 //! Experiment harness regenerating every claim of Miller & Pelc (PODC
 //! 2014). The paper is pure theory (no numeric tables), so each
-//! proposition/theorem/corollary is reproduced as a measured table — see
-//! `DESIGN.md` §4 for the experiment index and `EXPERIMENTS.md` for the
-//! recorded outputs.
+//! proposition/theorem/corollary is reproduced as a measured table; the
+//! index below maps each experiment to the claim it checks.
 //!
 //! | experiment | claim |
 //! |---|---|
@@ -31,7 +30,6 @@ pub mod engine;
 pub mod fabric;
 pub mod plan;
 pub mod serve;
-pub mod sharding;
 pub mod store;
 pub mod telemetry;
 pub mod x10_topologies;

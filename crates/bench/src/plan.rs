@@ -1,7 +1,7 @@
 //! `--plan` dry-run mode: enumerate every sweep's shape without
 //! executing a single scenario.
 //!
-//! Like the shard and fabric sessions, plan mode is a process-global
+//! Like the store and fabric sessions, plan mode is a process-global
 //! the CLI enables before any experiment runs. With it active,
 //! [`sweep_recorded`](crate::common::sweep_recorded) prints one line
 //! per sweep — its position in the sweep sequence, its context, its

@@ -2,24 +2,23 @@
 //! read-through cache session.
 //!
 //! With `--store DIR` active, every recorded sweep consults the
-//! content-addressed store *before* any execution plan (sharding,
-//! fabric, direct) gets a say: a hit returns the cached
+//! content-addressed store *before* any execution mode (fabric worker,
+//! fabric replay, direct) gets a say: a hit returns the cached
 //! [`SweepReport`] byte-identically and executes **zero** scenarios; a
 //! miss falls through to whatever topology the run was going to use —
 //! including `--fabric workers=N`, so novel sweeps schedule onto the
 //! worker fleet — and the finished full report is written back.
 //!
 //! The determinism discipline across processes is subtraction, not
-//! coordination: every process of a run (driver, spawned shards, fabric
+//! coordination: every process of a run (the fabric driver and its
 //! workers) opens the same store directory and derives the same
 //! [`StoreKey`] per sweep, so all of them see the same hit/miss
-//! pattern and skip the same sweeps — shard ledgers and fabric sweep
-//! numbering stay aligned with the driver's replay cursor without any
-//! messages about the cache ever crossing a process boundary. Only
-//! *full* reports are written back (the direct-execution and
-//! merged-replay paths in
-//! [`sweep_recorded`](crate::common::sweep_recorded)); shard and worker
-//! processes hold partial folds and never populate.
+//! pattern and skip the same sweeps — fabric sweep numbering stays
+//! aligned with the driver's replay cursor without any messages about
+//! the cache ever crossing a process boundary. Only *full* reports are
+//! written back (the direct-execution and merged-replay paths in
+//! [`sweep_recorded`](crate::common::sweep_recorded)); worker processes
+//! hold partial folds and never populate.
 
 use rendezvous_runner::{SweepReport, WorkloadMeta};
 use rendezvous_store::{Miss, Store, StoreKey};
@@ -88,7 +87,7 @@ pub fn lookup(context: &str, meta: &WorkloadMeta) -> Option<SweepReport> {
 
 /// Writes a **full** sweep report back to the store. Callers guarantee
 /// completeness (the direct-execution and merged-replay paths do;
-/// shard/worker partials must never reach here).
+/// fabric worker partials must never reach here).
 ///
 /// # Panics
 ///

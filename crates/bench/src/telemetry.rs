@@ -1,7 +1,7 @@
 //! Process-global telemetry session for the experiments binary.
 //!
-//! Like the engine selection ([`crate::engine`]) and the sharding
-//! session ([`crate::sharding`]), telemetry is a process-global the CLI
+//! Like the engine selection ([`crate::engine`]) and the fabric
+//! session ([`crate::fabric`]), telemetry is a process-global the CLI
 //! installs once before any sweep runs: experiment code deep inside
 //! `sweep_worst` or the X10 per-piece executor just asks [`current`]
 //! at its executor construction points and attaches the sink if one is

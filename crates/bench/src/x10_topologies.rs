@@ -11,11 +11,11 @@
 //! `E`. Per-family worst cases (time, cost, and time/bound ratio) come
 //! back with replayable `(spec, scenario)` witnesses.
 //!
-//! The sweep shards across processes exactly like the scenario sweeps —
+//! The sweep splits across processes exactly like the scenario sweeps —
 //! a [`TopoGrid`] is just another [`Workload`](rendezvous_runner::Workload):
-//! `experiments x10 --shard i/m --emit-shard` / `--merge-shards` carry
-//! per-shard [`SweepReport`]s through the unified shard ledger, and the
-//! merged run is byte-identical to a direct one (CI-checked).
+//! `experiments x10 --fabric workers=N` leases its ranges to worker
+//! processes and replays the merged [`SweepReport`]s, byte-identical to
+//! a direct run (CI-checked).
 
 use crate::common::{markdown_table, standard_delays, standard_label_pairs};
 use rendezvous_core::{Cheap, Fast, LabelSpace, RendezvousAlgorithm};
@@ -121,8 +121,8 @@ impl PieceExecutor for AlgoTopoExecutor {
         };
         // Same engine switch (and telemetry attachment) as
         // `common::sweep_worst`: the batched executor folds at the
-        // piece's global offsets, so reports and the shard ledger stay
-        // byte-identical either way.
+        // piece's global offsets, so reports stay byte-identical either
+        // way.
         let session = crate::telemetry::current();
         match crate::engine::current() {
             crate::engine::Engine::Stepped => {
@@ -287,13 +287,13 @@ pub fn sweep_single_spec(
 
 /// Sweeps one algorithm over the topo grid through the shared
 /// [`common::sweep_recorded`](crate::common::sweep_recorded)
-/// shard/replay path, asserting the paper's bounds held everywhere.
+/// store/fabric path, asserting the paper's bounds held everywhere.
 ///
 /// # Panics
 ///
 /// Panics if any execution fails, if any scenario misses its paper
-/// bounds ([`SweepReport::clean`]), or — in replay mode — if the merged
-/// ledger came from a different sweep.
+/// bounds ([`SweepReport::clean`]), or — in a fabric replay — if the
+/// merged report came from a different sweep.
 fn sweep_topo_worst(
     context: &str,
     topo: &TopoGrid,
@@ -385,7 +385,7 @@ pub fn run(specs: Vec<GraphSpec>, l: u64, cap: usize, runner: &Runner) -> Report
         runner,
     );
     // Family → spec count from the grid itself (identical in direct,
-    // shard and replay runs, since all rebuild the same TopoGrid).
+    // worker and replay runs, since all rebuild the same TopoGrid).
     let mut spec_counts: Vec<(String, usize)> = Vec::new();
     for entry in topo.entries() {
         let family = entry.spec.family();
@@ -489,7 +489,7 @@ mod tests {
     }
 
     /// The spec list itself is stable and fully seeded: rebuilding it
-    /// yields identical specs (the sharded CI check depends on every
+    /// yields identical specs (the fabric CI check depends on every
     /// process enumerating the same topologies).
     #[test]
     fn standard_spec_list_is_deterministic() {

@@ -14,10 +14,10 @@
 //! `(k−1)·(time bound + max delay)`, compared by exact `u128`
 //! cross-multiplication) and total merge events.
 //!
-//! The sweep shards across processes exactly like X10:
-//! `experiments x11 --shard i/m --emit-shard` / `--merge-shards` carry
-//! the per-shard [`SweepReport`]s through the unified shard ledger, and
-//! the merged run is byte-identical to a direct one (CI-checked).
+//! The sweep splits across processes exactly like X10:
+//! `experiments x11 --fabric workers=N` leases its ranges to worker
+//! processes and replays the merged [`SweepReport`]s, byte-identical to
+//! a direct run (CI-checked).
 
 use crate::common::{markdown_table, sweep_recorded};
 use rendezvous_core::{Fast, LabelSpace, RendezvousAlgorithm};
@@ -58,8 +58,8 @@ pub fn standard_phases(quick: bool) -> Vec<u64> {
 /// `k · bound` for cost (each of `k` agents traverses at most one edge
 /// per round). Computing these here instead of per `run_entry` call
 /// avoids re-enumerating every entry's grid on every sweep (and on
-/// every shard piece), and keeps them identical across pieces so
-/// sharded sweeps fold byte-identically.
+/// every leased piece), and keeps them identical across pieces so
+/// split sweeps fold byte-identically.
 pub struct EntryContext {
     explorer: Arc<dyn Explorer>,
     bounds: Bounds,
@@ -188,7 +188,8 @@ pub struct Report {
 }
 
 /// Runs X11: builds the gathering topo grid over `specs`, sweeps it
-/// (honoring an active sharding session), and folds per-family rows.
+/// (honoring the plan, store and fabric sessions), and folds per-family
+/// rows.
 ///
 /// # Panics
 ///
@@ -219,7 +220,7 @@ pub fn run(
         stats.violations()
     );
     // Family → spec count from the grid itself (identical in direct,
-    // shard and replay runs, since all rebuild the same TopoGrid).
+    // worker and replay runs, since all rebuild the same TopoGrid).
     let mut spec_counts: Vec<(String, usize)> = Vec::new();
     for entry in topo.entries() {
         let family = entry.spec.family();
@@ -286,7 +287,7 @@ mod tests {
     /// A debug-affordable slice of the acceptance sweep: every family
     /// present, every sampled gathering within its own
     /// merge-and-restart bound. (The release CI run uses the full quick
-    /// budget and additionally diffs a 3-shard merge.)
+    /// budget and additionally diffs a 3-worker fabric run.)
     #[test]
     fn x11_gathering_stays_within_merge_and_restart_bounds_per_family() {
         // The standard list cycles the six families with period 6, so a
@@ -311,8 +312,9 @@ mod tests {
         assert!(report.stats.clean());
     }
 
-    /// Sharded X11 reproduces the direct sweep exactly — the property
-    /// the CI end-to-end diff depends on.
+    /// X11 split into `Runner::sweep_shard` folds and merged reproduces
+    /// the direct sweep exactly — the merge property the fabric's
+    /// lease folds depend on.
     #[test]
     fn x11_shard_merge_equals_direct_topo_stats() {
         let specs: Vec<GraphSpec> = standard_topo_specs(true).into_iter().step_by(40).collect();

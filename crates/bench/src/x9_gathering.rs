@@ -12,7 +12,7 @@
 //! (the standard [`FleetRule`] spread × a delay-phase axis), executed by
 //! the [`GatheringExecutor`] and folded into a
 //! [`SweepReport`](rendezvous_runner::SweepReport) — which means
-//! gathering sweeps shard, merge and replay through the unified ledger
+//! gathering sweeps are cached, leased to fabric workers and replayed
 //! exactly like the adversarial pair sweeps of X1–X8.
 
 use crate::common::{ring_setup, sweep_recorded};
@@ -59,7 +59,7 @@ pub fn standard_phases() -> Vec<u64> {
 /// space `L` (labels and starts spread deterministically by the standard
 /// [`FleetRule`]; wake-ups staggered, swept over
 /// [`standard_phases`]). One grid sweep per fleet size, through the
-/// shared shard/replay path.
+/// shared store/fabric path.
 ///
 /// # Panics
 ///
@@ -85,7 +85,7 @@ pub fn run(n: usize, l: u64, ks: &[usize], runner: &Runner) -> Vec<Row> {
                 .delays(&standard_phases());
             // The loosest per-scenario bound actually in the sweep (the
             // phases never reach the stagger's full modulus, so this is
-            // tighter than `worst_bound`); identical in direct, shard
+            // tighter than `worst_bound`); identical in direct, worker
             // and replay runs, since all rebuild the same grid.
             let loosest = grid
                 .scenarios()
@@ -101,8 +101,8 @@ pub fn run(n: usize, l: u64, ks: &[usize], runner: &Runner) -> Vec<Row> {
 
 /// Builds one table row from a fleet sweep's aggregates, asserting the
 /// merge-and-restart guarantee held on every sampled scenario. The
-/// stats may be a shard's **partial** fold (possibly empty — a shard of
-/// a 3-scenario grid is legitimately empty for m > 3), whose rows are
+/// stats may be a fabric worker's **partial** fold (possibly empty — a
+/// worker may be leased no range of a 3-scenario grid), whose rows are
 /// never emitted; the ratio cell is `-` when no outcome carried one.
 fn row(n: usize, k: usize, loosest_bound: u64, stats: &GroupStats) -> Row {
     assert_eq!(
@@ -201,11 +201,11 @@ mod tests {
         );
     }
 
-    /// Regression: a shard run can hand `row()` a **partial** (even
-    /// empty) fold — for m > 3 some shard of every 3-scenario per-k grid
-    /// executes nothing. The old code `expect`ed a ratio witness and
-    /// crashed the shard emission; partial rows (which are never
-    /// emitted) must build cleanly instead.
+    /// Regression: a split run can hand `row()` a **partial** (even
+    /// empty) fold — a fabric worker may execute no range of a
+    /// 3-scenario per-k grid. The old code `expect`ed a ratio witness
+    /// and crashed; partial rows (which are never emitted) must build
+    /// cleanly instead.
     #[test]
     fn x9_rows_tolerate_empty_shard_partials() {
         let empty = GroupStats::default();
@@ -214,8 +214,8 @@ mod tests {
         assert_eq!((r.scenarios, r.rounds, r.cost, r.merges), (0, 0, 0, 0));
     }
 
-    /// X9 rides the shard ledger now: a 3-shard split of the same run
-    /// merges back to the identical table rows.
+    /// A 3-way `Runner::sweep_shard` split of the same run merges back
+    /// to the identical fold — the merge property fabric replays rest on.
     #[test]
     fn x9_shard_merge_reproduces_the_direct_rows() {
         use rendezvous_runner::SweepReport;

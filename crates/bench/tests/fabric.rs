@@ -166,7 +166,6 @@ fn fabric_flag_misuse_is_refused_up_front() {
             "workers=1",
             "--fabric-kill-one",
         ],
-        vec!["x1", "--quick", "--fabric", "workers=2", "--shard", "0/2"],
         vec!["x1", "--quick", "--plan", "--fabric", "workers=2"],
     ] {
         let out = experiments(&bad);
@@ -174,5 +173,30 @@ fn fabric_flag_misuse_is_refused_up_front() {
             !out.status.success(),
             "experiments {bad:?} must be refused, but succeeded"
         );
+    }
+}
+
+/// `--fabric` is the only way to split a run: the static-shard and
+/// stderr-telemetry flags are refused as unknown flags (usage error,
+/// exit 2) before anything executes.
+#[test]
+fn removed_shard_and_telemetry_stream_flags_are_unknown() {
+    for (flag, value) in [
+        ("--shard", Some("0/2")),
+        ("--emit-shard", None),
+        ("--merge-shards", Some("s0.json")),
+        ("--spawn-shards", Some("2")),
+        ("--telemetry-stream", None),
+    ] {
+        let mut args = vec!["x1", "--quick", flag];
+        args.extend(value);
+        let out = experiments(&args);
+        assert_eq!(out.status.code(), Some(2), "experiments {args:?}");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains(&format!("unknown flag: {flag}")),
+            "experiments {args:?}: {stderr}"
+        );
+        assert!(out.stdout.is_empty(), "experiments {args:?} printed output");
     }
 }

@@ -45,7 +45,7 @@ fn installed_session_observes_sweep_worst() {
     assert_eq!(stepped.max_cost, batched.max_cost);
 
     let snap = metrics.snapshot();
-    // Both sweeps executed here (no sharding session): counted.
+    // Both sweeps executed here (no fabric replay): counted.
     assert_eq!(snap.process.get("sweeps"), Some(&2));
     let executed = snap.counters["scenarios_executed"];
     assert_eq!(executed, u64::try_from(2 * stepped.executed).unwrap());

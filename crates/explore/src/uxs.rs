@@ -5,7 +5,7 @@
 //! exploration is Reingold's polynomial estimate `R(m)` based on Universal
 //! Exploration Sequences."
 //!
-//! **Substitution (documented in DESIGN.md):** Reingold's log-space
+//! **Substitution:** Reingold's log-space
 //! construction is a theoretical device far beyond laptop scale. We
 //! implement the UXS *semantics* exactly — at step `i`, an agent that
 //! entered its current node through port `p` leaves through port

@@ -7,10 +7,10 @@
 //! `scenarios_executed` telemetry counter staying at zero on a resume of
 //! a finished run.
 //!
-//! Each record carries exactly the `(meta, report)` pair that the shard
-//! ledger's `LedgerRecord::new` consumes, so a checkpoint stream is a
-//! per-range refinement of the per-shard ledger format: same fingerprint
-//! discipline, same fold payloads, finer grain. Only the final line of
+//! Each record carries a `(meta, report)` pair of the same shape as the
+//! per-sweep [`FabricOutcome::sweeps`](crate::FabricOutcome::sweeps)
+//! the driver replays, at the finer grain of one range: same
+//! fingerprint discipline, same fold payloads. Only the final line of
 //! the file may be damaged (the append that was in flight when the
 //! coordinator died); damage anywhere earlier is refused as corruption
 //! rather than silently skipped.

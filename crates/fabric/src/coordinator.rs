@@ -358,8 +358,8 @@ impl Coordinator {
     }
 
     /// Folds every sweep's chunk reports, in ascending range order, into
-    /// the per-sweep merged reports — the exact payload the shard
-    /// ledger's replay path renders.
+    /// the per-sweep merged reports — the exact payload the driver's
+    /// replay renders.
     ///
     /// # Errors
     ///

@@ -28,7 +28,7 @@ pub const PROTOCOL_VERSION: u32 = 1;
 /// same order), and `lo..hi` are **global workload indices** — the same
 /// coordinates [`Workload`](rendezvous_runner::Workload) pieces,
 /// [`SweepReport`](rendezvous_runner::SweepReport) witnesses, and the
-/// shard ledger all use, which is what makes lease reassignment and
+/// checkpoint records all use, which is what makes lease reassignment and
 /// duplicate results idempotent.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub enum Message {

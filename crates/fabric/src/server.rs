@@ -45,7 +45,7 @@ pub struct ServerConfig {
 #[derive(Debug)]
 pub struct FabricOutcome {
     /// Per-sweep `(fingerprint, merged fold)` in sweep-sequence order —
-    /// ready to become the replay ledger.
+    /// what the driver replays.
     pub sweeps: Vec<(WorkloadMeta, SweepReport)>,
     /// The merge of every finished worker's telemetry snapshot.
     pub telemetry: TelemetrySnapshot,

@@ -9,7 +9,7 @@
 //! the stepped engine's O(D·T)). [`BatchExecutor`] splits each piece into
 //! such maximal runs, solves them in order and concatenates the results,
 //! so outcomes keep their in-piece indices and the fold — and with it
-//! `SweepReport`s, witnesses and the shard ledger — is byte-identical to
+//! `SweepReport`s, witnesses and every merged report — is byte-identical to
 //! the stepped engine's.
 //!
 //! Scenarios the solver's preconditions don't cover (fleets, equal or

@@ -737,7 +737,7 @@ mod tests {
         let text = serde_json::to_string(&report).unwrap();
         let back: SweepReport = serde_json::from_str(&text).unwrap();
         assert_eq!(back, report);
-        // Byte-identical re-serialization: what shard ledgers rely on.
+        // Byte-identical re-serialization: what fabric replays rely on.
         assert_eq!(serde_json::to_string(&back).unwrap(), text);
         // The witness's spec survives as a buildable recipe.
         let w = back

@@ -241,9 +241,9 @@ mod tests {
         );
     }
 
-    /// The ledger shape of a k-agent scenario: `placements` is an array
-    /// of `{label, start, delay}` objects and the round trip is
-    /// **byte-identical** — what the shard pipeline relies on.
+    /// The serialized shape of a k-agent scenario: `placements` is an
+    /// array of `{label, start, delay}` objects and the round trip is
+    /// **byte-identical** — what the fabric pipeline relies on.
     #[test]
     fn k_agent_scenario_serde_round_trips_byte_identically() {
         let s = Scenario::fleet(

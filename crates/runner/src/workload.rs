@@ -58,9 +58,9 @@ pub struct WorkPiece<'w> {
     pub scenarios: Vec<Scenario>,
 }
 
-/// Which kind of workload produced a sweep — the discriminant shard
-/// ledgers store so replay can detect a record that came from a
-/// different sweep sequence. Serializable: the fabric's lease protocol
+/// Which kind of workload produced a sweep — the discriminant fabric
+/// checkpoints and replays store so a replay can detect a report that
+/// came from a different sweep sequence. Serializable: the fabric's lease protocol
 /// sends it over the wire so coordinator and workers can agree they are
 /// sweeping the same space.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -82,8 +82,9 @@ impl std::fmt::Display for WorkloadKind {
 
 /// A workload's self-description: its kind, a content digest of the
 /// parameters that define the swept space, and the two sizes (pre-cap
-/// and post-cap). Shard ledgers record this next to each partial fold so
-/// a merge or replay against a *different* sweep sequence fails loudly
+/// and post-cap). Fabric checkpoints and replays record this next to
+/// each fold so a resume or replay against a *different* sweep sequence
+/// fails loudly
 /// instead of folding garbage; the fabric's lease protocol carries it in
 /// every work request so a coordinator never hands out ranges of a space
 /// the worker is not actually enumerating; the result store keys cached
@@ -194,7 +195,7 @@ pub trait Workload: Sync {
     /// Total units the workload yields (sampling caps applied).
     fn size(&self) -> usize;
 
-    /// The workload's ledger fingerprint.
+    /// The workload's fingerprint.
     fn meta(&self) -> WorkloadMeta;
 
     /// Cuts the global index range `[lo, hi)` into contiguous pieces, in

@@ -129,9 +129,9 @@ proptest! {
         prop_assert_eq!(sequential, parallel);
     }
 
-    /// Sharded batched sweeps merge to the direct batched sweep (the
-    /// x10-style shard ledger path uses piece offsets, which the batched
-    /// scatter must respect).
+    /// Sharded batched sweeps merge to the direct batched sweep (split
+    /// x10-style sweeps use piece offsets, which the batched scatter
+    /// must respect).
     #[test]
     fn sharded_batched_sweeps_merge_exactly(
         seed in 0u64..100,

@@ -93,7 +93,7 @@ fn sweep_error_carries_global_scenario_index() {
 
 /// Contract 1: telemetry attached everywhere (runner + executor),
 /// running parallel, folds the same report — byte for byte, through
-/// the same serde path the shard ledger uses — as a bare sequential
+/// the same serde path fabric frames use — as a bare sequential
 /// sweep.
 #[test]
 fn metrics_never_perturb_report_bytes() {

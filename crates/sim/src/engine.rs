@@ -15,18 +15,11 @@
 
 use crate::{Action, AgentBehavior, Observation, SimError};
 use rendezvous_graph::{NodeId, Port, PortLabeledGraph};
-use std::collections::HashMap;
-
-/// Fleets up to this size use the direct quadratic scans in the engine's
-/// round loop; larger fleets use hash-based occupancy and crossing checks.
-/// At small `k` the quadratic scan is branch-cheap and allocation-free,
-/// which benchmarks faster than hashing.
-const SMALL_FLEET: usize = 8;
 
 /// Crossing count for one round by pairwise scan: agents `i < j` crossed
 /// iff both moved and swapped nodes (on a simple graph that means the same
 /// edge in opposite directions).
-fn count_crossings_quadratic(previous: &[NodeId], positions: &[NodeId], actions: &[Action]) -> u64 {
+fn count_crossings(previous: &[NodeId], positions: &[NodeId], actions: &[Action]) -> u64 {
     let k = positions.len();
     let mut crossings = 0;
     for i in 0..k {
@@ -42,39 +35,9 @@ fn count_crossings_quadratic(previous: &[NodeId], positions: &[NodeId], actions:
     crossings
 }
 
-/// Crossing count for one round in O(k): every mover contributes its
-/// `(from, to)` arc to a multiset; a crossing pair is a mover whose
-/// reversed arc is present, so the total is half the sum of reverse-arc
-/// multiplicities. Agrees exactly with the quadratic scan.
-fn count_crossings_hashed(
-    previous: &[NodeId],
-    positions: &[NodeId],
-    actions: &[Action],
-    // analyze: allow(d1) — scratch multiset: entry/get only, never iterated; the
-    // crossing count summed from it is order-independent
-    move_pairs: &mut HashMap<(NodeId, NodeId), u32>,
-) -> u64 {
-    move_pairs.clear();
-    for i in 0..positions.len() {
-        if actions[i].is_move() {
-            *move_pairs.entry((previous[i], positions[i])).or_insert(0) += 1;
-        }
-    }
-    let mut doubled: u64 = 0;
-    for i in 0..positions.len() {
-        if actions[i].is_move() {
-            if let Some(&reverse) = move_pairs.get(&(positions[i], previous[i])) {
-                doubled += u64::from(reverse);
-            }
-        }
-    }
-    debug_assert_eq!(doubled % 2, 0, "crossings pair up");
-    doubled / 2
-}
-
 /// The node of the first agent (lowest index) that shares its node with
 /// any other agent — the `FirstPair` meeting witness, by pairwise scan.
-fn first_shared_node_quadratic(positions: &[NodeId]) -> Option<NodeId> {
+fn first_shared_node(positions: &[NodeId]) -> Option<NodeId> {
     let k = positions.len();
     for i in 0..k {
         for j in (i + 1)..k {
@@ -84,26 +47,6 @@ fn first_shared_node_quadratic(positions: &[NodeId]) -> Option<NodeId> {
         }
     }
     None
-}
-
-/// Same witness in O(k): count node occupancy, then return the position of
-/// the lowest-indexed agent standing on a node of occupancy ≥ 2. Matches
-/// the quadratic scan's choice exactly (both pick the smallest `i` that
-/// shares its node).
-fn first_shared_node_hashed(
-    positions: &[NodeId],
-    // analyze: allow(d1) — scratch occupancy counts: point lookups only; the witness
-    // is chosen by scanning `positions` in global agent order, not by map order
-    occupancy: &mut HashMap<NodeId, u32>,
-) -> Option<NodeId> {
-    occupancy.clear();
-    for &p in positions {
-        *occupancy.entry(p).or_insert(0) += 1;
-    }
-    if occupancy.len() == positions.len() {
-        return None;
-    }
-    positions.iter().find(|p| occupancy[p] >= 2).copied()
 }
 
 /// Placement of one agent: where it starts and when it wakes up.
@@ -392,18 +335,9 @@ impl<'a> Simulation<'a> {
             actions: vec![Vec::new(); k],
         });
 
-        // Hot-loop buffers, allocated once and reused every round. Small
-        // agent counts (the common two-agent case) keep the quadratic
-        // scans, which beat hashing at that size; larger fleets switch to
-        // O(k) occupancy/crossing maps.
-        let use_maps = k > SMALL_FLEET;
+        // Hot-loop buffers, allocated once and reused every round.
         let mut previous: Vec<NodeId> = positions.clone();
         let mut actions: Vec<Action> = vec![Action::Stay; k];
-        // analyze: allow(d1) — reusable scratch buffers for the helpers above; both are
-        // cleared per round and never iterated
-        let mut occupancy: HashMap<NodeId, u32> = HashMap::new();
-        // analyze: allow(d1) — same scratch-buffer discipline as `occupancy`
-        let mut move_pairs: HashMap<(NodeId, NodeId), u32> = HashMap::new();
 
         let mut meeting = None;
         let mut rounds_executed = 0;
@@ -449,11 +383,7 @@ impl<'a> Simulation<'a> {
                 }
             }
             // Crossing detection (simple graph: a swap means same edge).
-            crossings += if use_maps {
-                count_crossings_hashed(&previous, &positions, &actions, &mut move_pairs)
-            } else {
-                count_crossings_quadratic(&previous, &positions, &actions)
-            };
+            crossings += count_crossings(&previous, &positions, &actions);
             if let Some(t) = trace.as_mut() {
                 for i in 0..k {
                     t.positions[i].push(positions[i]);
@@ -462,10 +392,7 @@ impl<'a> Simulation<'a> {
             }
             // Meeting check at end of round.
             let met_now = match condition {
-                MeetingCondition::FirstPair if use_maps => {
-                    first_shared_node_hashed(&positions, &mut occupancy)
-                }
-                MeetingCondition::FirstPair => first_shared_node_quadratic(&positions),
+                MeetingCondition::FirstPair => first_shared_node(&positions),
                 MeetingCondition::AllTogether => {
                     if positions.iter().all(|&p| p == positions[0]) {
                         Some(positions[0])
@@ -678,52 +605,9 @@ mod tests {
     }
 
     #[test]
-    fn hashed_scans_agree_with_quadratic_scans() {
-        // Deterministic pseudo-random configurations over few nodes force
-        // plenty of collisions, swaps and stays.
-        let mut state = 0x0123_4567_89AB_CDEF_u64;
-        let mut next = move |m: u64| {
-            state = state
-                .wrapping_mul(6_364_136_223_846_793_005)
-                .wrapping_add(1_442_695_040_888_963_407);
-            (state >> 33) % m
-        };
-        let mut occupancy = HashMap::new();
-        let mut move_pairs = HashMap::new();
-        for _ in 0..500 {
-            let k = 2 + next(14) as usize;
-            let previous: Vec<NodeId> = (0..k).map(|_| NodeId::new(next(6) as usize)).collect();
-            let mut positions = previous.clone();
-            let actions: Vec<Action> = (0..k)
-                .map(|i| {
-                    if next(2) == 0 {
-                        Action::Stay
-                    } else {
-                        // "Move" to any other node; port value is irrelevant
-                        // to the scans under test.
-                        positions[i] =
-                            NodeId::new(((previous[i].index() as u64 + 1 + next(5)) % 6) as usize);
-                        Action::Move(Port::new(0))
-                    }
-                })
-                .collect();
-            assert_eq!(
-                count_crossings_quadratic(&previous, &positions, &actions),
-                count_crossings_hashed(&previous, &positions, &actions, &mut move_pairs),
-            );
-            assert_eq!(
-                first_shared_node_quadratic(&positions),
-                first_shared_node_hashed(&positions, &mut occupancy),
-            );
-        }
-    }
-
-    #[test]
-    fn large_fleet_meeting_uses_hashed_path_with_same_semantics() {
-        // 12 agents (> SMALL_FLEET): two walkers converge while ten idlers
-        // sit elsewhere. The meeting must be found by the occupancy map and
-        // reported at the earliest agent's node, exactly like the small-k
-        // path.
+    fn large_fleet_meeting_reports_the_earliest_agents_node() {
+        // 12 agents: two walkers converge while ten idlers sit elsewhere.
+        // The meeting is reported at the earliest agent's node.
         let g = generators::oriented_ring(32).unwrap();
         let mut sim = Simulation::new(&g)
             .agent(cw(8), AgentSpec::immediate(NodeId::new(0)))
@@ -742,9 +626,9 @@ mod tests {
     }
 
     #[test]
-    fn large_fleet_crossings_counted_by_hashed_path() {
+    fn large_fleet_crossings_are_counted() {
         // Two adjacent walkers swap through one edge while ten idlers pad
-        // the fleet past SMALL_FLEET.
+        // the fleet to 12 agents.
         let g = generators::oriented_ring(32).unwrap();
         let mut sim = Simulation::new(&g)
             .agent(cw(4), AgentSpec::immediate(NodeId::new(0)))

@@ -5,9 +5,9 @@
 //! batch-fallback rates. This crate adds those signals under one hard
 //! invariant: **telemetry must be invisible to the byte-identity
 //! discipline**. Attaching a [`Metrics`] sink, streaming progress, or
-//! emitting a sidecar may never change a `SweepReport`, a markdown
-//! table, or a shard-ledger byte — CI diffs telemetry-on against
-//! telemetry-off output to prove it.
+//! emitting a sidecar may never change a `SweepReport` or a markdown
+//! table byte — CI diffs telemetry-on against telemetry-off output to
+//! prove it.
 //!
 //! Three pieces:
 //!
@@ -19,13 +19,13 @@
 //! * [`ProgressReporter`] — a stderr sampling thread rendering
 //!   pieces-done / scenarios-per-second / ETA, with a machine-readable
 //!   stream mode (`@progress` lines) and a [`ProgressHub`] aggregating
-//!   spawned shard children.
+//!   fabric workers.
 //! * [`TelemetrySnapshot`] — the `TELEMETRY.json` sidecar schema. Exact
 //!   counter sections render from `BTreeMap`s (sorted keys, byte-stable
 //!   across reruns and shard merges); every wall-clock-derived field is
 //!   quarantined in the `timing` section behind an explicit marker.
 //!   [`TelemetrySnapshot::merge`] is associative and commutative, so
-//!   spawned shards fold into one sidecar in any order.
+//!   fabric workers' snapshots fold into one sidecar in any order.
 //!
 //! The crate is the workspace's **only** sanctioned wall-clock reader
 //! outside the bench harness: [`Stopwatch`] wraps `Instant` here, under
@@ -41,7 +41,7 @@ mod snapshot;
 
 pub use metrics::{Counter, HistogramHandle, Metrics, Scope, Stopwatch};
 pub use progress::{
-    parse_protocol_line, progress_line, telemetry_line, Progress, ProgressCounts, ProgressHub,
-    ProgressReporter, ProtocolLine, StderrPump, PROGRESS_PREFIX, TELEMETRY_PREFIX,
+    parse_protocol_line, progress_line, Progress, ProgressCounts, ProgressHub, ProgressReporter,
+    StderrPump, PROGRESS_PREFIX,
 };
 pub use snapshot::{TelemetrySnapshot, TimingSection, QUARANTINE, SCHEMA};

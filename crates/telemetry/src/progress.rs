@@ -1,19 +1,18 @@
 //! Live progress: shared counters, the stderr reporter, and the
-//! spawn-driver child protocol.
+//! worker progress protocol.
 //!
-//! Everything here is display-only — progress never feeds a fold, a
-//! report, or a ledger, which is why the sampler thread and the child
-//! pipe drains below are sanctioned (and annotated) departures from
-//! the Runner's order-deterministic parallelism.
+//! Everything here is display-only — progress never feeds a fold or a
+//! report, which is why the sampler thread and the worker pipe drains
+//! below are sanctioned (and annotated) departures from the Runner's
+//! order-deterministic parallelism.
 //!
-//! The child protocol is line-oriented over stderr: a spawned shard
-//! periodically emits `@progress {json}` and finally `@telemetry
-//! {json}`; every other stderr line is buffered verbatim as
-//! diagnostics. stdout stays untouched — the shard-ledger channel the
-//! byte-identity discipline covers.
+//! The worker protocol is line-oriented over stderr: a fabric worker
+//! periodically emits `@progress {json}`; every other stderr line is
+//! buffered verbatim as diagnostics. A worker's telemetry snapshot
+//! does not travel here — it rides the fabric socket in the worker's
+//! final frame.
 
 use crate::metrics::{Metrics, Stopwatch};
-use crate::snapshot::TelemetrySnapshot;
 use serde::{Deserialize, Serialize};
 use std::io::{BufRead, BufReader, Read};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -91,10 +90,8 @@ impl ProgressCounts {
     }
 }
 
-/// Prefix of a child's periodic progress line.
+/// Prefix of a worker's periodic progress line.
 pub const PROGRESS_PREFIX: &str = "@progress ";
-/// Prefix of a child's final telemetry line.
-pub const TELEMETRY_PREFIX: &str = "@telemetry ";
 
 /// Renders a `@progress` protocol line (no trailing newline).
 #[must_use]
@@ -103,41 +100,16 @@ pub fn progress_line(counts: &ProgressCounts) -> String {
     format!("{PROGRESS_PREFIX}{payload}")
 }
 
-/// Renders a `@telemetry` protocol line (no trailing newline).
+/// Parses one stderr line as a `@progress` reading; `None` means "not
+/// protocol" (including a malformed payload) — the caller keeps such
+/// lines as diagnostics.
 #[must_use]
-pub fn telemetry_line(snapshot: &TelemetrySnapshot) -> String {
-    let payload = serde_json::to_string(snapshot).expect("snapshot serializes");
-    format!("{TELEMETRY_PREFIX}{payload}")
+pub fn parse_protocol_line(line: &str) -> Option<ProgressCounts> {
+    serde_json::from_str(line.strip_prefix(PROGRESS_PREFIX)?).ok()
 }
 
-/// A recognized child-protocol stderr line.
-#[derive(Debug)]
-pub enum ProtocolLine {
-    /// A periodic `@progress` reading.
-    Progress(ProgressCounts),
-    /// The final `@telemetry` snapshot.
-    Telemetry(TelemetrySnapshot),
-}
-
-/// Parses one stderr line; `None` means "not protocol" (including a
-/// malformed payload) — the caller keeps such lines as diagnostics.
-#[must_use]
-pub fn parse_protocol_line(line: &str) -> Option<ProtocolLine> {
-    if let Some(payload) = line.strip_prefix(PROGRESS_PREFIX) {
-        return serde_json::from_str(payload)
-            .ok()
-            .map(ProtocolLine::Progress);
-    }
-    if let Some(payload) = line.strip_prefix(TELEMETRY_PREFIX) {
-        return TelemetrySnapshot::parse(payload)
-            .ok()
-            .map(ProtocolLine::Telemetry);
-    }
-    None
-}
-
-/// Aggregates per-child progress for the spawn driver: each child's
-/// pump stores its latest reading in its slot; the parent reporter
+/// Aggregates per-worker progress for the fabric driver: each worker's
+/// pump stores its latest reading in its slot; the driver's reporter
 /// samples the sum.
 #[derive(Debug)]
 pub struct ProgressHub {
@@ -145,7 +117,7 @@ pub struct ProgressHub {
 }
 
 impl ProgressHub {
-    /// A hub with one slot per spawned child.
+    /// A hub with one slot per worker.
     #[must_use]
     pub fn new(children: usize) -> Arc<ProgressHub> {
         Arc::new(ProgressHub {
@@ -153,7 +125,7 @@ impl ProgressHub {
         })
     }
 
-    /// Overwrites child `child`'s slot with its latest reading.
+    /// Overwrites worker `child`'s slot with its latest reading.
     pub fn update(&self, child: usize, counts: &ProgressCounts) {
         if let Some(slot) = self.slots.get(child) {
             slot.scenarios_done
@@ -167,7 +139,7 @@ impl ProgressHub {
         }
     }
 
-    /// The sum over all child slots.
+    /// The sum over all worker slots.
     #[must_use]
     pub fn total(&self) -> ProgressCounts {
         self.slots
@@ -182,7 +154,7 @@ impl ProgressHub {
 enum Mode {
     /// `\r`-refreshed human line with rate and ETA.
     Human,
-    /// Machine-readable `@progress` lines for a parent driver.
+    /// Machine-readable `@progress` lines for the fabric driver.
     Stream,
 }
 
@@ -207,7 +179,7 @@ impl ProgressReporter {
     }
 
     /// Protocol-line reporter sampling a [`Metrics`] sink — what a
-    /// spawned shard runs so its parent can aggregate.
+    /// fabric worker runs so its driver can aggregate.
     #[must_use]
     pub fn stream(metrics: &Arc<Metrics>) -> ProgressReporter {
         let m = Arc::clone(metrics);
@@ -215,7 +187,7 @@ impl ProgressReporter {
     }
 
     /// Human-readable reporter sampling a [`ProgressHub`] — what the
-    /// spawn driver runs over its children's aggregated slots.
+    /// fabric driver runs over its workers' aggregated slots.
     #[must_use]
     pub fn aggregate(hub: &Arc<ProgressHub>) -> ProgressReporter {
         let h = Arc::clone(hub);
@@ -292,15 +264,15 @@ fn emit(mode: Mode, watch: &Stopwatch, counts: &ProgressCounts, finished: bool) 
     }
 }
 
-/// Drains one spawned child's stderr on a reader thread: protocol
-/// lines update the hub / capture the snapshot, everything else is
-/// buffered as diagnostics and returned at [`StderrPump::finish`].
+/// Drains one worker's stderr on a reader thread: protocol lines
+/// update the hub, everything else is buffered as diagnostics and
+/// returned at [`StderrPump::finish`].
 pub struct StderrPump {
-    thread: JoinHandle<(String, Option<TelemetrySnapshot>)>,
+    thread: JoinHandle<String>,
 }
 
 impl StderrPump {
-    /// Starts draining `reader` (child `child`'s stderr) into `hub`.
+    /// Starts draining `reader` (worker `child`'s stderr) into `hub`.
     #[must_use]
     pub fn pump<R: Read + Send + 'static>(
         reader: R,
@@ -313,27 +285,24 @@ impl StderrPump {
         // diagnostics are joined back in child-index order by the caller
         let thread = std::thread::spawn(move || {
             let mut diagnostics = String::new();
-            let mut snapshot = None;
             for line in BufReader::new(reader).lines() {
                 let Ok(line) = line else { break };
                 match parse_protocol_line(&line) {
-                    Some(ProtocolLine::Progress(counts)) => hub.update(child, &counts),
-                    Some(ProtocolLine::Telemetry(snap)) => snapshot = Some(snap),
+                    Some(counts) => hub.update(child, &counts),
                     None => {
                         diagnostics.push_str(&line);
                         diagnostics.push('\n');
                     }
                 }
             }
-            (diagnostics, snapshot)
+            diagnostics
         });
         StderrPump { thread }
     }
 
-    /// Joins the drain: the child's non-protocol stderr and its final
-    /// snapshot, if it sent one.
+    /// Joins the drain: the worker's non-protocol stderr.
     #[must_use]
-    pub fn finish(self) -> (String, Option<TelemetrySnapshot>) {
+    pub fn finish(self) -> String {
         self.thread.join().unwrap_or_default()
     }
 }
@@ -341,7 +310,7 @@ impl StderrPump {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::snapshot::SCHEMA;
+    use crate::snapshot::TelemetrySnapshot;
 
     #[test]
     fn progress_accumulates_and_reads_back() {
@@ -365,15 +334,11 @@ mod tests {
             pieces_done: 1,
             pieces_total: 2,
         };
-        match parse_protocol_line(&progress_line(&counts)) {
-            Some(ProtocolLine::Progress(back)) => assert_eq!(back, counts),
-            other => panic!("expected progress line, got {other:?}"),
-        }
-        let snap = TelemetrySnapshot::empty();
-        match parse_protocol_line(&telemetry_line(&snap)) {
-            Some(ProtocolLine::Telemetry(back)) => assert_eq!(back.schema, SCHEMA),
-            other => panic!("expected telemetry line, got {other:?}"),
-        }
+        assert_eq!(parse_protocol_line(&progress_line(&counts)), Some(counts));
+        // Snapshots travel in the fabric's `Finished` frame, not on
+        // stderr, so a `@telemetry` line is an ordinary diagnostic.
+        let snapshot = serde_json::to_string(&TelemetrySnapshot::empty()).unwrap();
+        assert!(parse_protocol_line(&format!("@telemetry {snapshot}")).is_none());
         assert!(parse_protocol_line("plain diagnostic output").is_none());
         assert!(parse_protocol_line("@progress not-json").is_none());
     }
@@ -426,17 +391,19 @@ mod tests {
             pieces_done: 1,
             pieces_total: 2,
         };
+        let telemetry = format!(
+            "@telemetry {}",
+            serde_json::to_string(&TelemetrySnapshot::empty()).unwrap()
+        );
         let mut child_stderr = String::new();
         child_stderr.push_str("warming up\n");
         child_stderr.push_str(&progress_line(&counts));
         child_stderr.push('\n');
-        child_stderr.push_str(&telemetry_line(&TelemetrySnapshot::empty()));
+        child_stderr.push_str(&telemetry);
         child_stderr.push('\n');
         child_stderr.push_str("done\n");
         let pump = StderrPump::pump(std::io::Cursor::new(child_stderr.into_bytes()), &hub, 0);
-        let (diagnostics, snapshot) = pump.finish();
-        assert_eq!(diagnostics, "warming up\ndone\n");
-        assert_eq!(snapshot, Some(TelemetrySnapshot::empty()));
+        assert_eq!(pump.finish(), format!("warming up\n{telemetry}\ndone\n"));
         assert_eq!(hub.total().scenarios_done, 4);
     }
 

@@ -28,8 +28,8 @@ pub const QUARANTINE: &str =
     "wall-clock quarantine: fields here vary run to run and are excluded from byte-identity checks";
 
 /// A point-in-time fold of a [`Metrics`](crate::Metrics) sink — the
-/// sidecar document, and the unit the spawn driver merges across
-/// shard children.
+/// sidecar document, and the unit the fabric coordinator merges across
+/// workers.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct TelemetrySnapshot {
     /// Schema identifier ([`SCHEMA`]).
@@ -80,7 +80,7 @@ impl TelemetrySnapshot {
 
     /// Folds two snapshots: counter sections sum key-wise, histograms
     /// sum bucket-wise, wall time adds. Associative and commutative
-    /// (property-tested), so spawned shards merge in any order —
+    /// (property-tested), so workers' snapshots merge in any order —
     /// `merge` with [`TelemetrySnapshot::empty`] is the identity.
     #[must_use]
     pub fn merge(&self, other: &TelemetrySnapshot) -> TelemetrySnapshot {

@@ -1,6 +1,6 @@
 //! Property tests for [`TelemetrySnapshot::merge`]: the counter
 //! sections must fold associatively and commutatively (like
-//! `GroupStats::merge`), or the spawn driver's shard-order-independent
+//! `GroupStats::merge`), or the fabric driver's worker-order-independent
 //! sidecar guarantee is a lie.
 
 use proptest::collection::vec;

@@ -1,5 +1,5 @@
 //! Serialization round-trips: graphs (fixtures for experiments) and the
-//! experiment row types (recorded in EXPERIMENTS.md / CSV output).
+//! experiment row types (JSON / CSV output).
 
 use rendezvous_graph::{generators, PortLabeledGraph};
 
@@ -50,17 +50,19 @@ fn experiment_rows_serialize_for_csv_and_json_export() {
     assert_eq!(serde_json::to_string(&m).unwrap(), r#"{"time":3,"cost":4}"#);
 }
 
-/// A shard ledger — a stream of tagged [`LedgerRecord`] enum values
-/// (struct variants, the derive support added for the unified ledger) —
-/// must round-trip **byte-identically** through the vendored serde,
-/// k-agent fleet witnesses, per-family topology groups and per-scenario
-/// ratio bounds included: the property every multi-process sweep of
-/// x1–x11 stands on.
+/// Fabric checkpoint records — each a sweep's kind-tagged
+/// [`WorkloadMeta`](rendezvous_runner::WorkloadMeta) fingerprint next to
+/// a range's fold — must round-trip **byte-identically** through the
+/// vendored serde, k-agent fleet witnesses, per-family topology groups
+/// and per-scenario ratio bounds included: the property every
+/// multi-process sweep of x1–x11 stands on.
 #[test]
-fn shard_ledgers_round_trip_tagged_records_byte_identically() {
-    use rendezvous_bench::sharding::{LedgerRecord, ShardEmission};
+fn checkpoint_records_round_trip_kind_tagged_payloads_byte_identically() {
+    use rendezvous_fabric::CheckpointRecord;
     use rendezvous_graph::{GraphSpec, NodeId, RingSpec};
-    use rendezvous_runner::{Bounds, Placement, Scenario, ScenarioOutcome, SweepReport};
+    use rendezvous_runner::{
+        Bounds, Placement, Scenario, ScenarioOutcome, SweepReport, WorkloadKind, WorkloadMeta,
+    };
 
     let fleet = Scenario::fleet(
         (0..4)
@@ -100,36 +102,45 @@ fn shard_ledgers_round_trip_tagged_records_byte_identically() {
         ),
         Some(Bounds { time: 60, cost: 18 }),
     );
-    let emission = ShardEmission {
-        shard: 1,
-        of: 3,
-        records: vec![
-            LedgerRecord::Grid {
+    let records = vec![
+        CheckpointRecord {
+            sweep: 0,
+            lo: 0,
+            hi: 12,
+            meta: WorkloadMeta {
+                kind: WorkloadKind::Grid,
                 digest: 0xabad_cafe,
                 full_size: 40,
                 size: 12,
-                report: fleet_report,
             },
-            LedgerRecord::Topo {
+            report: fleet_report,
+        },
+        CheckpointRecord {
+            sweep: 1,
+            lo: 16,
+            hi: 32,
+            meta: WorkloadMeta {
+                kind: WorkloadKind::Topo,
                 digest: 0x0def_aced,
                 full_size: 96,
                 size: 48,
-                report: topo_report,
             },
-        ],
-    };
-    let json = serde_json::to_string_pretty(&emission).unwrap();
-    let back: ShardEmission = serde_json::from_str(&json).unwrap();
+            report: topo_report,
+        },
+    ];
+    let json = serde_json::to_string_pretty(&records).unwrap();
+    let back: Vec<CheckpointRecord> = serde_json::from_str(&json).unwrap();
     assert_eq!(serde_json::to_string_pretty(&back).unwrap(), json);
-    // The externally tagged encoding is visible in the text…
+    // The kind tag is visible in the text…
     assert!(json.contains("\"Grid\"") && json.contains("\"Topo\""));
+    assert_eq!(back[1].meta.kind, WorkloadKind::Topo);
     // …and the payloads come back intact.
-    let stats = back.records[0].report().solo();
+    let stats = back[0].report.solo();
     let witness = stats.worst_ratio.as_ref().unwrap();
     assert_eq!(witness.scenario.k(), 4);
     assert_eq!(witness.time_bound, Some(900));
     assert_eq!(stats.merges, 3);
-    let ring = back.records[1].report().group("ring").unwrap().clone();
+    let ring = back[1].report.group("ring").unwrap().clone();
     let witness = ring.worst_time.as_ref().unwrap();
     assert_eq!(
         witness.spec.as_ref().unwrap().build().unwrap().node_count(),
