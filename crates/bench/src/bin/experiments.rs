@@ -77,6 +77,11 @@
 //! canonical workload fingerprint, piece count (the fabric's chunking
 //! input) — with no scenario executed.
 //!
+//! `--plan`, `--fabric` and the internal `--fabric-worker` each select
+//! the process's execution mode (`session::Mode`), so at most one of
+//! them may be given; the mode, the engine and the store make up the
+//! one session every sweep of the process dispatches on.
+//!
 //! # Result store
 //!
 //! `--store DIR` puts a content-addressed read-through cache in front
@@ -91,9 +96,11 @@
 //! `experiments serve --store DIR` turns the store into a query
 //! service: length-framed JSON queries over a loopback socket (the
 //! fabric's wire discipline), answered cached-or-computed, with typed
-//! refusals for schema/fingerprint drift. `experiments query` is the
-//! client; `query --direct` computes the same answer locally, and CI
-//! byte-diffs the two.
+//! refusals for schema/fingerprint drift and malformed queries.
+//! `experiments query` is the client; `query --direct` answers locally
+//! through the service's own validation and compute path, so its
+//! reports and refusals match a served reply, and CI byte-diffs the
+//! two.
 //!
 //! # Topology sweeps
 //!
@@ -107,16 +114,22 @@
 //! a `TopoGrid` is just another `Workload`, so its per-family reports
 //! are leased, merged and replayed like every grid sweep.
 
+use rendezvous_bench::engine::Engine;
+use rendezvous_bench::fabric::{Replay, Worker};
+use rendezvous_bench::session::{self, Mode, Session};
 use rendezvous_bench::*;
 use rendezvous_runner::Runner;
-use rendezvous_telemetry::{ProgressHub, ProgressReporter, StderrPump, TelemetrySnapshot};
+use rendezvous_store::Store;
+use rendezvous_telemetry::{Metrics, ProgressHub, ProgressReporter, StderrPump, TelemetrySnapshot};
+use std::path::Path;
 use std::sync::Arc;
 
 struct Config {
     quick: bool,
     json: bool,
-    /// Suppress the ordinary output: a fabric worker's rows are partial,
-    /// and a `--plan` run prints only its plan lines.
+    /// Suppress the ordinary output: the session's mode holds partial
+    /// reports (a fabric worker's own ranges, a `--plan` run's empty
+    /// ones).
     suppress_output: bool,
     runner: Runner,
 }
@@ -154,6 +167,75 @@ fn usage_error(msg: &str) -> ! {
     std::process::exit(2);
 }
 
+/// The value following `flag`, or a usage error saying what it needs.
+fn value(args: &mut impl Iterator<Item = String>, flag: &str, what: &str) -> String {
+    args.next()
+        .unwrap_or_else(|| usage_error(&format!("{flag} requires {what}")))
+}
+
+/// [`value`] parsed as a number.
+fn number<T: std::str::FromStr>(
+    args: &mut impl Iterator<Item = String>,
+    flag: &str,
+    what: &str,
+) -> T {
+    value(args, flag, what)
+        .parse()
+        .unwrap_or_else(|_| usage_error(&format!("{flag} requires {what}")))
+}
+
+/// The flags the three command lines (experiments, `serve`, `query`)
+/// share; each is parsed here and nowhere else.
+#[derive(Default)]
+struct Shared {
+    engine: Engine,
+    store: Option<String>,
+    addr_file: Option<String>,
+    sequential: bool,
+}
+
+impl Shared {
+    /// Parses `flag` (taking its value from `args`) when it is a shared
+    /// flag; `false` for any other.
+    fn parse(&mut self, flag: &str, args: &mut impl Iterator<Item = String>) -> bool {
+        match flag {
+            "--engine" => {
+                let name = value(args, flag, "stepped or batched");
+                self.engine = Engine::parse(&name).unwrap_or_else(|| {
+                    usage_error(&format!(
+                        "--engine expects stepped or batched, got `{name}`"
+                    ))
+                });
+            }
+            "--store" => self.store = Some(value(args, flag, "a directory")),
+            "--addr-file" => self.addr_file = Some(value(args, flag, "a file path")),
+            "--sequential" => self.sequential = true,
+            _ => return false,
+        }
+        true
+    }
+
+    /// One thread under `--sequential`, every hardware thread otherwise.
+    fn runner(&self) -> Runner {
+        if self.sequential {
+            Runner::sequential()
+        } else {
+            Runner::parallel()
+        }
+    }
+
+    /// The session these flags ask for, in `mode`, its store opened.
+    fn session(&self, mode: Mode) -> Session {
+        let store = self.store.as_deref().map(|dir| {
+            Store::open(Path::new(dir)).unwrap_or_else(|e| {
+                eprintln!("cannot open the result store: {e}");
+                std::process::exit(1);
+            })
+        });
+        Session::new(self.engine, store, mode)
+    }
+}
+
 /// Runs the selection on the distributed fabric: starts the loopback
 /// coordinator, re-execs this binary `workers` times in
 /// `--fabric-worker` mode, waits for every worker process, and returns
@@ -174,7 +256,7 @@ fn run_fabric(
 ) -> rendezvous_fabric::FabricOutcome {
     use rendezvous_fabric as fab;
     let resume = match checkpoint {
-        Some(path) => fab::checkpoint::load(std::path::Path::new(path)).unwrap_or_else(|e| {
+        Some(path) => fab::checkpoint::load(Path::new(path)).unwrap_or_else(|e| {
             eprintln!("cannot resume fabric run: {e}");
             std::process::exit(1);
         }),
@@ -266,52 +348,20 @@ fn write_sidecar(path: &str, snapshot: &TelemetrySnapshot) {
 
 /// `experiments serve`: run the sweep query service until a client
 /// sends `Shutdown`.
-fn run_serve(args: &[String]) {
-    let mut store_dir: Option<String> = None;
-    let mut addr_file: Option<String> = None;
-    let mut sequential = false;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
-        match arg.as_str() {
-            "--store" => {
-                store_dir = Some(
-                    iter.next()
-                        .cloned()
-                        .unwrap_or_else(|| usage_error("--store requires a directory")),
-                );
-            }
-            "--addr-file" => {
-                addr_file = Some(
-                    iter.next()
-                        .cloned()
-                        .unwrap_or_else(|| usage_error("--addr-file requires a file path")),
-                );
-            }
-            "--engine" => {
-                let name = iter
-                    .next()
-                    .unwrap_or_else(|| usage_error("--engine requires stepped or batched"));
-                match engine::Engine::parse(name) {
-                    Some(choice) => engine::set_engine(choice),
-                    None => usage_error(&format!(
-                        "--engine expects stepped or batched, got `{name}`"
-                    )),
-                }
-            }
-            "--sequential" => sequential = true,
-            other => usage_error(&format!("unknown serve flag: {other}")),
+fn run_serve(mut args: impl Iterator<Item = String>) {
+    let mut shared = Shared::default();
+    while let Some(arg) = args.next() {
+        if !shared.parse(&arg, &mut args) {
+            usage_error(&format!("unknown serve flag: {arg}"));
         }
     }
-    let dir = store_dir.unwrap_or_else(|| usage_error("serve requires --store DIR"));
-    let runner = if sequential {
-        Runner::sequential()
-    } else {
-        Runner::parallel()
-    };
+    if shared.store.is_none() {
+        usage_error("serve requires --store DIR");
+    }
     let result = serve::serve(
-        std::path::Path::new(&dir),
-        addr_file.as_deref().map(std::path::Path::new),
-        &runner,
+        shared.session(Mode::Direct),
+        shared.addr_file.as_deref().map(Path::new),
+        &shared.runner(),
     );
     if let Err(e) = result {
         eprintln!("serve failed: {e}");
@@ -357,10 +407,10 @@ fn render_reply(reply: serve::Reply) {
 }
 
 /// `experiments query`: the service client (and, with `--direct`, the
-/// reference local computation CI diffs a served answer against).
-fn run_query(args: &[String]) {
+/// reference local answer CI diffs a served one against).
+fn run_query(mut args: impl Iterator<Item = String>) {
+    let mut shared = Shared::default();
     let mut addr: Option<String> = None;
-    let mut addr_file: Option<String> = None;
     let mut token: Option<String> = None;
     let mut grid_algo: Option<String> = None;
     let mut spec_json: Option<String> = None;
@@ -368,79 +418,19 @@ fn run_query(args: &[String]) {
     let mut cap: Option<usize> = None;
     let mut shutdown = false;
     let mut direct = false;
-    let mut store_dir: Option<String> = None;
-    let mut sequential = false;
-    let mut iter = args.iter();
-    while let Some(arg) = iter.next() {
+    while let Some(arg) = args.next() {
+        if shared.parse(&arg, &mut args) {
+            continue;
+        }
         match arg.as_str() {
-            "--addr" => {
-                addr = Some(
-                    iter.next()
-                        .cloned()
-                        .unwrap_or_else(|| usage_error("--addr requires host:port")),
-                );
-            }
-            "--addr-file" => {
-                addr_file = Some(
-                    iter.next()
-                        .cloned()
-                        .unwrap_or_else(|| usage_error("--addr-file requires a file path")),
-                );
-            }
-            "--token" => {
-                token = Some(
-                    iter.next()
-                        .cloned()
-                        .unwrap_or_else(|| usage_error("--token requires a store token")),
-                );
-            }
-            "--grid" => {
-                grid_algo = Some(
-                    iter.next()
-                        .cloned()
-                        .unwrap_or_else(|| usage_error("--grid requires cheap or fast")),
-                );
-            }
-            "--spec" => {
-                spec_json = Some(
-                    iter.next()
-                        .cloned()
-                        .unwrap_or_else(|| usage_error("--spec requires a GraphSpec JSON value")),
-                );
-            }
-            "--l" => {
-                l = iter.next().and_then(|s| s.parse().ok());
-                if l.is_none() {
-                    usage_error("--l requires a label-space size");
-                }
-            }
-            "--cap" => {
-                cap = iter.next().and_then(|s| s.parse().ok());
-                if cap.is_none() {
-                    usage_error("--cap requires a scenario cap");
-                }
-            }
+            "--addr" => addr = Some(value(&mut args, &arg, "host:port")),
+            "--token" => token = Some(value(&mut args, &arg, "a store token")),
+            "--grid" => grid_algo = Some(value(&mut args, &arg, "cheap or fast")),
+            "--spec" => spec_json = Some(value(&mut args, &arg, "a GraphSpec JSON value")),
+            "--l" => l = Some(number(&mut args, &arg, "a label-space size")),
+            "--cap" => cap = Some(number(&mut args, &arg, "a scenario cap")),
             "--shutdown" => shutdown = true,
             "--direct" => direct = true,
-            "--store" => {
-                store_dir = Some(
-                    iter.next()
-                        .cloned()
-                        .unwrap_or_else(|| usage_error("--store requires a directory")),
-                );
-            }
-            "--engine" => {
-                let name = iter
-                    .next()
-                    .unwrap_or_else(|| usage_error("--engine requires stepped or batched"));
-                match engine::Engine::parse(name) {
-                    Some(choice) => engine::set_engine(choice),
-                    None => usage_error(&format!(
-                        "--engine expects stepped or batched, got `{name}`"
-                    )),
-                }
-            }
-            "--sequential" => sequential = true,
             other => usage_error(&format!("unknown query flag: {other}")),
         }
     }
@@ -461,68 +451,28 @@ fn run_query(args: &[String]) {
         (None, None, true) => serve::Query::Shutdown,
         _ => usage_error("query needs exactly one of --token, --grid, or --shutdown"),
     };
-    if direct {
+    // The direct answer goes through the service's own `answer`, so it
+    // validates, computes and refuses exactly as a served one does.
+    let reply = if direct {
         if shutdown {
             usage_error("--shutdown needs a server; it cannot combine with --direct");
         }
-        let runner = if sequential {
-            Runner::sequential()
-        } else {
-            Runner::parallel()
-        };
-        match query {
-            serve::Query::Token { token } => {
-                let dir = store_dir
-                    .unwrap_or_else(|| usage_error("query --direct --token requires --store DIR"));
-                let store = rendezvous_store::Store::open(std::path::Path::new(&dir))
-                    .unwrap_or_else(|e| {
-                        eprintln!("cannot open the result store: {e}");
-                        std::process::exit(1);
-                    });
-                match store.load_token(&token) {
-                    Ok(entry) => {
-                        eprintln!("query: cached {token}");
-                        println!(
-                            "{}",
-                            serde_json::to_string_pretty(&entry.report)
-                                .expect("serializable report")
-                        );
-                    }
-                    Err(miss) => query_refused(&miss.to_string()),
-                }
-            }
-            serve::Query::Grid {
-                algorithm,
-                spec,
-                l,
-                cap,
-            } => {
-                if let Some(dir) = &store_dir {
-                    store::begin(std::path::Path::new(dir));
-                }
-                let report = x10_topologies::sweep_single_spec(&algorithm, spec, l, cap, &runner)
-                    .unwrap_or_else(|| {
-                        usage_error(&format!(
-                            "unknown algorithm `{algorithm}` (expected cheap or fast)"
-                        ))
-                    });
-                println!(
-                    "{}",
-                    serde_json::to_string_pretty(&report).expect("serializable report")
-                );
-            }
-            serve::Query::Shutdown => unreachable!("rejected above"),
+        if matches!(query, serve::Query::Token { .. }) && shared.store.is_none() {
+            usage_error("query --direct --token requires --store DIR");
         }
-        return;
-    }
-    let addr = match (addr, addr_file) {
-        (Some(addr), None) => addr,
-        (None, Some(path)) => std::fs::read_to_string(&path)
-            .map(|s| s.trim().to_string())
-            .unwrap_or_else(|e| usage_error(&format!("cannot read --addr-file {path}: {e}"))),
-        _ => usage_error("query needs exactly one of --addr or --addr-file (or --direct)"),
+        session::install(shared.session(Mode::Direct));
+        Ok(serve::answer(query, &shared.runner()))
+    } else {
+        let addr = match (addr, shared.addr_file) {
+            (Some(addr), None) => addr,
+            (None, Some(path)) => std::fs::read_to_string(&path)
+                .map(|s| s.trim().to_string())
+                .unwrap_or_else(|e| usage_error(&format!("cannot read --addr-file {path}: {e}"))),
+            _ => usage_error("query needs exactly one of --addr or --addr-file (or --direct)"),
+        };
+        serve::ask(&addr, &query)
     };
-    match serve::ask(&addr, &query) {
+    match reply {
         Ok(reply) => render_reply(reply),
         Err(e) => {
             eprintln!("query failed: {e}");
@@ -531,168 +481,140 @@ fn run_query(args: &[String]) {
     }
 }
 
+/// The command line each fabric worker re-runs (before its
+/// `--fabric-worker ADDR`): the driver's, minus the flags only the
+/// driver acts on. Everything that shapes the sweep walk — selection,
+/// `--quick`, `--engine`, `--store` — is kept, so every process walks
+/// the same sweeps and skips the same cached ones.
+fn worker_args(args: &[String]) -> Vec<String> {
+    let mut kept = Vec::new();
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        match arg.as_str() {
+            // The driver owns the sidecar (workers send their snapshots
+            // over the socket), the fleet size and the checkpoint.
+            "--telemetry" | "--fabric" | "--fabric-checkpoint" => {
+                args.next();
+            }
+            // The driver renders the progress display (handing workers
+            // the stream flag) and picks the worker to kill.
+            "--progress" | "--progress-stream" | "--fabric-kill-one" => {}
+            "--engine" | "--store" => {
+                kept.push(arg.clone());
+                kept.extend(args.next().cloned());
+            }
+            _ => kept.push(arg.clone()),
+        }
+    }
+    kept
+}
+
+/// The execution mode a command line selects, before its resources (a
+/// coordinator connection, the merged reports) exist.
+enum Run {
+    Direct,
+    Plan,
+    /// `--fabric workers=N`: drive N workers, then replay their reports.
+    Driver(usize),
+    /// The internal `--fabric-worker ADDR`.
+    Worker(String),
+}
+
+/// Claims the run's mode for `flag`: `--plan`, `--fabric` and
+/// `--fabric-worker` each select one, so no two can combine.
+fn claim(mode: &mut Option<(String, Run)>, flag: &str, run: Run) {
+    if let Some((other, _)) = mode {
+        usage_error(&format!("{flag} cannot be combined with {other}"));
+    }
+    *mode = Some((flag.to_string(), run));
+}
+
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     match args.first().map(String::as_str) {
-        Some("serve") => return run_serve(&args[1..]),
-        Some("query") => return run_query(&args[1..]),
+        Some("serve") => return run_serve(args.into_iter().skip(1)),
+        Some("query") => return run_query(args.into_iter().skip(1)),
         _ => {}
     }
+    let mut shared = Shared::default();
     let mut quick = false;
     let mut json = false;
-    let mut sequential = false;
     let mut parallel = false;
     let mut topo = false;
     let mut progress = false;
     let mut progress_stream = false;
     let mut telemetry_path: Option<String> = None;
-    let mut plan = false;
-    let mut fabric_workers: Option<usize> = None;
-    let mut fabric_worker_addr: Option<String> = None;
+    let mut mode: Option<(String, Run)> = None;
     let mut fabric_checkpoint: Option<String> = None;
     let mut fabric_kill_one = false;
     let mut fabric_self_kill = false;
-    let mut store_dir: Option<String> = None;
     let mut wanted: Vec<String> = Vec::new();
-    // What each fabric worker re-runs (with its --fabric-worker ADDR
-    // appended): the args minus the driver-only flags.
-    let mut passthrough: Vec<String> = Vec::new();
-    let mut iter = args.into_iter();
+    let mut iter = args.iter().cloned();
     while let Some(arg) = iter.next() {
-        let mut forward = true;
         match arg.as_str() {
+            // `serve`/`query` only.
+            "--addr-file" => usage_error(&format!("unknown flag: {arg}")),
+            _ if shared.parse(&arg, &mut iter) => {}
             "--quick" => quick = true,
             "--json" => json = true,
-            "--sequential" => sequential = true,
             "--parallel" => parallel = true,
             "--topo" => topo = true,
-            // Not forwarded: the fabric driver renders the aggregate
-            // display itself and hands workers the stream flag below.
-            "--progress" => {
-                progress = true;
-                forward = false;
-            }
-            // Not forwarded: each worker would clobber the driver's
-            // sidecar; workers send their snapshots over the socket.
-            "--telemetry" => {
-                telemetry_path = Some(
-                    iter.next()
-                        .unwrap_or_else(|| usage_error("--telemetry requires a file path")),
-                );
-                continue;
-            }
+            "--progress" => progress = true,
+            "--telemetry" => telemetry_path = Some(value(&mut iter, &arg, "a file path")),
             // Internal (fabric-worker) flag: emit `@progress` protocol
             // lines on stderr for the driver.
-            "--progress-stream" => {
-                progress_stream = true;
-                forward = false;
-            }
-            // Forwarded (flag and value) so fabric workers sweep through
-            // the same engine as the driver.
-            "--engine" => {
-                let name = iter
-                    .next()
-                    .unwrap_or_else(|| usage_error("--engine requires stepped or batched"));
-                match engine::Engine::parse(&name) {
-                    Some(choice) => engine::set_engine(choice),
-                    None => usage_error(&format!(
-                        "--engine expects stepped or batched, got `{name}`"
-                    )),
-                }
-                passthrough.push(arg);
-                passthrough.push(name);
-                continue;
-            }
-            // Forwarded (flag and value): every process of a run —
-            // fabric workers and the driver — must open the same store
-            // so all of them skip the same cached sweeps and their
-            // cursors stay aligned.
-            "--store" => {
-                let dir = iter
-                    .next()
-                    .unwrap_or_else(|| usage_error("--store requires a directory"));
-                store_dir = Some(dir.clone());
-                passthrough.push(arg);
-                passthrough.push(dir);
-                continue;
-            }
-            // Not forwarded: workers get --fabric-worker ADDR instead.
+            "--progress-stream" => progress_stream = true,
+            "--plan" => claim(&mut mode, &arg, Run::Plan),
             "--fabric" => {
-                let spec = iter
-                    .next()
-                    .unwrap_or_else(|| usage_error("--fabric requires workers=N"));
+                let spec = value(&mut iter, &arg, "workers=N");
                 let count = spec
                     .strip_prefix("workers=")
                     .and_then(|n| n.parse::<usize>().ok())
                     .filter(|&n| n > 0);
-                match count {
-                    Some(n) => fabric_workers = Some(n),
-                    None => usage_error(&format!(
+                let Some(n) = count else {
+                    usage_error(&format!(
                         "--fabric expects workers=N with N > 0, got `{spec}`"
-                    )),
-                }
-                continue;
+                    ))
+                };
+                claim(&mut mode, &arg, Run::Driver(n));
             }
             // Internal (fabric-worker) flag: pull leases from ADDR.
             "--fabric-worker" => {
-                fabric_worker_addr = Some(
-                    iter.next()
-                        .unwrap_or_else(|| usage_error("--fabric-worker requires an address")),
-                );
-                continue;
+                let addr = value(&mut iter, &arg, "an address");
+                claim(&mut mode, &arg, Run::Worker(addr));
             }
             // Driver-side only: the coordinator owns the checkpoint file.
             "--fabric-checkpoint" => {
-                fabric_checkpoint =
-                    Some(iter.next().unwrap_or_else(|| {
-                        usage_error("--fabric-checkpoint requires a file path")
-                    }));
-                continue;
+                fabric_checkpoint = Some(value(&mut iter, &arg, "a file path"));
             }
-            "--fabric-kill-one" => {
-                fabric_kill_one = true;
-                forward = false;
-            }
+            "--fabric-kill-one" => fabric_kill_one = true,
             // Internal chaos hook, set by the driver on worker 0 under
             // --fabric-kill-one.
-            "--fabric-self-kill" => {
-                fabric_self_kill = true;
-                forward = false;
-            }
-            "--plan" => {
-                plan = true;
-                forward = false;
-            }
+            "--fabric-self-kill" => fabric_self_kill = true,
             other if other.starts_with("--") => {
                 usage_error(&format!("unknown flag: {other}"));
             }
             id => wanted.push(id.to_string()),
         }
-        if forward {
-            passthrough.push(arg);
-        }
     }
-    if sequential && parallel {
+    let run = mode.map_or(Run::Direct, |(_, run)| run);
+    if shared.sequential && parallel {
         usage_error("--sequential and --parallel are mutually exclusive");
     }
-    // One execution mode per invocation: the fabric driver, a fabric
-    // worker, and the plan dry-run are mutually exclusive.
-    if fabric_workers.is_some() && fabric_worker_addr.is_some() {
-        usage_error("--fabric cannot be combined with the internal --fabric-worker");
+    match run {
+        Run::Driver(n) if fabric_kill_one && n < 2 => {
+            usage_error("--fabric-kill-one needs workers=2 or more to have survivors")
+        }
+        Run::Driver(_) => {}
+        _ if fabric_checkpoint.is_some() || fabric_kill_one => {
+            usage_error("--fabric-checkpoint/--fabric-kill-one require --fabric workers=N")
+        }
+        _ => {}
     }
-    if (fabric_checkpoint.is_some() || fabric_kill_one) && fabric_workers.is_none() {
-        usage_error("--fabric-checkpoint/--fabric-kill-one require --fabric workers=N");
-    }
-    if fabric_kill_one && fabric_workers.is_some_and(|n| n < 2) {
-        usage_error("--fabric-kill-one needs workers=2 or more to have survivors");
-    }
-    if fabric_self_kill && fabric_worker_addr.is_none() {
+    if fabric_self_kill && !matches!(run, Run::Worker(_)) {
         usage_error("--fabric-self-kill is internal to fabric workers");
     }
-    if plan && (fabric_workers.is_some() || fabric_worker_addr.is_some()) {
-        usage_error("--plan executes nothing and cannot combine with fabric modes");
-    }
-    if plan && telemetry_path.is_some() {
+    if matches!(run, Run::Plan) && telemetry_path.is_some() {
         usage_error("--telemetry with --plan would write a vacuously empty sidecar");
     }
     // `all` stays x1..x9: the topology sweeps (x10/x11) are the heaviest
@@ -713,73 +635,63 @@ fn main() {
     if topo && !wanted.iter().any(|w| w == "x10") {
         wanted.push("x10".into());
     }
-    // Telemetry session: installed only in processes that *execute*
-    // sweeps. The fabric driver replays its workers' merged reports, so
-    // its observability flags translate into worker stream flags
-    // instead of a local sink; a fabric worker always installs a sink —
-    // its snapshot rides the socket in its `Finished` frame.
-    let wants_local_telemetry = progress_stream
-        || fabric_worker_addr.is_some()
-        || (fabric_workers.is_none() && !plan && (progress || telemetry_path.is_some()));
-    let session = wants_local_telemetry.then(telemetry::install);
-    let mut runner = if sequential {
-        Runner::sequential()
-    } else {
-        Runner::parallel()
+    // The telemetry sink rides on the runner of every process that
+    // *executes* sweeps. The fabric driver replays its workers' merged
+    // reports, so its observability flags become worker stream flags
+    // instead of a local sink; a fabric worker always carries one — its
+    // snapshot rides the socket in its `Finished` frame.
+    let local_sink = match run {
+        Run::Worker(_) => true,
+        Run::Driver(_) | Run::Plan => progress_stream,
+        Run::Direct => progress_stream || progress || telemetry_path.is_some(),
     };
-    if let Some(metrics) = &session {
-        runner = runner.with_metrics(Arc::clone(metrics));
-    }
-    // Fabric workers and plan runs suppress ordinary emission: their
-    // rows are partial (or absent), so stdout carries only the mode's
-    // own stream (nothing for a worker, the plan lines for --plan).
-    let cfg = Config {
-        quick,
-        json,
-        suppress_output: fabric_worker_addr.is_some() || plan,
-        runner,
-    };
-
-    // The read-through result store, installed before any execution
-    // mode: the cache consultation happens per sweep inside
-    // `sweep_recorded`, upstream of the fabric worker and replay.
-    if let Some(dir) = &store_dir {
-        store::begin(std::path::Path::new(dir));
+    let mut runner = shared.runner();
+    if local_sink {
+        runner = runner.with_metrics(Arc::new(Metrics::new()));
     }
 
     // The fabric driver's merged worker snapshot (written after the
     // replayed render below, so a failed replay never leaves a sidecar).
     let mut fabric_snapshot: Option<TelemetrySnapshot> = None;
-    if let Some(m) = fabric_workers {
-        let outcome = run_fabric(
-            m,
-            &passthrough,
-            progress,
-            fabric_checkpoint.as_deref(),
-            fabric_kill_one,
-        );
-        let stats = outcome.stats;
-        if stats.reassigned > 0 || stats.duplicates > 0 || stats.resumed > 0 {
-            eprintln!(
-                "fabric: {} range(s) reassigned, {} duplicate result(s) discarded, \
-                 {} range(s) resumed from checkpoint",
-                stats.reassigned, stats.duplicates, stats.resumed
+    let mode = match run {
+        Run::Direct => Mode::Direct,
+        Run::Plan => Mode::Plan,
+        Run::Worker(addr) => Mode::Worker(Worker::join(&addr, fabric_self_kill)),
+        Run::Driver(m) => {
+            let outcome = run_fabric(
+                m,
+                &worker_args(&args),
+                progress,
+                fabric_checkpoint.as_deref(),
+                fabric_kill_one,
             );
-        }
-        if telemetry_path.is_some() {
+            let stats = outcome.stats;
+            if stats.reassigned > 0 || stats.duplicates > 0 || stats.resumed > 0 {
+                eprintln!(
+                    "fabric: {} range(s) reassigned, {} duplicate result(s) discarded, \
+                     {} range(s) resumed from checkpoint",
+                    stats.reassigned, stats.duplicates, stats.resumed
+                );
+            }
             fabric_snapshot = Some(outcome.telemetry);
+            Mode::Replay(Replay::new(
+                outcome.sweeps,
+                format!("fabric coordinator ({m} workers)"),
+            ))
         }
-        fabric::begin_replay(outcome.sweeps, format!("fabric coordinator ({m} workers)"));
-    } else if let Some(addr) = &fabric_worker_addr {
-        fabric::begin_worker(addr, fabric_self_kill);
-    } else if plan {
-        plan::enable();
-    }
+    };
+    let cfg = Config {
+        quick,
+        json,
+        suppress_output: matches!(mode, Mode::Plan | Mode::Worker(_)),
+        runner,
+    };
+    session::install(shared.session(mode));
 
-    // Live progress over the local session: `--progress-stream`
-    // (machine lines for the fabric driver) wins over `--progress`
-    // (human display) — a fabric worker never renders its own display.
-    let reporter = match &session {
+    // Live progress over the local sink: `--progress-stream` (machine
+    // lines for the fabric driver) wins over `--progress` (human
+    // display) — a fabric worker never renders its own display.
+    let reporter = match cfg.runner.metrics() {
         Some(metrics) if progress_stream => Some(ProgressReporter::stream(metrics)),
         Some(metrics) if progress => Some(ProgressReporter::human(metrics)),
         _ => None,
@@ -805,24 +717,17 @@ fn main() {
     if let Some(reporter) = reporter {
         reporter.finish();
     }
-    if fabric_workers.is_some() {
-        fabric::finish_replay();
-    }
-    // A fabric worker's last act: deliver its telemetry snapshot over
-    // the socket and half-close, letting the coordinator's handler see
-    // a clean end of conversation.
-    if fabric_worker_addr.is_some() {
-        fabric::finish_worker();
-    }
+    // Ends the mode: a driver checks that its replay consumed every
+    // merged report; a worker delivers its telemetry snapshot over the
+    // socket and half-closes, so the coordinator sees a clean end.
+    session::finish(&cfg.runner);
     // Telemetry emission, after every exact byte of output is out: the
-    // sidecar file for a local session, the merged worker sidecar for
-    // the fabric driver.
+    // merged worker sidecar for the fabric driver, the local sink's
+    // otherwise.
     if let Some(path) = &telemetry_path {
-        if let Some(metrics) = &session {
-            write_sidecar(path, &metrics.snapshot());
-        }
-        if let Some(snapshot) = &fabric_snapshot {
-            write_sidecar(path, snapshot);
+        let snapshot = fabric_snapshot.or_else(|| cfg.runner.metrics().map(|m| m.snapshot()));
+        if let Some(snapshot) = snapshot {
+            write_sidecar(path, &snapshot);
         }
     }
 }

@@ -1,15 +1,12 @@
 //! Shared plumbing for the experiments: standard setups, adversarial
-//! sweeps through the shared [`rendezvous_runner`] engine, and table
-//! rendering.
+//! sweeps through the shared [`rendezvous_runner`] engine (each one
+//! dispatched by the process's [`Session`](crate::session::Session)),
+//! and table rendering.
 
 use rendezvous_core::RendezvousAlgorithm;
 use rendezvous_explore::{Explorer, OrientedRingExplorer};
 use rendezvous_graph::{generators, PortLabeledGraph};
-use rendezvous_runner::{
-    AlgorithmExecutor, BatchExecutor, Bounded, Bounds, Grid, GroupStats, PieceExecutor, Runner,
-    SweepReport, Workload, WorkloadMeta,
-};
-use rendezvous_telemetry::Scope;
+use rendezvous_runner::{Bounds, Grid, GroupStats, PieceExecutor, Runner, SweepReport, Workload};
 use serde::Serialize;
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -52,12 +49,11 @@ pub fn adversarial_grid(
 /// Sweeps any [`Workload`] through a [`PieceExecutor`] — the **single**
 /// workload→report path of the experiments binary: the pair grids of
 /// X1–X8 ([`sweep_worst`]), the gathering fleet grids of X9, and the
-/// topology sweeps of X10/X11 all run through it. In order, it honors
-/// the `--plan` dry run (describe, don't execute, via [`crate::plan`]),
-/// the result store ([`crate::store`]), a fabric worker's lease-ranged
-/// execution and a fabric driver's replay of merged reports (both in
-/// [`crate::fabric`]), and otherwise sweeps the whole workload —
-/// transparently to callers.
+/// topology sweeps of X10/X11 all run through it. The installed
+/// [`Session`](crate::session::Session) decides, transparently to
+/// callers, whether the sweep is served by the result store, described
+/// (`--plan`), leased from a fabric coordinator, replayed from its
+/// merged reports, or executed here.
 ///
 /// # Panics
 ///
@@ -75,95 +71,14 @@ where
     W: Workload + ?Sized,
     E: PieceExecutor + ?Sized,
 {
-    sweep_recorded_cached(context, &workload.meta(), workload, executor, runner).0
-}
-
-/// [`sweep_recorded`] given the workload's `meta` (a caller that also
-/// needs it computes it once), also saying whether the result store
-/// served the report (`true`) instead of this call computing it — one
-/// store lookup answers both.
-pub(crate) fn sweep_recorded_cached<W, E>(
-    context: &str,
-    meta: &WorkloadMeta,
-    workload: &W,
-    executor: &E,
-    runner: &Runner,
-) -> (SweepReport, bool)
-where
-    W: Workload + ?Sized,
-    E: PieceExecutor + ?Sized,
-{
-    // `--plan` dry run: describe the sweep, execute nothing. The empty
-    // report is safe downstream for the same reason a fabric worker's
-    // partial folds are — every experiment tolerates partial stats, and
-    // emission is suppressed in plan mode.
-    if crate::plan::active() {
-        crate::plan::note(context, meta, workload.piece_count(0, workload.size()));
-        return (SweepReport::default(), false);
-    }
-    // Result store: a cached full report stands in for the whole sweep
-    // — zero scenarios execute, no sweep is counted, and the fabric
-    // (worker or replay) is simply never consulted. Every process of a
-    // run derives the same key from the same store, so driver and
-    // workers all skip the same sweeps and their cursors stay aligned.
-    if let Some(report) = crate::store::lookup(context, meta) {
-        return (report, true);
-    }
-    (
-        sweep_uncached(context, *meta, workload, executor, runner),
-        false,
-    )
-}
-
-/// The execution half of [`sweep_recorded`], after a store miss.
-fn sweep_uncached<W, E>(
-    context: &str,
-    meta: WorkloadMeta,
-    workload: &W,
-    executor: &E,
-    runner: &Runner,
-) -> SweepReport
-where
-    W: Workload + ?Sized,
-    E: PieceExecutor + ?Sized,
-{
-    // Sweeps *executed* here; a replayed report stands in for
-    // execution, so it deliberately counts nothing.
-    let count_sweep = || {
-        if let Some(metrics) = crate::telemetry::current() {
-            metrics.counter(Scope::Process, "sweeps").inc();
-        }
-    };
-    // Fabric worker: pull lease ranges from the coordinator instead of
-    // sweeping `[0, size())`. The returned report is this worker's own
-    // partial merge (possibly empty on a checkpoint resume), so the
-    // whole-sweep non-emptiness check does not apply — and, being
-    // partial, it must never reach the store.
-    if let Some(report) = crate::fabric::sweep_via_fabric(context, workload, executor, runner) {
-        count_sweep();
-        return report;
-    }
-    let report = crate::fabric::replayed(&meta).unwrap_or_else(|| {
-        count_sweep();
-        runner
-            .sweep(workload, executor)
-            .unwrap_or_else(|e| panic!("adversarial sweep failed for {context}: {e}"))
-    });
-    assert!(
-        report.executed() > 0,
-        "empty adversarial sweep for {context} — misconfigured workload \
-         (no label pairs, no delays, or a graph without distinct start pairs)"
-    );
-    // The two full-report paths (direct execution and the fabric
-    // driver's replay of its workers' merged reports) populate the
-    // cache for the next run.
-    crate::store::record(context, &meta, &report);
-    report
+    crate::session::current()
+        .sweep(context, &workload.meta(), workload, executor, runner)
+        .0
 }
 
 /// Sweeps the standard adversarial grid through the shared [`Runner`] and
 /// returns the full aggregate statistics, checked against the algorithm's
-/// paper bounds. Plan, store and fabric sessions are honored via
+/// paper bounds. The session's mode and store are honored via
 /// [`sweep_recorded`].
 ///
 /// # Panics
@@ -186,31 +101,8 @@ pub fn sweep_worst(
     });
     // Both engines fold byte-identical reports (CI diffs them on every
     // push); the batched default collapses the delay axis per start pair.
-    // An installed telemetry session observes either engine's executor —
-    // plan-cache hit rates and batch classification — without entering
-    // the fold (CI also diffs telemetry-on against telemetry-off).
-    let session = crate::telemetry::current();
-    let report = match crate::engine::current() {
-        crate::engine::Engine::Stepped => {
-            let mut executor = AlgorithmExecutor::new(algorithm);
-            if let Some(metrics) = &session {
-                executor = executor.with_metrics(metrics);
-            }
-            sweep_recorded(
-                algorithm.name(),
-                &grid,
-                &Bounded::new(&executor, bounds),
-                runner,
-            )
-        }
-        crate::engine::Engine::Batched => {
-            let mut executor = BatchExecutor::new(algorithm).with_bounds(bounds);
-            if let Some(metrics) = &session {
-                executor = executor.with_metrics(metrics);
-            }
-            sweep_recorded(algorithm.name(), &grid, &executor, runner)
-        }
-    };
+    let executor = crate::engine::current().executor(algorithm, bounds, runner);
+    let report = sweep_recorded(algorithm.name(), &grid, &executor, runner);
     check_failures(algorithm, report.solo())
 }
 

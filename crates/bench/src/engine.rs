@@ -1,17 +1,21 @@
-//! Process-wide sweep-engine selection: the delay-batched trajectory
-//! solver (the default) or the stepped simulator (the oracle).
+//! Sweep-engine selection: the delay-batched trajectory solver (the
+//! default) or the stepped simulator (the oracle).
 //!
 //! Both engines produce byte-identical experiment outputs (that is
 //! CI-enforced for every experiment); the choice is purely a throughput
-//! knob, surfaced as `experiments --engine {batched,stepped}`. Like the
-//! fabric session ([`crate::fabric`]), the selection is a
-//! process-global set once by the CLI before any sweep runs — experiment
-//! code just asks [`current`] at its executor switch points
-//! ([`crate::common::sweep_worst`] and the `x10` per-piece executor).
+//! knob, surfaced as `experiments --engine {batched,stepped}`. The
+//! selection is a field of the process's [`Session`](crate::session::Session);
+//! experiment code asks [`current`] and builds its executor with
+//! `Engine::executor` ([`crate::common::sweep_worst`] and the `x10`
+//! topology executor), the one place the two engines differ.
 //! The engine name is part of every result-store key, so a store written
 //! under one engine misses (and recomputes) under the other.
 
-use std::sync::atomic::{AtomicU8, Ordering};
+use rendezvous_core::RendezvousAlgorithm;
+use rendezvous_runner::{
+    AlgorithmExecutor, BatchExecutor, Bounds, PieceExecutor, Runner, RunnerError, ScenarioOutcome,
+    WorkPiece,
+};
 
 /// Which executor pair sweeps run through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -45,23 +49,65 @@ impl Engine {
             Engine::Batched => "batched",
         }
     }
+
+    /// `algorithm`'s piece executor on this engine, judging outcomes
+    /// against `bounds`. The runner's telemetry sink, if any, observes
+    /// it — plan-cache hit rates and batch classification — without
+    /// entering the fold.
+    pub(crate) fn executor<'a>(
+        self,
+        algorithm: &'a dyn RendezvousAlgorithm,
+        bounds: Option<Bounds>,
+        runner: &Runner,
+    ) -> EngineExecutor<'a> {
+        let metrics = runner.metrics();
+        match self {
+            Engine::Stepped => {
+                let mut executor = AlgorithmExecutor::new(algorithm);
+                if let Some(metrics) = metrics {
+                    executor = executor.with_metrics(metrics);
+                }
+                EngineExecutor::Stepped(executor, bounds)
+            }
+            Engine::Batched => {
+                let mut executor = BatchExecutor::new(algorithm).with_bounds(bounds);
+                if let Some(metrics) = metrics {
+                    executor = executor.with_metrics(metrics);
+                }
+                EngineExecutor::Batched(executor)
+            }
+        }
+    }
 }
 
-static ENGINE: AtomicU8 = AtomicU8::new(Engine::Batched as u8);
-
-/// Selects the engine for every subsequent sweep in this process.
-pub fn set_engine(engine: Engine) {
-    ENGINE.store(engine as u8, Ordering::Relaxed);
+/// One algorithm's executor on one [`Engine`].
+pub(crate) enum EngineExecutor<'a> {
+    /// Per-scenario stepped runs, judged against the bounds.
+    Stepped(AlgorithmExecutor<'a>, Option<Bounds>),
+    /// Delay-batched solving (bounds inside).
+    Batched(BatchExecutor<'a>),
 }
 
-/// The currently selected engine (default [`Engine::Batched`]).
+impl PieceExecutor for EngineExecutor<'_> {
+    fn run_piece(
+        &self,
+        runner: &Runner,
+        piece: &WorkPiece<'_>,
+    ) -> Result<(Vec<ScenarioOutcome>, Option<Bounds>), RunnerError> {
+        match self {
+            EngineExecutor::Stepped(executor, bounds) => runner
+                .outcomes(executor, &piece.scenarios)
+                .map(|outcomes| (outcomes, *bounds)),
+            EngineExecutor::Batched(executor) => executor.run_piece(runner, piece),
+        }
+    }
+}
+
+/// The installed session's engine ([`Engine::Batched`] when no session
+/// is installed).
 #[must_use]
 pub fn current() -> Engine {
-    if ENGINE.load(Ordering::Relaxed) == Engine::Stepped as u8 {
-        Engine::Stepped
-    } else {
-        Engine::Batched
-    }
+    crate::session::current().engine
 }
 
 #[cfg(test)]
@@ -75,8 +121,8 @@ mod tests {
         assert_eq!(Engine::parse("turbo"), None);
         assert_eq!(Engine::Stepped.name(), "stepped");
         assert_eq!(Engine::Batched.name(), "batched");
-        // Default selection is the batched engine. (Other tests never
-        // touch the global, so this is race-free.)
+        // Default selection is the batched engine. (No unit test
+        // installs a session, so this is race-free.)
         assert_eq!(current(), Engine::Batched);
         assert_eq!(Engine::default(), Engine::Batched);
     }

@@ -28,10 +28,9 @@
 pub mod common;
 pub mod engine;
 pub mod fabric;
-pub mod plan;
 pub mod serve;
+pub mod session;
 pub mod store;
-pub mod telemetry;
 pub mod x10_topologies;
 pub mod x11_gathering_topo;
 pub mod x1_cheap;

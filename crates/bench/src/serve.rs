@@ -12,17 +12,19 @@
 //! store's read path treats every inconsistency as a miss, and the
 //! token path surfaces the miss kind verbatim.
 //!
-//! Byte-identity discipline: the compute path is the one behind
-//! [`sweep_single_spec`](crate::x10_topologies::sweep_single_spec) —
-//! the exact path `experiments query --direct` runs locally — so a
-//! served report and a direct run print identical bytes (CI diffs
-//! them on every push).
+//! Byte-identity discipline: `experiments query --direct` answers
+//! through the same [`answer`] in its own process — same validation,
+//! same compute path as
+//! [`sweep_single_spec`](crate::x10_topologies::sweep_single_spec) — so
+//! a served reply and a direct one print identical bytes, refusals
+//! included (CI diffs them on every push).
 
+use crate::session::Session;
 use crate::x10_topologies::answer_spec_query;
 use rendezvous_fabric::wire::{read_json_frame, write_json_frame};
 use rendezvous_graph::GraphSpec;
 use rendezvous_runner::{Runner, SweepReport};
-use rendezvous_store::{Miss, Store, SCHEMA_VERSION};
+use rendezvous_store::{Miss, SCHEMA_VERSION};
 use serde::{Deserialize, Serialize};
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
@@ -98,21 +100,20 @@ pub enum Reply {
     Bye,
 }
 
-/// Runs the sweep service until a [`Query::Shutdown`] arrives: opens
-/// the store at `dir` (installing the process store session so the
-/// compute path reads through and writes back), binds a loopback
-/// socket, publishes its address to `addr_file` (atomically, for
-/// pollers), and answers queries one connection at a time.
+/// Runs the sweep service until a [`Query::Shutdown`] arrives: installs
+/// `session` (whose store the compute path reads through and writes
+/// back to, and the token path reads), binds a loopback socket,
+/// publishes its address to `addr_file` (atomically, for pollers), and
+/// answers queries one connection at a time.
 ///
 /// # Errors
 ///
-/// Returns a message when the store, the socket, or the address file
-/// cannot be set up, or when `accept` itself fails; a *per-connection*
-/// failure (malformed frame, peer gone) is logged to stderr and the
-/// server keeps serving.
-pub fn serve(dir: &Path, addr_file: Option<&Path>, runner: &Runner) -> Result<(), String> {
-    crate::store::begin(dir);
-    let store = Store::open(dir).map_err(|e| format!("cannot open the result store: {e}"))?;
+/// Returns a message when the socket or the address file cannot be set
+/// up, or when `accept` itself fails; a *per-connection* failure
+/// (malformed frame, peer gone) is logged to stderr and the server
+/// keeps serving.
+pub fn serve(session: Session, addr_file: Option<&Path>, runner: &Runner) -> Result<(), String> {
+    crate::session::install(session);
     let listener =
         TcpListener::bind("127.0.0.1:0").map_err(|e| format!("cannot bind loopback: {e}"))?;
     let addr = listener
@@ -127,7 +128,7 @@ pub fn serve(dir: &Path, addr_file: Option<&Path>, runner: &Runner) -> Result<()
         let (stream, peer) = listener
             .accept()
             .map_err(|e| format!("accept failed: {e}"))?;
-        match converse(&store, stream, runner) {
+        match converse(stream, runner) {
             Ok(true) => return Ok(()),
             Ok(false) => {}
             Err(e) => eprintln!("serve: connection from {peer} failed: {e}"),
@@ -147,7 +148,7 @@ fn publish_addr(path: &Path, addr: &str) -> Result<(), String> {
 /// Answers every query on one connection. `Ok(true)` means a
 /// `Shutdown` was served and the whole server should exit; `Ok(false)`
 /// is the client closing cleanly.
-fn converse(store: &Store, mut stream: TcpStream, runner: &Runner) -> Result<bool, String> {
+fn converse(mut stream: TcpStream, runner: &Runner) -> Result<bool, String> {
     loop {
         let query: Option<Query> =
             read_json_frame(&mut stream, "a query").map_err(|e| e.to_string())?;
@@ -155,7 +156,7 @@ fn converse(store: &Store, mut stream: TcpStream, runner: &Runner) -> Result<boo
             return Ok(false);
         };
         let shutdown = matches!(query, Query::Shutdown);
-        let reply = answer(store, query, runner);
+        let reply = answer(query, runner);
         write_json_frame(&mut stream, &reply, "a reply").map_err(|e| e.to_string())?;
         if shutdown {
             return Ok(true);
@@ -163,17 +164,28 @@ fn converse(store: &Store, mut stream: TcpStream, runner: &Runner) -> Result<boo
     }
 }
 
-fn answer(store: &Store, query: Query, runner: &Runner) -> Reply {
+/// Answers one query against the installed session's store: the
+/// server's reply, and `query --direct`'s in its own process.
+#[must_use]
+pub fn answer(query: Query, runner: &Runner) -> Reply {
     match query {
         Query::Shutdown => Reply::Bye,
-        Query::Token { token } => match store.load_token(&token) {
-            Ok(entry) => Reply::Report {
-                cached: true,
-                token,
-                report: entry.report,
-            },
-            Err(miss) => refuse(miss),
-        },
+        Query::Token { token } => {
+            let session = crate::session::current();
+            let Some(store) = &session.store else {
+                return Reply::NotCached {
+                    reason: "no result store to read".into(),
+                };
+            };
+            match store.load_token(&token) {
+                Ok(entry) => Reply::Report {
+                    cached: true,
+                    token,
+                    report: entry.report,
+                },
+                Err(miss) => refuse(miss),
+            }
+        }
         Query::Grid {
             algorithm,
             spec,
@@ -199,28 +211,11 @@ fn refuse(miss: Miss) -> Reply {
     }
 }
 
-/// The cached-or-computed path: validates the query (the compute
-/// helpers panic on degenerate grids, so refusal happens here), then
-/// builds its grid once and sweeps it through the same recorded path a
-/// direct run uses ([`answer_spec_query`]) — which serves from / records
-/// into the store session. That one store lookup is also the reply's
-/// `cached` flag.
+/// The cached-or-computed path ([`answer_spec_query`]): validates the
+/// query, builds its grid once and sweeps it through the recorded path,
+/// which serves from / records into the session's store. That one store
+/// lookup is also the reply's `cached` flag.
 fn grid_reply(algorithm: &str, spec: GraphSpec, l: u64, cap: usize, runner: &Runner) -> Reply {
-    if crate::x10_topologies::serve_context(algorithm).is_none() {
-        return Reply::BadQuery {
-            reason: format!("unknown algorithm `{algorithm}` (expected cheap or fast)"),
-        };
-    }
-    if l < 2 {
-        return Reply::BadQuery {
-            reason: format!("l must be >= 2, got {l}"),
-        };
-    }
-    if cap == 0 {
-        return Reply::BadQuery {
-            reason: "cap must be >= 1".into(),
-        };
-    }
     match answer_spec_query(algorithm, spec, l, cap, runner) {
         Ok((report, cached, key)) => Reply::Report {
             cached,

@@ -11,21 +11,25 @@
 //! `E`. Per-family worst cases (time, cost, and time/bound ratio) come
 //! back with replayable `(spec, scenario)` witnesses.
 //!
-//! The sweep splits across processes exactly like the scenario sweeps —
-//! a [`TopoGrid`] is just another [`Workload`](rendezvous_runner::Workload):
+//! Every sweep here goes through the session's recorded-sweep path like
+//! the scenario sweeps — a [`TopoGrid`] is just another [`Workload`]:
 //! `experiments x10 --fabric workers=N` leases its ranges to worker
 //! processes and replays the merged [`SweepReport`]s, byte-identical to
-//! a direct run (CI-checked).
+//! a direct run (CI-checked), and the sweep service answers
+//! single-topology queries through the same path. The engine is fixed
+//! when an executor is built and the telemetry sink comes from the
+//! [`Runner`] each piece is handed.
 
 use crate::common::{markdown_table, standard_delays, standard_label_pairs};
+use crate::engine::Engine;
 use rendezvous_core::{Cheap, Fast, LabelSpace, RendezvousAlgorithm};
 use rendezvous_explore::{spec_explorer, Explorer};
 use rendezvous_graph::{
     ErdosRenyiSpec, GraphSpec, PortLabeledGraph, RegularSpec, RingSpec, SeededSpec, TorusSpec,
 };
 use rendezvous_runner::{
-    AlgorithmExecutor, BatchExecutor, Bounds, Grid, PieceExecutor, Runner, RunnerError,
-    ScenarioOutcome, SweepReport, TopoEntry, TopoGrid, WorkPiece, Workload,
+    Bounds, Grid, PieceExecutor, Runner, RunnerError, ScenarioOutcome, SweepReport, TopoEntry,
+    TopoGrid, WorkPiece, Workload,
 };
 use rendezvous_store::StoreKey;
 use serde::Serialize;
@@ -93,6 +97,7 @@ enum Algo {
 struct AlgoTopoExecutor {
     space: LabelSpace,
     which: Algo,
+    engine: Engine,
     /// `spec_index → explorer`, parallel to the topo grid's entries.
     explorers: Arc<Vec<Arc<dyn Explorer>>>,
 }
@@ -119,28 +124,11 @@ impl PieceExecutor for AlgoTopoExecutor {
             time: alg.time_bound(),
             cost: alg.cost_bound(),
         };
-        // Same engine switch (and telemetry attachment) as
-        // `common::sweep_worst`: the batched executor folds at the
-        // piece's global offsets, so reports stay byte-identical either
-        // way.
-        let session = crate::telemetry::current();
-        match crate::engine::current() {
-            crate::engine::Engine::Stepped => {
-                let mut executor = AlgorithmExecutor::new(alg.as_ref());
-                if let Some(metrics) = &session {
-                    executor = executor.with_metrics(metrics);
-                }
-                let outcomes = runner.outcomes(&executor, &piece.scenarios)?;
-                Ok((outcomes, Some(bounds)))
-            }
-            crate::engine::Engine::Batched => {
-                let mut executor = BatchExecutor::new(alg.as_ref()).with_bounds(Some(bounds));
-                if let Some(metrics) = &session {
-                    executor = executor.with_metrics(metrics);
-                }
-                executor.run_piece(runner, piece)
-            }
-        }
+        // The batched executor folds at the piece's global offsets, so
+        // reports stay byte-identical on either engine.
+        self.engine
+            .executor(alg.as_ref(), Some(bounds), runner)
+            .run_piece(runner, piece)
     }
 }
 
@@ -213,20 +201,15 @@ pub fn serve_context(algorithm: &str) -> Option<&'static str> {
 
 /// Answers one sweep-service query — one algorithm over one seeded
 /// topology — building its graph, explorer and grid once and sweeping
-/// them through the shared recorded-sweep path, which serves from and
-/// records into the store session. Returns the report, whether the
-/// store served it, and the store key addressing it.
+/// them through the installed session, which serves from and records
+/// into its store. Returns the report, whether the store served it, and
+/// the store key addressing it.
 ///
 /// # Errors
 ///
-/// A message naming the unknown algorithm (anything but `cheap`/`fast`)
-/// or why the spec does not build.
-///
-/// # Panics
-///
-/// Panics if the grid is degenerate (`l < 2`, `cap == 0`) — the serve
-/// front end validates queries before calling, and the CLI treats its
-/// own arguments as trusted input.
+/// A message saying why the query is malformed: an unknown algorithm
+/// (anything but `cheap`/`fast`), a degenerate grid (`l < 2`,
+/// `cap == 0`), or a spec that does not build.
 pub(crate) fn answer_spec_query(
     algorithm: &str,
     spec: GraphSpec,
@@ -243,34 +226,42 @@ pub(crate) fn answer_spec_query(
             ))
         }
     };
+    if l < 2 {
+        return Err(format!("l must be >= 2, got {l}"));
+    }
+    if cap == 0 {
+        return Err("cap must be >= 1".into());
+    }
     let graph = Arc::new(
         spec.build()
             .map_err(|e| format!("spec does not build: {e}"))?,
     );
     let (topo, explorers) = topo_grid_of(vec![(spec, graph)], l, cap);
+    let session = crate::session::current();
     let exec = AlgoTopoExecutor {
         space: LabelSpace::new(l).expect("l >= 2"),
         which,
+        engine: session.engine,
         explorers,
     };
     let meta = topo.meta();
-    let (report, cached) =
-        crate::common::sweep_recorded_cached(context, &meta, &topo, &exec, runner);
-    Ok((report, cached, crate::store::key_of(context, &meta)))
+    let (report, cached) = session.sweep(context, &meta, &topo, &exec, runner);
+    Ok((report, cached, session.key(context, &meta)))
 }
 
 /// Sweeps a **single** seeded topology with one algorithm through the
-/// shared recorded-sweep path — the compute side of the sweep service.
-/// A served answer and a `query --direct` run both go through
-/// [`answer_spec_query`] with the same [`serve_context`], so they
-/// consult (and populate) the same store entry and print byte-identical
-/// reports. `None` when `algorithm` is not `cheap`/`fast`.
+/// shared recorded-sweep path — the in-process form of a sweep-service
+/// answer. The service and `query --direct` both reach
+/// `answer_spec_query` through the service's `answer`, with the
+/// same [`serve_context`], so all three consult (and populate) the same
+/// store entry and produce byte-identical reports. `None` when
+/// `algorithm` is not `cheap`/`fast`.
 ///
 /// # Panics
 ///
 /// Panics if the spec does not build or the grid is degenerate (`l <
-/// 2`, `cap == 0`) — the serve front end validates queries before
-/// calling, and the CLI treats its own arguments as trusted input.
+/// 2`, `cap == 0`) — callers pass trusted parameters; untrusted queries
+/// go through the service, which refuses them instead.
 #[must_use]
 pub fn sweep_single_spec(
     algorithm: &str,
@@ -363,6 +354,7 @@ pub struct Report {
 #[must_use]
 pub fn run(specs: Vec<GraphSpec>, l: u64, cap: usize, runner: &Runner) -> Report {
     let space = LabelSpace::new(l).expect("l >= 2");
+    let engine = crate::engine::current();
     let (topo, explorers) = build_topo_grid(specs, l, cap);
     let cheap = sweep_topo_worst(
         "x10 cheap",
@@ -370,6 +362,7 @@ pub fn run(specs: Vec<GraphSpec>, l: u64, cap: usize, runner: &Runner) -> Report
         &AlgoTopoExecutor {
             space,
             which: Algo::Cheap,
+            engine,
             explorers: Arc::clone(&explorers),
         },
         runner,
@@ -380,6 +373,7 @@ pub fn run(specs: Vec<GraphSpec>, l: u64, cap: usize, runner: &Runner) -> Report
         &AlgoTopoExecutor {
             space,
             which: Algo::Fast,
+            engine,
             explorers,
         },
         runner,

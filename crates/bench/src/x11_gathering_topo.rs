@@ -188,7 +188,7 @@ pub struct Report {
 }
 
 /// Runs X11: builds the gathering topo grid over `specs`, sweeps it
-/// (honoring the plan, store and fabric sessions), and folds per-family
+/// (honoring the session's mode and store), and folds per-family
 /// rows.
 ///
 /// # Panics
@@ -283,6 +283,7 @@ pub fn render(rows: &[Row]) -> String {
 mod tests {
     use super::*;
     use crate::x10_topologies::standard_topo_specs;
+    use rendezvous_runner::Workload;
 
     /// A debug-affordable slice of the acceptance sweep: every family
     /// present, every sampled gathering within its own
@@ -312,11 +313,11 @@ mod tests {
         assert!(report.stats.clean());
     }
 
-    /// X11 split into `Runner::sweep_shard` folds and merged reproduces
-    /// the direct sweep exactly — the merge property the fabric's
-    /// lease folds depend on.
+    /// X11 split into lease ranges, each swept with `Runner::sweep_range`
+    /// and merged, reproduces the direct sweep exactly — the merge
+    /// property the fabric's lease folds depend on.
     #[test]
-    fn x11_shard_merge_equals_direct_topo_stats() {
+    fn x11_range_merge_equals_direct_topo_stats() {
         let specs: Vec<GraphSpec> = standard_topo_specs(true).into_iter().step_by(40).collect();
         let (topo, contexts) = build_gathering_topo_grid(specs, 4, &[2, 3], &[0, 5], 2);
         let exec = GatheringTopoExecutor {
@@ -326,11 +327,11 @@ mod tests {
         let direct = Runner::sequential().sweep(&topo, &exec).unwrap();
         for m in [2usize, 3] {
             let mut merged = SweepReport::default();
-            for i in 0..m {
-                let shard = Runner::sequential()
-                    .sweep_shard(&topo, i, m, &exec)
+            for (lo, hi) in topo.lease_ranges(topo.size().div_ceil(m)) {
+                let range = Runner::sequential()
+                    .sweep_range(&topo, lo, hi, &exec)
                     .unwrap();
-                merged = merged.merge(&shard);
+                merged = merged.merge(&range);
             }
             assert_eq!(merged, direct, "m = {m}");
         }

@@ -214,11 +214,12 @@ mod tests {
         assert_eq!((r.scenarios, r.rounds, r.cost, r.merges), (0, 0, 0, 0));
     }
 
-    /// A 3-way `Runner::sweep_shard` split of the same run merges back
-    /// to the identical fold — the merge property fabric replays rest on.
+    /// A 3-way lease-range split of the same run, each range swept with
+    /// `Runner::sweep_range`, merges back to the identical fold — the
+    /// merge property fabric replays rest on.
     #[test]
-    fn x9_shard_merge_reproduces_the_direct_rows() {
-        use rendezvous_runner::SweepReport;
+    fn x9_range_merge_reproduces_the_direct_rows() {
+        use rendezvous_runner::{SweepReport, Workload};
         let (n, l, ks) = (9, 16, [2usize, 3]);
         let (g, ex) = ring_setup(n);
         let space = LabelSpace::new(l).unwrap();
@@ -233,11 +234,11 @@ mod tests {
                 .delays(&standard_phases());
             let direct = Runner::sequential().sweep(&grid, &executor).unwrap();
             let mut merged = SweepReport::default();
-            for i in 0..3 {
-                let shard = Runner::sequential()
-                    .sweep_shard(&grid, i, 3, &executor)
+            for (lo, hi) in grid.lease_ranges(grid.size().div_ceil(3)) {
+                let range = Runner::sequential()
+                    .sweep_range(&grid, lo, hi, &executor)
                     .unwrap();
-                merged = merged.merge(&shard);
+                merged = merged.merge(&range);
             }
             assert_eq!(merged, direct, "k = {k}");
         }

@@ -167,12 +167,26 @@ fn fabric_flag_misuse_is_refused_up_front() {
             "--fabric-kill-one",
         ],
         vec!["x1", "--quick", "--plan", "--fabric", "workers=2"],
+        vec!["x1", "--quick", "--sequential", "--parallel"],
+        vec!["x1", "--quick", "--plan", "--telemetry", "/tmp/nope.json"],
+        vec!["x1", "--quick", "--fabric-self-kill"],
+        vec![
+            "x1",
+            "--quick",
+            "--fabric",
+            "workers=2",
+            "--fabric-worker",
+            "127.0.0.1:1",
+        ],
     ] {
         let out = experiments(&bad);
-        assert!(
-            !out.status.success(),
-            "experiments {bad:?} must be refused, but succeeded"
+        assert_eq!(
+            out.status.code(),
+            Some(2),
+            "experiments {bad:?} must be refused as a usage error:\n{}",
+            String::from_utf8_lossy(&out.stderr)
         );
+        assert!(out.stdout.is_empty(), "experiments {bad:?} printed output");
     }
 }
 

@@ -7,12 +7,14 @@
 //! sweeps in call order, or every x1–x11 `--fabric` run would come
 //! apart.
 //!
-//! Replay diagnostics live here too: they install the process-global
-//! replay session, so every test in this binary serializes on one lock
-//! instead of racing the session.
+//! Replay diagnostics live here too: they install the process's
+//! session, so every test in this binary serializes on one lock instead
+//! of racing it.
 
 use rendezvous_bench::common::sweep_recorded;
-use rendezvous_bench::fabric;
+use rendezvous_bench::engine::Engine;
+use rendezvous_bench::fabric::Replay;
+use rendezvous_bench::session::{self, Mode, Session};
 use rendezvous_core::{Cheap, Fast, LabelSpace, RendezvousAlgorithm};
 use rendezvous_explore::{spec_explorer, OrientedRingExplorer};
 use rendezvous_graph::{generators, GraphSpec, RingSpec, SeededSpec};
@@ -23,10 +25,16 @@ use rendezvous_runner::{
 };
 use std::sync::{Arc, Mutex};
 
-/// All tests in this binary mutate the process-global replay session;
-/// they serialize on this lock (a poisoned lock just means an earlier
-/// test already failed, so keep going with its guard).
+/// All tests in this binary install the process's session; they
+/// serialize on this lock (a poisoned lock just means an earlier test
+/// already failed, so keep going with its guard).
 static SESSION_TESTS: Mutex<()> = Mutex::new(());
+
+/// Installs a replay of `sweeps` from `source` (a fresh cursor).
+fn begin_replay(sweeps: Vec<(WorkloadMeta, SweepReport)>, source: &str) {
+    let replay = Replay::new(sweeps, source.into());
+    session::install(Session::new(Engine::default(), None, Mode::Replay(replay)));
+}
 
 /// Minimal topology piece executor (the x10 shape): build `Cheap` on the
 /// piece's cached graph, report its paper bounds.
@@ -151,7 +159,8 @@ fn caught(run: impl FnOnce()) -> String {
 fn mixed_sequence_replays_byte_identically() {
     let _serial = SESSION_TESTS.lock().unwrap_or_else(|e| e.into_inner());
     let runner = Runner::sequential();
-    // Direct run — no session.
+    // Direct run.
+    session::install(Session::default());
     let direct = run_sequence(&runner);
     let direct_json = to_json(&direct);
     assert!(direct.iter().all(|(_, r)| r.clean()));
@@ -169,9 +178,9 @@ fn mixed_sequence_replays_byte_identically() {
 
     // Replay pass: the sequence consumes the merged reports instead of
     // executing, and must reproduce the direct reports byte for byte.
-    fabric::begin_replay(sweeps, "fabric coordinator (test)".into());
+    begin_replay(sweeps, "fabric coordinator (test)");
     let replayed = run_sequence(&runner);
-    fabric::finish_replay();
+    session::finish(&runner);
     assert_eq!(to_json(&replayed), direct_json, "replayed reports differ");
 }
 
@@ -185,12 +194,13 @@ fn replay_diagnostics_name_position_kind_and_source() {
     let runner = Runner::sequential();
     // Genuine reports of the mixed sequence: one Grid, one Grid (fleet),
     // one Topo sweep, fingerprints intact.
+    session::install(Session::default());
     let sweeps = run_sequence(&runner);
     assert_eq!(sweeps.len(), 3);
 
     // Exhaustion: the replay holds only the first report, but the
     // sequence asks for three sweeps.
-    fabric::begin_replay(vec![sweeps[0].clone()], "coordinator A".into());
+    begin_replay(vec![sweeps[0].clone()], "coordinator A");
     let msg = caught(|| {
         let _ = run_sequence(&runner);
     });
@@ -201,7 +211,7 @@ fn replay_diagnostics_name_position_kind_and_source() {
 
     // Kind mismatch: the first sweep of the sequence is a grid sweep,
     // but the replay leads with the topo report.
-    fabric::begin_replay(vec![sweeps[2].clone()], "coordinator C".into());
+    begin_replay(vec![sweeps[2].clone()], "coordinator C");
     let msg = caught(|| {
         let _ = run_sequence(&runner);
     });
@@ -216,9 +226,9 @@ fn replay_diagnostics_name_position_kind_and_source() {
     // Leftovers: a replay with one report too many fails at finish.
     let mut extra = sweeps.clone();
     extra.push(sweeps[0].clone());
-    fabric::begin_replay(extra, "coordinator L".into());
+    begin_replay(extra, "coordinator L");
     let _ = run_sequence(&runner);
-    let msg = caught(fabric::finish_replay);
+    let msg = caught(|| session::finish(&runner));
     assert!(
         msg.contains("consumed 3 of 4") && msg.contains("coordinator L"),
         "leftovers must name the consumed count and the source: {msg}"

@@ -218,3 +218,48 @@ fn refusals_are_typed_and_never_wrong_bytes() {
     stdout_of(&["query", "--addr", &addr, "--shutdown"]);
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `query --direct` validates through the service's own front end: every
+/// query the server refuses as bad, the direct path refuses with the
+/// same exit code (3) and the same `query refused: bad query: …` line —
+/// never a panic.
+#[test]
+fn direct_and_served_refusals_are_identical() {
+    let dir = scratch("refuse-same");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let server = Server::start(&dir, scratch("refuse-same-addr"));
+    let addr = server.wait_ready();
+
+    let ring1 = r#"{"Ring":{"n":1}}"#;
+    let dense = r#"{"ErdosRenyi":{"n":8,"edge_permille":5000,"seed":5}}"#;
+    for (algorithm, spec, l, cap) in [
+        ("cheap", ring1, "2", "2"),
+        ("cheap", dense, "2", "2"),
+        ("cheap", SPEC, "0", "2"),
+        ("cheap", SPEC, "2", "0"),
+        ("slow", SPEC, "2", "2"),
+    ] {
+        let grid = ["--grid", algorithm, "--spec", spec, "--l", l, "--cap", cap];
+        let served = experiments(&[&["query", "--addr", &addr][..], &grid].concat());
+        let direct = experiments(&[&["query", "--direct"][..], &grid].concat());
+        for (how, out) in [("served", &served), ("direct", &direct)] {
+            assert_eq!(
+                out.status.code(),
+                Some(3),
+                "{how} {grid:?} must be refused:\n{}",
+                String::from_utf8_lossy(&out.stderr)
+            );
+            assert!(out.stdout.is_empty(), "{how} {grid:?} printed a report");
+        }
+        let text = String::from_utf8_lossy(&direct.stderr);
+        assert!(
+            text.starts_with("query refused: bad query: "),
+            "{grid:?}: {text}"
+        );
+        assert_eq!(served.stderr, direct.stderr, "{grid:?}");
+    }
+
+    stdout_of(&["query", "--addr", &addr, "--shutdown"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}

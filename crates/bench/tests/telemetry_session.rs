@@ -1,31 +1,34 @@
-//! The bench harness's telemetry session, end to end: installing the
-//! process-global sink makes `sweep_worst` observable — sweeps counted,
-//! plan-cache hit rate visible, batch classification recorded — while
-//! the measured statistics stay exactly what an unobserved sweep
-//! produces (the runner-level byte-identity tests pin that; here we
-//! pin the *session* wiring the experiments binary relies on).
+//! The bench harness's telemetry wiring, end to end: a sink on the
+//! runner makes `sweep_worst` observable — sweeps counted, plan-cache
+//! hit rate visible, batch classification recorded — on either engine
+//! the installed session selects, while the measured statistics stay
+//! exactly what an unobserved sweep produces (the runner-level
+//! byte-identity tests pin that; here we pin the wiring the experiments
+//! binary relies on).
 //!
-//! Lives in its own integration-test binary on purpose: the session is
-//! a process-global `OnceLock`, and installing it must not leak into
-//! the crate's other test processes.
+//! Lives in its own integration-test binary on purpose: it installs the
+//! process's session, which must not leak into the crate's other test
+//! processes.
 
-use rendezvous_bench::{common, engine, telemetry};
+use rendezvous_bench::engine::Engine;
+use rendezvous_bench::session::{self, Mode, Session};
+use rendezvous_bench::{common, engine};
 use rendezvous_core::{Cheap, LabelSpace, RendezvousAlgorithm};
 use rendezvous_runner::Runner;
+use rendezvous_telemetry::Metrics;
 use std::sync::Arc;
 
 #[test]
 fn installed_session_observes_sweep_worst() {
-    let metrics = telemetry::install();
-    assert!(telemetry::current().is_some(), "install is sticky");
-
+    let metrics = Arc::new(Metrics::new());
     let (g, ex) = common::ring_setup(6);
     let alg = Cheap::new(g, ex, LabelSpace::new(4).unwrap());
     let runner = Runner::with_threads(2).with_metrics(Arc::clone(&metrics));
 
     // One stepped sweep, then the same grid batched: both engines feed
-    // the same session, and the stats they return must agree.
-    engine::set_engine(engine::Engine::Stepped);
+    // the same sink, and the stats they return must agree.
+    session::install(Session::new(Engine::Stepped, None, Mode::Direct));
+    assert_eq!(engine::current(), Engine::Stepped);
     let stepped = common::sweep_worst(
         &alg,
         &common::all_label_pairs(4),
@@ -33,7 +36,7 @@ fn installed_session_observes_sweep_worst() {
         4 * alg.time_bound(),
         &runner,
     );
-    engine::set_engine(engine::Engine::Batched);
+    session::install(Session::new(Engine::Batched, None, Mode::Direct));
     let batched = common::sweep_worst(
         &alg,
         &common::all_label_pairs(4),

@@ -133,7 +133,7 @@ impl FleetRule {
 ///   [`Scenario`] by the grid's [`FleetRule`].
 ///
 /// The two modes are mutually exclusive; pair-mode enumeration, the
-/// sampling cap and [`Grid::shard`] are bit-for-bit unchanged by the
+/// sampling cap and range enumeration are bit-for-bit unchanged by the
 /// existence of fleet mode (regression-tested below), so pair sweeps
 /// produce byte-identical outputs either way.
 ///
@@ -421,7 +421,8 @@ impl Grid {
     /// The scenario at post-cap index `i` — identical to
     /// `self.scenarios()[i]` without materializing the list. The single
     /// definition of the capped-index → scenario mapping, shared by
-    /// [`Grid::scenarios`] and [`Grid::shard`] so the two can never drift.
+    /// [`Grid::scenarios`] and [`Grid::scenarios_in`] so the two can
+    /// never drift.
     fn capped_nth(&self, i: usize) -> Scenario {
         let total = self.full_size();
         match self.cap {
@@ -443,7 +444,7 @@ impl Grid {
 
     /// Materializes the half-open capped-index range `[lo, hi)` of
     /// [`Grid::scenarios`] without building the whole list — the slice a
-    /// topology sweep executes when a shard boundary falls inside this
+    /// topology sweep executes when a range boundary falls inside this
     /// grid (see [`TopoGrid`](crate::TopoGrid)).
     ///
     /// # Panics
@@ -465,11 +466,9 @@ impl Grid {
 /// shares the grid's one context, so the fold key is empty and the
 /// report has one group).
 ///
-/// The sampling cap is applied *before* sharding — so merging the shard
+/// The sampling cap is applied *before* indexing — so merging the range
 /// sweeps of a capped grid reproduces the capped single-process sweep
-/// bit for bit, and shards stay balanced to within one scenario (when
-/// the grid holds fewer scenarios than shards, trailing shards are empty
-/// but still valid).
+/// bit for bit.
 impl Workload for Grid {
     fn size(&self) -> usize {
         Grid::size(self)
@@ -518,10 +517,8 @@ fn product_size(a: usize, b: usize, c: usize) -> usize {
 }
 
 /// Balanced-partition stride: the start of slice `i` when `total` items
-/// are divided into `cap` contiguous near-equal slices (also the sampling
-/// stride of [`Grid::sample_cap`]). This is the default
-/// [`Workload::shard`] rule, so every workload kind cuts its index space
-/// identically.
+/// are divided into `cap` contiguous near-equal slices — the sampling
+/// stride of [`Grid::sample_cap`].
 pub(crate) fn strided(i: usize, total: usize, cap: usize) -> usize {
     usize::try_from(i as u128 * total as u128 / cap as u128)
         .expect("stride result is below `total`, which fits usize")
@@ -599,46 +596,19 @@ mod tests {
     }
 
     #[test]
-    fn shards_partition_the_scenario_list_exactly() {
+    fn lease_ranges_partition_the_scenario_list_exactly() {
         for grid in [small_grid(), small_grid().sample_cap(17)] {
             let whole = grid.scenarios();
-            for of in [1usize, 2, 3, 5, 48, 100] {
+            for chunk in [1usize, 2, 3, 5, 48, 100] {
                 let mut rebuilt: Vec<Scenario> = Vec::new();
-                let mut next_offset = 0;
-                for i in 0..of {
-                    let (lo, hi) = grid.shard(i, of);
-                    assert_eq!(
-                        lo, next_offset,
-                        "shard {i}/{of} must start where the previous ended"
-                    );
-                    next_offset = hi;
+                for (lo, hi) in grid.lease_ranges(chunk) {
+                    assert_eq!(lo, rebuilt.len(), "ranges must be contiguous");
+                    assert!(hi - lo <= chunk);
                     rebuilt.extend(grid.scenarios_in(lo, hi));
                 }
-                assert_eq!(rebuilt, whole, "concatenated shards ({of}) != full list");
-                // Balanced to within one scenario.
-                let lens: Vec<usize> = (0..of)
-                    .map(|i| {
-                        let (lo, hi) = grid.shard(i, of);
-                        hi - lo
-                    })
-                    .collect();
-                let (min, max) = (lens.iter().min().unwrap(), lens.iter().max().unwrap());
-                assert!(max - min <= 1, "unbalanced shards: {lens:?}");
+                assert_eq!(rebuilt, whole, "concatenated ranges ({chunk}) != full list");
             }
         }
-    }
-
-    #[test]
-    fn more_shards_than_scenarios_yields_empty_tails() {
-        let grid = small_grid().sample_cap(3);
-        let lens: Vec<usize> = (0..7)
-            .map(|i| {
-                let (lo, hi) = grid.shard(i, 7);
-                hi - lo
-            })
-            .collect();
-        assert_eq!(lens.iter().sum::<usize>(), 3);
-        assert!(lens.iter().all(|&l| l <= 1));
     }
 
     /// The Workload view of a grid: one piece per range, empty fold key,
@@ -695,18 +665,6 @@ mod tests {
     #[should_panic(expected = "out of bounds")]
     fn scenarios_in_rejects_ranges_past_the_end() {
         let _ = small_grid().scenarios_in(0, 49);
-    }
-
-    #[test]
-    #[should_panic(expected = "out of range")]
-    fn shard_index_must_be_in_range() {
-        let _ = small_grid().shard(3, 3);
-    }
-
-    #[test]
-    #[should_panic(expected = "zero shards")]
-    fn shard_count_must_be_positive() {
-        let _ = small_grid().shard(0, 0);
     }
 
     /// Regression: the sampling stride used to compute `i * total / cap`
@@ -793,18 +751,17 @@ mod tests {
     }
 
     #[test]
-    fn fleet_shards_partition_exactly_like_pair_shards() {
+    fn fleet_ranges_partition_exactly_like_pair_ranges() {
         let grid = fleet_grid(&[2, 3, 4, 5, 6]).sample_cap(13);
         let whole = grid.scenarios();
         assert_eq!(whole.len(), 13);
-        for of in [1usize, 2, 3, 7] {
+        for chunk in [1usize, 2, 3, 7] {
             let mut rebuilt: Vec<Scenario> = Vec::new();
-            for i in 0..of {
-                let (lo, hi) = grid.shard(i, of);
+            for (lo, hi) in grid.lease_ranges(chunk) {
                 assert_eq!(lo, rebuilt.len());
                 rebuilt.extend(grid.scenarios_in(lo, hi));
             }
-            assert_eq!(rebuilt, whole, "fleet shards ({of}) != full list");
+            assert_eq!(rebuilt, whole, "fleet ranges ({chunk}) != full list");
         }
     }
 

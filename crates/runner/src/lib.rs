@@ -11,13 +11,13 @@
 //!
 //! ```text
 //! enumerate (Workload) → run (PieceExecutor) → fold (SweepReport)
-//!     → shard (Workload::shard) → merge (SweepReport::merge)
+//!     → split (Workload::lease_ranges) → merge (SweepReport::merge)
 //! ```
 //!
 //! * [`Scenario`] — one fully-specified `k ≥ 2`-agent execution: a list
 //!   of [`Placement`]s (label, start, wake-up delay) plus the round
 //!   budget. [`Scenario::pair`] builds the paper's two-agent case;
-//! * [`Workload`] — an index-stable, capped, shardable source of
+//! * [`Workload`] — an index-stable, capped, splittable source of
 //!   `(global index, context, Scenario)` units. Implemented by [`Grid`]
 //!   (label pairs × start pairs × delays in pair mode, fleet sizes ×
 //!   rotations × delay phases in fleet mode — one graph, one fold group)
@@ -34,9 +34,9 @@
 //!   bound-violation counts and worst-case [`Witness`]es, tie-broken
 //!   toward the lowest global index with exact-`u128` ratio comparison.
 //!
-//! Sweeps also scale **across processes**: [`Workload::shard`] cuts the
-//! index space into balanced contiguous shards, [`Runner::sweep_shard`]
-//! folds a shard's outcomes at their global indices, the resulting
+//! Sweeps also scale **across processes**: [`Workload::lease_ranges`]
+//! cuts the index space into contiguous ranges, [`Runner::sweep_range`]
+//! folds a range's outcomes at their global indices, the resulting
 //! [`SweepReport`] serializes over any byte channel (serde), and
 //! [`SweepReport::merge`] is the associative fold that reassembles the
 //! exact single-process aggregates — worst-case witnesses and their

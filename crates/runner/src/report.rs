@@ -299,12 +299,13 @@ fn merge_witness(
 /// aggregates, kept **sorted by key** — so two reports folded from the
 /// same outcomes are structurally equal and their JSON is byte-equal.
 ///
-/// Reports are **mergeable**: split a workload into contiguous shards
-/// (see [`Workload::shard`](crate::Workload::shard)), sweep each in its
-/// own process, serialize, [`SweepReport::merge`] — the result equals
-/// the unsharded sweep field for field, witnesses and their
-/// lowest-global-index tie-breaks included (property-tested in `tests/`
-/// and CI-diffed end-to-end against the `experiments` binary).
+/// Reports are **mergeable**: split a workload into contiguous ranges
+/// (see [`Workload::lease_ranges`](crate::Workload::lease_ranges)), sweep
+/// each in its own process, serialize, [`SweepReport::merge`] — the
+/// result equals the whole-workload sweep field for field, witnesses
+/// and their lowest-global-index tie-breaks included (property-tested
+/// in `tests/` and CI-diffed end-to-end against the `experiments`
+/// binary).
 #[derive(Debug, Clone, PartialEq, Eq, Default, Serialize, Deserialize)]
 #[must_use = "a sweep report is the sweep's only output; dropping it discards the fold"]
 pub struct SweepReport {

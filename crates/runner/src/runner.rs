@@ -165,30 +165,6 @@ impl Runner {
         self.sweep_range(workload, 0, workload.size(), executor)
     }
 
-    /// Sweeps shard `shard` of `of` of a [`Workload`] (see
-    /// [`Workload::shard`]), folding outcomes at their **global** unit
-    /// indices — so merging the per-shard reports with
-    /// [`SweepReport::merge`] reproduces [`Runner::sweep`] exactly,
-    /// witnesses and tie-breaks included.
-    ///
-    /// # Errors
-    ///
-    /// See [`Runner::sweep`].
-    pub fn sweep_shard<W, E>(
-        &self,
-        workload: &W,
-        shard: usize,
-        of: usize,
-        executor: &E,
-    ) -> Result<SweepReport, RunnerError>
-    where
-        W: Workload + ?Sized,
-        E: PieceExecutor + ?Sized,
-    {
-        let (lo, hi) = workload.shard(shard, of);
-        self.sweep_range(workload, lo, hi, executor)
-    }
-
     /// Sweeps the global index range `[lo, hi)` of a [`Workload`].
     ///
     /// The range is walked in fixed chunks of [`SWEEP_CHUNK`] units: each
@@ -258,8 +234,13 @@ impl Runner {
         E: PieceExecutor + ?Sized,
     {
         let telemetry = self.metrics.as_deref();
+        // The inner runner keeps this one's sink, so executors that attach
+        // it count the same in parallel and sequential runs.
         let inner = if self.is_parallel() && pieces.len() > 1 {
-            Runner::sequential()
+            Runner {
+                threads: 1,
+                metrics: self.metrics.clone(),
+            }
         } else {
             self.clone()
         };

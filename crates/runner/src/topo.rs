@@ -13,9 +13,9 @@
 //! ```
 //!
 //! Because the per-spec grids apply their sampling caps *before*
-//! concatenation, the global list is reproducible, and the default
-//! [`Workload::shard`] rule cuts it into balanced contiguous shards
-//! exactly like a plain grid's — merging per-shard
+//! concatenation, the global list is reproducible, and
+//! [`Workload::lease_ranges`] cuts it into contiguous ranges exactly
+//! like a plain grid's — merging per-range
 //! [`SweepReport`](crate::SweepReport)s reproduces the single-process
 //! sweep byte for byte, witnesses included.
 //!
@@ -142,9 +142,9 @@ impl TopoGrid {
 /// A [`TopoGrid`] as a [`Workload`]: the concatenated per-spec grids,
 /// cut at entry boundaries into one piece per spec a range touches, each
 /// piece keyed by the spec's graph family and carrying its [`TopoEntry`]
-/// (the built graph) as context. Shard boundaries may fall *inside* a
-/// spec's scenario list, so shards stay balanced even when specs have
-/// wildly different grid sizes.
+/// (the built graph) as context. Range boundaries may fall *inside* a
+/// spec's scenario list, so ranges stay even when specs have wildly
+/// different grid sizes.
 impl Workload for TopoGrid {
     fn size(&self) -> usize {
         TopoGrid::size(self)
@@ -247,7 +247,7 @@ mod tests {
     }
 
     #[test]
-    fn topo_shards_partition_the_global_space() {
+    fn topo_lease_ranges_partition_the_global_space() {
         let specs: Vec<GraphSpec> = (4..9).map(|n| GraphSpec::Ring(RingSpec { n })).collect();
         let topo = TopoGrid::build(specs, |_, g| {
             Grid::new(20)
@@ -257,15 +257,14 @@ mod tests {
         })
         .unwrap();
         assert_eq!(topo.size(), 35);
-        for of in [1usize, 2, 3, 5, 35, 50] {
+        for chunk in [1usize, 2, 3, 5, 35, 50] {
             let mut next = 0;
-            for i in 0..of {
-                let (lo, hi) = topo.shard(i, of);
-                assert_eq!(lo, next, "shard {i}/{of} must start where the last ended");
-                assert!(hi >= lo);
+            for (lo, hi) in topo.lease_ranges(chunk) {
+                assert_eq!(lo, next, "range must start where the last ended ({chunk})");
+                assert!(hi > lo && hi - lo <= chunk);
                 next = hi;
             }
-            assert_eq!(next, topo.size(), "shards must cover the space ({of})");
+            assert_eq!(next, topo.size(), "ranges must cover the space ({chunk})");
         }
         // The meta fingerprints the pre-cap space: 5 rings with 12..56
         // ordered start pairs (4·3, 5·4, 6·5, 7·6, 8·7).

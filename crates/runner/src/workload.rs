@@ -1,5 +1,5 @@
 //! The one sweep abstraction: a [`Workload`] is any index-stable, capped,
-//! shardable source of scenarios.
+//! splittable source of scenarios.
 //!
 //! Every experiment in this workspace has the same shape — enumerate an
 //! adversarial configuration space, run each configuration, fold
@@ -10,7 +10,7 @@
 //!
 //! ```text
 //! enumerate (Workload::pieces) → run (PieceExecutor) → fold (SweepReport)
-//!     → shard (Workload::shard) → merge (SweepReport::merge)
+//!     → split (Workload::lease_ranges) → merge (SweepReport::merge)
 //! ```
 //!
 //! A workload exposes its units as a virtual list indexed `0..size()`:
@@ -20,7 +20,7 @@
 //! deterministic: [`Runner::sweep`](crate::Runner::sweep) folds outcomes
 //! at their global indices, worst-case witnesses tie-break toward the
 //! lowest global index, and [`SweepReport::merge`](crate::SweepReport::merge)
-//! reassembles sharded sweeps byte-identically.
+//! reassembles split sweeps byte-identically.
 //!
 //! Two implementations ship here:
 //!
@@ -32,7 +32,6 @@
 //!   once. One piece per spec a range touches; the fold key is the spec's
 //!   graph family, so the report groups per family.
 
-use crate::grid::strided;
 use crate::topo::TopoEntry;
 use crate::{Bounds, Runner, RunnerError, Scenario, ScenarioOutcome};
 use serde::{Deserialize, Serialize};
@@ -42,7 +41,7 @@ use serde::{Deserialize, Serialize};
 ///
 /// A [`Grid`](crate::Grid) range is always one piece; a
 /// [`TopoGrid`](crate::TopoGrid) range yields one piece per spec it
-/// touches (shard boundaries may fall inside a spec's scenario list).
+/// touches (range boundaries may fall inside a spec's scenario list).
 #[derive(Debug)]
 pub struct WorkPiece<'w> {
     /// Global workload index of `scenarios[0]`.
@@ -172,7 +171,7 @@ impl Default for Fnv1a {
     }
 }
 
-/// An index-stable, capped, shardable source of `(global index, context,
+/// An index-stable, capped, splittable source of `(global index, context,
 /// Scenario)` units — the single abstraction behind every sweep.
 ///
 /// # Contract
@@ -184,11 +183,12 @@ impl Default for Fnv1a {
 /// * **Pieces partition.** `pieces(lo, hi)` covers exactly `[lo, hi)` in
 ///   global order with disjoint contiguous pieces (`piece.offset` rises,
 ///   scenarios concatenate to the range).
-/// * **Shards partition.** The `of` ranges `shard(0, of) .. shard(of-1,
-///   of)` tile `[0, size())` in order, balanced to within one unit.
+/// * **Lease ranges partition.** `lease_ranges(chunk)` tiles
+///   `[0, size())` in order with contiguous ranges of at most `chunk`
+///   units.
 ///
-/// Under that contract, [`Runner::sweep`](crate::Runner::sweep) over any
-/// split of the index space merges back to the unsharded
+/// Under that contract, [`Runner::sweep_range`](crate::Runner::sweep_range)
+/// over any split of the index space merges back to the whole-workload
 /// [`SweepReport`](crate::SweepReport) field for field — witnesses and
 /// their lowest-global-index tie-breaks included.
 pub trait Workload: Sync {
@@ -218,28 +218,9 @@ pub trait Workload: Sync {
         self.pieces(lo, hi).len()
     }
 
-    /// The global index range of shard `shard` of `of`: the balanced
-    /// contiguous partition every workload shares (same stride rule as
-    /// the sampling cap), so all workload kinds cut their index spaces
-    /// identically.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `of == 0` or `shard >= of`.
-    fn shard(&self, shard: usize, of: usize) -> (usize, usize) {
-        assert!(of > 0, "cannot split a workload into zero shards");
-        assert!(
-            shard < of,
-            "shard index {shard} out of range for {of} shards"
-        );
-        let len = self.size();
-        (strided(shard, len, of), strided(shard + 1, len, of))
-    }
-
     /// Cuts the global index space `[0, size())` into contiguous lease
     /// ranges of at most `chunk` units — the fabric coordinator's
-    /// dispatch granularity. Unlike [`Workload::shard`]'s fixed balanced
-    /// partition, these small ranges are handed out dynamically, so
+    /// dispatch granularity. These small ranges are handed out dynamically, so
     /// wildly uneven pieces (a topology sweep mixing tiny rings with
     /// dense tori) balance themselves across however many workers pull
     /// them. Any contiguous ordered partition merges back byte-identically

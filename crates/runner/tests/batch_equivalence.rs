@@ -12,7 +12,7 @@ use rendezvous_core::{Cheap, Fast, LabelSpace, RendezvousAlgorithm};
 use rendezvous_explore::spec_explorer;
 use rendezvous_graph::{ErdosRenyiSpec, GraphSpec, RegularSpec, RingSpec, SeededSpec};
 use rendezvous_runner::{
-    AlgorithmExecutor, BatchExecutor, Bounded, Bounds, Grid, Runner, SweepReport,
+    AlgorithmExecutor, BatchExecutor, Bounded, Bounds, Grid, Runner, SweepReport, Workload,
 };
 use std::sync::Arc;
 
@@ -129,11 +129,11 @@ proptest! {
         prop_assert_eq!(sequential, parallel);
     }
 
-    /// Sharded batched sweeps merge to the direct batched sweep (split
+    /// Split batched sweeps merge to the direct batched sweep (split
     /// x10-style sweeps use piece offsets, which the batched scatter
     /// must respect).
     #[test]
-    fn sharded_batched_sweeps_merge_exactly(
+    fn split_batched_sweeps_merge_exactly(
         seed in 0u64..100,
         m in 2usize..5,
     ) {
@@ -147,11 +147,11 @@ proptest! {
         let executor = BatchExecutor::new(alg.as_ref()).with_bounds(bounds);
         let direct = Runner::sequential().sweep(&grid, &executor).expect("sweep");
         let mut merged = SweepReport::default();
-        for i in 0..m {
-            let shard = Runner::sequential()
-                .sweep_shard(&grid, i, m, &executor)
-                .expect("shard sweep");
-            merged = merged.merge(&shard);
+        for (lo, hi) in grid.lease_ranges(grid.size().div_ceil(m)) {
+            let range = Runner::sequential()
+                .sweep_range(&grid, lo, hi, &executor)
+                .expect("range sweep");
+            merged = merged.merge(&range);
         }
         prop_assert_eq!(merged, direct);
     }

@@ -6,16 +6,16 @@
 //! 1. **Order determinism** — a parallel gathering sweep folds to the
 //!    same [`SweepReport`] as a sequential one (merge events,
 //!    per-scenario ratio witnesses included);
-//! 2. **Shard-merge byte identity** — for m ∈ {2, 3, 7}, sweeping the m
-//!    shards independently, serde-round-tripping each partial and merging
-//!    reproduces the unsharded sweep field for field *and byte for byte*
-//!    as JSON.
+//! 2. **Range-merge byte identity** — for m ∈ {2, 3, 7}, sweeping the
+//!    ≤ m lease ranges independently, serde-round-tripping each partial
+//!    and merging reproduces the whole sweep field for field *and byte
+//!    for byte* as JSON.
 
 use proptest::prelude::*;
 use rendezvous_core::{Fast, LabelSpace, RendezvousAlgorithm};
 use rendezvous_explore::OrientedRingExplorer;
 use rendezvous_graph::generators;
-use rendezvous_runner::{FleetRule, GatheringExecutor, Grid, Runner, SweepReport};
+use rendezvous_runner::{FleetRule, GatheringExecutor, Grid, Runner, SweepReport, Workload};
 use std::sync::Arc;
 
 /// A fleet grid on an `n`-ring under `Fast` with label space `l`: fleet
@@ -68,11 +68,11 @@ proptest! {
         prop_assert!(stats.merges >= stats.executed as u64);
     }
 
-    /// For every m ∈ {2, 3, 7}: merging the m independently-swept,
-    /// serde-round-tripped shards equals the unsharded sweep — including
-    /// its serialized JSON, byte for byte.
+    /// For every m ∈ {2, 3, 7}: merging the ≤ m independently-swept,
+    /// serde-round-tripped lease ranges equals the whole sweep —
+    /// including its serialized JSON, byte for byte.
     #[test]
-    fn gathering_shard_merges_are_byte_identical(
+    fn gathering_range_merges_are_byte_identical(
         n in 6usize..11,
         l in 5u64..13,
         phase in 0u64..13,
@@ -82,9 +82,9 @@ proptest! {
         let reference_json = serde_json::to_string(&reference).unwrap();
         for m in [2usize, 3, 7] {
             let mut merged = SweepReport::default();
-            for i in 0..m {
+            for (lo, hi) in grid.lease_ranges(grid.size().div_ceil(m).max(1)) {
                 let report = Runner::sequential()
-                    .sweep_shard(&grid, i, m, &executor)
+                    .sweep_range(&grid, lo, hi, &executor)
                     .unwrap();
                 // Cross the "process boundary".
                 let json = serde_json::to_string(&report).unwrap();

@@ -1,14 +1,16 @@
-//! Multi-process determinism, single-process-tested: merging the shard
-//! sweeps of a grid workload must reproduce the unsharded sequential
-//! sweep **field for field** — witness indices included — for every
-//! shard count, and the report must survive a serde round trip (the
-//! shard→merge path crosses a process boundary as JSON).
+//! Multi-process determinism, single-process-tested: merging the range
+//! sweeps of a grid workload — split by `Workload::lease_ranges` and
+//! swept by `Runner::sweep_range`, the path the fabric takes — must
+//! reproduce the whole sequential sweep **field for field** (witness
+//! indices included) for every split, and the report must survive a
+//! serde round trip (the range→merge path crosses a process boundary as
+//! JSON).
 
 use proptest::prelude::*;
 use rendezvous_core::{Cheap, Fast, LabelSpace, RendezvousAlgorithm};
 use rendezvous_explore::OrientedRingExplorer;
 use rendezvous_graph::generators;
-use rendezvous_runner::{AlgorithmExecutor, Bounded, Bounds, Grid, Runner, SweepReport};
+use rendezvous_runner::{AlgorithmExecutor, Bounded, Bounds, Grid, Runner, SweepReport, Workload};
 use std::sync::Arc;
 
 fn sweep_setup(n: usize, l: u64, fast: bool) -> (Box<dyn RendezvousAlgorithm>, Option<Bounds>) {
@@ -30,12 +32,13 @@ fn sweep_setup(n: usize, l: u64, fast: bool) -> (Box<dyn RendezvousAlgorithm>, O
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(16))]
 
-    /// For every m ∈ {2, 3, 7}: sweep each of the m shards independently
-    /// (each through its own executor, as separate processes would),
-    /// serde-round-trip the per-shard reports, merge them in order and in
-    /// reverse — both must equal the unsharded sequential sweep exactly.
+    /// For every m ∈ {2, 3, 7}: sweep each of the ≤ m lease ranges
+    /// independently (each through its own executor, as separate
+    /// processes would), serde-round-trip the per-range reports, merge
+    /// them in order and in reverse — both must equal the whole
+    /// sequential sweep exactly.
     #[test]
-    fn merging_shard_sweeps_equals_the_unsharded_sweep(
+    fn merging_range_sweeps_equals_the_whole_sweep(
         n in 4usize..9,
         l in 2u64..7,
         delay in 0u64..9,
@@ -61,24 +64,27 @@ proptest! {
         for m in [2usize, 3, 7] {
             let mut merged = SweepReport::default();
             let mut reversed = SweepReport::default();
-            let shard_reports: Vec<SweepReport> = (0..m)
-                .map(|i| {
-                    // Fresh executor per shard: each process compiles its
+            let chunk = grid.size().div_ceil(m).max(1);
+            let range_reports: Vec<SweepReport> = grid
+                .lease_ranges(chunk)
+                .into_iter()
+                .map(|(lo, hi)| {
+                    // Fresh executor per range: each process compiles its
                     // own schedule cache; determinism must not depend on a
                     // shared one.
                     let executor = AlgorithmExecutor::new(alg.as_ref());
                     let report = Runner::sequential()
-                        .sweep_shard(&grid, i, m, &Bounded::new(&executor, bounds))
+                        .sweep_range(&grid, lo, hi, &Bounded::new(&executor, bounds))
                         .expect("valid configurations");
                     // Cross the "process boundary".
                     let json = serde_json::to_string(&report).expect("serializable");
                     serde_json::from_str(&json).expect("round trip")
                 })
                 .collect();
-            for report in &shard_reports {
+            for report in &range_reports {
                 merged = merged.merge(report);
             }
-            for report in shard_reports.iter().rev() {
+            for report in range_reports.iter().rev() {
                 reversed = reversed.merge(report);
             }
             prop_assert_eq!(&merged, &reference, "m = {}", m);

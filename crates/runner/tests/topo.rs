@@ -1,7 +1,7 @@
-//! Topology-sweep determinism: merging the shard sweeps of a [`TopoGrid`]
-//! workload must reproduce the unsharded sweep **byte for byte** —
+//! Topology-sweep determinism: merging the range sweeps of a [`TopoGrid`]
+//! workload must reproduce the whole sweep **byte for byte** —
 //! per-family groups, witnesses and their global indices included — for
-//! every shard count, surviving a JSON round trip (the shard→merge path
+//! every split, surviving a JSON round trip (the range→merge path
 //! crosses a process boundary as text).
 
 use proptest::prelude::*;
@@ -79,12 +79,13 @@ fn build_topo(seed: u64, l: u64, cap: usize) -> TopoGrid {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 
-    /// For every m ∈ {2, 3, 7}: sweep each topo shard independently,
-    /// JSON-round-trip the per-shard reports, merge in order and in
-    /// reverse — both must equal the unsharded sweep exactly, and the
-    /// merged JSON must be **byte-identical** to the direct sweep's.
+    /// For every m ∈ {2, 3, 7}: sweep each of the ≤ m topo lease ranges
+    /// independently, JSON-round-trip the per-range reports, merge in
+    /// order and in reverse — both must equal the whole sweep exactly,
+    /// and the merged JSON must be **byte-identical** to the direct
+    /// sweep's.
     #[test]
-    fn merging_topo_shards_equals_the_unsharded_sweep(
+    fn merging_topo_ranges_equals_the_whole_sweep(
         seed in 0u64..500,
         l in 2u64..6,
         cap in 5usize..30,
@@ -100,20 +101,22 @@ proptest! {
         for m in [2usize, 3, 7] {
             let mut merged = SweepReport::default();
             let mut reversed = SweepReport::default();
-            let shard_reports: Vec<SweepReport> = (0..m)
-                .map(|i| {
+            let range_reports: Vec<SweepReport> = topo
+                .lease_ranges(topo.size().div_ceil(m).max(1))
+                .into_iter()
+                .map(|(lo, hi)| {
                     let report = Runner::sequential()
-                        .sweep_shard(&topo, i, m, &exec)
-                        .expect("shard sweep");
+                        .sweep_range(&topo, lo, hi, &exec)
+                        .expect("range sweep");
                     // Cross the "process boundary".
                     let json = serde_json::to_string(&report).expect("serializable");
                     serde_json::from_str(&json).expect("round trip")
                 })
                 .collect();
-            for report in &shard_reports {
+            for report in &range_reports {
                 merged = merged.merge(report);
             }
-            for report in shard_reports.iter().rev() {
+            for report in range_reports.iter().rev() {
                 reversed = reversed.merge(report);
             }
             prop_assert_eq!(&merged, &reference, "m = {}", m);
@@ -137,7 +140,7 @@ proptest! {
     }
 }
 
-/// The cached graph contract: every piece of any sharding refers back to
+/// The cached graph contract: every piece of any split refers back to
 /// the same entry — and hence the same `Arc` allocation — not a rebuilt
 /// clone.
 #[test]
@@ -146,9 +149,8 @@ fn entries_share_one_graph_allocation_per_spec() {
     for entry in topo.entries() {
         let again = entry.spec.build().unwrap();
         assert_eq!(*entry.graph, again, "spec determinism");
-        for m in [2usize, 5] {
-            for i in 0..m {
-                let (lo, hi) = topo.shard(i, m);
+        for chunk in [topo.size().div_ceil(2), topo.size().div_ceil(5)] {
+            for (lo, hi) in topo.lease_ranges(chunk) {
                 for piece in topo.pieces(lo, hi) {
                     let e = piece.entry.expect("topology pieces carry their entry");
                     if e.spec_index == entry.spec_index {
