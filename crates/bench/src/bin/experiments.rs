@@ -4,7 +4,7 @@
 //! Usage:
 //!
 //! ```text
-//! experiments [all|x1|x2|...|x11]... [--topo] [--quick] [--json]
+//! experiments [all|none|x1|x2|...|x11]... [--topo] [--quick] [--json]
 //!             [--sequential|--parallel] [--engine batched|stepped]
 //!             [--progress] [--telemetry FILE] [--plan] [--store DIR]
 //!             [--fabric workers=N [--fabric-checkpoint FILE] [--fabric-kill-one]]
@@ -17,7 +17,9 @@
 //! ```
 //!
 //! `--quick` shrinks the sweeps (used by CI); the default parameters are
-//! the paper-scale ones set in each experiment's function below.
+//! the paper-scale ones set in each experiment's function below. `none`
+//! selects no experiment; any other unknown id is a usage error (exit 2)
+//! raised before anything runs.
 //! `--json` emits the raw rows as JSON (one document per experiment)
 //! instead of markdown tables, for plotting pipelines — section headings
 //! go to stderr in that mode, so stdout stays a clean JSON stream
@@ -47,13 +49,14 @@
 //! while sweeps execute (stdout untouched); `--telemetry FILE` writes a
 //! deterministic `TELEMETRY.json` sidecar after the run — exact
 //! counters in sorted sections, wall-clock data quarantined under
-//! `timing`. Both compose with `--fabric workers=N`: each worker streams
-//! `@progress` protocol lines over stderr (internal `--progress-stream`
-//! flag) and sends its telemetry snapshot in its final `Finished` frame;
-//! the driver aggregates the live display and merges the workers'
-//! snapshots into one sidecar. Neither flag may change the experiment
-//! output: CI byte-diffs telemetry-on against telemetry-off on every
-//! push.
+//! `timing`. Both compose with `--fabric workers=N`, whose workers talk
+//! to the driver over the fabric socket only: each sends its telemetry
+//! snapshot in its final `Finished` frame, and the driver merges them
+//! into one sidecar; the driver's live display samples the
+//! coordinator's chunk table. A worker's stderr is the driver's, so a
+//! worker panic shows up as it happens. Neither flag may change the
+//! experiment output: CI byte-diffs telemetry-on against telemetry-off
+//! on every push.
 //!
 //! # Distributed fabric
 //!
@@ -85,7 +88,7 @@
 //! # Result store
 //!
 //! `--store DIR` puts a content-addressed read-through cache in front
-//! of every recorded sweep: a hit returns the stored [`SweepReport`]
+//! of every recorded sweep: a hit returns the stored `SweepReport`
 //! byte-identically and executes **zero** scenarios; a miss computes
 //! as usual (direct or through `--fabric`; the flag is forwarded to
 //! every worker so all of them skip the same cached sweeps) and writes
@@ -120,24 +123,21 @@ use rendezvous_bench::session::{self, Mode, Session};
 use rendezvous_bench::*;
 use rendezvous_runner::Runner;
 use rendezvous_store::Store;
-use rendezvous_telemetry::{Metrics, ProgressHub, ProgressReporter, StderrPump, TelemetrySnapshot};
+use rendezvous_telemetry::{Metrics, ProgressReporter, TelemetrySnapshot};
 use std::path::Path;
 use std::sync::Arc;
 
 struct Config {
     quick: bool,
     json: bool,
-    /// Suppress the ordinary output: the session's mode holds partial
-    /// reports (a fabric worker's own ranges, a `--plan` run's empty
-    /// ones).
-    suppress_output: bool,
     runner: Runner,
 }
 
 /// Emits either the rendered markdown or the serialized rows — or
-/// nothing, when the output is suppressed.
+/// nothing, when the session's reports are partial (a fabric worker's
+/// own ranges, a `--plan` run's empty ones).
 fn emit<R: serde::Serialize>(cfg: &Config, id: &str, rows: &[R], rendered: String) {
-    if cfg.suppress_output {
+    if !matches!(session::current().mode, Mode::Direct | Mode::Replay(_)) {
         return;
     }
     if cfg.json {
@@ -152,13 +152,14 @@ fn emit<R: serde::Serialize>(cfg: &Config, id: &str, rows: &[R], rendered: Strin
 }
 
 /// Prints a section heading: to stdout for markdown output, to stderr in
-/// `--json` mode (so stdout stays a clean JSON stream) and when the
-/// output is suppressed.
+/// `--json` mode (so stdout stays a clean JSON stream) and under
+/// `--plan`; a fabric worker, whose stderr is the driver's, prints none.
 fn section(cfg: &Config, heading: &str) {
-    if cfg.json || cfg.suppress_output {
-        eprintln!("{heading}");
-    } else {
-        println!("{heading}");
+    match session::current().mode {
+        Mode::Worker(_) => {}
+        Mode::Plan => eprintln!("{heading}"),
+        _ if cfg.json => eprintln!("{heading}"),
+        Mode::Direct | Mode::Replay(_) => println!("{heading}"),
     }
 }
 
@@ -241,7 +242,8 @@ impl Shared {
 /// `--fabric-worker` mode, waits for every worker process, and returns
 /// the coordinator's outcome: the merged per-sweep reports plus the
 /// workers' merged telemetry (delivered over the socket in their
-/// `Finished` frames).
+/// `Finished` frames). The socket is a worker's only channel: its
+/// stderr is this process's, and `--progress` samples the coordinator.
 ///
 /// A worker that exits abnormally while the run still completes is a
 /// *survived* fault — its leases were reassigned — and is only noted on
@@ -280,61 +282,42 @@ fn run_fabric(
         eprintln!("cannot locate own binary: {e}");
         std::process::exit(1);
     });
-    let hub = ProgressHub::new(workers);
-    let mut pumps: Vec<StderrPump> = Vec::with_capacity(workers);
     let children: Vec<std::process::Child> = (0..workers)
         .map(|i| {
             let mut cmd = std::process::Command::new(&exe);
             cmd.args(passthrough)
                 .arg("--fabric-worker")
                 .arg(&addr)
-                .stdout(std::process::Stdio::null())
-                .stderr(std::process::Stdio::piped());
-            if progress {
-                cmd.arg("--progress-stream");
-            }
+                .stdout(std::process::Stdio::null());
             if kill_one && i == 0 {
                 cmd.arg("--fabric-self-kill");
             }
-            let mut child = cmd.spawn().unwrap_or_else(|e| {
+            cmd.spawn().unwrap_or_else(|e| {
                 eprintln!("cannot spawn fabric worker {i}: {e}");
                 std::process::exit(1);
-            });
-            let stderr = child.stderr.take().expect("worker stderr is piped");
-            pumps.push(StderrPump::pump(stderr, &hub, i));
-            child
+            })
         })
         .collect();
-    let reporter = progress.then(|| ProgressReporter::aggregate(&hub));
+    let reporter = progress.then(|| ProgressReporter::new(server.progress()));
     let statuses: Vec<std::io::Result<std::process::ExitStatus>> =
         children.into_iter().map(|mut c| c.wait()).collect();
-    let diagnostics: Vec<String> = pumps.into_iter().map(StderrPump::finish).collect();
     if let Some(reporter) = reporter {
         reporter.finish();
     }
-    match server.join() {
-        Ok(outcome) => {
-            for (i, status) in statuses.iter().enumerate() {
-                match status {
-                    Ok(s) if s.success() => {}
-                    Ok(s) => eprintln!(
-                        "fabric worker {i} exited abnormally ({s}); its leases were reassigned"
-                    ),
-                    Err(e) => eprintln!("cannot join fabric worker {i}: {e}"),
-                }
+    let outcome = server.join().unwrap_or_else(|e| {
+        eprintln!("fabric run failed: {e}");
+        std::process::exit(1);
+    });
+    for (i, status) in statuses.iter().enumerate() {
+        match status {
+            Ok(s) if s.success() => {}
+            Ok(s) => {
+                eprintln!("fabric worker {i} exited abnormally ({s}); its leases were reassigned")
             }
-            outcome
-        }
-        Err(e) => {
-            eprintln!("fabric run failed: {e}");
-            for (i, status) in statuses.iter().enumerate() {
-                if !matches!(status, Ok(s) if s.success()) {
-                    eprintln!("fabric worker {i} diagnostics:\n{}", diagnostics[i]);
-                }
-            }
-            std::process::exit(1);
+            Err(e) => eprintln!("cannot join fabric worker {i}: {e}"),
         }
     }
+    outcome
 }
 
 /// Writes the sidecar document (exact sections sorted, wall-clock data
@@ -496,9 +479,9 @@ fn worker_args(args: &[String]) -> Vec<String> {
             "--telemetry" | "--fabric" | "--fabric-checkpoint" => {
                 args.next();
             }
-            // The driver renders the progress display (handing workers
-            // the stream flag) and picks the worker to kill.
-            "--progress" | "--progress-stream" | "--fabric-kill-one" => {}
+            // The driver renders the progress display and picks the
+            // worker to kill.
+            "--progress" | "--fabric-kill-one" => {}
             "--engine" | "--store" => {
                 kept.push(arg.clone());
                 kept.extend(args.next().cloned());
@@ -542,7 +525,6 @@ fn main() {
     let mut parallel = false;
     let mut topo = false;
     let mut progress = false;
-    let mut progress_stream = false;
     let mut telemetry_path: Option<String> = None;
     let mut mode: Option<(String, Run)> = None;
     let mut fabric_checkpoint: Option<String> = None;
@@ -561,9 +543,6 @@ fn main() {
             "--topo" => topo = true,
             "--progress" => progress = true,
             "--telemetry" => telemetry_path = Some(value(&mut iter, &arg, "a file path")),
-            // Internal (fabric-worker) flag: emit `@progress` protocol
-            // lines on stderr for the driver.
-            "--progress-stream" => progress_stream = true,
             "--plan" => claim(&mut mode, &arg, Run::Plan),
             "--fabric" => {
                 let spec = value(&mut iter, &arg, "workers=N");
@@ -617,6 +596,22 @@ fn main() {
     if matches!(run, Run::Plan) && telemetry_path.is_some() {
         usage_error("--telemetry with --plan would write a vacuously empty sidecar");
     }
+    // Every id is checked before any session is installed or worker
+    // spawned, so a typo runs nothing. Besides the experiment ids, `all`
+    // expands below and `none` selects nothing (a bare process start,
+    // which perfbench times as `bench.process_start_ms`).
+    let experiment = |id: &str| {
+        EXPERIMENTS
+            .iter()
+            .find(|(name, _)| *name == id)
+            .map(|&(_, run)| run)
+    };
+    if let Some(bad) = wanted
+        .iter()
+        .find(|w| !matches!(w.as_str(), "all" | "none") && experiment(w).is_none())
+    {
+        usage_error(&format!("unknown experiment: {bad}"));
+    }
     // `all` stays x1..x9: the topology sweeps (x10/x11) are the heaviest
     // tables and are selected explicitly. `--topo` is a selector — alone
     // it runs just x10; next to ids (or `all`) it adds x10 to them. An
@@ -635,15 +630,16 @@ fn main() {
     if topo && !wanted.iter().any(|w| w == "x10") {
         wanted.push("x10".into());
     }
+    let selected: Vec<Experiment> = wanted.iter().filter_map(|w| experiment(w)).collect();
     // The telemetry sink rides on the runner of every process that
-    // *executes* sweeps. The fabric driver replays its workers' merged
-    // reports, so its observability flags become worker stream flags
-    // instead of a local sink; a fabric worker always carries one — its
-    // snapshot rides the socket in its `Finished` frame.
+    // *executes* sweeps. A fabric worker always carries one — its
+    // snapshot rides the socket in its `Finished` frame; the driver
+    // replays its workers' merged reports and samples its coordinator's
+    // progress, so it needs none.
     let local_sink = match run {
         Run::Worker(_) => true,
-        Run::Driver(_) | Run::Plan => progress_stream,
-        Run::Direct => progress_stream || progress || telemetry_path.is_some(),
+        Run::Driver(_) | Run::Plan => false,
+        Run::Direct => progress || telemetry_path.is_some(),
     };
     let mut runner = shared.runner();
     if local_sink {
@@ -683,35 +679,21 @@ fn main() {
     let cfg = Config {
         quick,
         json,
-        suppress_output: matches!(mode, Mode::Plan | Mode::Worker(_)),
         runner,
     };
     session::install(shared.session(mode));
 
-    // Live progress over the local sink: `--progress-stream` (machine
-    // lines for the fabric driver) wins over `--progress` (human
-    // display) — a fabric worker never renders its own display.
-    let reporter = match cfg.runner.metrics() {
-        Some(metrics) if progress_stream => Some(ProgressReporter::stream(metrics)),
-        Some(metrics) if progress => Some(ProgressReporter::human(metrics)),
-        _ => None,
-    };
+    // Live progress of a direct run, over its local sink (a fabric
+    // worker never gets `--progress`; the driver's display samples the
+    // coordinator).
+    let reporter = cfg
+        .runner
+        .metrics()
+        .filter(|_| progress)
+        .map(ProgressReporter::human);
 
-    for w in &wanted {
-        match w.as_str() {
-            "x1" => x1(&cfg),
-            "x2" => x2(&cfg),
-            "x3" => x3(&cfg),
-            "x4" => x4(&cfg),
-            "x5" => x5(&cfg),
-            "x6" => x6(&cfg),
-            "x7" => x7(&cfg),
-            "x8" => x8(&cfg),
-            "x9" => x9(&cfg),
-            "x10" => x10(&cfg),
-            "x11" => x11(&cfg),
-            other => eprintln!("unknown experiment: {other}"),
-        }
+    for experiment in selected {
+        experiment(&cfg);
     }
 
     if let Some(reporter) = reporter {
@@ -731,6 +713,24 @@ fn main() {
         }
     }
 }
+
+/// Runs one experiment: prints its sections and emits its rows.
+type Experiment = fn(&Config);
+
+/// Every experiment id and the function that runs it.
+const EXPERIMENTS: [(&str, Experiment); 11] = [
+    ("x1", x1),
+    ("x2", x2),
+    ("x3", x3),
+    ("x4", x4),
+    ("x5", x5),
+    ("x6", x6),
+    ("x7", x7),
+    ("x8", x8),
+    ("x9", x9),
+    ("x10", x10),
+    ("x11", x11),
+];
 
 fn x1(cfg: &Config) {
     section(

@@ -79,6 +79,50 @@ fn a_sigkilled_worker_changes_nothing_but_the_stderr_diagnostics() {
     );
 }
 
+/// The `(done, total)` scenario counts of the last `[sweep]` line a
+/// `--progress` run of `args` draws on stderr.
+fn final_scenarios(args: &[&str]) -> (u64, u64) {
+    let mut argv = args.to_vec();
+    argv.push("--progress");
+    let out = experiments(&argv);
+    assert!(out.status.success(), "experiments {argv:?} failed");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    let line = stderr
+        .split(['\r', '\n'])
+        .rfind(|l| l.starts_with("[sweep]"))
+        .unwrap_or_else(|| panic!("experiments {argv:?} drew no progress line: {stderr}"));
+    let counts = line
+        .split(" · ")
+        .find_map(|field| field.strip_prefix("scenarios "))
+        .and_then(|c| c.split_once('/'))
+        .unwrap_or_else(|| panic!("no scenario counts in {line:?}"));
+    (counts.0.parse().unwrap(), counts.1.parse().unwrap())
+}
+
+/// The fabric driver's live display samples the coordinator, so its
+/// final reading matches the direct run's — even when a killed worker's
+/// range ran twice.
+#[test]
+fn fabric_progress_ends_at_the_direct_totals() {
+    let (done, total) = final_scenarios(&["x1", "--quick"]);
+    assert_eq!(done, total, "the direct run finishes every scenario");
+    assert!(total > 0);
+    assert_eq!(
+        final_scenarios(&["x1", "--quick", "--fabric", "workers=2"]),
+        (total, total)
+    );
+    assert_eq!(
+        final_scenarios(&[
+            "x1",
+            "--quick",
+            "--fabric",
+            "workers=3",
+            "--fabric-kill-one"
+        ]),
+        (total, total)
+    );
+}
+
 #[test]
 fn checkpoint_resume_re_executes_zero_ranges() {
     let ckpt = scratch("ckpt");
@@ -178,6 +222,11 @@ fn fabric_flag_misuse_is_refused_up_front() {
             "--fabric-worker",
             "127.0.0.1:1",
         ],
+        // Unknown ids are refused before anything runs or spawns.
+        vec!["x99", "--quick"],
+        vec!["x1", "x99", "--quick"],
+        vec!["all", "x99", "--quick"],
+        vec!["x99", "--quick", "--fabric", "workers=2"],
     ] {
         let out = experiments(&bad);
         assert_eq!(
@@ -188,11 +237,15 @@ fn fabric_flag_misuse_is_refused_up_front() {
         );
         assert!(out.stdout.is_empty(), "experiments {bad:?} printed output");
     }
+    // `none` is the one id that selects nothing: a bare process start.
+    let out = experiments(&["none"]);
+    assert!(out.status.success() && out.stdout.is_empty());
 }
 
-/// `--fabric` is the only way to split a run: the static-shard and
-/// stderr-telemetry flags are refused as unknown flags (usage error,
-/// exit 2) before anything executes.
+/// `--fabric` is the only way to split a run, and the socket is a
+/// worker's only channel: the static-shard flags and the stderr
+/// telemetry and progress streams are refused as unknown flags (usage
+/// error, exit 2) before anything executes.
 #[test]
 fn removed_shard_and_telemetry_stream_flags_are_unknown() {
     for (flag, value) in [
@@ -201,6 +254,7 @@ fn removed_shard_and_telemetry_stream_flags_are_unknown() {
         ("--merge-shards", Some("s0.json")),
         ("--spawn-shards", Some("2")),
         ("--telemetry-stream", None),
+        ("--progress-stream", None),
     ] {
         let mut args = vec!["x1", "--quick", flag];
         args.extend(value);

@@ -21,6 +21,7 @@
 use crate::checkpoint::CheckpointRecord;
 use crate::error::FabricError;
 use rendezvous_runner::{SweepReport, WorkloadMeta};
+use rendezvous_telemetry::ProgressCounts;
 use std::collections::{BTreeMap, VecDeque};
 
 /// A worker's identity on the fabric (its process id).
@@ -335,10 +336,27 @@ impl Coordinator {
         }
     }
 
-    /// True when every registered sweep's every chunk is done.
+    /// The run's progress as its chunk table records it: units and
+    /// chunks of every registered sweep, against those in `Done` slots.
+    /// Checkpoint-resumed ranges count as done; a requeued range counts
+    /// once, whichever worker completes it.
     #[must_use]
-    pub fn all_complete(&self) -> bool {
-        self.sweeps.iter().all(|s| s.done == s.chunks.len())
+    pub fn progress(&self) -> ProgressCounts {
+        let total = |per_sweep: fn(&SweepState) -> usize| {
+            u64::try_from(self.sweeps.iter().map(per_sweep).sum::<usize>()).unwrap_or(u64::MAX)
+        };
+        ProgressCounts {
+            scenarios_done: total(|s| {
+                s.chunks
+                    .iter()
+                    .filter(|c| matches!(c.slot, Slot::Done(_)))
+                    .map(|c| c.hi - c.lo)
+                    .sum()
+            }),
+            scenarios_total: total(|s| s.meta.size),
+            pieces_done: total(|s| s.done),
+            pieces_total: total(|s| s.chunks.len()),
+        }
     }
 
     /// Chunks leased or pending, across all sweeps.
@@ -486,5 +504,88 @@ fn carve_gap(
             slot: Slot::Pending,
         });
         at = end;
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rendezvous_runner::WorkloadKind;
+
+    fn meta(size: usize) -> WorkloadMeta {
+        WorkloadMeta {
+            kind: WorkloadKind::Grid,
+            digest: 7,
+            full_size: size,
+            size,
+        }
+    }
+
+    fn counts(done: u64, total: u64, pieces_done: u64, pieces_total: u64) -> ProgressCounts {
+        ProgressCounts {
+            scenarios_done: done,
+            scenarios_total: total,
+            pieces_done,
+            pieces_total,
+        }
+    }
+
+    fn lease(c: &mut Coordinator, worker: WorkerId, now_ms: u64) -> (usize, usize) {
+        match c.request(worker, 0, meta(10), now_ms).unwrap() {
+            LeaseReply::Range { lo, hi } => (lo, hi),
+            other => panic!("expected a lease, got {other:?}"),
+        }
+    }
+
+    /// Progress is read off the chunk table: registration adds totals,
+    /// and only `Done` slots count as done, so a requeued range counts
+    /// once however many times it completes, and checkpointed ranges
+    /// start done.
+    #[test]
+    fn progress_counts_each_done_chunk_once() {
+        let cfg = CoordinatorConfig {
+            workers: 2,
+            chunk: 4,
+            lease_timeout_ms: 100,
+        };
+        let mut c = Coordinator::new(cfg, Vec::new());
+        assert_eq!(c.progress(), ProgressCounts::default());
+
+        // Fresh registration: 10 units in chunks [0,4) [4,8) [8,10).
+        let (lo, hi) = lease(&mut c, 1, 0);
+        assert_eq!(c.progress(), counts(0, 10, 0, 3));
+        c.result(0, lo, hi, SweepReport::default()).unwrap();
+        assert_eq!(c.progress(), counts(4, 10, 1, 3));
+
+        // Worker 1 goes silent on [4,8); the requeued range is not done
+        // until worker 2 completes it, and worker 1's late duplicate
+        // adds nothing.
+        let (lo, hi) = lease(&mut c, 1, 10);
+        assert_eq!(c.expire(200), 1);
+        assert_eq!(c.progress(), counts(4, 10, 1, 3));
+        assert_eq!(lease(&mut c, 2, 200), (lo, hi));
+        assert!(c
+            .result(0, lo, hi, SweepReport::default())
+            .unwrap()
+            .is_some());
+        assert!(c
+            .result(0, lo, hi, SweepReport::default())
+            .unwrap()
+            .is_none());
+        assert_eq!(c.progress(), counts(8, 10, 2, 3));
+
+        // A resumed run: the checkpointed [2,5) is done on registration,
+        // carved as [0,2) [2,5) [5,9) [9,10).
+        let record = CheckpointRecord {
+            sweep: 0,
+            lo: 2,
+            hi: 5,
+            meta: meta(10),
+            report: SweepReport::default(),
+        };
+        let mut resumed = Coordinator::new(cfg, vec![record]);
+        assert_eq!(resumed.progress(), ProgressCounts::default());
+        lease(&mut resumed, 1, 0);
+        assert_eq!(resumed.progress(), counts(3, 10, 1, 4));
     }
 }

@@ -27,7 +27,7 @@ pub const PROTOCOL_VERSION: u32 = 1;
 /// sweep sequence (every worker walks the same experiment list in the
 /// same order), and `lo..hi` are **global workload indices** — the same
 /// coordinates [`Workload`](rendezvous_runner::Workload) pieces,
-/// [`SweepReport`](rendezvous_runner::SweepReport) witnesses, and the
+/// [`rendezvous_runner::SweepReport`] witnesses, and the
 /// checkpoint records all use, which is what makes lease reassignment and
 /// duplicate results idempotent.
 #[derive(Debug, Clone, Serialize, Deserialize)]

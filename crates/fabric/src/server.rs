@@ -5,10 +5,10 @@
 //! All dispatch *decisions* live in the pure [`Coordinator`]; this
 //! module only moves frames, ticks the liveness clock, and appends
 //! checkpoint records. Time comes exclusively from one
-//! [`Stopwatch`](rendezvous_telemetry::Stopwatch) started at server
-//! launch — the telemetry crate's sanctioned wall-clock wrapper — so the
-//! fabric adds no new raw clock reads to the workspace (the analyze
-//! linter's D4 rule stays tight).
+//! [`rendezvous_telemetry::Stopwatch`] started at server launch — the
+//! telemetry crate's sanctioned wall-clock wrapper — so the fabric adds
+//! no new raw clock reads to the workspace (the analyze linter's D4
+//! rule stays tight).
 
 use crate::checkpoint::{CheckpointRecord, CheckpointWriter};
 use crate::coordinator::{Coordinator, CoordinatorConfig, FabricStats, LeaseReply, WorkerId};
@@ -16,7 +16,7 @@ use crate::error::FabricError;
 use crate::protocol::{Message, PROTOCOL_VERSION};
 use crate::wire::{read_frame, write_frame};
 use rendezvous_runner::{SweepReport, WorkloadMeta};
-use rendezvous_telemetry::{Stopwatch, TelemetrySnapshot};
+use rendezvous_telemetry::{ProgressCounts, Stopwatch, TelemetrySnapshot};
 use std::net::{TcpListener, TcpStream};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -120,6 +120,20 @@ impl FabricServer {
     #[must_use]
     pub fn addr(&self) -> &str {
         &self.addr
+    }
+
+    /// A `'static` reader of the coordinator's
+    /// [`progress`](Coordinator::progress), for a sampler thread that
+    /// outlives this borrow.
+    pub fn progress(&self) -> impl Fn() -> ProgressCounts + Send + 'static {
+        let shared = Arc::clone(&self.shared);
+        move || {
+            shared
+                .coordinator
+                .lock()
+                .expect("fabric coordinator lock")
+                .progress()
+        }
     }
 
     /// Stops serving and evaluates the run: every worker process should

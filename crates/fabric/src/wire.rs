@@ -14,9 +14,10 @@ use serde::{Deserialize, Serialize};
 use std::io::{ErrorKind, Read, Write};
 
 /// Upper bound on a frame payload, in bytes. The largest real payload is
-/// a `Result` frame carrying one lease chunk's [`SweepReport`] (a few
-/// KiB); 16 MiB is comfortable headroom while still refusing a corrupt
-/// or hostile length prefix before allocating for it.
+/// a `Result` frame carrying one lease chunk's
+/// [`SweepReport`](rendezvous_runner::SweepReport) (a few KiB); 16 MiB
+/// is comfortable headroom while still refusing a corrupt or hostile
+/// length prefix before allocating for it.
 pub const MAX_FRAME: usize = 16 << 20;
 
 /// How many consecutive read-timeout ticks [`read_frame`] tolerates

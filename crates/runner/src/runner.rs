@@ -167,9 +167,9 @@ impl Runner {
 
     /// Sweeps the global index range `[lo, hi)` of a [`Workload`].
     ///
-    /// The range is walked in fixed chunks of [`SWEEP_CHUNK`] units: each
-    /// chunk's pieces are enumerated, run and folded into the one report
-    /// before the next chunk is enumerated, so no more than a chunk's
+    /// The range is walked in fixed chunks of `SWEEP_CHUNK` (4096) units:
+    /// each chunk's pieces are enumerated, run and folded into the one
+    /// report before the next chunk is enumerated, so no more than a chunk's
     /// scenarios and outcomes are ever held at once, however large the
     /// workload. Chunking never changes a report: the fold is at global
     /// indices, so any contiguous split folds to the same aggregates.

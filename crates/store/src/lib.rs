@@ -2,8 +2,8 @@
 //! of the workspace's "serve millions of users" posture.
 //!
 //! A sweep is a pure function of its workload
-//! ([`WorkloadMeta`](rendezvous_runner::WorkloadMeta) carries a content
-//! digest of the enumerated space) plus the executor/engine
+//! ([`rendezvous_runner::WorkloadMeta`] carries a content digest of
+//! the enumerated space) plus the executor/engine
 //! configuration, so its [`SweepReport`] can be cached and replayed
 //! byte-identically. The store keeps **one file per entry** under a root
 //! directory, named by a canonical [`StoreKey`] token that composes the
