@@ -97,6 +97,41 @@ fn engine_flat_plan(c: &mut Criterion) {
             black_box(FlatPlan::compile(g.clone(), Arc::clone(&schedule), start).len());
         });
     });
+    // Every (label, start) plan of Cheap and Fast on one 12-node DfsMap
+    // spec, through one fresh executor per algorithm: the cold plan
+    // cache of a sweep, where explore segments are shared across plans.
+    {
+        use rendezvous_core::Cheap;
+        use rendezvous_explore::spec_explorer;
+        use rendezvous_graph::GraphSpec;
+        use rendezvous_runner::AlgorithmExecutor;
+        let spec: GraphSpec =
+            serde_json::from_str(r#"{"ErdosRenyi":{"n":12,"edge_permille":400,"seed":5}}"#)
+                .unwrap();
+        let g = Arc::new(spec.build().unwrap());
+        assert_eq!(g.node_count(), 12);
+        let ex = spec_explorer(&spec, g.clone()).unwrap();
+        assert_eq!(ex.name(), DfsMapExplorer::new(g.clone()).name());
+        let space = LabelSpace::new(8).unwrap();
+        let algs: Vec<Box<dyn RendezvousAlgorithm>> = vec![
+            Box::new(Cheap::new(g.clone(), ex.clone(), space)),
+            Box::new(Fast::new(g.clone(), ex, space)),
+        ];
+        c.bench_function("engine/flat_plan_compile_dfs", |b| {
+            b.iter(|| {
+                let mut rounds = 0;
+                for alg in &algs {
+                    let executor = AlgorithmExecutor::new(alg.as_ref());
+                    for label in 1..=space.size() {
+                        for start in g.nodes() {
+                            rounds += executor.plan(label, start).unwrap().len();
+                        }
+                    }
+                }
+                black_box(rounds)
+            });
+        });
+    }
     // Decision phase in isolation: next_action round by round, without
     // the simulator around it (the ring's degree is uniformly 2, which
     // is all the stepped behavior reads from its observation).
@@ -303,6 +338,36 @@ fn batch_solving(c: &mut Criterion) {
             black_box(met)
         });
     });
+    // Crossing counts in isolation: two walkers circling an even ring in
+    // opposite directions from adjacent nodes swap nodes every n/2
+    // rounds and, at even delays below n − 1 (before the first walker
+    // can find the second asleep), never meet — so each solve scans its
+    // whole window for a meeting and counts crossings over all of it.
+    {
+        use rendezvous_sim::Trajectory;
+        let n = 64u32;
+        let steps = 4096u32;
+        let mut cw = Trajectory::new(0);
+        let mut ccw = Trajectory::new(n - 1);
+        for r in 1..=steps {
+            cw.push(r % n, true);
+            ccw.push((2 * n - 1 - r % n) % n, true);
+        }
+        let horizon = u64::from(steps);
+        let even: Vec<u64> = (0..24).map(|d| 2 * d).collect();
+        c.bench_function("batch/crossings_scan", |b| {
+            b.iter(|| {
+                let solver = BatchSolver::new(&cw, &ccw, horizon);
+                let mut crossings = 0u64;
+                for &d in &even {
+                    let out = solver.solve(d);
+                    assert_eq!(out.round, None, "opposite walkers never meet");
+                    crossings += out.crossings;
+                }
+                black_box(crossings)
+            });
+        });
+    }
     // The one-off cost the batched path adds on a plan-cache miss:
     // compiling a plan now also records its trajectory.
     c.bench_function("batch/trajectory_compile", |b| {

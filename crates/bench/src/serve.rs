@@ -28,6 +28,12 @@ use rendezvous_store::{Miss, SCHEMA_VERSION};
 use serde::{Deserialize, Serialize};
 use std::net::{TcpListener, TcpStream};
 use std::path::Path;
+use std::time::Duration;
+
+/// How long a connection may stay silent before the server drops it.
+/// Connections are served one at a time, so without this bound one
+/// client that connects and sends nothing would stall every other.
+const READ_TIMEOUT: Duration = Duration::from_millis(500);
 
 /// One question to the sweep service.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -104,14 +110,15 @@ pub enum Reply {
 /// `session` (whose store the compute path reads through and writes
 /// back to, and the token path reads), binds a loopback socket,
 /// publishes its address to `addr_file` (atomically, for pollers), and
-/// answers queries one connection at a time.
+/// answers queries one connection at a time. A connection that sends
+/// nothing for `READ_TIMEOUT` is dropped.
 ///
 /// # Errors
 ///
 /// Returns a message when the socket or the address file cannot be set
 /// up, or when `accept` itself fails; a *per-connection* failure
-/// (malformed frame, peer gone) is logged to stderr and the server
-/// keeps serving.
+/// (malformed frame, peer gone, read timeout) is logged to stderr and
+/// the server keeps serving.
 pub fn serve(session: Session, addr_file: Option<&Path>, runner: &Runner) -> Result<(), String> {
     crate::session::install(session);
     let listener =
@@ -128,7 +135,11 @@ pub fn serve(session: Session, addr_file: Option<&Path>, runner: &Runner) -> Res
         let (stream, peer) = listener
             .accept()
             .map_err(|e| format!("accept failed: {e}"))?;
-        match converse(stream, runner) {
+        let served = stream
+            .set_read_timeout(Some(READ_TIMEOUT))
+            .map_err(|e| format!("cannot set a read timeout: {e}"))
+            .and_then(|()| converse(stream, runner));
+        match served {
             Ok(true) => return Ok(()),
             Ok(false) => {}
             Err(e) => eprintln!("serve: connection from {peer} failed: {e}"),

@@ -4,6 +4,12 @@
 //! store entries must come back as *typed refusals* (exit 3), never as
 //! wrong bytes.
 
+use proptest::prelude::*;
+use rendezvous_bench::serve::Query;
+use rendezvous_fabric::wire::read_json_frame;
+use rendezvous_fabric::WireError;
+use std::io::Cursor;
+use std::net::TcpStream;
 use std::path::PathBuf;
 use std::process::{Child, Command, Stdio};
 use std::time::Duration;
@@ -262,4 +268,117 @@ fn direct_and_served_refusals_are_identical() {
 
     stdout_of(&["query", "--addr", &addr, "--shutdown"]);
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Connections are served one at a time, so a client that connects and
+/// sends nothing must not stall the service: the server drops it after
+/// its read timeout and answers the next client.
+#[test]
+fn a_silent_connection_does_not_stall_the_next_query() {
+    let dir = scratch("silent");
+    let _ = std::fs::remove_dir_all(&dir);
+    std::fs::create_dir_all(&dir).unwrap();
+    let server = Server::start(&dir, scratch("silent-addr"));
+    let addr = server.wait_ready();
+
+    let silent = TcpStream::connect(&addr).expect("connect a silent client");
+    let mut query = Command::new(env!("CARGO_BIN_EXE_experiments"))
+        .args(["query", "--addr", &addr, "--token", "no-such-entry"])
+        .stdout(Stdio::null())
+        .stderr(Stdio::null())
+        .spawn()
+        .expect("query spawns");
+    // Bounded by attempt count (~5 s), like `wait_ready`.
+    let mut status = None;
+    for _ in 0..250 {
+        status = query.try_wait().expect("query is waitable");
+        if status.is_some() {
+            break;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    if status.is_none() {
+        let _ = query.kill();
+        let _ = query.wait();
+    }
+    drop(silent);
+    let status = status.expect("a query answers within ~5 s while a silent client is connected");
+    assert_eq!(
+        status.code(),
+        Some(3),
+        "the token query is refused: not cached"
+    );
+
+    stdout_of(&["query", "--addr", &addr, "--shutdown"]);
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Bytes a hostile or broken client might send, drawn from JSON syntax,
+/// query field names and a non-UTF-8 byte.
+const ALPHABET: &[u8] = b"{}[]\":,0123456789 TokentokenGridalgorithmspecRingncapShutdown\\\xff";
+
+/// Whole frames the server accepts as queries, or nearly does.
+const TEMPLATES: &[&str] = &[
+    r#""Shutdown""#,
+    r#"{"Token":{"token":"abc"}}"#,
+    r#"{"Token":7}"#,
+    r#"{"Grid":{"algorithm":"cheap","spec":{"Ring":{"n":4}},"l":2,"cap":1}}"#,
+    r#"{"Grid":{"algorithm":"cheap","spec":{"Ring":{"n":-4}},"l":2,"cap":1}}"#,
+];
+
+/// Arbitrary byte streams biased toward the reader's interesting paths:
+/// a few frames, each either a template or alphabet bytes under a small
+/// declared length (so valid, truncated, malformed and non-UTF-8 frames
+/// all occur), then raw noise that may start a frame it never finishes.
+fn arbitrary_stream() -> impl Strategy<Value = Vec<u8>> {
+    let frame = (
+        0..TEMPLATES.len() + 1,
+        0u32..48,
+        collection::vec(0..ALPHABET.len(), 0..48),
+    );
+    (
+        collection::vec(frame, 0..4),
+        collection::vec(0u8..=255, 0..16),
+    )
+        .prop_map(|(frames, noise)| {
+            let mut bytes = Vec::new();
+            for (template, len, payload) in frames {
+                let payload: Vec<u8> = match TEMPLATES.get(template) {
+                    Some(t) => t.as_bytes().to_vec(),
+                    None => payload.iter().map(|&i| ALPHABET[i]).collect(),
+                };
+                let len = if template < TEMPLATES.len() {
+                    u32::try_from(payload.len()).unwrap()
+                } else {
+                    len
+                };
+                bytes.extend_from_slice(&len.to_be_bytes());
+                bytes.extend(payload);
+            }
+            bytes.extend(noise);
+            bytes
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Never-panic: reading queries from any byte stream ends in a clean
+    /// close or a typed error — never a panic, and never an I/O error
+    /// from an in-memory stream.
+    #[test]
+    fn arbitrary_byte_streams_never_panic_the_query_reader(bytes in arbitrary_stream()) {
+        let mut cursor = Cursor::new(bytes);
+        // Every frame read consumes its 4-byte prefix, so this ends.
+        loop {
+            match read_json_frame::<_, Query>(&mut cursor, "a query") {
+                Ok(Some(_)) => {}
+                Ok(None) => break,
+                Err(e) => {
+                    prop_assert!(!matches!(e, WireError::Io(_)), "{e}");
+                    break;
+                }
+            }
+        }
+    }
 }

@@ -11,7 +11,7 @@ use rendezvous_explore::{ExploreRun, Explorer};
 use rendezvous_graph::{NodeId, Port, PortLabeledGraph};
 use rendezvous_sim::{Action, AgentBehavior, Observation, Trajectory};
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, RwLock};
 
 /// One phase of a schedule.
 #[derive(Clone)]
@@ -235,22 +235,6 @@ impl ScheduleBehavior {
         self.phase_idx >= self.schedule.phases().len()
     }
 
-    /// If the current phase is a wait, consumes all its remaining rounds
-    /// at once and returns how many — exactly what that many
-    /// [`next_action`](AgentBehavior::next_action) calls would do (stay
-    /// put, clear the entry port). Returns 0 in an explore phase or once
-    /// the schedule is exhausted.
-    fn skip_wait(&mut self) -> u64 {
-        self.settle();
-        let Some(&Phase::Wait(rounds)) = self.schedule.phases().get(self.phase_idx) else {
-            return 0;
-        };
-        let left = rounds - self.round_in_phase;
-        self.round_in_phase = rounds;
-        self.last_entry = None;
-        left
-    }
-
     /// Skips zero-length phases and starts runs lazily.
     fn settle(&mut self) {
         while let Some(phase) = self.schedule.phases().get(self.phase_idx) {
@@ -286,48 +270,46 @@ impl ScheduleBehavior {
 /// [`AlgorithmExecutor`](../../rendezvous_runner/struct.AlgorithmExecutor.html)
 /// cache exploits.
 ///
-/// The compiler *is* a [`ScheduleBehavior`] driven round by round
-/// through every explore phase, and wait phases are appended whole
-/// (stays, a repeated position, no moves) — so the flat plan is equal to
-/// the stepped execution by construction. The equivalence tests below
-/// and the byte-identical experiment outputs both rest on that.
-#[derive(Debug, Clone)]
+/// The compiler walks the schedule's phases. A wait phase is appended
+/// whole (stays, a repeated position, no moves). An explore phase is
+/// appended as the *segment* of (explorer, node the phase starts on)
+/// from a [`SegmentMemo`]: a [`ScheduleBehavior`] restarts its explorer
+/// and clears the entry port at every phase boundary, so that pair
+/// fixes the phase's every move. Each segment is computed once, by a
+/// [`ScheduleBehavior`] stepped round by round over a one-phase
+/// schedule — so the flat plan is equal to the stepped execution by
+/// construction. The equivalence tests below and the byte-identical
+/// experiment outputs both rest on that.
+///
+/// A plan keeps both forms of the walk: [`FlatPlan::actions`] for the
+/// stepped engine and [`FlatPlan::trajectory`] for the batched one.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FlatPlan {
     actions: Vec<Action>,
     end_position: NodeId,
     trajectory: Trajectory,
 }
 
-impl FlatPlan {
-    /// Compiles the flat action array of `schedule` from `start` by
-    /// stepping a [`ScheduleBehavior`] through every explore round and
-    /// appending each wait phase in bulk.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start` is not a node of `graph`.
-    #[must_use]
-    pub fn compile(
-        graph: Arc<PortLabeledGraph>,
-        schedule: Arc<Schedule>,
-        start: NodeId,
-    ) -> FlatPlan {
-        let total = schedule.total_rounds();
-        let mut behavior = ScheduleBehavior::with_shared(Arc::clone(&graph), schedule, start);
-        let mut actions = Vec::with_capacity(usize::try_from(total).unwrap_or(0));
-        let node_index =
-            |node: NodeId| u32::try_from(node.index()).expect("node index fits in u32");
-        let mut trajectory = Trajectory::new(node_index(start));
-        let mut round = 0;
-        while round < total {
-            let idle = behavior.skip_wait();
-            if idle > 0 {
-                let idle_len = usize::try_from(idle).expect("wait fits in memory");
-                actions.resize(actions.len() + idle_len, Action::Stay);
-                trajectory.idle(idle);
-                round += idle;
-                continue;
-            }
+/// One explore phase unrolled from its start node: what the phase
+/// appends to every plan that runs the same explorer from that node.
+#[derive(Debug)]
+struct Segment {
+    actions: Vec<Action>,
+    /// The phase's walk, starting at the start node.
+    trajectory: Trajectory,
+    end: NodeId,
+}
+
+impl Segment {
+    /// Steps a [`ScheduleBehavior`] through the one-phase schedule
+    /// `[Explore(explorer)]` from `start`.
+    fn explore(graph: &Arc<PortLabeledGraph>, explorer: &Arc<dyn Explorer>, start: NodeId) -> Self {
+        let rounds = explorer.bound();
+        let schedule = Arc::new(Schedule::new(vec![Phase::Explore(Arc::clone(explorer))]));
+        let mut behavior = ScheduleBehavior::with_shared(Arc::clone(graph), schedule, start);
+        let mut actions = Vec::with_capacity(rounds);
+        let mut trajectory = Trajectory::with_capacity(node_index(start), rounds);
+        for round in 0..rounds as u64 {
             // The behavior reads only the degree from its observation
             // (it tracks position and entry ports internally), so the
             // synthesized observation needs nothing else.
@@ -338,11 +320,139 @@ impl FlatPlan {
             });
             trajectory.push(node_index(behavior.position()), action.is_move());
             actions.push(action);
-            round += 1;
+        }
+        Segment {
+            actions,
+            trajectory,
+            end: behavior.position(),
+        }
+    }
+}
+
+/// Explore segments compiled once per (explorer, start node) of one
+/// graph, shared by every [`FlatPlan`] compiled through the memo.
+///
+/// An explorer is identified by its `Arc` ([`Arc::ptr_eq`] against the
+/// `Arc`s the memo holds, so an address cannot be reused while the memo
+/// lives). Each slot is written once; since a segment is a deterministic
+/// function of its key, concurrent first hits race benignly and the
+/// first insert wins.
+#[derive(Debug)]
+pub struct SegmentMemo {
+    graph: Arc<PortLabeledGraph>,
+    explorers: RwLock<Vec<ExplorerSegments>>,
+}
+
+/// One explorer's segments, indexed by start node.
+#[derive(Debug)]
+struct ExplorerSegments {
+    explorer: Arc<dyn Explorer>,
+    by_start: Vec<Option<Arc<Segment>>>,
+}
+
+impl SegmentMemo {
+    /// An empty memo for schedules run on `graph`.
+    #[must_use]
+    pub fn new(graph: Arc<PortLabeledGraph>) -> Self {
+        SegmentMemo {
+            graph,
+            explorers: RwLock::new(Vec::new()),
+        }
+    }
+
+    /// Number of distinct (explorer, start node) segments compiled so far.
+    #[cfg(test)]
+    fn compiled_segments(&self) -> usize {
+        self.explorers
+            .read()
+            .expect("segment memo poisoned")
+            .iter()
+            .map(|e| e.by_start.iter().flatten().count())
+            .sum()
+    }
+
+    /// The segment of `explorer` run from `start`, compiled on first use.
+    fn segment(&self, explorer: &Arc<dyn Explorer>, start: NodeId) -> Arc<Segment> {
+        let slot = start.index();
+        let find = |explorers: &[ExplorerSegments]| {
+            explorers
+                .iter()
+                .position(|e| Arc::ptr_eq(&e.explorer, explorer))
+        };
+        {
+            let explorers = self.explorers.read().expect("segment memo poisoned");
+            if let Some(segment) =
+                find(&explorers).and_then(|i| explorers[i].by_start[slot].clone())
+            {
+                return segment;
+            }
+        }
+        let compiled = Arc::new(Segment::explore(&self.graph, explorer, start));
+        let mut explorers = self.explorers.write().expect("segment memo poisoned");
+        let i = find(&explorers).unwrap_or_else(|| {
+            explorers.push(ExplorerSegments {
+                explorer: Arc::clone(explorer),
+                by_start: vec![None; self.graph.node_count()],
+            });
+            explorers.len() - 1
+        });
+        Arc::clone(explorers[i].by_start[slot].get_or_insert(compiled))
+    }
+}
+
+/// A node's index as a trajectory entry.
+fn node_index(node: NodeId) -> u32 {
+    u32::try_from(node.index()).expect("node index fits in u32")
+}
+
+impl FlatPlan {
+    /// Compiles the flat plan of `schedule` from `start` through a
+    /// throwaway [`SegmentMemo`]; see [`FlatPlan::compile_memoized`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start` is not a node of `graph`.
+    #[must_use]
+    pub fn compile(
+        graph: Arc<PortLabeledGraph>,
+        schedule: Arc<Schedule>,
+        start: NodeId,
+    ) -> FlatPlan {
+        Self::compile_memoized(&SegmentMemo::new(graph), &schedule, start)
+    }
+
+    /// Compiles the flat plan of `schedule` from `start` on the memo's
+    /// graph: each wait phase is appended in bulk, each explore phase as
+    /// the memo's segment for (explorer, node the phase starts on).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start` is not a node of the memo's graph.
+    #[must_use]
+    pub fn compile_memoized(memo: &SegmentMemo, schedule: &Schedule, start: NodeId) -> FlatPlan {
+        assert!(memo.graph.contains(start), "start node out of range");
+        let total = usize::try_from(schedule.total_rounds()).expect("schedule fits in memory");
+        let mut actions = Vec::with_capacity(total);
+        let mut trajectory = Trajectory::with_capacity(node_index(start), total);
+        let mut at = start;
+        for phase in schedule.phases() {
+            match phase {
+                Phase::Wait(rounds) => {
+                    let idle = usize::try_from(*rounds).expect("wait fits in memory");
+                    actions.resize(actions.len() + idle, Action::Stay);
+                    trajectory.idle(*rounds);
+                }
+                Phase::Explore(explorer) => {
+                    let segment = memo.segment(explorer, at);
+                    actions.extend_from_slice(&segment.actions);
+                    trajectory.append(&segment.trajectory);
+                    at = segment.end;
+                }
+            }
         }
         FlatPlan {
             actions,
-            end_position: behavior.position(),
+            end_position: at,
             trajectory,
         }
     }
@@ -624,9 +734,9 @@ mod tests {
         }
     }
 
-    /// The round-by-round compiler bulk wait compilation replaced: a
-    /// [`ScheduleBehavior`] stepped through every round, waits included.
-    /// Returns the actions, the trajectory and the end position.
+    /// The compile oracle: a [`ScheduleBehavior`] stepped through every
+    /// round of the whole schedule, waits included. Returns the actions,
+    /// the trajectory and the end position.
     fn stepped_plan(
         graph: &Arc<PortLabeledGraph>,
         schedule: &Arc<Schedule>,
@@ -649,19 +759,22 @@ mod tests {
         (actions, trajectory, behavior.position())
     }
 
-    /// Bulk-compiled plans of `schedule` from every start equal the
-    /// stepped compile: actions, positions, prefix moves, end position.
-    fn assert_bulk_compile_is_stepped(graph: &Arc<PortLabeledGraph>, schedule: Schedule) {
+    /// Plans of `schedule` from every start, compiled cold and through
+    /// `memo` (warm after the first call), equal the stepped compile:
+    /// actions, positions, prefix moves, end position.
+    fn assert_compile_is_stepped(memo: &SegmentMemo, schedule: Schedule) {
+        let graph = &memo.graph;
         let schedule = Arc::new(schedule);
-        for start in 0..graph.node_count() {
-            let start = NodeId::new(start);
-            let plan = FlatPlan::compile(Arc::clone(graph), Arc::clone(&schedule), start);
+        for start in graph.nodes() {
+            let cold = FlatPlan::compile(Arc::clone(graph), Arc::clone(&schedule), start);
             let (actions, trajectory, end) = stepped_plan(graph, &schedule, start);
             let context = format!("{:?} from {start:?}", schedule.phases());
-            assert_eq!(plan.actions(), &actions[..], "actions of {context}");
+            assert_eq!(cold.actions(), &actions[..], "actions of {context}");
             // Trajectory equality covers positions and prefix moves.
-            assert_eq!(plan.trajectory(), &trajectory, "trajectory of {context}");
-            assert_eq!(plan.end_position(), end, "end position of {context}");
+            assert_eq!(cold.trajectory(), &trajectory, "trajectory of {context}");
+            assert_eq!(cold.end_position(), end, "end position of {context}");
+            let warm = FlatPlan::compile_memoized(memo, &schedule, start);
+            assert_eq!(warm, cold, "warm and cold memo differ on {context}");
         }
     }
 
@@ -676,6 +789,7 @@ mod tests {
         let walk: Arc<dyn Explorer> = Arc::new(BoundedWalkExplorer::new(3));
         let dfs: Arc<dyn Explorer> = Arc::new(DfsMapExplorer::new(grid.clone()));
         for (graph, e) in [(&ring, &walk), (&grid, &walk), (&grid, &dfs)] {
+            let memo = SegmentMemo::new(graph.clone());
             let explore = || Phase::Explore(Arc::clone(e));
             let shapes = vec![
                 vec![
@@ -695,13 +809,14 @@ mod tests {
                 vec![],
             ];
             for phases in shapes {
-                assert_bulk_compile_is_stepped(graph, Schedule::new(phases));
+                assert_compile_is_stepped(&memo, Schedule::new(phases));
             }
         }
     }
 
     /// Every algorithm's schedules, on an oriented ring and on a DFS-map
-    /// grid: bulk-compiled plans equal the stepped compile.
+    /// grid, with ring-doubling Iterated schedules running a different
+    /// explorer per level: compiled plans equal the stepped compile.
     #[test]
     fn bulk_wait_compile_equals_stepped_for_every_algorithm() {
         use crate::{
@@ -715,6 +830,7 @@ mod tests {
         let grid_ex: Arc<dyn Explorer> = Arc::new(DfsMapExplorer::new(grid.clone()));
         let space = LabelSpace::new(6).unwrap();
         for (graph, ex) in [(&ring, &ring_ex), (&grid, &grid_ex)] {
+            let memo = SegmentMemo::new(graph.clone());
             let iterated = |base| {
                 Iterated::new(
                     graph.clone(),
@@ -735,9 +851,96 @@ mod tests {
             for alg in &algs {
                 for label in [1u64, 4, 6] {
                     let schedule = alg.schedule(Label::new(label).unwrap()).unwrap();
-                    assert_bulk_compile_is_stepped(graph, schedule);
+                    assert_compile_is_stepped(&memo, schedule);
                 }
             }
+        }
+    }
+
+    /// Every exploration level is the same explorer `Arc`: an Iterated
+    /// schedule over any explorer, sharing one memo key across levels.
+    #[derive(Debug)]
+    struct FixedFamily(Arc<dyn Explorer>);
+
+    impl rendezvous_explore::ExplorationFamily for FixedFamily {
+        fn level(&self, _level: u32) -> Arc<dyn Explorer> {
+            Arc::clone(&self.0)
+        }
+    }
+
+    /// The compile oracle: for Cheap, Fast, FastWithRelabeling and both
+    /// Iterated bases, over all seven explorers and from every start
+    /// node, a plan's actions, trajectory and end position equal a
+    /// round-by-round [`ScheduleBehavior`] run. Plans compiled through
+    /// one warm memo equal cold [`FlatPlan::compile`] plans, and that
+    /// memo holds at most one segment per (explorer, node).
+    #[test]
+    fn memoized_compile_equals_stepped_for_every_explorer() {
+        use crate::{
+            BaseAlgorithm, Cheap, Fast, FastWithRelabeling, Iterated, Label, LabelSpace,
+            RendezvousAlgorithm,
+        };
+        use rendezvous_explore::{
+            EulerianExplorer, HamiltonianExplorer, OrientedRingExplorer, TrialDfsExplorer,
+            UxsExplorer, UxsSequence,
+        };
+        use rendezvous_graph::HamiltonianCycle;
+        let ring = Arc::new(generators::oriented_ring(6).unwrap());
+        let ring5 = Arc::new(generators::oriented_ring(5).unwrap());
+        let grid = Arc::new(generators::grid(3, 3).unwrap());
+        let cube = Arc::new(generators::hypercube(3).unwrap());
+        let torus = Arc::new(generators::torus(3, 3).unwrap());
+        let cycle = HamiltonianCycle::known_hypercube(&cube).unwrap();
+        let ones = UxsSequence::new(2, vec![1; 4]);
+        let cases: Vec<(&Arc<PortLabeledGraph>, Arc<dyn Explorer>)> = vec![
+            (
+                &ring,
+                Arc::new(OrientedRingExplorer::new(ring.clone()).unwrap()),
+            ),
+            (&ring, Arc::new(BoundedWalkExplorer::new(4))),
+            (&grid, Arc::new(DfsMapExplorer::new(grid.clone()))),
+            (
+                &grid,
+                Arc::new(TrialDfsExplorer::new(grid.clone()).unwrap()),
+            ),
+            (
+                &ring5,
+                Arc::new(UxsExplorer::with_sequence(ring5.clone(), ones).unwrap()),
+            ),
+            (
+                &cube,
+                Arc::new(HamiltonianExplorer::new(cube.clone(), cycle).unwrap()),
+            ),
+            (
+                &torus,
+                Arc::new(EulerianExplorer::new(torus.clone()).unwrap()),
+            ),
+        ];
+        let space = LabelSpace::new(6).unwrap();
+        for (graph, ex) in cases {
+            let iterated = |base| {
+                let family = Arc::new(FixedFamily(Arc::clone(&ex)));
+                Iterated::new(graph.clone(), family, space, base, 1..=2).unwrap()
+            };
+            let algs: Vec<Box<dyn RendezvousAlgorithm>> = vec![
+                Box::new(Cheap::new(graph.clone(), ex.clone(), space)),
+                Box::new(Fast::new(graph.clone(), ex.clone(), space)),
+                Box::new(FastWithRelabeling::new(graph.clone(), ex.clone(), space, 2).unwrap()),
+                Box::new(iterated(BaseAlgorithm::Cheap)),
+                Box::new(iterated(BaseAlgorithm::Fast)),
+            ];
+            let memo = SegmentMemo::new(graph.clone());
+            for alg in &algs {
+                for label in 1..=space.size() {
+                    let schedule = alg.schedule(Label::new(label).unwrap()).unwrap();
+                    assert_compile_is_stepped(&memo, schedule);
+                }
+            }
+            assert!(
+                memo.compiled_segments() <= graph.node_count(),
+                "{}: one segment per start node, shared by every plan",
+                ex.name()
+            );
         }
     }
 

@@ -3,6 +3,7 @@
 //! surface as a clean typed [`WireError`], never a hang and never a
 //! partially-parsed message.
 
+use proptest::prelude::*;
 use rendezvous_fabric::wire::{read_frame, write_frame, MAX_FRAME};
 use rendezvous_fabric::{Message, WireError, PROTOCOL_VERSION};
 use rendezvous_runner::{SweepReport, WorkloadKind, WorkloadMeta};
@@ -238,4 +239,74 @@ fn frames_larger_than_the_cap_are_refused_at_write_time_too() {
         Err(WireError::Oversized { .. })
     ));
     assert!(sink.is_empty(), "nothing may reach the wire");
+}
+
+/// Bytes a hostile or broken peer might send, drawn from JSON syntax,
+/// message names and a non-UTF-8 byte.
+const ALPHABET: &[u8] = b"{}[]\":,0123456789 HelloLeaseWaitHeartbeatsweeplohi\\\xff";
+
+/// Whole frames the reader accepts, or nearly does.
+const TEMPLATES: &[&str] = &[
+    r#""Heartbeat""#,
+    r#""Wait""#,
+    r#"{"Lease":{"sweep":3,"lo":0,"hi":9}}"#,
+    r#"{"Lease":{"sweep":3}}"#,
+    r#"{"Hello":{"version":1,"worker":"x"}}"#,
+];
+
+/// Arbitrary byte streams biased toward the reader's interesting paths:
+/// a few frames, each either a template or alphabet bytes under a small
+/// declared length (so valid, truncated, malformed and non-UTF-8 frames
+/// all occur), then raw noise that may start a frame it never finishes.
+fn arbitrary_stream() -> impl Strategy<Value = Vec<u8>> {
+    let frame = (
+        0..TEMPLATES.len() + 1,
+        0u32..48,
+        collection::vec(0..ALPHABET.len(), 0..48),
+    );
+    (
+        collection::vec(frame, 0..4),
+        collection::vec(0u8..=255, 0..16),
+    )
+        .prop_map(|(frames, noise)| {
+            let mut bytes = Vec::new();
+            for (template, len, payload) in frames {
+                let payload: Vec<u8> = match TEMPLATES.get(template) {
+                    Some(t) => t.as_bytes().to_vec(),
+                    None => payload.iter().map(|&i| ALPHABET[i]).collect(),
+                };
+                let len = if template < TEMPLATES.len() {
+                    u32::try_from(payload.len()).unwrap()
+                } else {
+                    len
+                };
+                bytes.extend_from_slice(&len.to_be_bytes());
+                bytes.extend(payload);
+            }
+            bytes.extend(noise);
+            bytes
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    /// Never-panic: reading frames from any byte stream ends in a clean
+    /// close or a typed error — never a panic, and never an I/O error
+    /// from an in-memory stream.
+    #[test]
+    fn arbitrary_byte_streams_never_panic_read_frame(bytes in arbitrary_stream()) {
+        let mut cursor = Cursor::new(bytes);
+        // Every frame read consumes its 4-byte prefix, so this ends.
+        loop {
+            match read_frame(&mut cursor) {
+                Ok(Some(_)) => {}
+                Ok(None) => break,
+                Err(e) => {
+                    prop_assert!(!matches!(e, WireError::Io(_)), "{e}");
+                    break;
+                }
+            }
+        }
+    }
 }

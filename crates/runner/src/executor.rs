@@ -1,7 +1,7 @@
 //! How a [`Scenario`] becomes an execution: pluggable executors.
 
 use crate::{Scenario, ScenarioOutcome};
-use rendezvous_core::{CoreError, FlatPlan, Label, RendezvousAlgorithm, Schedule};
+use rendezvous_core::{CoreError, FlatPlan, Label, RendezvousAlgorithm, Schedule, SegmentMemo};
 use rendezvous_graph::NodeId;
 use rendezvous_sim::{AgentBehavior, AgentSpec, MeetingCondition, SimError, Simulation};
 use rendezvous_telemetry::{Counter, Metrics, Scope};
@@ -108,20 +108,23 @@ pub trait Executor: Sync {
 /// Executes scenarios against a [`RendezvousAlgorithm`]: each agent runs
 /// the schedule the algorithm compiles for its label.
 ///
-/// Compilation is **memoized per executor**, at two levels. A sweep
+/// Compilation is **memoized per executor**, at three levels. A sweep
 /// revisits each label across thousands of start pairs and delays, so
 /// the executor compiles `label → Arc<Schedule>` once; and because a
 /// schedule's whole execution is a deterministic function of its start
 /// node, it further unrolls `(label, start) → Arc<FlatPlan>` — the flat
 /// action array that turns every agent's per-round decision phase into
-/// an indexed load (see [`FlatPlan`]). Both caches are write-once per
-/// key and safe to hit from the [`Runner`](crate::Runner)'s worker
+/// an indexed load (see [`FlatPlan`]). Plans are assembled from explore
+/// segments compiled once per (explorer, node) in a [`SegmentMemo`],
+/// shared by every label and start. All three caches are write-once
+/// per key and safe to hit from the [`Runner`](crate::Runner)'s worker
 /// threads; since compilation is deterministic, concurrent first hits
 /// race benignly.
 pub struct AlgorithmExecutor<'a> {
     algorithm: &'a dyn RendezvousAlgorithm,
     schedules: RwLock<BTreeMap<u64, Arc<Schedule>>>,
     plans: RwLock<BTreeMap<(u64, NodeId), Arc<FlatPlan>>>,
+    segments: SegmentMemo,
     plan_stats: Option<PlanCacheStats>,
 }
 
@@ -140,6 +143,7 @@ impl<'a> AlgorithmExecutor<'a> {
             algorithm,
             schedules: RwLock::new(BTreeMap::new()),
             plans: RwLock::new(BTreeMap::new()),
+            segments: SegmentMemo::new(Arc::clone(algorithm.graph())),
             plan_stats: None,
         }
     }
@@ -201,11 +205,7 @@ impl<'a> AlgorithmExecutor<'a> {
             return Ok(Arc::clone(p));
         }
         let schedule = self.schedule(label_value)?;
-        let compiled = Arc::new(FlatPlan::compile(
-            Arc::clone(self.algorithm.graph()),
-            schedule,
-            start,
-        ));
+        let compiled = Arc::new(FlatPlan::compile_memoized(&self.segments, &schedule, start));
         let mut cache = self.plans.write().expect("plan cache poisoned");
         match cache.entry(key) {
             Entry::Occupied(entry) => {

@@ -29,8 +29,10 @@
 //! visits the second's start node at round `f`, every delay `d ≥ f` has
 //! the **same** O(1) outcome — the sleeper is found at round `f` — which
 //! is the paper's `τ > E` observation (Propositions 2.1/2.2) turned into
-//! code. The inner comparisons scan in 8-lane word chunks over dense
-//! `u32` position arrays so the compiler can vectorize them.
+//! code. The inner loops scan in 8-lane word chunks over dense `u32`
+//! arrays so the compiler can vectorize them: the meeting search compares
+//! aligned position windows, and the crossing count is one branch-free
+//! pass over the aligned position and prefix-move windows.
 
 /// One agent's precomputed walk as a structure of arrays: the node index
 /// occupied after each round plus a running count of edge traversals.
@@ -56,6 +58,19 @@ impl Trajectory {
         }
     }
 
+    /// Like [`Trajectory::new`], with room reserved for `steps` rounds.
+    #[must_use]
+    pub fn with_capacity(start: u32, steps: usize) -> Self {
+        let mut positions = Vec::with_capacity(steps + 1);
+        let mut prefix_moves = Vec::with_capacity(steps + 1);
+        positions.push(start);
+        prefix_moves.push(0);
+        Trajectory {
+            positions,
+            prefix_moves,
+        }
+    }
+
     /// Appends one round: the position at the end of the round and
     /// whether the round traversed an edge.
     pub fn push(&mut self, position: u32, moved: bool) {
@@ -75,6 +90,25 @@ impl Trajectory {
         self.positions.resize(self.positions.len() + rounds, end);
         self.prefix_moves
             .resize(self.prefix_moves.len() + rounds, moves);
+    }
+
+    /// Appends a whole walk `tail` that starts where this one ends: its
+    /// positions are copied and its traversal counts offset by this
+    /// walk's — `tail.steps()` calls of `push` in bulk.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `tail` does not start at this walk's end position.
+    pub fn append(&mut self, tail: &Trajectory) {
+        assert_eq!(
+            tail.start(),
+            self.end(),
+            "appended walk must continue this one"
+        );
+        let moves = *self.prefix_moves.last().expect("at least the start");
+        self.positions.extend_from_slice(&tail.positions[1..]);
+        self.prefix_moves
+            .extend(tail.prefix_moves[1..].iter().map(|m| moves + m));
     }
 
     /// Number of recorded rounds `T` (the walk idles at its end position
@@ -304,8 +338,33 @@ impl<'a> BatchSolver<'a> {
     /// Crossings in rounds `delay + 1 ..= end` (the engine counts the
     /// meeting round too, before its meeting check): both agents moved
     /// and swapped nodes. Rounds where either walk is exhausted cannot
-    /// cross, so the window clamps to both arrays.
+    /// cross, so the window clamps to both arrays; the count is one
+    /// [`count_swaps`] lane scan over the aligned windows.
     fn crossings_through(&self, delay: u64, end: u64) -> u64 {
+        let hi = end
+            .min(self.a.steps())
+            .min(self.b.steps().saturating_add(delay));
+        if hi <= delay {
+            return 0;
+        }
+        // Round `delay + 1 + k` is index `delay + 1 + k` of the first
+        // walk and `1 + k` of the second; each window also holds the
+        // round before its first.
+        let rounds = usize::try_from(hi - delay).expect("window fits");
+        let a0 = usize::try_from(delay).expect("round fits");
+        let a = a0..=a0 + rounds;
+        count_swaps(
+            &self.a.positions[a.clone()],
+            &self.a.prefix_moves[a],
+            &self.b.positions[..=rounds],
+            &self.b.prefix_moves[..=rounds],
+        )
+    }
+
+    /// The per-round reference scan [`BatchSolver::crossings_through`]
+    /// replaced, kept as its oracle.
+    #[cfg(test)]
+    fn crossings_through_scalar(&self, delay: u64, end: u64) -> u64 {
         let hi = end
             .min(self.a.steps())
             .min(self.b.steps().saturating_add(delay));
@@ -327,10 +386,45 @@ impl<'a> BatchSolver<'a> {
     }
 }
 
+/// Rounds in which two aligned walks swap nodes while both traverse an
+/// edge. The four windows have one length `n + 1`, and step `k < n` is the
+/// round from index `k` to `k + 1`: it counts when `a[k + 1] = b[k]`,
+/// `a[k] = b[k + 1]` and both prefix-move counts step. Branch-free, in
+/// 8-lane chunks like [`first_equal`].
+fn count_swaps(a_pos: &[u32], a_moves: &[u32], b_pos: &[u32], b_moves: &[u32]) -> u64 {
+    let n = a_pos.len() - 1;
+    assert!(
+        a_moves.len() == n + 1 && b_pos.len() == n + 1 && b_moves.len() == n + 1,
+        "aligned windows"
+    );
+    let (a_from, a_to) = (&a_pos[..n], &a_pos[1..]);
+    let (b_from, b_to) = (&b_pos[..n], &b_pos[1..]);
+    let (am_from, am_to) = (&a_moves[..n], &a_moves[1..]);
+    let (bm_from, bm_to) = (&b_moves[..n], &b_moves[1..]);
+    let swap = |k: usize| {
+        u32::from(a_to[k] == b_from[k])
+            & u32::from(a_from[k] == b_to[k])
+            & u32::from(am_to[k] != am_from[k])
+            & u32::from(bm_to[k] != bm_from[k])
+    };
+    let chunks = n / LANES;
+    let mut total = 0u64;
+    for c in 0..chunks {
+        let base = c * LANES;
+        let mut lanes: u32 = 0;
+        for lane in 0..LANES {
+            lanes += swap(base + lane);
+        }
+        total += u64::from(lanes);
+    }
+    total + (chunks * LANES..n).map(|k| u64::from(swap(k))).sum::<u64>()
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{run_solo, Action, AgentBehavior, AgentSpec, MeetingCondition, Simulation};
+    use proptest::prelude::*;
     use rendezvous_graph::{generators, NodeId, Port, PortLabeledGraph};
 
     /// Replays a recorded solo walk — the scripted oracle counterpart of
@@ -553,5 +647,59 @@ mod tests {
                 assert_eq!(first_equal_to(&c, 5), expected, "len {len}, hit {hit}");
             }
         }
+    }
+
+    /// A walk of arbitrary steps over three node indices, with move flags
+    /// drawn independently of positions, so swaps with and without moves
+    /// are both common. Lengths straddle several 8-lane chunks.
+    fn arbitrary_trajectory() -> impl Strategy<Value = Trajectory> {
+        (0u32..3, collection::vec((0u32..3, 0u8..2), 0..40)).prop_map(|(start, steps)| {
+            let mut t = Trajectory::new(start);
+            for (position, moved) in steps {
+                t.push(position, moved == 1);
+            }
+            t
+        })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(1024))]
+
+        #[test]
+        fn lane_scan_crossings_equal_the_scalar_oracle(
+            a in arbitrary_trajectory(),
+            b in arbitrary_trajectory(),
+            delay in 0u64..50,
+            horizon in 0u64..60,
+        ) {
+            let solver = BatchSolver::new(&a, &b, horizon);
+            prop_assert_eq!(
+                solver.crossings_through(delay, horizon),
+                solver.crossings_through_scalar(delay, horizon),
+                "delay {delay}, horizon {horizon}"
+            );
+        }
+    }
+
+    #[test]
+    fn appended_walks_equal_pushed_rounds() {
+        let mut pushed = Trajectory::new(2);
+        let mut appended = Trajectory::new(2);
+        let mut tail = Trajectory::new(2);
+        for (position, moved) in [(3, true), (3, false), (1, true)] {
+            pushed.push(position, moved);
+            tail.push(position, moved);
+        }
+        appended.append(&tail);
+        assert_eq!(appended, pushed);
+        // A second append offsets its moves by the walk so far.
+        let mut second = Trajectory::with_capacity(1, 2);
+        second.push(0, true);
+        second.push(0, false);
+        pushed.push(0, true);
+        pushed.push(0, false);
+        appended.append(&second);
+        assert_eq!(appended, pushed);
+        assert_eq!(appended.moves_through(5), 3);
     }
 }
