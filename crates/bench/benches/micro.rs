@@ -11,7 +11,7 @@ use criterion::{criterion_group, BatchSize, Criterion};
 use rendezvous_core::{lex_subset_bits, Fast, Label, LabelSpace, RendezvousAlgorithm};
 use rendezvous_explore::{dfs_walk, DfsMapExplorer, Explorer, OrientedRingExplorer};
 use rendezvous_graph::{generators, NodeId, Port};
-use rendezvous_sim::{Action, AgentSpec, MeetingCondition, ScriptedAgent, Simulation};
+use rendezvous_sim::{Action, AgentSpec, ScriptedAgent, Simulation};
 use std::hint::black_box;
 use std::sync::Arc;
 
@@ -51,10 +51,8 @@ fn engine_occupancy(c: &mut Criterion) {
         c.bench_function(&format!("engine/occupancy_scan_k{k}"), |b| {
             b.iter_batched(
                 || {
-                    // FirstPair is the condition with the quadratic scan.
-                    let mut sim = Simulation::new(&g)
-                        .max_rounds(256)
-                        .meeting_condition(MeetingCondition::FirstPair);
+                    // The meeting check is the quadratic scan.
+                    let mut sim = Simulation::new(&g).max_rounds(256);
                     for i in 0..k {
                         // Same direction, same speed: the fleet rotates
                         // rigidly and never meets.
@@ -320,7 +318,6 @@ fn batch_solving(c: &mut Criterion) {
                     .agent(Box::new(plan_a.behavior()), AgentSpec::immediate(start_a))
                     .agent(Box::new(plan_b.behavior()), AgentSpec::delayed(start_b, d))
                     .max_rounds(horizon)
-                    .meeting_condition(MeetingCondition::FirstPair)
                     .run()
                     .unwrap();
                 met += u64::from(out.met());

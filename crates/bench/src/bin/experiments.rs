@@ -4,8 +4,8 @@
 //! Usage:
 //!
 //! ```text
-//! experiments [all|none|x1|x2|...|x11]... [--topo] [--quick] [--json]
-//!             [--sequential|--parallel] [--engine batched|stepped]
+//! experiments [all|none|x1|x2|...|x11]... [--quick] [--json]
+//!             [--sequential] [--engine batched|stepped]
 //!             [--progress] [--telemetry FILE] [--plan] [--store DIR]
 //!             [--fabric workers=N [--fabric-checkpoint FILE] [--fabric-kill-one]]
 //! experiments serve --store DIR [--addr-file FILE]
@@ -26,13 +26,13 @@
 //! (`experiments all --json | jq` works).
 //!
 //! Every experiment executes through the shared `rendezvous-runner`
-//! engine. `--parallel` (the default) uses all hardware threads;
-//! `--sequential` forces one thread. The two modes produce **identical**
-//! tables — the runner folds outcomes in scenario order either way — so
-//! diffing the outputs is a quick end-to-end determinism check:
+//! engine. By default it uses all hardware threads; `--sequential`
+//! forces one. The two modes produce **identical** tables — the runner
+//! folds outcomes in scenario order either way — so diffing the outputs
+//! is a quick end-to-end determinism check:
 //!
 //! ```text
-//! diff <(experiments all --quick --sequential) <(experiments all --quick --parallel)
+//! diff <(experiments all --quick --sequential) <(experiments all --quick)
 //! ```
 //!
 //! Every pair sweep runs on the delay-batched trajectory solver
@@ -107,7 +107,7 @@
 //!
 //! # Topology sweeps
 //!
-//! `x10` (alias `--topo`) sweeps 100+ **seeded graph instances per
+//! `x10` sweeps 100+ **seeded graph instances per
 //! family** ([`x10_topologies`]): the graph becomes an adversary axis.
 //! `x11` composes that grid with the gathering generalization
 //! ([`x11_gathering_topo`]): k-agent fleets gathered on every seeded
@@ -522,8 +522,6 @@ fn main() {
     let mut shared = Shared::default();
     let mut quick = false;
     let mut json = false;
-    let mut parallel = false;
-    let mut topo = false;
     let mut progress = false;
     let mut telemetry_path: Option<String> = None;
     let mut mode: Option<(String, Run)> = None;
@@ -539,8 +537,6 @@ fn main() {
             _ if shared.parse(&arg, &mut iter) => {}
             "--quick" => quick = true,
             "--json" => json = true,
-            "--parallel" => parallel = true,
-            "--topo" => topo = true,
             "--progress" => progress = true,
             "--telemetry" => telemetry_path = Some(value(&mut iter, &arg, "a file path")),
             "--plan" => claim(&mut mode, &arg, Run::Plan),
@@ -577,9 +573,6 @@ fn main() {
         }
     }
     let run = mode.map_or(Run::Direct, |(_, run)| run);
-    if shared.sequential && parallel {
-        usage_error("--sequential and --parallel are mutually exclusive");
-    }
     match run {
         Run::Driver(n) if fabric_kill_one && n < 2 => {
             usage_error("--fabric-kill-one needs workers=2 or more to have survivors")
@@ -612,23 +605,19 @@ fn main() {
     {
         usage_error(&format!("unknown experiment: {bad}"));
     }
-    // `all` stays x1..x9: the topology sweeps (x10/x11) are the heaviest
-    // tables and are selected explicitly. `--topo` is a selector — alone
-    // it runs just x10; next to ids (or `all`) it adds x10 to them. An
-    // explicit `x10`/`x11` id survives an `all` expansion for the same
-    // reason.
-    let topo = topo || wanted.iter().any(|w| w == "x10");
-    if wanted.iter().any(|w| w == "all") || (wanted.is_empty() && !topo) {
-        let explicit_x11 = wanted.iter().any(|w| w == "x11");
+    // `all` (or no id) stays x1..x9: the topology sweeps are the
+    // heaviest tables and are selected explicitly, so an explicit `x11`
+    // and then `x10` survive an `all` expansion, in that order.
+    if wanted.is_empty() || wanted.iter().any(|w| w == "all") {
+        let explicit: Vec<String> = ["x11", "x10"]
+            .into_iter()
+            .filter(|id| wanted.iter().any(|w| w == id))
+            .map(String::from)
+            .collect();
         wanted = ["x1", "x2", "x3", "x4", "x5", "x6", "x7", "x8", "x9"]
             .map(String::from)
             .to_vec();
-        if explicit_x11 {
-            wanted.push("x11".into());
-        }
-    }
-    if topo && !wanted.iter().any(|w| w == "x10") {
-        wanted.push("x10".into());
+        wanted.extend(explicit);
     }
     let selected: Vec<Experiment> = wanted.iter().filter_map(|w| experiment(w)).collect();
     // The telemetry sink rides on the runner of every process that

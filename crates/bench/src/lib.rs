@@ -19,8 +19,8 @@
 //!
 //! Run `cargo run -p rendezvous-bench --release --bin experiments -- all`
 //! to regenerate everything, or pass experiment ids (`x1 x5 …`). `x10`
-//! (alias `--topo`) is opt-in: it sweeps hundreds of seeded topologies
-//! and is the heaviest table.
+//! and `x11` are opt-in: they sweep hundreds of seeded topologies and
+//! are the heaviest tables.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -25,6 +25,7 @@ use crate::fabric::{Replay, Worker};
 use rendezvous_runner::{PieceExecutor, Runner, SweepReport, Workload, WorkloadMeta};
 use rendezvous_store::{Store, StoreKey};
 use rendezvous_telemetry::{Scope, TelemetrySnapshot};
+use std::borrow::Cow;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, RwLock};
 
@@ -119,7 +120,11 @@ impl Session {
     }
 
     /// Sweeps `workload` as this session's mode dictates, returning the
-    /// report and whether the store served it.
+    /// report and whether the store served it. `context` names the
+    /// sweep in plan lines, panics and fabric registrations; its store
+    /// entry is keyed by `key_context()` when given — called only when
+    /// a store is open, so a run without one pays nothing for it — and
+    /// by `context` otherwise.
     ///
     /// # Panics
     ///
@@ -129,6 +134,7 @@ impl Session {
     pub(crate) fn sweep<W, E>(
         &self,
         context: &str,
+        key_context: Option<&dyn Fn() -> String>,
         meta: &WorkloadMeta,
         workload: &W,
         executor: &E,
@@ -138,10 +144,14 @@ impl Session {
         W: Workload + ?Sized,
         E: PieceExecutor + ?Sized,
     {
+        let key_context = match (&self.store, key_context) {
+            (Some(_), Some(derive)) => Cow::Owned(derive()),
+            _ => Cow::Borrowed(context),
+        };
         // A plan run only describes the store's answer; every other mode
         // takes a cached full report in place of the whole sweep.
         if !matches!(self.mode, Mode::Plan) {
-            if let Some(report) = self.cached(context, meta, runner.metrics()) {
+            if let Some(report) = self.cached(&key_context, meta, runner.metrics()) {
                 return (report, true);
             }
         }
@@ -159,7 +169,7 @@ impl Session {
             // partial stats, and a partial mode prints no tables.
             Mode::Plan => {
                 let store = match &self.store {
-                    Some(store) => match store.load(&self.key(context, meta)) {
+                    Some(store) => match store.load(&self.key(&key_context, meta)) {
                         Ok(_) => " store=cached",
                         Err(_) => " store=miss",
                     },
@@ -194,7 +204,7 @@ impl Session {
             "empty adversarial sweep for {context} — misconfigured workload \
              (no label pairs, no delays, or a graph without distinct start pairs)"
         );
-        self.record(context, meta, &report);
+        self.record(&key_context, meta, &report);
         (report, false)
     }
 }

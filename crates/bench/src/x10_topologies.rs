@@ -209,7 +209,8 @@ pub fn serve_context(algorithm: &str) -> Option<&'static str> {
 ///
 /// A message saying why the query is malformed: an unknown algorithm
 /// (anything but `cheap`/`fast`), a degenerate grid (`l < 2`,
-/// `cap == 0`), or a spec that does not build.
+/// `cap == 0`), a spec that does not build, or one that builds a graph
+/// of fewer than two nodes (whose grid would be empty).
 pub(crate) fn answer_spec_query(
     algorithm: &str,
     spec: GraphSpec,
@@ -236,6 +237,12 @@ pub(crate) fn answer_spec_query(
         spec.build()
             .map_err(|e| format!("spec does not build: {e}"))?,
     );
+    if graph.node_count() < 2 {
+        return Err(format!(
+            "spec builds a graph of {} node(s); two agents need two start nodes",
+            graph.node_count()
+        ));
+    }
     let (topo, explorers) = topo_grid_of(vec![(spec, graph)], l, cap);
     let session = crate::session::current();
     let exec = AlgoTopoExecutor {
@@ -245,7 +252,7 @@ pub(crate) fn answer_spec_query(
         explorers,
     };
     let meta = topo.meta();
-    let (report, cached) = session.sweep(context, &meta, &topo, &exec, runner);
+    let (report, cached) = session.sweep(context, None, &meta, &topo, &exec, runner);
     Ok((report, cached, session.key(context, &meta)))
 }
 

@@ -172,6 +172,57 @@ fn checkpoint_resume_re_executes_zero_ranges() {
     }
 }
 
+/// Regression: a checkpoint record whose fingerprint disagrees with the
+/// run used to be swallowed. The coordinator refused the first worker,
+/// but it had already consumed the records, so the next worker's
+/// registration succeeded and the run exited 0. A refusal now fails the
+/// run, and the error names the checkpoint.
+#[test]
+fn a_checkpoint_with_a_foreign_fingerprint_fails_the_run() {
+    let good = scratch("ckpt-good");
+    let bad = scratch("ckpt-foreign");
+    let _ = std::fs::remove_file(&good);
+    stdout_of(&[
+        "x1",
+        "--quick",
+        "--fabric",
+        "workers=2",
+        "--fabric-checkpoint",
+        good.to_str().unwrap(),
+    ]);
+    let text = std::fs::read_to_string(&good).unwrap();
+    let record = text
+        .lines()
+        .find(|l| l.starts_with(r#"{"sweep":0,"#))
+        .expect("a sweep-0 record");
+    let digest = record
+        .split(r#""digest":"#)
+        .nth(1)
+        .and_then(|rest| rest.split(',').next())
+        .expect("the record carries a digest");
+    let foreign = record.replacen(digest, "1", 1);
+    std::fs::write(&bad, format!("{foreign}\n")).unwrap();
+
+    let out = experiments(&[
+        "x1",
+        "--quick",
+        "--fabric",
+        "workers=2",
+        "--fabric-checkpoint",
+        bad.to_str().unwrap(),
+    ]);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "must fail:\n{stderr}");
+    assert!(out.stdout.is_empty(), "a refused run prints no tables");
+    assert!(
+        stderr.contains("fabric run failed: checkpoint unusable"),
+        "the error must name the checkpoint: {stderr}"
+    );
+    for p in [&good, &bad] {
+        let _ = std::fs::remove_file(p);
+    }
+}
+
 #[test]
 fn plan_previews_every_sweep_without_executing_any() {
     let out = stdout_of(&["x1", "--quick", "--plan"]);
@@ -211,7 +262,10 @@ fn fabric_flag_misuse_is_refused_up_front() {
             "--fabric-kill-one",
         ],
         vec!["x1", "--quick", "--plan", "--fabric", "workers=2"],
-        vec!["x1", "--quick", "--sequential", "--parallel"],
+        // The default is parallel and x10 is selected by its id: the
+        // old `--parallel` and `--topo` aliases are unknown flags.
+        vec!["x1", "--quick", "--parallel"],
+        vec!["--topo", "--quick"],
         vec!["x1", "--quick", "--plan", "--telemetry", "/tmp/nope.json"],
         vec!["x1", "--quick", "--fabric-self-kill"],
         vec![

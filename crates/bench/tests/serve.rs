@@ -5,9 +5,11 @@
 //! wrong bytes.
 
 use proptest::prelude::*;
-use rendezvous_bench::serve::Query;
+use rendezvous_bench::serve::{answer, Query, Reply};
 use rendezvous_fabric::wire::read_json_frame;
 use rendezvous_fabric::WireError;
+use rendezvous_graph::{ErdosRenyiSpec, GraphSpec, RegularSpec, RingSpec, SeededSpec, TorusSpec};
+use rendezvous_runner::Runner;
 use std::io::Cursor;
 use std::net::TcpStream;
 use std::path::PathBuf;
@@ -238,9 +240,15 @@ fn direct_and_served_refusals_are_identical() {
     let addr = server.wait_ready();
 
     let ring1 = r#"{"Ring":{"n":1}}"#;
+    // Builds, but into one node: its grid would be empty. The server
+    // used to panic on it and stop answering.
+    let tree1 = r#"{"Tree":{"n":1,"seed":1}}"#;
+    let er1 = r#"{"ErdosRenyi":{"n":1,"edge_permille":400,"seed":5}}"#;
     let dense = r#"{"ErdosRenyi":{"n":8,"edge_permille":5000,"seed":5}}"#;
     for (algorithm, spec, l, cap) in [
         ("cheap", ring1, "2", "2"),
+        ("cheap", tree1, "2", "2"),
+        ("fast", er1, "2", "2"),
         ("cheap", dense, "2", "2"),
         ("cheap", SPEC, "0", "2"),
         ("cheap", SPEC, "2", "0"),
@@ -266,6 +274,10 @@ fn direct_and_served_refusals_are_identical() {
         assert_eq!(served.stderr, direct.stderr, "{grid:?}");
     }
 
+    // Every refusal left the server answering.
+    stdout_of(&[
+        "query", "--addr", &addr, "--grid", "cheap", "--spec", SPEC, "--l", "2", "--cap", "2",
+    ]);
     stdout_of(&["query", "--addr", &addr, "--shutdown"]);
     let _ = std::fs::remove_dir_all(&dir);
 }
@@ -358,6 +370,69 @@ fn arbitrary_stream() -> impl Strategy<Value = Vec<u8>> {
             bytes.extend(noise);
             bytes
         })
+}
+
+/// Small specs of every variant, degenerate ones included (`n` of 0 or
+/// 1, `d >= n`, `edge_permille > 1000`), under at most one `Permuted`
+/// layer.
+fn small_spec() -> impl Strategy<Value = GraphSpec> {
+    (
+        0u8..6,
+        0usize..13,
+        0usize..7,
+        0u32..1100,
+        0u64..1_000,
+        0u8..2,
+    )
+        .prop_map(|(kind, n, k, edge_permille, seed, permute)| {
+            let spec = match kind {
+                0 => GraphSpec::Ring(RingSpec { n }),
+                1 => GraphSpec::ScrambledRing(SeededSpec { n, seed }),
+                2 => GraphSpec::Tree(SeededSpec { n, seed }),
+                3 => GraphSpec::ErdosRenyi(ErdosRenyiSpec {
+                    n,
+                    edge_permille,
+                    seed,
+                }),
+                4 => GraphSpec::Regular(RegularSpec { n, d: k, seed }),
+                _ => GraphSpec::Torus(TorusSpec { w: k, h: n % 5 }),
+            };
+            if permute == 1 {
+                GraphSpec::permuted(spec, seed)
+            } else {
+                spec
+            }
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Never-panic: every small `Grid` query gets a reply — a report
+    /// for a graph two agents can be placed on, a `BadQuery` otherwise.
+    #[test]
+    fn small_grid_queries_always_get_a_reply(
+        fast in 0u8..2,
+        spec in small_spec(),
+        l in 0u64..7,
+        cap in 0usize..5,
+    ) {
+        let two_nodes = spec.build().is_ok_and(|g| g.node_count() >= 2);
+        let query = Query::Grid {
+            algorithm: if fast == 1 { "fast" } else { "cheap" }.to_string(),
+            spec,
+            l,
+            cap,
+        };
+        match answer(query, &Runner::sequential()) {
+            Reply::Report { report, .. } => {
+                prop_assert!(two_nodes && l >= 2 && cap >= 1);
+                prop_assert!(report.executed() > 0);
+            }
+            Reply::BadQuery { .. } => prop_assert!(!two_nodes || l < 2 || cap == 0),
+            other => prop_assert!(false, "unexpected reply {other:?}"),
+        }
+    }
 }
 
 proptest! {

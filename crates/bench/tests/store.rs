@@ -232,3 +232,66 @@ fn store_key_embeds_the_canonical_fingerprint() {
     assert_eq!(key.fingerprint(), meta.fingerprint());
     assert!(key.token().ends_with(&meta.fingerprint()));
 }
+
+/// Regression: a pair sweep's store key used to be its algorithm's name
+/// plus the grid fingerprint, which sees neither the graph nor the
+/// algorithm's parameters. FastWithRelabeling weights of equal `t`
+/// shared one entry (x3 served w=2's report for w=4), and so did Cheap
+/// on `oriented_ring(8)` and on `hypercube(3)` (both E = 7). Each sweep
+/// below must get its own entry and a stored run must print what a
+/// direct one does.
+#[test]
+fn pair_sweeps_with_equal_grids_get_their_own_entries() {
+    use rendezvous_bench::common::{
+        ring_setup, standard_delays, standard_label_pairs, sweep_worst,
+    };
+    use rendezvous_bench::session::{self, Mode, Session};
+    use rendezvous_bench::x3_relabel;
+    use rendezvous_core::{Cheap, LabelSpace, RendezvousAlgorithm};
+    use rendezvous_explore::{Explorer, HamiltonianExplorer};
+    use rendezvous_graph::{generators, HamiltonianCycle};
+    use rendezvous_runner::Runner;
+    use std::sync::Arc;
+
+    let dir = scratch("pair-keys");
+    let _ = std::fs::remove_dir_all(&dir);
+    let runner = Runner::sequential();
+    let (ring, ring_explorer) = ring_setup(8);
+    let cube = Arc::new(generators::hypercube(3).unwrap());
+    let cycle = HamiltonianCycle::known_hypercube(&cube).unwrap();
+    let cube_explorer: Arc<dyn Explorer> =
+        Arc::new(HamiltonianExplorer::new(cube.clone(), cycle).unwrap());
+    let space = LabelSpace::new(8).unwrap();
+    let cheaps = [
+        Cheap::new(ring, ring_explorer, space),
+        Cheap::new(cube, cube_explorer, space),
+    ];
+    let pairs = standard_label_pairs(8);
+    let delays = standard_delays(7);
+    let sweep_all = || {
+        let exec = serde_json::to_string(&x3_relabel::run_exec(6, 8, &[1, 2, 3, 4], &runner));
+        let cheap: Vec<String> = cheaps
+            .iter()
+            .map(|alg| {
+                let horizon = 4 * alg.time_bound();
+                format!("{:?}", sweep_worst(alg, &pairs, &delays, horizon, &runner))
+            })
+            .collect();
+        (exec.unwrap(), cheap)
+    };
+
+    let direct = sweep_all();
+    session::install(Session::new(
+        Default::default(),
+        Some(Store::open(&dir).unwrap()),
+        Mode::Direct,
+    ));
+    let cold = sweep_all();
+    let warm = sweep_all();
+    session::finish(&runner);
+    assert_eq!(cold, direct, "a cold store run must print the direct bytes");
+    assert_eq!(warm, direct, "a warm store run must print the direct bytes");
+    let entries = std::fs::read_dir(&dir).unwrap().count();
+    assert_eq!(entries, 4 + 2, "one entry per weight and one per graph");
+    let _ = std::fs::remove_dir_all(&dir);
+}

@@ -4,7 +4,7 @@
 //! ports, and the agent's starting position marked … Depth-First-Search can
 //! be performed in time at most `2n − 3`."
 
-use crate::{ExploreError, ExploreRun, Explorer, PlannedRun};
+use crate::{ExploreRun, Explorer, PlannedRun};
 use rendezvous_graph::{NodeId, Port, PortLabeledGraph};
 use std::sync::Arc;
 
@@ -96,32 +96,6 @@ impl DfsMapExplorer {
         }
     }
 
-    /// Builds the explorer, failing if the graph is disconnected (a DFS from
-    /// one component can never cover another).
-    ///
-    /// # Errors
-    ///
-    /// [`ExploreError::UnsuitableGraph`] for disconnected graphs.
-    pub fn try_new(graph: Arc<PortLabeledGraph>) -> Result<Self, ExploreError> {
-        if !rendezvous_graph::analysis::is_connected(&graph) {
-            return Err(ExploreError::UnsuitableGraph {
-                explorer: "DfsMapExplorer",
-                reason: "graph is disconnected".into(),
-            });
-        }
-        Ok(Self::new(graph))
-    }
-
-    /// The precomputed walk for a particular start node.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start` is out of range.
-    #[must_use]
-    pub fn walk_for(&self, start: NodeId) -> &[Port] {
-        &self.walks[start.index()]
-    }
-
     /// The underlying graph.
     #[must_use]
     pub fn graph(&self) -> &Arc<PortLabeledGraph> {
@@ -196,12 +170,6 @@ mod tests {
             let worst = verify_explorer(&g, &ex).expect("coverage within bound");
             assert_eq!(worst, ex.bound(), "bound should be sharp");
         }
-    }
-
-    #[test]
-    fn try_new_rejects_disconnected() {
-        let g = rendezvous_graph::GraphBuilder::new(3).build().unwrap();
-        assert!(DfsMapExplorer::try_new(Arc::new(g)).is_err());
     }
 
     #[test]

@@ -424,8 +424,11 @@ impl Coordinator {
                 self.sweeps.len()
             )));
         }
-        let done_ranges = self.resume.remove(&sweep).unwrap_or_default();
+        // The records are consumed only once they check out, so a
+        // refused sweep stays refused for every worker that registers it.
+        let done_ranges = self.resume.get(&sweep).map_or(&[][..], Vec::as_slice);
         let state = build_sweep(sweep, meta, self.chunk_for(meta.size), done_ranges)?;
+        self.resume.remove(&sweep);
         self.sweeps.push(state);
         Ok(())
     }
@@ -446,8 +449,9 @@ fn build_sweep(
     sweep: usize,
     meta: WorkloadMeta,
     chunk: usize,
-    mut done: Vec<CheckpointRecord>,
+    done: &[CheckpointRecord],
 ) -> Result<SweepState, FabricError> {
+    let mut done: Vec<&CheckpointRecord> = done.iter().collect();
     done.sort_by_key(|r| r.lo);
     let mut chunks = Vec::new();
     let mut queue = VecDeque::new();
@@ -470,7 +474,7 @@ fn build_sweep(
         chunks.push(Chunk {
             lo: rec.lo,
             hi: rec.hi,
-            slot: Slot::Done(Box::new(rec.report)),
+            slot: Slot::Done(Box::new(rec.report.clone())),
         });
         cursor = rec.hi;
     }
@@ -587,5 +591,34 @@ mod tests {
         assert_eq!(resumed.progress(), ProgressCounts::default());
         lease(&mut resumed, 1, 0);
         assert_eq!(resumed.progress(), counts(3, 10, 1, 4));
+    }
+
+    /// A checkpoint record that disagrees with its sweep refuses every
+    /// registration, not only the first: the records are consumed only
+    /// once they check out.
+    #[test]
+    fn a_refused_checkpoint_stays_refused() {
+        let cfg = CoordinatorConfig {
+            workers: 2,
+            chunk: 4,
+            lease_timeout_ms: 100,
+        };
+        let mut foreign = meta(10);
+        foreign.digest = 8;
+        let record = CheckpointRecord {
+            sweep: 0,
+            lo: 2,
+            hi: 5,
+            meta: foreign,
+            report: SweepReport::default(),
+        };
+        let mut c = Coordinator::new(cfg, vec![record]);
+        for worker in [1, 2] {
+            let refused = c.request(worker, 0, meta(10), 0);
+            assert!(
+                matches!(refused, Err(FabricError::Checkpoint(_))),
+                "worker {worker}: {refused:?}"
+            );
+        }
     }
 }

@@ -57,16 +57,27 @@ struct Shared {
     coordinator: Mutex<Coordinator>,
     checkpoint: Mutex<Option<CheckpointWriter>>,
     telemetry: Mutex<TelemetrySnapshot>,
-    /// First failure recorded by any handler.
-    error: Mutex<Option<FabricError>>,
+    /// First refusal (protocol, fingerprint or checkpoint error): it
+    /// fails the run even when the merge completes.
+    refusal: Mutex<Option<FabricError>>,
+    /// First wire death: absorbed when the survivors finish the run.
+    lost: Mutex<Option<FabricError>>,
     stop: AtomicBool,
     /// The run's single clock: milliseconds since server launch.
     clock: Stopwatch,
 }
 
 impl Shared {
+    /// Keeps the first error of its class: a broken connection only
+    /// loses its worker, whose leases requeue; anything else is the
+    /// coordinator refusing the run.
     fn record_error(&self, e: FabricError) {
-        let mut slot = self.error.lock().expect("fabric error lock");
+        let slot = if matches!(e, FabricError::Wire(_)) {
+            &self.lost
+        } else {
+            &self.refusal
+        };
+        let mut slot = slot.lock().expect("fabric error lock");
         if slot.is_none() {
             *slot = Some(e);
         }
@@ -102,7 +113,8 @@ impl FabricServer {
             coordinator: Mutex::new(Coordinator::new(cfg.coordinator, cfg.resume)),
             checkpoint: Mutex::new(writer),
             telemetry: Mutex::new(TelemetrySnapshot::empty()),
-            error: Mutex::new(None),
+            refusal: Mutex::new(None),
+            lost: Mutex::new(None),
             stop: AtomicBool::new(false),
             clock: Stopwatch::start(),
         });
@@ -141,10 +153,11 @@ impl FabricServer {
     ///
     /// # Errors
     ///
-    /// The first failure any handler recorded, or
+    /// The first refusal any handler recorded (a protocol, fingerprint
+    /// or checkpoint error), even when every range finished; otherwise
     /// [`FabricError::Incomplete`] if ranges remain unfinished (all
-    /// workers died), with priority to the recorded failure — it is the
-    /// cause, incompleteness the symptom.
+    /// workers died), with priority to the first recorded wire death —
+    /// it is the cause, incompleteness the symptom.
     pub fn join(self) -> Result<FabricOutcome, FabricError> {
         self.shared.stop.store(true, Ordering::SeqCst);
         self.supervisor.join().expect("fabric supervisor panicked");
@@ -156,7 +169,16 @@ impl FabricServer {
         let merged = coordinator.merged();
         let stats = coordinator.stats();
         drop(coordinator);
-        let error = self.shared.error.lock().expect("fabric error lock").take();
+        if let Some(refusal) = self
+            .shared
+            .refusal
+            .lock()
+            .expect("fabric error lock")
+            .take()
+        {
+            return Err(refusal);
+        }
+        let lost = self.shared.lost.lock().expect("fabric error lock").take();
         match merged {
             Ok(sweeps) => {
                 let telemetry = self
@@ -171,7 +193,7 @@ impl FabricServer {
                     stats,
                 })
             }
-            Err(incomplete) => Err(error.unwrap_or(incomplete)),
+            Err(incomplete) => Err(lost.unwrap_or(incomplete)),
         }
     }
 }

@@ -108,16 +108,6 @@ pub fn is_bipartite(graph: &PortLabeledGraph) -> bool {
     true
 }
 
-/// Degree histogram: `histogram[d]` = number of nodes of degree `d`.
-#[must_use]
-pub fn degree_histogram(graph: &PortLabeledGraph) -> Vec<usize> {
-    let mut hist = vec![0usize; graph.max_degree() + 1];
-    for v in graph.nodes() {
-        hist[graph.degree(v)] += 1;
-    }
-    hist
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -163,13 +153,5 @@ mod tests {
         assert!(is_bipartite(&generators::hypercube(3).unwrap()));
         assert!(is_bipartite(&generators::balanced_binary_tree(4).unwrap()));
         assert!(!is_bipartite(&generators::complete(3).unwrap()));
-    }
-
-    #[test]
-    fn degree_histogram_counts() {
-        let g = generators::star(5).unwrap();
-        let h = degree_histogram(&g);
-        assert_eq!(h[1], 5);
-        assert_eq!(h[5], 1);
     }
 }

@@ -191,12 +191,6 @@ impl HamiltonianCycle {
     pub fn order(&self) -> &[NodeId] {
         &self.order
     }
-
-    /// Position of `node` on the cycle, if present.
-    #[must_use]
-    pub fn position_of(&self, node: NodeId) -> Option<usize> {
-        self.order.iter().position(|&v| v == node)
-    }
 }
 
 /// A validated Euler circuit: a closed walk using every edge exactly once,
@@ -340,7 +334,7 @@ mod tests {
         let g = generators::oriented_ring(5).unwrap();
         let c = HamiltonianCycle::known_ring(&g).unwrap();
         assert_eq!(c.len(), 5);
-        assert_eq!(c.position_of(NodeId::new(3)), Some(3));
+        assert_eq!(c.order()[3], NodeId::new(3));
     }
 
     #[test]

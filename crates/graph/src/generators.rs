@@ -402,25 +402,6 @@ pub fn wheel(spokes: usize) -> Result<PortLabeledGraph, GraphError> {
     b.build()
 }
 
-/// Complete bipartite graph `K_{a,b}` (`a, b >= 1`): parts `0..a` and
-/// `a..a+b`.
-///
-/// # Errors
-///
-/// [`GraphError::InvalidParameter`] if either part is empty.
-pub fn complete_bipartite(a: usize, b: usize) -> Result<PortLabeledGraph, GraphError> {
-    if a == 0 || b == 0 {
-        return Err(invalid(format!("K_{{a,b}} needs a,b >= 1, got {a},{b}")));
-    }
-    let mut builder = GraphBuilder::new(a + b);
-    for u in 0..a {
-        for v in a..(a + b) {
-            builder.add_edge(NodeId::new(u), NodeId::new(v))?;
-        }
-    }
-    builder.build()
-}
-
 /// Lollipop: a complete graph on `clique >= 3` nodes with a path of
 /// `tail >= 1` nodes attached to node 0. A classic stress case for
 /// walk-based exploration (the walker keeps getting pulled back into the
@@ -445,37 +426,6 @@ pub fn lollipop(clique: usize, tail: usize) -> Result<PortLabeledGraph, GraphErr
         let prev = if t == 0 { 0 } else { clique + t - 1 };
         b.add_edge(NodeId::new(prev), NodeId::new(clique + t))?;
     }
-    b.build()
-}
-
-/// Barbell: two complete graphs on `clique >= 3` nodes joined by a path of
-/// `bridge >= 1` intermediate nodes.
-///
-/// # Errors
-///
-/// [`GraphError::InvalidParameter`] for degenerate sizes.
-pub fn barbell(clique: usize, bridge: usize) -> Result<PortLabeledGraph, GraphError> {
-    if clique < 3 || bridge == 0 {
-        return Err(invalid(format!(
-            "barbell needs clique >= 3 and bridge >= 1, got {clique},{bridge}"
-        )));
-    }
-    let n = 2 * clique + bridge;
-    let mut b = GraphBuilder::new(n);
-    for offset in [0, clique + bridge] {
-        for i in 0..clique {
-            for j in (i + 1)..clique {
-                b.add_edge(NodeId::new(offset + i), NodeId::new(offset + j))?;
-            }
-        }
-    }
-    // path: node 0 of the left clique -> bridge nodes -> node 0 of the right
-    let mut prev = 0usize;
-    for t in 0..bridge {
-        b.add_edge(NodeId::new(prev), NodeId::new(clique + t))?;
-        prev = clique + t;
-    }
-    b.add_edge(NodeId::new(prev), NodeId::new(clique + bridge))?;
     b.build()
 }
 
@@ -709,15 +659,6 @@ mod tests {
     }
 
     #[test]
-    fn complete_bipartite_shape() {
-        let g = complete_bipartite(3, 4).unwrap();
-        assert_eq!(g.node_count(), 7);
-        assert_eq!(g.edge_count(), 12);
-        assert!(analysis::is_bipartite(&g));
-        assert!(complete_bipartite(0, 4).is_err());
-    }
-
-    #[test]
     fn lollipop_shape() {
         let g = lollipop(4, 3).unwrap();
         assert_eq!(g.node_count(), 7);
@@ -726,16 +667,6 @@ mod tests {
         // tail end is degree 1
         assert_eq!(g.degree(NodeId::new(6)), 1);
         assert!(lollipop(2, 1).is_err());
-    }
-
-    #[test]
-    fn barbell_shape() {
-        let g = barbell(3, 2).unwrap();
-        assert_eq!(g.node_count(), 8);
-        assert_eq!(g.edge_count(), 3 + 3 + 3);
-        assert!(analysis::is_connected(&g));
-        assert_eq!(analysis::diameter(&g), Some(5));
-        assert!(barbell(3, 0).is_err());
     }
 
     #[test]

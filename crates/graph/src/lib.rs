@@ -22,8 +22,7 @@
 //!   adversarial sweeps,
 //! * [`analysis`] — BFS/diameter/connectivity utilities for the simulator,
 //! * [`HamiltonianCycle`] / [`EulerCircuit`] — exploration certificates that
-//!   make the sharper bounds `E = n - 1` and `E = e - 1` of §1.2 available,
-//! * [`dot`] — Graphviz export.
+//!   make the sharper bounds `E = n - 1` and `E = e - 1` of §1.2 available.
 //!
 //! # Examples
 //!
@@ -47,7 +46,6 @@
 pub mod analysis;
 mod builder;
 mod certificate;
-pub mod dot;
 mod error;
 pub mod generators;
 #[allow(clippy::module_inception)]

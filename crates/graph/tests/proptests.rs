@@ -210,3 +210,95 @@ fn ports_are_exactly_zero_to_degree() {
         }
     }
 }
+
+/// Small specs of every variant, degenerate parameters included (`n`
+/// of 0 or 1, `d >= n`, `edge_permille > 1000`), under at most one
+/// `Permuted` layer.
+fn small_spec() -> impl Strategy<Value = rendezvous_graph::GraphSpec> {
+    use rendezvous_graph::{
+        ErdosRenyiSpec, GraphSpec, RegularSpec, RingSpec, SeededSpec, TorusSpec,
+    };
+    (
+        0u8..6,
+        0usize..13,
+        0usize..7,
+        0u32..1100,
+        0u64..1_000,
+        0u8..2,
+    )
+        .prop_map(|(kind, n, k, edge_permille, seed, permute)| {
+            let spec = match kind {
+                0 => GraphSpec::Ring(RingSpec { n }),
+                1 => GraphSpec::ScrambledRing(SeededSpec { n, seed }),
+                2 => GraphSpec::Tree(SeededSpec { n, seed }),
+                3 => GraphSpec::ErdosRenyi(ErdosRenyiSpec {
+                    n,
+                    edge_permille,
+                    seed,
+                }),
+                4 => GraphSpec::Regular(RegularSpec { n, d: k, seed }),
+                _ => GraphSpec::Torus(TorusSpec { w: k, h: n % 5 }),
+            };
+            if permute == 1 {
+                GraphSpec::permuted(spec, seed)
+            } else {
+                spec
+            }
+        })
+}
+
+/// Spec JSON as a client might send it: one well-formed value per
+/// variant, to be mangled.
+const SPEC_TEXTS: &[&str] = &[
+    r#"{"Ring":{"n":4}}"#,
+    r#"{"Tree":{"n":5,"seed":1}}"#,
+    r#"{"ErdosRenyi":{"n":8,"edge_permille":400,"seed":5}}"#,
+    r#"{"Regular":{"n":6,"d":3,"seed":2}}"#,
+    r#"{"Torus":{"w":3,"h":4}}"#,
+    r#"{"Permuted":{"inner":{"ScrambledRing":{"n":5,"seed":3}},"seed":9}}"#,
+];
+
+/// Bytes the mangler inserts: JSON syntax, digits, a sign and a
+/// non-ASCII character.
+const SPEC_ALPHABET: &[char] = &[
+    '{', '}', '[', ']', '"', ':', ',', '0', '1', '9', '-', 'n', ' ', 'é',
+];
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Never-panic: building any small spec yields a graph or a typed
+    /// error, and a graph it yields is valid and connected.
+    #[test]
+    fn small_specs_build_or_refuse(spec in small_spec()) {
+        if let Ok(g) = spec.build() {
+            prop_assert!(g.check_invariants().is_ok());
+            prop_assert!(analysis::is_connected(&g));
+        }
+    }
+
+    /// Never-panic: parsing any string as a spec yields a spec or an
+    /// error. The strings are well-formed specs with characters
+    /// inserted or removed, then possibly cut short.
+    #[test]
+    fn arbitrary_strings_parse_as_specs_or_fail(
+        template in 0usize..SPEC_TEXTS.len() + 1,
+        edits in proptest::collection::vec((0usize..100, 0usize..SPEC_ALPHABET.len() + 1), 0..6),
+        cut in 0usize..160,
+    ) {
+        let mut text: Vec<char> = SPEC_TEXTS.get(template).map_or_else(Vec::new, |t| t.chars().collect());
+        for (at, c) in edits {
+            let at = at % (text.len() + 1);
+            match SPEC_ALPHABET.get(c) {
+                Some(&c) => text.insert(at, c),
+                None if at < text.len() => {
+                    text.remove(at);
+                }
+                None => {}
+            }
+        }
+        text.truncate(cut);
+        let text: String = text.into_iter().collect();
+        let _ = serde_json::from_str::<rendezvous_graph::GraphSpec>(&text);
+    }
+}

@@ -3,7 +3,7 @@
 use crate::{Scenario, ScenarioOutcome};
 use rendezvous_core::{CoreError, FlatPlan, Label, RendezvousAlgorithm, Schedule, SegmentMemo};
 use rendezvous_graph::NodeId;
-use rendezvous_sim::{AgentBehavior, AgentSpec, MeetingCondition, SimError, Simulation};
+use rendezvous_sim::{AgentBehavior, AgentSpec, SimError, Simulation};
 use rendezvous_telemetry::{Counter, Metrics, Scope};
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
@@ -261,7 +261,6 @@ impl Executor for AlgorithmExecutor<'_> {
                 AgentSpec::delayed(scenario.start_b(), scenario.delay()),
             )
             .max_rounds(scenario.horizon)
-            .meeting_condition(MeetingCondition::FirstPair)
             .run()?;
         Ok(ScenarioOutcome::pairwise(
             scenario.clone(),

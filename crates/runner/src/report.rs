@@ -104,7 +104,7 @@ pub struct GroupStats {
     pub max_time: u64,
     /// Maximum cost over meeting scenarios.
     pub max_cost: u64,
-    /// Sum of times over meeting scenarios (for means).
+    /// Sum of times over meeting scenarios.
     pub total_time: u128,
     /// Sum of costs over meeting scenarios.
     pub total_cost: u128,
@@ -137,32 +137,6 @@ impl GroupStats {
         GroupStats {
             key: key.to_string(),
             ..GroupStats::default()
-        }
-    }
-
-    /// Mean time over meeting scenarios.
-    #[must_use]
-    // analyze: allow(d3) — display-only mean; merges and comparisons use the exact
-    // integer totals (`ratio_cmp`), never this value
-    pub fn mean_time(&self) -> f64 {
-        if self.meetings == 0 {
-            0.0
-        } else {
-            // analyze: allow(d3) — rendering of exact integer totals
-            self.total_time as f64 / self.meetings as f64
-        }
-    }
-
-    /// Mean cost over meeting scenarios.
-    #[must_use]
-    // analyze: allow(d3) — display-only mean; merges and comparisons use the exact
-    // integer totals (`ratio_cmp`), never this value
-    pub fn mean_cost(&self) -> f64 {
-        if self.meetings == 0 {
-            0.0
-        } else {
-            // analyze: allow(d3) — rendering of exact integer totals
-            self.total_cost as f64 / self.meetings as f64
         }
     }
 
@@ -504,8 +478,7 @@ mod tests {
         assert_eq!(stats.time_violations, 2);
         assert_eq!(stats.cost_violations, 0);
         assert!(!stats.clean());
-        assert!((stats.mean_time() - 8.0).abs() < 1e-9);
-        assert!((stats.mean_cost() - (11.0 / 3.0)).abs() < 1e-9);
+        assert_eq!((stats.total_time, stats.total_cost), (24, 11));
         // With sweep-level bounds every meeting has a ratio witness; the
         // worst is 10/9 at index 2 (lowest index of the tie).
         let w = stats.worst_ratio.as_ref().unwrap();
@@ -877,7 +850,7 @@ mod tests {
         assert_eq!(stats.executed, 0);
         assert!(stats.clean());
         assert!(report.clean());
-        assert_eq!(stats.mean_time(), 0.0);
+        assert_eq!((stats.total_time, stats.total_cost), (0, 0));
         assert!(stats.worst_time.is_none());
     }
 }

@@ -16,8 +16,8 @@ pub(crate) const SWEEP_CHUNK: usize = 4096;
 /// order and folded sequentially at global workload indices, so a
 /// parallel run produces **the same** [`SweepReport`] as a sequential
 /// run of the same workload — asserted by the determinism property tests
-/// in `tests/` and by the `--parallel`/`--sequential` toggle of the
-/// `experiments` binary.
+/// in `tests/` and by the `--sequential` switch of the `experiments`
+/// binary.
 ///
 /// A [`Metrics`] sink may be attached ([`Runner::with_metrics`]); it
 /// observes the sweep (scenarios executed, pieces completed, per-piece

@@ -423,7 +423,7 @@ fn count_swaps(a_pos: &[u32], a_moves: &[u32], b_pos: &[u32], b_moves: &[u32]) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{run_solo, Action, AgentBehavior, AgentSpec, MeetingCondition, Simulation};
+    use crate::{run_solo, Action, AgentBehavior, AgentSpec, Simulation};
     use proptest::prelude::*;
     use rendezvous_graph::{generators, NodeId, Port, PortLabeledGraph};
 
@@ -492,7 +492,6 @@ mod tests {
                     AgentSpec::delayed(start_b, delay),
                 )
                 .max_rounds(horizon)
-                .meeting_condition(MeetingCondition::FirstPair)
                 .run()
                 .unwrap();
             let batched = solver.solve(delay);

@@ -69,3 +69,63 @@ proptest! {
         let _ = std::fs::remove_dir_all(&dir);
     }
 }
+
+/// Bytes the mangler inserts: JSON syntax, digits, a field name's
+/// first letter, and bytes that are not UTF-8 on their own.
+const ALPHABET: &[u8] = b"{}[]\":,019-e \xff\xc3";
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Never-panic: whatever an entry file holds — a real entry with
+    /// bytes inserted or removed and possibly cut short, or noise —
+    /// `load` and `load_token` return the report or a typed `Miss`,
+    /// and an untouched entry is a hit.
+    #[test]
+    fn arbitrary_entry_bytes_load_or_miss(
+        from_entry in 0u8..4,
+        edits in vec((0usize..4096, 0usize..ALPHABET.len() + 1), 0..8),
+        cut in 0usize..8192,
+        tag in 0u64..1_000_000,
+    ) {
+        let dir = scratch(tag);
+        let _ = std::fs::remove_dir_all(&dir);
+        let store = Store::open(&dir).unwrap();
+        let meta = WorkloadMeta {
+            kind: WorkloadKind::Grid,
+            digest: tag,
+            full_size: 48,
+            size: 48,
+        };
+        let mut report = SweepReport::default();
+        report.groups.push(GroupStats {
+            executed: 48,
+            meetings: 48,
+            max_time: 7,
+            ..GroupStats::default()
+        });
+        let key = StoreKey::new("mangled", &meta, "batched");
+        store.save(&key, "mangled", "batched", &meta, &report).unwrap();
+        let path = store.path_of(&key);
+        let entry = std::fs::read(&path).unwrap();
+        let mut bytes = if from_entry > 0 { entry.clone() } else { Vec::new() };
+        for (at, b) in edits {
+            let at = at % (bytes.len() + 1);
+            match ALPHABET.get(b) {
+                Some(&b) => bytes.insert(at, b),
+                None if at < bytes.len() => {
+                    bytes.remove(at);
+                }
+                None => {}
+            }
+        }
+        bytes.truncate(cut);
+        std::fs::write(&path, &bytes).unwrap();
+        let loaded = store.load(&key);
+        let by_token = store.load_token(key.token());
+        if bytes == entry {
+            prop_assert!(loaded.is_ok() && by_token.is_ok());
+        }
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+}
