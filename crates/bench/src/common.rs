@@ -6,6 +6,7 @@
 use rendezvous_core::{Label, Phase, RendezvousAlgorithm};
 use rendezvous_explore::{Explorer, OrientedRingExplorer};
 use rendezvous_graph::{generators, PortLabeledGraph};
+use rendezvous_lower_bounds::{TrimSweep, TrimmedAlgorithm};
 use rendezvous_runner::{
     Bounds, Fnv1a, Grid, GroupStats, PieceExecutor, Runner, SweepReport, Workload,
 };
@@ -116,6 +117,45 @@ pub fn sweep_worst(
         runner,
     );
     check_failures(algorithm, report.solo())
+}
+
+/// Procedure `Trim` of `algorithm` (§3) as one recorded sweep on the
+/// session's engine: its [`TrimSweep`] goes through the session like
+/// every pair sweep — store, `--plan`, fabric lease or replay — keyed by
+/// the context of a sweep of all its label pairs, then folds into the
+/// trimmed algorithm.
+///
+/// Returns `None` when the session hands back less than the full report
+/// (a `--plan` preview or a fabric worker's share): the fold needs every
+/// pair group, and such a run prints no table.
+///
+/// # Panics
+///
+/// Panics if `algorithm` is not on an oriented ring or some execution
+/// fails to meet within `horizon`.
+pub(crate) fn sweep_trim(
+    algorithm: &dyn RendezvousAlgorithm,
+    horizon: u64,
+    runner: &Runner,
+) -> Option<TrimmedAlgorithm> {
+    let context = format!("trim {}", algorithm.name());
+    let sweep = TrimSweep::new(algorithm, horizon)
+        .unwrap_or_else(|e| panic!("{context} cannot sweep: {e}"));
+    let executor = crate::engine::current().executor(algorithm, None, runner);
+    let key_context =
+        || pair_key_context(algorithm, &all_label_pairs(algorithm.label_space().size()));
+    let (report, _) = crate::session::current().sweep(
+        &context,
+        Some(&key_context),
+        &sweep.meta(),
+        &sweep,
+        &executor,
+        runner,
+    );
+    (report.executed() == sweep.size()).then(|| {
+        TrimmedAlgorithm::from_report(algorithm, &sweep, &report, &executor, runner)
+            .unwrap_or_else(|e| panic!("{context} failed: {e}"))
+    })
 }
 
 /// The store-key context of a pair sweep: the algorithm's name plus a

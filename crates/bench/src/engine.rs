@@ -6,8 +6,9 @@
 //! knob, surfaced as `experiments --engine {batched,stepped}`. The
 //! selection is a field of the process's [`Session`](crate::session::Session);
 //! experiment code asks [`current`] and builds its executor with
-//! `Engine::executor` ([`crate::common::sweep_worst`] and the `x10`
-//! topology executor), the one place the two engines differ.
+//! `Engine::executor` ([`crate::common::sweep_worst`], the x5/x6 trim
+//! sweeps and the `x10` topology executor), the one place the two
+//! engines differ.
 //! The engine name is part of every result-store key, so a store written
 //! under one engine misses (and recomputes) under the other.
 

@@ -31,7 +31,7 @@
 //! [`Mode::Worker`]: crate::session::Mode::Worker
 //! [`Mode::Replay`]: crate::session::Mode::Replay
 
-use rendezvous_fabric::WorkerClient;
+use rendezvous_fabric::{FabricError, WorkerClient};
 use rendezvous_runner::{PieceExecutor, Runner, SweepReport, Workload, WorkloadKind, WorkloadMeta};
 use rendezvous_telemetry::TelemetrySnapshot;
 use std::sync::atomic::{AtomicUsize, Ordering};
@@ -48,15 +48,12 @@ pub struct Worker {
 
 impl Worker {
     /// Connects this process to the coordinator at `addr`. The worker's
-    /// wire identity is its process id.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the connection fails.
+    /// wire identity is its process id. A failed connection ends the
+    /// process.
     #[must_use]
     pub fn join(addr: &str, self_kill: bool) -> Worker {
         let client = WorkerClient::connect(addr, u64::from(std::process::id()))
-            .unwrap_or_else(|e| panic!("cannot join the fabric at {addr}: {e}"));
+            .unwrap_or_else(|e| end_worker(&format!("cannot join the fabric at {addr}: {e}")));
         Worker {
             client: Mutex::new(client),
             completed: AtomicUsize::new(0),
@@ -71,11 +68,12 @@ impl Worker {
     /// a resume of a finished checkpoint. The client lock is held for
     /// each message, never while a range executes.
     ///
+    /// A refusal or a lost coordinator ends the process: the
+    /// coordinator requeues its leases and the driver reports the run.
+    ///
     /// # Panics
     ///
-    /// Panics on execution errors, wire failures, or coordinator faults —
-    /// the worker exits nonzero, the coordinator sees the connection drop
-    /// and requeues its leases, and the driver surfaces the diagnostics.
+    /// Panics on execution errors.
     pub(crate) fn sweep<W, E>(
         &self,
         sweep: usize,
@@ -103,13 +101,18 @@ impl Worker {
                     self.client()
                         .submit(sweep, lo, hi, partial.clone())
                         .unwrap_or_else(|e| {
-                            panic!("fabric worker cannot submit [{lo}, {hi}): {e}")
+                            end_worker(&format!("fabric worker cannot submit [{lo}, {hi}): {e}"))
                         });
                     self.completed.fetch_add(1, Ordering::SeqCst);
                     merged = merged.merge(&partial);
                 }
                 Ok(None) => return merged,
-                Err(e) => panic!("fabric worker lost its coordinator during {context}: {e}"),
+                Err(e @ FabricError::Refused(_)) => {
+                    end_worker(&format!("fabric worker stopped during {context}: {e}"))
+                }
+                Err(e) => end_worker(&format!(
+                    "fabric worker lost its coordinator during {context}: {e}"
+                )),
             }
         }
     }
@@ -119,16 +122,13 @@ impl Worker {
     }
 
     /// Ends the conversation: sends the process's telemetry `snapshot`
-    /// and half-closes the socket.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the final frame cannot be written.
+    /// and half-closes the socket. A frame that cannot be written ends
+    /// the process.
     pub(crate) fn finish(self, snapshot: TelemetrySnapshot) {
         let client = self.client.into_inner().expect("fabric client lock");
-        client
-            .finish(snapshot)
-            .unwrap_or_else(|e| panic!("fabric worker cannot deliver its snapshot: {e}"));
+        client.finish(snapshot).unwrap_or_else(|e| {
+            end_worker(&format!("fabric worker cannot deliver its snapshot: {e}"))
+        });
     }
 
     /// The `--fabric-self-kill` hook: once at least one lease has
@@ -146,6 +146,14 @@ impl Worker {
             std::process::abort();
         }
     }
+}
+
+/// Ends a worker whose coordinator refused it or vanished: one line on
+/// the driver's stderr, exit status 1. The driver names the run's own
+/// failure, so a backtrace here would only bury it.
+fn end_worker(message: &str) -> ! {
+    eprintln!("{message}");
+    std::process::exit(1);
 }
 
 /// The driver's replay: the coordinator's merged reports, one per sweep

@@ -3,7 +3,9 @@
 //! describe itself, lease ranges from a fabric coordinator, or replay
 //! the coordinator's merged reports.
 //!
-//! Every recorded sweep ([`sweep_recorded`](crate::common::sweep_recorded))
+//! Every sweep of the experiments — pair grids, fleet and topology
+//! grids ([`sweep_recorded`](crate::common::sweep_recorded)) and the
+//! §3 audits' trim sweeps — goes through `Session::sweep` and
 //! dispatches on [`Session::mode`], so the combinations that make no
 //! sense (a plan run that is also a worker, a worker that also replays)
 //! cannot be represented. The experiments binary installs one session
@@ -166,7 +168,8 @@ impl Session {
         let report = match &self.mode {
             // The empty report is safe downstream for the same reason a
             // worker's partial folds are: every experiment tolerates
-            // partial stats, and a partial mode prints no tables.
+            // partial stats (the audits fold only a full trim report),
+            // and a partial mode prints no tables.
             Mode::Plan => {
                 let store = match &self.store {
                     Some(store) => match store.load(&self.key(&key_context, meta)) {

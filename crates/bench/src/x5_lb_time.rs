@@ -6,10 +6,13 @@
 //! so `φ = 0`) and report, per `L`: the Fact 3.8 witness
 //! `(⌊L/2⌋−1)(F−3φ)/2`, the measured final chain time, and the paper's
 //! matching upper bound — the time really does grow linearly in `L`.
+//!
+//! Per `L` the trim is one recorded sweep (`common::sweep_trim`); the
+//! chain's executions then run as one batch on the same engine.
 
-use crate::common::ring_setup;
+use crate::common::{ring_setup, sweep_trim};
 use rendezvous_core::{CheapSimultaneous, LabelSpace, RendezvousAlgorithm};
-use rendezvous_lower_bounds::eager_chain_audit;
+use rendezvous_lower_bounds::eager_chain;
 use rendezvous_runner::Runner;
 use serde::Serialize;
 
@@ -36,29 +39,38 @@ pub struct Row {
     pub upper_bound: u64,
 }
 
-/// Runs the audit for each `L` on an `n`-ring.
+/// Runs the audit for each `L` on an `n`-ring, in order — the session
+/// numbers its sweeps by walk position. An `L` whose trim report is
+/// partial (`--plan`, a fabric worker) yields no row.
 ///
 /// # Panics
 ///
 /// Panics if the audit fails (it cannot, for `CheapSimultaneous`).
 #[must_use]
 pub fn run(n: usize, ls: &[u64], runner: &Runner) -> Vec<Row> {
-    runner.map(ls.to_vec(), |_, l| {
-        let (g, ex) = ring_setup(n);
-        let alg = CheapSimultaneous::new(g, ex, LabelSpace::new(l).expect("l >= 2"));
-        let report = eager_chain_audit(&alg, 20 * alg.time_bound()).expect("audit must succeed");
-        Row {
-            n,
-            l,
-            f: report.f,
-            phi: report.phi,
-            heavy: report.heavy.len(),
-            witness: report.witness,
-            chain_time: report.chain_final_time(),
-            increasing: report.strictly_increasing,
-            upper_bound: alg.time_bound(),
-        }
-    })
+    ls.iter()
+        .filter_map(|&l| {
+            let (g, ex) = ring_setup(n);
+            let alg = CheapSimultaneous::new(g, ex, LabelSpace::new(l).expect("l >= 2"));
+            let trimmed = sweep_trim(&alg, 20 * alg.time_bound(), runner)?;
+            // The chain is no sweep unit, so its executor carries no
+            // telemetry sink: the sidecar's scenario counts stay equal
+            // across direct, fabric and store runs.
+            let chain = crate::engine::current().executor(&alg, None, &Runner::sequential());
+            let report = eager_chain(&alg, trimmed, &chain, runner).expect("audit must succeed");
+            Some(Row {
+                n,
+                l,
+                f: report.f,
+                phi: report.phi,
+                heavy: report.heavy.len(),
+                witness: report.witness,
+                chain_time: report.chain_final_time(),
+                increasing: report.strictly_increasing,
+                upper_bound: alg.time_bound(),
+            })
+        })
+        .collect()
 }
 
 /// Renders the table.

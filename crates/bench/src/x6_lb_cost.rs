@@ -7,10 +7,13 @@
 //! group and the induced cost witness `k · n/6`. The expected shape is the
 //! witness growing with `log L` while `Fast`'s time bound also grows with
 //! `log L` — you cannot be fast and cheap at once.
+//!
+//! Per `L` the trim is one recorded sweep (`common::sweep_trim`); the
+//! rest of the construction runs solo executions only.
 
-use crate::common::ring_setup;
+use crate::common::{ring_setup, sweep_trim};
 use rendezvous_core::{Fast, LabelSpace, RendezvousAlgorithm};
-use rendezvous_lower_bounds::progress_audit;
+use rendezvous_lower_bounds::progress;
 use rendezvous_runner::Runner;
 use serde::Serialize;
 
@@ -39,7 +42,9 @@ pub struct Row {
     pub measured_cost: u64,
 }
 
-/// Runs the audit for each `L` on an `n`-ring (`6 | n`).
+/// Runs the audit for each `L` on an `n`-ring (`6 | n`), in order — the
+/// session numbers its sweeps by walk position. An `L` whose trim report
+/// is partial (`--plan`, a fabric worker) yields no row.
 ///
 /// # Panics
 ///
@@ -47,23 +52,26 @@ pub struct Row {
 #[must_use]
 pub fn run(n: usize, ls: &[u64], runner: &Runner) -> Vec<Row> {
     assert_eq!(n % 6, 0, "X6 needs 6 | n");
-    runner.map(ls.to_vec(), |_, l| {
-        let (g, ex) = ring_setup(n);
-        let alg = Fast::new(g, ex, LabelSpace::new(l).expect("l >= 2"));
-        let report = progress_audit(&alg, 4 * alg.time_bound()).expect("audit must succeed");
-        Row {
-            n,
-            l,
-            log2_l: l.next_power_of_two().trailing_zeros(),
-            group_size: report.group.len(),
-            m_blocks: report.m_blocks,
-            distinct: report.all_distinct,
-            max_nonzero: report.max_nonzero,
-            cost_witness: report.cost_witness,
-            witnesses_hold: report.witnesses_hold,
-            measured_cost: report.trimmed.max_cost,
-        }
-    })
+    ls.iter()
+        .filter_map(|&l| {
+            let (g, ex) = ring_setup(n);
+            let alg = Fast::new(g, ex, LabelSpace::new(l).expect("l >= 2"));
+            let trimmed = sweep_trim(&alg, 4 * alg.time_bound(), runner)?;
+            let report = progress(&alg, trimmed).expect("audit must succeed");
+            Some(Row {
+                n,
+                l,
+                log2_l: l.next_power_of_two().trailing_zeros(),
+                group_size: report.group.len(),
+                m_blocks: report.m_blocks,
+                distinct: report.all_distinct,
+                max_nonzero: report.max_nonzero,
+                cost_witness: report.cost_witness,
+                witnesses_hold: report.witnesses_hold,
+                measured_cost: report.trimmed.max_cost,
+            })
+        })
+        .collect()
 }
 
 /// Renders the table.

@@ -218,6 +218,13 @@ fn a_checkpoint_with_a_foreign_fingerprint_fails_the_run() {
         stderr.contains("fabric run failed: checkpoint unusable"),
         "the error must name the checkpoint: {stderr}"
     );
+    // The refused workers end with one line each, not a panic, and do
+    // not mistake the refusal for a lost coordinator.
+    assert!(!stderr.contains("panicked"), "no worker panics: {stderr}");
+    assert!(
+        !stderr.contains("lost its coordinator"),
+        "a refusal is not a lost coordinator: {stderr}"
+    );
     for p in [&good, &bad] {
         let _ = std::fs::remove_file(p);
     }
@@ -246,6 +253,23 @@ fn plan_previews_every_sweep_without_executing_any() {
     // worker's walk, no tables, no scenario execution (it returns before
     // any runner is touched, which is why it is instant even un-quick).
     assert!(!text.contains('|'), "no tables in plan mode");
+}
+
+/// The §3 audits are sweeps too: `--plan` lists one trim sweep per `L`
+/// (x5 and x6 at `--quick` sweep L = 4 and 8 each) and prints no table.
+#[test]
+fn plan_lists_one_trim_sweep_per_audit_l() {
+    let out = experiments(&["x5", "x6", "--quick", "--plan"]);
+    assert!(out.status.success());
+    let text = String::from_utf8(out.stdout).unwrap();
+    let lines: Vec<&str> = text.lines().collect();
+    assert_eq!(lines.len(), 4, "one plan line per L and no table: {text}");
+    for (i, line) in lines.iter().enumerate() {
+        assert!(
+            line.starts_with(&format!("plan: sweep #{i}: trim ")),
+            "plan lines are dense, ordered trims: {line:?}"
+        );
+    }
 }
 
 #[test]

@@ -93,6 +93,40 @@ fn warm_store_rerun_is_byte_identical_and_executes_nothing() {
     }
 }
 
+/// The §3 audits read through the store like every sweep: a warm rerun
+/// serves each `L`'s trim (x5 and x6 at `--quick`: four sweeps) and
+/// executes no sweep scenario.
+#[test]
+fn warm_store_serves_the_audit_trims() {
+    let dir = scratch("audits");
+    let tel = scratch("audits-tel");
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_s = dir.to_str().unwrap();
+
+    let direct = stdout_of(&["x5", "x6", "--quick"]);
+    let cold = stdout_of(&["x5", "x6", "--quick", "--store", dir_s]);
+    let warm = stdout_of(&[
+        "x5",
+        "x6",
+        "--quick",
+        "--store",
+        dir_s,
+        "--telemetry",
+        tel.to_str().unwrap(),
+    ]);
+    assert_eq!(direct, cold, "the store must not change the output");
+    assert_eq!(direct, warm, "a warm rerun must render the same bytes");
+    let snap = TelemetrySnapshot::parse(&std::fs::read_to_string(&tel).unwrap()).unwrap();
+    assert_eq!(snap.process.get("store_hits").copied(), Some(4));
+    assert!(
+        !snap.counters.contains_key("scenarios_executed"),
+        "the warm run executes no sweep: {:?}",
+        snap.counters
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+    let _ = std::fs::remove_file(&tel);
+}
+
 #[test]
 fn a_corrupted_entry_recomputes_and_heals_instead_of_serving_garbage() {
     let dir = scratch("corrupt");

@@ -97,6 +97,10 @@ pub enum FabricError {
         /// The conflicting fingerprint.
         found: String,
     },
+    /// The coordinator answered a request with a fault: it will lease
+    /// this worker nothing of the sweep (an unusable checkpoint, a
+    /// fingerprint it cannot accept).
+    Refused(String),
     /// The checkpoint stream is unusable for this run (fingerprint
     /// mismatch, overlapping ranges, range off the end of the sweep).
     Checkpoint(String),
@@ -121,6 +125,7 @@ impl fmt::Display for FabricError {
                 f,
                 "sweep #{sweep} fingerprint mismatch: coordinator has {expected}, peer sent {found}"
             ),
+            FabricError::Refused(why) => write!(f, "coordinator refused: {why}"),
             FabricError::Checkpoint(why) => write!(f, "checkpoint unusable: {why}"),
             FabricError::Incomplete { outstanding } => write!(
                 f,

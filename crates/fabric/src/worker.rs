@@ -95,7 +95,8 @@ impl WorkerClient {
     ///
     /// # Errors
     ///
-    /// Wire failures, coordinator faults, or out-of-protocol replies.
+    /// Wire failures, [`FabricError::Refused`] on a coordinator fault, or
+    /// out-of-protocol replies.
     pub fn next_lease(
         &mut self,
         sweep: usize,
@@ -110,11 +111,7 @@ impl WorkerClient {
                 Message::Lease { sweep: s, lo, hi } if s == sweep => return Ok(Some((lo, hi))),
                 Message::SweepComplete { sweep: s } if s == sweep => return Ok(None),
                 Message::Wait => std::thread::sleep(WAIT_POLL),
-                Message::Fault { message } => {
-                    return Err(FabricError::Protocol(format!(
-                        "coordinator refused: {message}"
-                    )))
-                }
+                Message::Fault { message } => return Err(FabricError::Refused(message)),
                 other => {
                     return Err(FabricError::Protocol(format!(
                         "unexpected reply to Request: {}",

@@ -8,12 +8,15 @@
 //! `Ω(L · E)`. This module runs exactly that construction on a concrete
 //! algorithm and reports every intermediate quantity, so experiments can
 //! verify the chain numerically.
+//!
+//! [`eager_chain`] is the construction after the trim: its executions
+//! run as one batch through the caller's executor. [`eager_chain_audit`]
+//! composes it with [`trim`](fn@crate::trim) on one sequential runner.
 
-use crate::trim::{meeting_stats, trim_on};
-use crate::{hamiltonian_path, oriented_ring_size, LowerBoundError, TrimmedAlgorithm};
+use crate::{hamiltonian_path, oriented_ring_size, trim, LowerBoundError, TrimmedAlgorithm};
 use rendezvous_core::{Label, RendezvousAlgorithm};
 use rendezvous_graph::NodeId;
-use rendezvous_runner::{BatchExecutor, Grid, Runner};
+use rendezvous_runner::{BatchExecutor, PieceExecutor, Runner, Scenario, WorkPiece};
 
 /// Everything the Theorem 3.1 construction produces on a concrete
 /// algorithm.
@@ -57,23 +60,30 @@ impl EagerChainReport {
     }
 }
 
-/// Runs one execution `α(x, px, y, py)` with simultaneous start and returns
-/// its meeting round.
-fn execution_time(
-    runner: &Runner,
-    executor: &BatchExecutor<'_>,
-    (x, px): (Label, usize),
-    (y, py): (Label, usize),
+/// Runs the full Theorem 3.1 construction for `algorithm` (which must
+/// operate on an oriented ring) with per-execution round cap `horizon`:
+/// [`trim`](fn@crate::trim), then [`eager_chain`] through a
+/// [`BatchExecutor`] on a sequential [`Runner`].
+///
+/// # Errors
+///
+/// As [`trim`](fn@crate::trim) and [`eager_chain`].
+pub fn eager_chain_audit(
+    algorithm: &dyn RendezvousAlgorithm,
     horizon: u64,
-) -> Result<u64, LowerBoundError> {
-    let grid = Grid::new(horizon)
-        .label_pairs_ordered(&[(x.get(), y.get())])
-        .start_pairs(&[(NodeId::new(px), NodeId::new(py))]);
-    Ok(meeting_stats(runner, executor, &grid)?.max_time)
+) -> Result<EagerChainReport, LowerBoundError> {
+    let trimmed = trim(algorithm, horizon)?;
+    eager_chain(
+        algorithm,
+        trimmed,
+        &BatchExecutor::new(algorithm),
+        &Runner::sequential(),
+    )
 }
 
-/// Runs the full Theorem 3.1 construction for `algorithm` (which must
-/// operate on an oriented ring) with per-execution round cap `horizon`.
+/// The Theorem 3.1 construction on `trimmed`, the trim of `algorithm`:
+/// every pairwise execution among the heavy agents runs as one batch
+/// through `executor`.
 ///
 /// The construction follows the paper exactly, with one generalization:
 /// if the counter-clockwise-heavy agents form the majority, the whole
@@ -81,22 +91,25 @@ fn execution_time(
 ///
 /// # Errors
 ///
-/// * Ring/meeting errors as in [`trim`](fn@crate::trim),
+/// * [`LowerBoundError::NotAnOrientedRing`] for non-ring graphs,
 /// * [`LowerBoundError::EagerDichotomyViolated`] if some pair violates
 ///   Fact 3.5 — this happens precisely when the algorithm's cost is *not*
-///   `E + o(E)`, i.e. when the theorem's premise fails.
-pub fn eager_chain_audit(
+///   `E + o(E)`, i.e. when the theorem's premise fails,
+/// * [`LowerBoundError::NoMeeting`] if a pair does not meet by
+///   `trimmed.max_time` — `trimmed` is not this algorithm's trim,
+/// * execution errors of the batch.
+pub fn eager_chain<E>(
     algorithm: &dyn RendezvousAlgorithm,
-    horizon: u64,
-) -> Result<EagerChainReport, LowerBoundError> {
+    trimmed: TrimmedAlgorithm,
+    executor: &E,
+    runner: &Runner,
+) -> Result<EagerChainReport, LowerBoundError>
+where
+    E: PieceExecutor + ?Sized,
+{
     let n = oriented_ring_size(algorithm.graph())?;
     let e = (n - 1) as u64;
     let f = e.div_ceil(2);
-    // One executor for the whole audit: the trim and the chain
-    // executions below share its plan cache.
-    let runner = Runner::sequential();
-    let executor = BatchExecutor::new(algorithm);
-    let trimmed = trim_on(algorithm, horizon, &runner, &executor)?;
     let phi = trimmed.phi(e);
 
     // Heavy-side selection (mirror if needed).
@@ -128,28 +141,49 @@ pub fn eager_chain_audit(
         sign * trimmed.vector(lab).displacement_prefix(rounds as usize)
     };
 
-    // Pairwise executions among heavy agents: meeting time and eager side.
+    // Pairwise executions α(x, 0, y, py) among heavy agents, in one
+    // batch; `heavy` ascends, so x < y as in the trim. Each is a trim
+    // execution, all of which met by round `max_time`.
     let k = heavy.len();
+    let pairs: Vec<(usize, usize)> = (0..k)
+        .flat_map(|i| ((i + 1)..k).map(move |j| (i, j)))
+        .collect();
+    let piece = WorkPiece {
+        offset: 0,
+        key: "",
+        entry: None,
+        scenarios: pairs
+            .iter()
+            .map(|&(i, j)| {
+                let (x, y) = (heavy[i].get(), heavy[j].get());
+                Scenario::pair(x, y, NodeId::new(0), NodeId::new(py), 0, trimmed.max_time)
+            })
+            .collect(),
+    };
+    let (outcomes, _) = executor.run_piece(runner, &piece)?;
+
+    // Meeting time and eager side of each pair.
     let mut time = vec![vec![0u64; k]; k];
     let mut eager = vec![vec![false; k]; k]; // eager[i][j]: heavy[i] eager in (i,j) exec
-    for i in 0..k {
-        for j in (i + 1)..k {
-            let (x, y) = (heavy[i].min(heavy[j]), heavy[i].max(heavy[j]));
-            let t = execution_time(&runner, &executor, (x, 0), (y, py), horizon)?;
-            let (dx, dy) = (disp(x, t), disp(y, t));
-            let x_eager = dx >= dy + sign_adjusted_f(f);
-            let y_eager = dy >= dx + sign_adjusted_f(f);
-            if x_eager == y_eager {
-                return Err(LowerBoundError::EagerDichotomyViolated {
-                    labels: (x.get(), y.get()),
-                });
-            }
-            let (ii, jj) = if heavy[i] == x { (i, j) } else { (j, i) };
-            time[ii][jj] = t;
-            time[jj][ii] = t;
-            eager[ii][jj] = x_eager;
-            eager[jj][ii] = y_eager;
+    for (&(i, j), outcome) in pairs.iter().zip(&outcomes) {
+        let labels = (heavy[i].get(), heavy[j].get());
+        let t = outcome.time.ok_or(LowerBoundError::NoMeeting {
+            labels,
+            starts: (0, py),
+            horizon: trimmed.max_time,
+        })?;
+        let (dx, dy) = (disp(heavy[i], t), disp(heavy[j], t));
+        // F enters the comparison positively on both orientations: the
+        // mirroring is already applied to the displacements.
+        let x_eager = dx >= dy + f as i64;
+        let y_eager = dy >= dx + f as i64;
+        if x_eager == y_eager {
+            return Err(LowerBoundError::EagerDichotomyViolated { labels });
         }
+        time[i][j] = t;
+        time[j][i] = t;
+        eager[i][j] = x_eager;
+        eager[j][i] = y_eager;
     }
 
     let order = hamiltonian_path(k, |a, b| eager[a][b]);
@@ -173,24 +207,51 @@ pub fn eager_chain_audit(
     })
 }
 
-/// `F` enters the eager comparison positively on both orientations (the
-/// mirroring is already applied to the displacements).
-fn sign_adjusted_f(f: u64) -> i64 {
-    f as i64
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rendezvous_core::{CheapSimultaneous, LabelSpace};
     use rendezvous_explore::OrientedRingExplorer;
     use rendezvous_graph::generators;
+    use rendezvous_runner::{AlgorithmExecutor, Executor};
     use std::sync::Arc;
 
     fn cheap_sim(n: usize, l: u64) -> CheapSimultaneous {
         let g = Arc::new(generators::oriented_ring(n).unwrap());
         let ex = Arc::new(OrientedRingExplorer::new(g.clone()).unwrap());
         CheapSimultaneous::new(g, ex, LabelSpace::new(l).unwrap())
+    }
+
+    /// The batched chain equals its executions run one by one on the
+    /// stepped engine at the audit's own horizon.
+    #[test]
+    fn chain_times_equal_per_scenario_stepped_runs() {
+        for n in [6, 12] {
+            for l in [4, 6] {
+                let alg = cheap_sim(n, l);
+                let horizon = 20 * alg.time_bound();
+                let report = eager_chain_audit(&alg, horizon).unwrap();
+                assert_eq!(report.heavy.len(), l as usize, "no mirroring");
+                let stepped = AlgorithmExecutor::new(&alg);
+                let reference: Vec<u64> = report
+                    .path
+                    .windows(2)
+                    .map(|w| {
+                        let (x, y) = (w[0].min(w[1]), w[0].max(w[1]));
+                        let scenario = Scenario::pair(
+                            x.get(),
+                            y.get(),
+                            NodeId::new(0),
+                            NodeId::new(report.f as usize),
+                            0,
+                            horizon,
+                        );
+                        stepped.run(&scenario).unwrap().time.expect("meets")
+                    })
+                    .collect();
+                assert_eq!(report.chain_times, reference, "n = {n}, L = {l}");
+            }
+        }
     }
 
     #[test]

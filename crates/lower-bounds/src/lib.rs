@@ -15,6 +15,14 @@
 //!   computes the group's progress vectors and the `k · n/6` cost witnesses
 //!   of Fact 3.17.
 //!
+//! Both start from procedure `Trim`, which is one sweep: a [`TrimSweep`]
+//! (every label pair × every ordered start pair) swept by any runner or
+//! sweep path, then folded by [`TrimmedAlgorithm::from_report`]. The
+//! construction after the trim is a separate call — [`eager_chain`] and
+//! [`progress`] — so a caller that sweeps the trim elsewhere (a result
+//! store, a distributed fabric) feeds its report straight in; the audits
+//! above compose the three on one sequential runner.
+//!
 //! # Examples
 //!
 //! ```
@@ -44,9 +52,11 @@ mod tournament;
 mod trim;
 
 pub use behavior_vector::{behavior_vector, oriented_ring_size, BehaviorVector};
-pub use eager::{eager_chain_audit, EagerChainReport};
+pub use eager::{eager_chain, eager_chain_audit, EagerChainReport};
 pub use error::LowerBoundError;
-pub use progress::{aggregate_vector, define_progress, progress_audit, surplus, ProgressReport};
+pub use progress::{
+    aggregate_vector, define_progress, progress, progress_audit, surplus, ProgressReport,
+};
 pub use segments::{disjoint_offset, Segments};
 pub use tournament::{hamiltonian_path, is_hamiltonian_path};
-pub use trim::{trim, TrimmedAlgorithm};
+pub use trim::{trim, TrimSweep, TrimmedAlgorithm};

@@ -164,24 +164,36 @@ pub struct ProgressReport {
     pub trimmed: TrimmedAlgorithm,
 }
 
-/// Runs the Theorem 3.2 construction: trim, pigeonhole agents by the block
-/// containing `m_x`, build aggregate and progress vectors for the largest
-/// group, and evaluate the cost witnesses.
+/// Runs the Theorem 3.2 construction: [`trim`], then [`progress`].
 ///
 /// # Errors
 ///
-/// * [`LowerBoundError::RingNotDivisibleBySix`] unless `6 | n`,
+/// * [`LowerBoundError::RingNotDivisibleBySix`] unless `6 | n` (checked
+///   before the trim runs),
 /// * ring/meeting errors as in [`trim`].
 pub fn progress_audit(
     algorithm: &dyn RendezvousAlgorithm,
     horizon: u64,
 ) -> Result<ProgressReport, LowerBoundError> {
-    let n = oriented_ring_size(algorithm.graph())?;
-    if n % 6 != 0 {
-        return Err(LowerBoundError::RingNotDivisibleBySix { n });
-    }
-    let block_len = n / 6;
-    let trimmed = trim(algorithm, horizon)?;
+    sector_len(algorithm)?;
+    progress(algorithm, trim(algorithm, horizon)?)
+}
+
+/// The Theorem 3.2 construction on `trimmed`, the trim of `algorithm`:
+/// pigeonhole agents by the block containing `m_x`, build aggregate and
+/// progress vectors for the largest group, and evaluate the cost
+/// witnesses. Runs only solo executions.
+///
+/// # Errors
+///
+/// * [`LowerBoundError::NotAnOrientedRing`] for non-ring graphs,
+/// * [`LowerBoundError::RingNotDivisibleBySix`] unless `6 | n`,
+/// * simulation errors of the solo runs.
+pub fn progress(
+    algorithm: &dyn RendezvousAlgorithm,
+    trimmed: TrimmedAlgorithm,
+) -> Result<ProgressReport, LowerBoundError> {
+    let (n, block_len) = sector_len(algorithm)?;
     let l = algorithm.label_space().size();
 
     // Pigeonhole: group agents by the block containing m_x.
@@ -234,6 +246,15 @@ pub fn progress_audit(
         witnesses_hold,
         trimmed,
     })
+}
+
+/// The ring size `n` and the sector (and block) length `n/6`.
+fn sector_len(algorithm: &dyn RendezvousAlgorithm) -> Result<(usize, usize), LowerBoundError> {
+    let n = oriented_ring_size(algorithm.graph())?;
+    if n % 6 != 0 {
+        return Err(LowerBoundError::RingNotDivisibleBySix { n });
+    }
+    Ok((n, n / 6))
 }
 
 #[cfg(test)]

@@ -6,14 +6,21 @@
 //! vector is dead code and is zeroed; the lower-bound arguments then reason
 //! about the non-zero entries that remain.
 //!
-//! The executions run through the workspace's sweep pipeline: one pair
-//! [`Grid`] per label pair (all ordered start pairs, delay 0), swept by a
-//! [`Runner`] through a [`BatchExecutor`], so each `(label, start)` plan
-//! compiles once for the whole procedure.
+//! The procedure is a sweep and a fold. [`TrimSweep`] is its whole
+//! execution space as one [`Workload`] — every label pair `x < y` ×
+//! every ordered start pair, delay 0 — cut into one fold group per label
+//! pair, so it runs through any sweep path (a [`Runner`], a result
+//! store, a fabric lease) like every other grid.
+//! [`TrimmedAlgorithm::from_report`] folds the horizons and extremes
+//! from the swept report's pair groups; [`trim`] composes the two on a
+//! sequential runner.
 
 use crate::{behavior_vector, oriented_ring_size, BehaviorVector, LowerBoundError};
 use rendezvous_core::{Label, RendezvousAlgorithm};
-use rendezvous_runner::{BatchExecutor, Grid, GroupStats, PieceExecutor, Runner, Workload};
+use rendezvous_runner::{
+    BatchExecutor, Fnv1a, Grid, PieceExecutor, Runner, SweepReport, WorkPiece, Workload,
+    WorkloadMeta,
+};
 
 /// The result of trimming: per-label horizons `m_x`, trimmed behaviour
 /// vectors, and the worst time/cost observed across all executions
@@ -32,6 +39,77 @@ pub struct TrimmedAlgorithm {
 }
 
 impl TrimmedAlgorithm {
+    /// Folds procedure `Trim` from `report`, the full report of `sweep`
+    /// (built for `algorithm`): `m_x` is the largest `max_time` over the
+    /// pair groups containing `x`.
+    ///
+    /// A pair group that counted a miss is rerun through `executor` to
+    /// name it.
+    ///
+    /// # Errors
+    ///
+    /// [`LowerBoundError::NoMeeting`] naming the first execution, in
+    /// (label pair, start pair) order, that did not meet; simulation
+    /// errors of the behaviour vectors or the rerun.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `report` did not fold every unit of `sweep`.
+    pub fn from_report<E>(
+        algorithm: &dyn RendezvousAlgorithm,
+        sweep: &TrimSweep,
+        report: &SweepReport,
+        executor: &E,
+        runner: &Runner,
+    ) -> Result<TrimmedAlgorithm, LowerBoundError>
+    where
+        E: PieceExecutor + ?Sized,
+    {
+        assert_eq!(
+            report.executed(),
+            sweep.size(),
+            "a trim folds from the full report of its sweep"
+        );
+        let l = algorithm.label_space().size();
+        let mut horizons = vec![0u64; l as usize];
+        let mut max_time = 0u64;
+        let mut max_cost = 0u64;
+        for (block, (&(x, y), key)) in sweep.pairs.iter().zip(&sweep.keys).enumerate() {
+            let stats = report.group(key).expect("every label pair has a group");
+            if stats.failures > 0 {
+                // The fold keeps no failure witness: rerun the block (one
+                // piece) to name the first miss.
+                let lo = block * sweep.block;
+                let piece = sweep.pieces(lo, lo + sweep.block).remove(0);
+                let (outcomes, _) = executor.run_piece(runner, &piece)?;
+                let miss = outcomes.iter().find(|o| o.time.is_none());
+                let s = &miss.expect("the sweep counted a miss").scenario;
+                return Err(LowerBoundError::NoMeeting {
+                    labels: (s.first_label(), s.second_label()),
+                    starts: (s.start_a().index(), s.start_b().index()),
+                    horizon: s.horizon,
+                });
+            }
+            horizons[(x - 1) as usize] = horizons[(x - 1) as usize].max(stats.max_time);
+            horizons[(y - 1) as usize] = horizons[(y - 1) as usize].max(stats.max_time);
+            max_time = max_time.max(stats.max_time);
+            max_cost = max_cost.max(stats.max_cost);
+        }
+        let mut vectors = Vec::with_capacity(l as usize);
+        for x in 1..=l {
+            let label = Label::new(x).expect(">0");
+            let mut v = behavior_vector(algorithm, label, max_time)?;
+            v.truncate_after(horizons[(x - 1) as usize] as usize);
+            vectors.push(v);
+        }
+        Ok(TrimmedAlgorithm {
+            vectors,
+            horizons,
+            max_time,
+            max_cost,
+        })
+    }
+
     /// The trimmed vector of a label.
     ///
     /// # Panics
@@ -60,9 +138,107 @@ impl TrimmedAlgorithm {
     }
 }
 
+/// Every execution procedure `Trim` makes, as one [`Workload`]: all
+/// label pairs `x < y` (outer) × all ordered start pairs (inner), delay
+/// 0. Each label pair's block of `n(n − 1)` units folds under its own
+/// key, so one report holds every pair's extremes.
+#[derive(Debug, Clone)]
+pub struct TrimSweep {
+    grid: Grid,
+    /// The label pairs, in block order.
+    pairs: Vec<(u64, u64)>,
+    /// The fold key of each block: the pair's labels, zero-padded so
+    /// the report's key order is block order.
+    keys: Vec<String>,
+    /// Units per block: the ordered start pairs.
+    block: usize,
+}
+
+impl TrimSweep {
+    /// The trim sweep of `algorithm` on its oriented ring, each
+    /// execution capped at `horizon` rounds.
+    ///
+    /// # Errors
+    ///
+    /// [`LowerBoundError::NotAnOrientedRing`] for non-ring graphs.
+    pub fn new(
+        algorithm: &dyn RendezvousAlgorithm,
+        horizon: u64,
+    ) -> Result<TrimSweep, LowerBoundError> {
+        let n = oriented_ring_size(algorithm.graph())?;
+        let l = algorithm.label_space().size();
+        let pairs: Vec<(u64, u64)> = (1..=l)
+            .flat_map(|x| ((x + 1)..=l).map(move |y| (x, y)))
+            .collect();
+        let width = l.to_string().len();
+        let keys = pairs
+            .iter()
+            .map(|(x, y)| format!("{x:0width$} {y:0width$}"))
+            .collect();
+        let grid = Grid::new(horizon)
+            .label_pairs_ordered(&pairs)
+            .all_start_pairs(algorithm.graph());
+        Ok(TrimSweep {
+            grid,
+            pairs,
+            keys,
+            block: n * (n - 1),
+        })
+    }
+}
+
+impl Workload for TrimSweep {
+    fn size(&self) -> usize {
+        self.grid.size()
+    }
+
+    /// The grid's meta with a trim marker folded into the digest, so a
+    /// trim's report is never mistaken for the plain grid's.
+    fn meta(&self) -> WorkloadMeta {
+        let mut meta = self.grid.meta();
+        let mut h = Fnv1a::new();
+        h.write_bytes(b"trim");
+        h.write_u64(meta.digest);
+        meta.digest = h.finish();
+        meta
+    }
+
+    fn pieces(&self, lo: usize, hi: usize) -> Vec<WorkPiece<'_>> {
+        assert!(
+            lo <= hi && hi <= self.size(),
+            "scenario range {lo}..{hi} out of bounds for a trim of {}",
+            self.size()
+        );
+        let mut pieces = Vec::with_capacity(self.piece_count(lo, hi));
+        let mut at = lo;
+        while at < hi {
+            let block = at / self.block;
+            let end = hi.min((block + 1) * self.block);
+            pieces.push(WorkPiece {
+                offset: at,
+                key: &self.keys[block],
+                entry: None,
+                scenarios: self.grid.scenarios_in(at, end),
+            });
+            at = end;
+        }
+        pieces
+    }
+
+    fn piece_count(&self, lo: usize, hi: usize) -> usize {
+        if lo < hi {
+            (hi - 1) / self.block - lo / self.block + 1
+        } else {
+            0
+        }
+    }
+}
+
 /// Runs procedure `Trim` for `algorithm` on its oriented ring, exhausting
 /// all unordered label pairs and all ordered pairs of distinct start
-/// positions, with simultaneous start (the lower-bound scenario).
+/// positions, with simultaneous start (the lower-bound scenario): the
+/// [`TrimSweep`] on a sequential [`Runner`] through a [`BatchExecutor`],
+/// folded by [`TrimmedAlgorithm::from_report`].
 ///
 /// `horizon` caps each execution; it must exceed the algorithm's time
 /// bound or [`LowerBoundError::NoMeeting`] is returned.
@@ -77,85 +253,16 @@ pub fn trim(
     algorithm: &dyn RendezvousAlgorithm,
     horizon: u64,
 ) -> Result<TrimmedAlgorithm, LowerBoundError> {
-    trim_on(
-        algorithm,
-        horizon,
-        &Runner::sequential(),
-        &BatchExecutor::new(algorithm),
-    )
-}
-
-/// [`trim`] through the caller's runner and executor, so an audit that
-/// runs executions of its own shares one plan cache with the trim.
-pub(crate) fn trim_on(
-    algorithm: &dyn RendezvousAlgorithm,
-    horizon: u64,
-    runner: &Runner,
-    executor: &BatchExecutor<'_>,
-) -> Result<TrimmedAlgorithm, LowerBoundError> {
-    let graph = algorithm.graph();
-    oriented_ring_size(graph)?;
-    let l = algorithm.label_space().size();
-    let mut horizons = vec![0u64; l as usize];
-    let mut max_time = 0u64;
-    let mut max_cost = 0u64;
-    for x in 1..=l {
-        for y in (x + 1)..=l {
-            let grid = Grid::new(horizon)
-                .label_pairs_ordered(&[(x, y)])
-                .all_start_pairs(graph);
-            let stats = meeting_stats(runner, executor, &grid)?;
-            horizons[(x - 1) as usize] = horizons[(x - 1) as usize].max(stats.max_time);
-            horizons[(y - 1) as usize] = horizons[(y - 1) as usize].max(stats.max_time);
-            max_time = max_time.max(stats.max_time);
-            max_cost = max_cost.max(stats.max_cost);
-        }
-    }
-    let mut vectors = Vec::with_capacity(l as usize);
-    for x in 1..=l {
-        let label = Label::new(x).expect(">0");
-        let mut v = behavior_vector(algorithm, label, max_time)?;
-        v.truncate_after(horizons[(x - 1) as usize] as usize);
-        vectors.push(v);
-    }
-    Ok(TrimmedAlgorithm {
-        vectors,
-        horizons,
-        max_time,
-        max_cost,
-    })
-}
-
-/// Sweeps every execution of a pair `grid` and returns its statistics,
-/// or [`LowerBoundError::NoMeeting`] naming the first execution (in grid
-/// order) that did not meet.
-pub(crate) fn meeting_stats(
-    runner: &Runner,
-    executor: &BatchExecutor<'_>,
-    grid: &Grid,
-) -> Result<GroupStats, LowerBoundError> {
-    let stats = runner.sweep(grid, executor)?.solo();
-    if stats.failures == 0 {
-        return Ok(stats);
-    }
-    // The fold keeps no failure witness; rerun the grid to name one.
-    for piece in grid.pieces(0, grid.size()) {
-        let (outcomes, _) = executor.run_piece(runner, &piece)?;
-        if let Some(miss) = outcomes.iter().find(|o| o.time.is_none()) {
-            let s = &miss.scenario;
-            return Err(LowerBoundError::NoMeeting {
-                labels: (s.first_label(), s.second_label()),
-                starts: (s.start_a().index(), s.start_b().index()),
-                horizon: s.horizon,
-            });
-        }
-    }
-    unreachable!("the sweep counted a failed execution")
+    let (runner, executor) = (Runner::sequential(), BatchExecutor::new(algorithm));
+    let sweep = TrimSweep::new(algorithm, horizon)?;
+    let report = runner.sweep(&sweep, &executor)?;
+    TrimmedAlgorithm::from_report(algorithm, &sweep, &report, &executor, &runner)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use rendezvous_core::{Cheap, CheapSimultaneous, Fast, LabelSpace};
     use rendezvous_explore::{Explorer, OrientedRingExplorer};
     use rendezvous_graph::{generators, NodeId, PortLabeledGraph};
@@ -199,6 +306,69 @@ mod tests {
             }
         }
         (horizons, max_time, max_cost)
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The `Workload` contract on the trim sweep, cut at arbitrary
+        /// points (block boundaries and mid-block alike, plus the middle
+        /// of the first block): each range's pieces partition it in
+        /// order with one key per label pair, `piece_count` counts them
+        /// without building them, and the range sweeps merge back to the
+        /// whole sweep.
+        #[test]
+        fn trim_sweep_keeps_the_workload_contract(
+            n in 3usize..8,
+            l in 2u64..6,
+            cuts in proptest::collection::vec(0usize..2000, 0..6),
+        ) {
+            let alg = cheap_sim(n, l);
+            let sweep = TrimSweep::new(&alg, 4 * alg.time_bound()).unwrap();
+            let size = sweep.size();
+            prop_assert_eq!(size, (l * (l - 1) / 2) as usize * n * (n - 1));
+            let mut points: Vec<usize> = cuts.iter().map(|c| c % (size + 1)).collect();
+            points.extend([0, n * (n - 1) / 2, size]);
+            points.sort_unstable();
+            points.dedup();
+
+            let executor = BatchExecutor::new(&alg);
+            let runner = Runner::sequential();
+            let whole = runner.sweep(&sweep, &executor).unwrap();
+            prop_assert_eq!(whole.groups.len(), (l * (l - 1) / 2) as usize);
+            let mut merged = SweepReport::default();
+            let mut scenarios = Vec::new();
+            for w in points.windows(2) {
+                let (lo, hi) = (w[0], w[1]);
+                let pieces = sweep.pieces(lo, hi);
+                prop_assert_eq!(sweep.piece_count(lo, hi), pieces.len());
+                let mut at = lo;
+                for piece in &pieces {
+                    prop_assert_eq!(piece.offset, at);
+                    let block = at / (n * (n - 1));
+                    prop_assert_eq!(piece.key, sweep.keys[block].as_str());
+                    at += piece.scenarios.len();
+                    prop_assert!(at <= (block + 1) * n * (n - 1), "a piece spans blocks");
+                }
+                prop_assert_eq!(at, hi);
+                scenarios.extend(pieces.into_iter().flat_map(|p| p.scenarios));
+                merged = merged.merge(&runner.sweep_range(&sweep, lo, hi, &executor).unwrap());
+            }
+            prop_assert_eq!(&scenarios, &sweep.grid.scenarios());
+            prop_assert_eq!(merged, whole);
+        }
+    }
+
+    #[test]
+    fn trim_meta_differs_from_its_grid() {
+        let alg = cheap_sim(6, 3);
+        let sweep = TrimSweep::new(&alg, 100).unwrap();
+        let (trim, grid) = (sweep.meta(), sweep.grid.meta());
+        assert_ne!(trim.digest, grid.digest);
+        assert_eq!(
+            (trim.kind, trim.size, trim.full_size),
+            (grid.kind, grid.size, grid.full_size)
+        );
     }
 
     #[test]
