@@ -37,9 +37,6 @@ pub struct Config {
     pub d4_env_exempt: Vec<String>,
     /// D5 (unordered parallel reduction) applies under these prefixes.
     pub d5_paths: Vec<String>,
-    /// D5 exemption: the files implementing the order-deterministic
-    /// fold itself (the one sanctioned home of raw threads).
-    pub d5_deterministic_fold: Vec<String>,
 }
 
 impl Config {
@@ -58,7 +55,6 @@ impl Config {
             d4_timing_exempt: Vec::new(),
             d4_env_exempt: Vec::new(),
             d5_paths: all,
-            d5_deterministic_fold: Vec::new(),
         }
     }
 
@@ -83,7 +79,6 @@ impl Config {
             d4_timing_exempt: list("rules.d4", "timing_exempt"),
             d4_env_exempt: list("rules.d4", "env_exempt"),
             d5_paths: list("rules.d5", "paths"),
-            d5_deterministic_fold: list("rules.d5", "deterministic_fold"),
         })
     }
 }

@@ -15,8 +15,9 @@
 //!   convention applies,
 //! - **D4** nondeterminism sources (wall clocks outside bench, unseeded
 //!   RNG, `std::env` outside the CLI layer),
-//! - **D5** parallel reductions not routed through the Runner's
-//!   order-deterministic fold.
+//! - **D5** unordered parallel reductions (rayon `par_*`, raw
+//!   `std::thread` spawns): sweeps fold on one thread, and in parallel
+//!   only as fabric lease ranges merged at global indices.
 //!
 //! Findings print as `file:line [rule] message` and serialize to a JSON
 //! report (the committed audit baseline). A finding is suppressed by a

@@ -162,7 +162,7 @@ pub fn run_rules(cx: &FileContext<'_>, cfg: &Config) -> Vec<RawFinding> {
         d3_float_arithmetic(cx, &mut out);
     }
     d4_nondeterminism_sources(cx, cfg, &mut out);
-    if path_in(cx.rel, &cfg.d5_paths) && !path_in(cx.rel, &cfg.d5_deterministic_fold) {
+    if path_in(cx.rel, &cfg.d5_paths) {
         d5_unordered_parallel(cx, &mut out);
     }
     let mut seen = BTreeSet::new();
@@ -389,9 +389,11 @@ fn d4_nondeterminism_sources(cx: &FileContext<'_>, cfg: &Config, out: &mut Vec<R
 }
 
 /// D5 — unordered parallel reduction: rayon-style `par_*` iterators and
-/// raw `thread::spawn`/`thread::scope` outside the sanctioned
-/// order-deterministic fold (`Runner`). Any other parallel reduction
-/// folds in completion order, which varies run to run.
+/// raw `std::thread` spawns, scoped or not. Sweeps fold on one thread in
+/// the `Runner`, and run in parallel only as fabric lease ranges merged
+/// at global indices; any other parallel reduction folds in completion
+/// order, which varies run to run. A thread that folds nothing (a
+/// connection pump, a heartbeat) carries an allow saying so.
 fn d5_unordered_parallel(cx: &FileContext<'_>, out: &mut Vec<RawFinding>) {
     let tokens = &cx.lexed.tokens;
     for (i, t) in tokens.iter().enumerate() {
@@ -429,9 +431,10 @@ fn d5_unordered_parallel(cx: &FileContext<'_>, out: &mut Vec<RawFinding>) {
                 line: t.line,
                 rule: "D5",
                 message: format!(
-                    "{what} outside the order-deterministic fold — route the work \
-                     through `Runner` (input-order collection, sequential fold at \
-                     global indices), or annotate `// analyze: allow(d5) — <why>`"
+                    "{what}: its results fold in completion order — sweep on one \
+                     thread through `Runner`, parallelize only as fabric lease ranges \
+                     (merged at global indices), or annotate \
+                     `// analyze: allow(d5) — <why>`"
                 ),
             });
         }

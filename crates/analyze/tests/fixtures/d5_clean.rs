@@ -1,6 +1,5 @@
 //! D5 clean fixture: a sequential fold in input order — what the
-//! Runner's order-deterministic fold reduces to after it has collected
-//! worker results back into global-index order.
+//! Runner does, piece by piece, on one thread.
 
 pub fn sequential_fold(chunks: Vec<Vec<u64>>) -> u64 {
     let mut worst = 0;

@@ -26,14 +26,9 @@
 //! (`experiments all --json | jq` works).
 //!
 //! Every experiment executes through the shared `rendezvous-runner`
-//! engine. By default it uses all hardware threads; `--sequential`
-//! forces one. The two modes produce **identical** tables — the runner
-//! folds outcomes in scenario order either way — so diffing the outputs
-//! is a quick end-to-end determinism check:
-//!
-//! ```text
-//! diff <(experiments all --quick --sequential) <(experiments all --quick)
-//! ```
+//! engine on one thread; the one parallel path is `--fabric workers=N`
+//! below. `--sequential` is still accepted (the benchmark harness passes
+//! it) and changes nothing: it names the only in-process mode.
 //!
 //! Every pair sweep runs on the delay-batched trajectory solver
 //! (`BatchExecutor`) by default; `--engine stepped` swaps in the stepped
@@ -192,7 +187,6 @@ struct Shared {
     engine: Engine,
     store: Option<String>,
     addr_file: Option<String>,
-    sequential: bool,
 }
 
 impl Shared {
@@ -210,19 +204,12 @@ impl Shared {
             }
             "--store" => self.store = Some(value(args, flag, "a directory")),
             "--addr-file" => self.addr_file = Some(value(args, flag, "a file path")),
-            "--sequential" => self.sequential = true,
+            // One thread is the only in-process mode; the flag is a
+            // kept no-op.
+            "--sequential" => {}
             _ => return false,
         }
         true
-    }
-
-    /// One thread under `--sequential`, every hardware thread otherwise.
-    fn runner(&self) -> Runner {
-        if self.sequential {
-            Runner::sequential()
-        } else {
-            Runner::parallel()
-        }
     }
 
     /// The session these flags ask for, in `mode`, its store opened.
@@ -344,7 +331,7 @@ fn run_serve(mut args: impl Iterator<Item = String>) {
     let result = serve::serve(
         shared.session(Mode::Direct),
         shared.addr_file.as_deref().map(Path::new),
-        &shared.runner(),
+        &Runner::sequential(),
     );
     if let Err(e) = result {
         eprintln!("serve failed: {e}");
@@ -444,7 +431,7 @@ fn run_query(mut args: impl Iterator<Item = String>) {
             usage_error("query --direct --token requires --store DIR");
         }
         session::install(shared.session(Mode::Direct));
-        Ok(serve::answer(query, &shared.runner()))
+        Ok(serve::answer(query, &Runner::sequential()))
     } else {
         let addr = match (addr, shared.addr_file) {
             (Some(addr), None) => addr,
@@ -630,7 +617,7 @@ fn main() {
         Run::Driver(_) | Run::Plan => false,
         Run::Direct => progress || telemetry_path.is_some(),
     };
-    let mut runner = shared.runner();
+    let mut runner = Runner::sequential();
     if local_sink {
         runner = runner.with_metrics(Arc::new(Metrics::new()));
     }

@@ -349,7 +349,7 @@ mod tests {
     fn measure_worst_respects_bounds_on_cheap() {
         let (g, ex) = ring_setup(6);
         let alg = Cheap::new(g, ex, LabelSpace::new(4).unwrap());
-        let runner = Runner::with_threads(2);
+        let runner = Runner::sequential();
         let m = measure_worst(
             &alg,
             &all_label_pairs(4),

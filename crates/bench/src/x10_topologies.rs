@@ -461,7 +461,7 @@ mod tests {
     #[test]
     fn x10_hundred_seeded_graphs_per_family_stay_within_bounds() {
         let specs = standard_topo_specs(true);
-        let report = run(specs, 4, 3, &Runner::parallel());
+        let report = run(specs, 4, 3, &Runner::sequential());
         assert_eq!(report.rows.len(), 6, "six families");
         for row in &report.rows {
             assert!(

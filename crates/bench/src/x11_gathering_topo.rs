@@ -299,7 +299,7 @@ mod tests {
             .step_by(7)
             .take(30)
             .collect();
-        let report = run(specs, 4, &[2, 3], &[0, 5], 2, &Runner::parallel());
+        let report = run(specs, 4, &[2, 3], &[0, 5], 2, &Runner::sequential());
         assert_eq!(report.rows.len(), 6, "six families");
         for row in &report.rows {
             assert!(row.scenarios > 0, "{}: empty grids", row.family);

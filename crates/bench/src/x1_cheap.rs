@@ -118,7 +118,7 @@ mod tests {
 
     #[test]
     fn x1_bounds_hold_and_shape_is_linear_in_l() {
-        let rows = run(8, &[2, 4, 8], true, &Runner::with_threads(4));
+        let rows = run(8, &[2, 4, 8], true, &Runner::sequential());
         for r in &rows {
             assert!(r.cheap_time <= r.cheap_time_bound);
             assert!(r.cheap_cost <= r.cheap_cost_bound);

@@ -93,7 +93,7 @@ mod tests {
 
     #[test]
     fn x2_bounds_hold_and_growth_is_logarithmic() {
-        let rows = run(8, &[2, 8, 64], false, &Runner::with_threads(4));
+        let rows = run(8, &[2, 8, 64], false, &Runner::sequential());
         for r in &rows {
             assert!(r.time <= r.time_bound, "time {} > {}", r.time, r.time_bound);
             assert!(r.cost <= r.cost_bound);

@@ -186,7 +186,7 @@ mod tests {
 
     #[test]
     fn x3_exec_within_bounds() {
-        let rows = run_exec(6, 8, &[1, 2, 3], &Runner::with_threads(4));
+        let rows = run_exec(6, 8, &[1, 2, 3], &Runner::sequential());
         for r in &rows {
             assert!(r.time <= r.time_bound);
             assert!(r.cost <= r.cost_bound);

@@ -112,7 +112,7 @@ mod tests {
 
     #[test]
     fn x4_frontier_shape() {
-        let points = run(8, 32, &[2, 3], &Runner::with_threads(4));
+        let points = run(8, 32, &[2, 3], &Runner::sequential());
         let by_name = |n: &str| points.iter().find(|p| p.algorithm == n).unwrap();
         let cheap = by_name("cheap");
         let fast = by_name("fast");

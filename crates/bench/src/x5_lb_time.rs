@@ -112,7 +112,7 @@ mod tests {
 
     #[test]
     fn x5_witness_grows_linearly_and_holds() {
-        let rows = run(12, &[4, 8, 12], &Runner::with_threads(3));
+        let rows = run(12, &[4, 8, 12], &Runner::sequential());
         for r in &rows {
             assert_eq!(r.phi, 0);
             assert!(r.increasing, "Fact 3.7 violated at L={}", r.l);

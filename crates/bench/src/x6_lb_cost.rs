@@ -115,7 +115,7 @@ mod tests {
 
     #[test]
     fn x6_witnesses_hold_and_cost_tracks_log_l() {
-        let rows = run(12, &[4, 16], &Runner::with_threads(2));
+        let rows = run(12, &[4, 16], &Runner::sequential());
         for r in &rows {
             assert!(r.witnesses_hold, "Fact 3.17 violated at L={}", r.l);
             assert!(r.max_nonzero >= 1);

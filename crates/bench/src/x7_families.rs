@@ -183,7 +183,7 @@ mod tests {
 
     #[test]
     fn x7_all_families_meet_within_bounds() {
-        let rows = run(6, 0xBEEF, &Runner::with_threads(4));
+        let rows = run(6, 0xBEEF, &Runner::sequential());
         assert_eq!(rows.len(), 8);
         for r in &rows {
             assert!(

@@ -122,7 +122,7 @@ mod tests {
 
     #[test]
     fn x8_iterated_pays_only_a_constant_factor() {
-        let rows = run(&[6, 12], 4, &Runner::with_threads(4));
+        let rows = run(&[6, 12], 4, &Runner::sequential());
         for r in &rows {
             // Telescoping: a modest constant factor, not an n- or L-factor.
             assert!(

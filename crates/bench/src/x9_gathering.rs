@@ -167,7 +167,7 @@ mod tests {
 
     #[test]
     fn x9_gathering_scales_linearly_in_k() {
-        let rows = run(12, 32, &[2, 3, 5], &Runner::with_threads(3));
+        let rows = run(12, 32, &[2, 3, 5], &Runner::sequential());
         for r in &rows {
             assert!(r.rounds <= r.bound, "k={}: {} > {}", r.k, r.rounds, r.bound);
             assert_eq!(r.scenarios, standard_phases().len());

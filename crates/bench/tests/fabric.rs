@@ -286,7 +286,7 @@ fn fabric_flag_misuse_is_refused_up_front() {
             "--fabric-kill-one",
         ],
         vec!["x1", "--quick", "--plan", "--fabric", "workers=2"],
-        // The default is parallel and x10 is selected by its id: the
+        // Every run is one thread and x10 is selected by its id: the
         // old `--parallel` and `--topo` aliases are unknown flags.
         vec!["x1", "--quick", "--parallel"],
         vec!["--topo", "--quick"],
@@ -318,6 +318,15 @@ fn fabric_flag_misuse_is_refused_up_front() {
     // `none` is the one id that selects nothing: a bare process start.
     let out = experiments(&["none"]);
     assert!(out.status.success() && out.stdout.is_empty());
+}
+
+/// One thread is the only in-process mode: `--sequential` stays
+/// accepted, since benchmark harnesses pass it, and changes no byte.
+#[test]
+fn sequential_is_an_accepted_no_op() {
+    let plain = stdout_of(&["x1", "--quick"]);
+    assert!(!plain.is_empty());
+    assert_eq!(stdout_of(&["x1", "--quick", "--sequential"]), plain);
 }
 
 /// `--fabric` is the only way to split a run, and the socket is a

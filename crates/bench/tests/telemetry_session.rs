@@ -23,7 +23,7 @@ fn installed_session_observes_sweep_worst() {
     let metrics = Arc::new(Metrics::new());
     let (g, ex) = common::ring_setup(6);
     let alg = Cheap::new(g, ex, LabelSpace::new(4).unwrap());
-    let runner = Runner::with_threads(2).with_metrics(Arc::clone(&metrics));
+    let runner = Runner::sequential().with_metrics(Arc::clone(&metrics));
 
     // One stepped sweep, then the same grid batched: both engines feed
     // the same sink, and the stats they return must agree.

@@ -10,8 +10,9 @@
 use rendezvous_explore::{ExploreRun, Explorer};
 use rendezvous_graph::{NodeId, Port, PortLabeledGraph};
 use rendezvous_sim::{Action, AgentBehavior, Observation, Trajectory};
+use std::cell::RefCell;
 use std::fmt;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 /// One phase of a schedule.
 #[derive(Clone)]
@@ -334,13 +335,11 @@ impl Segment {
 ///
 /// An explorer is identified by its `Arc` ([`Arc::ptr_eq`] against the
 /// `Arc`s the memo holds, so an address cannot be reused while the memo
-/// lives). Each slot is written once; since a segment is a deterministic
-/// function of its key, concurrent first hits race benignly and the
-/// first insert wins.
+/// lives). Each slot is written once, by the memo's single owner.
 #[derive(Debug)]
 pub struct SegmentMemo {
     graph: Arc<PortLabeledGraph>,
-    explorers: RwLock<Vec<ExplorerSegments>>,
+    explorers: RefCell<Vec<ExplorerSegments>>,
 }
 
 /// One explorer's segments, indexed by start node.
@@ -356,7 +355,7 @@ impl SegmentMemo {
     pub fn new(graph: Arc<PortLabeledGraph>) -> Self {
         SegmentMemo {
             graph,
-            explorers: RwLock::new(Vec::new()),
+            explorers: RefCell::new(Vec::new()),
         }
     }
 
@@ -364,8 +363,7 @@ impl SegmentMemo {
     #[cfg(test)]
     fn compiled_segments(&self) -> usize {
         self.explorers
-            .read()
-            .expect("segment memo poisoned")
+            .borrow()
             .iter()
             .map(|e| e.by_start.iter().flatten().count())
             .sum()
@@ -373,30 +371,21 @@ impl SegmentMemo {
 
     /// The segment of `explorer` run from `start`, compiled on first use.
     fn segment(&self, explorer: &Arc<dyn Explorer>, start: NodeId) -> Arc<Segment> {
-        let slot = start.index();
-        let find = |explorers: &[ExplorerSegments]| {
-            explorers
-                .iter()
-                .position(|e| Arc::ptr_eq(&e.explorer, explorer))
-        };
-        {
-            let explorers = self.explorers.read().expect("segment memo poisoned");
-            if let Some(segment) =
-                find(&explorers).and_then(|i| explorers[i].by_start[slot].clone())
-            {
-                return segment;
-            }
-        }
-        let compiled = Arc::new(Segment::explore(&self.graph, explorer, start));
-        let mut explorers = self.explorers.write().expect("segment memo poisoned");
-        let i = find(&explorers).unwrap_or_else(|| {
-            explorers.push(ExplorerSegments {
-                explorer: Arc::clone(explorer),
-                by_start: vec![None; self.graph.node_count()],
+        let mut explorers = self.explorers.borrow_mut();
+        let i = explorers
+            .iter()
+            .position(|e| Arc::ptr_eq(&e.explorer, explorer))
+            .unwrap_or_else(|| {
+                explorers.push(ExplorerSegments {
+                    explorer: Arc::clone(explorer),
+                    by_start: vec![None; self.graph.node_count()],
+                });
+                explorers.len() - 1
             });
-            explorers.len() - 1
-        });
-        Arc::clone(explorers[i].by_start[slot].get_or_insert(compiled))
+        Arc::clone(
+            explorers[i].by_start[start.index()]
+                .get_or_insert_with(|| Arc::new(Segment::explore(&self.graph, explorer, start))),
+        )
     }
 }
 

@@ -179,38 +179,31 @@ impl<'a> BatchExecutor<'a> {
 impl PieceExecutor for BatchExecutor<'_> {
     fn run_piece(
         &self,
-        runner: &Runner,
+        _runner: &Runner,
         piece: &WorkPiece<'_>,
     ) -> Result<(Vec<ScenarioOutcome>, Option<Bounds>), RunnerError> {
         let scenarios = &piece.scenarios;
-        let jobs = self.jobs(scenarios);
-        if let Some(counters) = &self.counters {
-            for job in &jobs {
-                match job {
-                    Job::Batched(run) => {
+        // Jobs cover the piece in index order, so concatenating restores
+        // it, and the first error met is the lowest-index one — what the
+        // per-scenario fold would surface.
+        let mut outcomes = Vec::with_capacity(scenarios.len());
+        for job in self.jobs(scenarios) {
+            match job {
+                Job::Batched(run) => {
+                    if let Some(counters) = &self.counters {
                         counters.batched.add_count(run.len());
                         counters.groups.inc();
                     }
-                    Job::Stepped(_) => counters.stepped.inc(),
+                    let solved = self.solve_run(scenarios, run);
+                    outcomes.extend(solved.map_err(|(i, e)| e.at_index(i))?);
+                }
+                Job::Stepped(i) => {
+                    if let Some(counters) = &self.counters {
+                        counters.stepped.inc();
+                    }
+                    outcomes.push(self.inner.run(&scenarios[i]).map_err(|e| e.at_index(i))?);
                 }
             }
-        }
-        // One run (or one fallback scenario) per parallel task: the
-        // runner spreads the piece's runs across its threads.
-        let results = runner.map(jobs, |_, job| match job {
-            Job::Batched(run) => self.solve_run(scenarios, run),
-            Job::Stepped(i) => self
-                .inner
-                .run(&scenarios[i])
-                .map(|o| vec![o])
-                .map_err(|e| (i, e)),
-        });
-        // Jobs cover the piece in index order, so concatenating restores
-        // it, and the first error met is the lowest-index one — what the
-        // sequential fold would surface.
-        let mut outcomes = Vec::with_capacity(scenarios.len());
-        for result in results {
-            outcomes.extend(result.map_err(|(i, e)| e.at_index(i))?);
         }
         Ok((outcomes, self.bounds))
     }
@@ -288,9 +281,9 @@ mod tests {
     }
 
     /// Batchable runs (one of them a repeat of an earlier key) around
-    /// stepped fallbacks, cut at every index — including mid-run — and
-    /// run sequentially and in parallel: outcomes and errors equal the
-    /// stepped executor's, the error at the same global index.
+    /// stepped fallbacks, cut at every index — including mid-run:
+    /// outcomes and errors equal the stepped executor's, the error at the
+    /// same global index.
     #[test]
     fn mixed_piece_equals_stepped_outcomes_at_every_cut() {
         let alg = cheap_ring(6, 4);
@@ -339,11 +332,9 @@ mod tests {
                 reference.as_ref().err().and_then(RunnerError::index),
                 error_at
             );
-            for runner in [Runner::sequential(), Runner::with_threads(3)] {
-                for cut in 0..=scenarios.len() {
-                    let batched = run_cut(&executor, &runner, &scenarios, cut);
-                    assert_eq!(batched, reference, "cut at {cut}");
-                }
+            for cut in 0..=scenarios.len() {
+                let batched = run_cut(&executor, &Runner::sequential(), &scenarios, cut);
+                assert_eq!(batched, reference, "cut at {cut}");
             }
         }
     }

@@ -5,10 +5,10 @@ use rendezvous_core::{CoreError, FlatPlan, Label, RendezvousAlgorithm, Schedule,
 use rendezvous_graph::NodeId;
 use rendezvous_sim::{AgentBehavior, AgentSpec, SimError, Simulation};
 use rendezvous_telemetry::{Counter, Metrics, Scope};
-use std::collections::btree_map::Entry;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::fmt;
-use std::sync::{Arc, RwLock};
+use std::sync::Arc;
 
 /// An executor error: configuration or simulation failure. Both indicate a
 /// harness bug (the adversary only enumerates valid configurations), so the
@@ -94,9 +94,10 @@ impl From<CoreError> for RunnerError {
     }
 }
 
-/// Turns one scenario into one measured outcome. Implementations must be
-/// [`Sync`]: the [`Runner`](crate::Runner) shares them across threads.
-pub trait Executor: Sync {
+/// Turns one scenario into one measured outcome. The
+/// [`Runner`](crate::Runner) calls it on one thread, in scenario order,
+/// so an implementation may keep single-owner caches behind `&self`.
+pub trait Executor {
     /// Executes `scenario` and reports what happened.
     ///
     /// # Errors
@@ -117,13 +118,11 @@ pub trait Executor: Sync {
 /// an indexed load (see [`FlatPlan`]). Plans are assembled from explore
 /// segments compiled once per (explorer, node) in a [`SegmentMemo`],
 /// shared by every label and start. All three caches are write-once
-/// per key and safe to hit from the [`Runner`](crate::Runner)'s worker
-/// threads; since compilation is deterministic, concurrent first hits
-/// race benignly.
+/// per key and owned by the executor alone.
 pub struct AlgorithmExecutor<'a> {
     algorithm: &'a dyn RendezvousAlgorithm,
-    schedules: RwLock<BTreeMap<u64, Arc<Schedule>>>,
-    plans: RwLock<BTreeMap<(u64, NodeId), Arc<FlatPlan>>>,
+    schedules: RefCell<BTreeMap<u64, Arc<Schedule>>>,
+    plans: RefCell<BTreeMap<(u64, NodeId), Arc<FlatPlan>>>,
     segments: SegmentMemo,
     plan_stats: Option<PlanCacheStats>,
 }
@@ -141,21 +140,16 @@ impl<'a> AlgorithmExecutor<'a> {
     pub fn new(algorithm: &'a dyn RendezvousAlgorithm) -> Self {
         AlgorithmExecutor {
             algorithm,
-            schedules: RwLock::new(BTreeMap::new()),
-            plans: RwLock::new(BTreeMap::new()),
+            schedules: RefCell::new(BTreeMap::new()),
+            plans: RefCell::new(BTreeMap::new()),
             segments: SegmentMemo::new(Arc::clone(algorithm.graph())),
             plan_stats: None,
         }
     }
 
-    /// Attaches plan-cache hit/miss counters from `metrics`.
-    ///
-    /// Counting is race-proof: a **miss** is counted exactly where the
-    /// entry is inserted (once per key, no matter how many threads
-    /// compiled concurrently), a **hit** everywhere a compiled plan is
-    /// reused — including the write-lock race loser — so
-    /// `hits + misses` equals accesses and a parallel sweep reports the
-    /// same counters as a sequential one.
+    /// Attaches plan-cache hit/miss counters from `metrics`: a **miss**
+    /// per plan compiled (once per key), a **hit** per reuse, so
+    /// `hits + misses` equals accesses.
     #[must_use]
     pub fn with_metrics(mut self, metrics: &Metrics) -> Self {
         self.plan_stats = Some(PlanCacheStats {
@@ -172,19 +166,16 @@ impl<'a> AlgorithmExecutor<'a> {
     /// Rejects non-positive labels and propagates compilation errors
     /// (e.g. a label outside the algorithm's label space).
     pub fn schedule(&self, label_value: u64) -> Result<Arc<Schedule>, RunnerError> {
-        if let Some(s) = self
-            .schedules
-            .read()
-            .expect("schedule cache poisoned")
-            .get(&label_value)
-        {
+        if let Some(s) = self.schedules.borrow().get(&label_value) {
             return Ok(Arc::clone(s));
         }
         let label = Label::new(label_value)
             .ok_or_else(|| RunnerError::new(format!("label {label_value} is not positive")))?;
         let compiled = Arc::new(self.algorithm.schedule(label)?);
-        let mut cache = self.schedules.write().expect("schedule cache poisoned");
-        Ok(Arc::clone(cache.entry(label_value).or_insert(compiled)))
+        self.schedules
+            .borrow_mut()
+            .insert(label_value, Arc::clone(&compiled));
+        Ok(compiled)
     }
 
     /// The flat action plan for `(label_value, start)` — the label's
@@ -198,7 +189,7 @@ impl<'a> AlgorithmExecutor<'a> {
     /// See [`AlgorithmExecutor::schedule`].
     pub fn plan(&self, label_value: u64, start: NodeId) -> Result<Arc<FlatPlan>, RunnerError> {
         let key = (label_value, start);
-        if let Some(p) = self.plans.read().expect("plan cache poisoned").get(&key) {
+        if let Some(p) = self.plans.borrow().get(&key) {
             if let Some(stats) = &self.plan_stats {
                 stats.hits.inc();
             }
@@ -206,38 +197,23 @@ impl<'a> AlgorithmExecutor<'a> {
         }
         let schedule = self.schedule(label_value)?;
         let compiled = Arc::new(FlatPlan::compile_memoized(&self.segments, &schedule, start));
-        let mut cache = self.plans.write().expect("plan cache poisoned");
-        match cache.entry(key) {
-            Entry::Occupied(entry) => {
-                // Another thread compiled first: this access still
-                // reuses a cached plan, so it counts as a hit.
-                if let Some(stats) = &self.plan_stats {
-                    stats.hits.inc();
-                }
-                Ok(Arc::clone(entry.get()))
-            }
-            Entry::Vacant(slot) => {
-                if let Some(stats) = &self.plan_stats {
-                    stats.misses.inc();
-                }
-                Ok(Arc::clone(slot.insert(compiled)))
-            }
+        if let Some(stats) = &self.plan_stats {
+            stats.misses.inc();
         }
+        self.plans.borrow_mut().insert(key, Arc::clone(&compiled));
+        Ok(compiled)
     }
 
     /// Number of distinct labels compiled so far (cache size).
     #[must_use]
     pub fn compiled_labels(&self) -> usize {
-        self.schedules
-            .read()
-            .expect("schedule cache poisoned")
-            .len()
+        self.schedules.borrow().len()
     }
 
     /// Number of distinct `(label, start)` flat plans unrolled so far.
     #[must_use]
     pub fn compiled_plans(&self) -> usize {
-        self.plans.read().expect("plan cache poisoned").len()
+        self.plans.borrow().len()
     }
 }
 
@@ -294,7 +270,7 @@ pub type BehaviorPair<'a> = (Box<dyn AgentBehavior + 'a>, Box<dyn AgentBehavior 
 /// escape hatch for scripted agents, baselines, and tests.
 pub struct FactoryExecutor<'a, F>
 where
-    F: Fn(&Scenario) -> BehaviorPair<'a> + Sync,
+    F: Fn(&Scenario) -> BehaviorPair<'a>,
 {
     graph: &'a rendezvous_graph::PortLabeledGraph,
     factory: F,
@@ -302,7 +278,7 @@ where
 
 impl<'a, F> FactoryExecutor<'a, F>
 where
-    F: Fn(&Scenario) -> BehaviorPair<'a> + Sync,
+    F: Fn(&Scenario) -> BehaviorPair<'a>,
 {
     /// Wraps a behavior factory operating on `graph`.
     #[must_use]
@@ -313,7 +289,7 @@ where
 
 impl<'a, F> Executor for FactoryExecutor<'a, F>
 where
-    F: Fn(&Scenario) -> BehaviorPair<'a> + Sync,
+    F: Fn(&Scenario) -> BehaviorPair<'a>,
 {
     fn run(&self, scenario: &Scenario) -> Result<ScenarioOutcome, RunnerError> {
         require_pair(scenario, "FactoryExecutor")?;

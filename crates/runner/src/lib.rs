@@ -1,4 +1,4 @@
-//! The unified parallel scenario-sweep engine of the rendezvous workspace.
+//! The unified scenario-sweep engine of the rendezvous workspace.
 //!
 //! The paper's claims (Miller & Pelc, PODC 2014) are all *worst-case over
 //! an adversary*: any label pair from `{1, …, L}`, any distinct start
@@ -24,17 +24,18 @@
 //!   and [`TopoGrid`] (per-[`GraphSpec`](rendezvous_graph::GraphSpec)
 //!   grids concatenated over many graphs, each built once and keyed by
 //!   family);
-//! * [`Runner`] — executes workloads, sequentially or across threads,
-//!   through a [`PieceExecutor`] (any per-scenario [`Executor`] works
-//!   as-is; [`Bounded`] attaches sweep-level [`Bounds`]); the fold itself
-//!   always walks outcomes in global index order, so parallel and
-//!   sequential runs produce **identical** reports by construction;
+//! * [`Runner`] — executes workloads on the calling thread through a
+//!   [`PieceExecutor`] (any per-scenario [`Executor`] works as-is;
+//!   [`Bounded`] attaches sweep-level [`Bounds`]); the fold walks
+//!   outcomes in global index order, so any contiguous split of a sweep
+//!   produces an **identical** report by construction;
 //! * [`SweepReport`] — the one keyed fold: per-group (`""` for plain
 //!   sweeps, the graph family for topology sweeps) sums, maxima,
 //!   bound-violation counts and worst-case [`Witness`]es, tie-broken
 //!   toward the lowest global index with exact-`u128` ratio comparison.
 //!
-//! Sweeps also scale **across processes**: [`Workload::lease_ranges`]
+//! Sweeps scale **across processes**, the one parallel path:
+//! [`Workload::lease_ranges`]
 //! cuts the index space into contiguous ranges, [`Runner::sweep_range`]
 //! folds a range's outcomes at their global indices, the resulting
 //! [`SweepReport`] serializes over any byte channel (serde), and

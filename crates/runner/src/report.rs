@@ -8,8 +8,8 @@
 //! group the aggregates are sums, maxima and worst-case witnesses; the
 //! witnesses tie-break toward the **lowest global index**, and bound
 //! ratios compare by exact `u128` cross-multiplication — never floats —
-//! so neither execution order, nor parallelism, nor shard merge order
-//! can perturb a single field.
+//! so neither execution order, nor chunking, nor the fabric's lease
+//! split and merge order can perturb a single field.
 
 use crate::{Scenario, ScenarioOutcome};
 use rendezvous_graph::GraphSpec;
@@ -31,7 +31,7 @@ pub struct Bounds {
 /// buildable graph recipe.
 ///
 /// Ties break toward the smallest global `index`, which makes the
-/// witness independent of execution order, of parallelism, and of
+/// witness independent of execution order, of chunking, and of
 /// sharding.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct Witness {
@@ -420,9 +420,9 @@ impl SweepReport {
     }
 }
 
-/// Sequentially folds outcomes (at their slice positions, under the
-/// empty key) into a [`SweepReport`] — the reference fold that parallel
-/// and sharded sweeps must agree with.
+/// Folds outcomes (at their slice positions, under the empty key) into
+/// a [`SweepReport`] — the reference fold that chunked and sharded
+/// sweeps must agree with.
 pub fn fold_outcomes(outcomes: &[ScenarioOutcome], bounds: Option<Bounds>) -> SweepReport {
     let mut report = SweepReport::default();
     for (index, outcome) in outcomes.iter().enumerate() {

@@ -1,23 +1,21 @@
-//! The parallel batch executor.
+//! The sweep executor.
 
 use crate::{Executor, PieceExecutor, RunnerError, Scenario, SweepReport, WorkPiece, Workload};
 use rendezvous_telemetry::{Metrics, Scope, Stopwatch};
-use std::num::NonZeroUsize;
 use std::sync::Arc;
 
-/// Units per chunk of [`Runner::sweep_range`]: the most scenarios (and
-/// outcomes) one sweep holds in memory at a time.
+/// Units per chunk of [`Runner::sweep_range`]: the most scenarios one
+/// sweep holds in memory at a time.
 pub(crate) const SWEEP_CHUNK: usize = 4096;
 
-/// Executes workload sweeps (and generic per-item jobs) sequentially or
-/// across OS threads.
+/// Executes workload sweeps on the calling thread.
 ///
-/// Parallelism is a pure throughput knob: results are collected in input
-/// order and folded sequentially at global workload indices, so a
-/// parallel run produces **the same** [`SweepReport`] as a sequential
-/// run of the same workload — asserted by the determinism property tests
-/// in `tests/` and by the `--sequential` switch of the `experiments`
-/// binary.
+/// Outcomes are folded at global workload indices, so any contiguous
+/// split of a sweep — the runner's own chunks, the fabric's lease
+/// ranges — folds to **the same** [`SweepReport`] as one pass over the
+/// whole workload, asserted by the determinism property tests in
+/// `tests/`. Parallelism lives one level up, in the multi-process
+/// fabric (`rendezvous-fabric`).
 ///
 /// A [`Metrics`] sink may be attached ([`Runner::with_metrics`]); it
 /// observes the sweep (scenarios executed, pieces completed, per-piece
@@ -25,18 +23,14 @@ pub(crate) const SWEEP_CHUNK: usize = 4096;
 /// with a sink produces byte-identical reports to one without.
 #[derive(Debug, Clone)]
 pub struct Runner {
-    threads: usize,
     metrics: Option<Arc<Metrics>>,
 }
 
 impl Runner {
-    /// A runner using `threads` worker threads (1 = sequential).
+    /// A runner with no telemetry sink.
     #[must_use]
-    pub fn with_threads(threads: usize) -> Self {
-        Runner {
-            threads: threads.max(1),
-            metrics: None,
-        }
+    pub fn sequential() -> Self {
+        Runner { metrics: None }
     }
 
     /// Attaches a telemetry sink observing this runner's sweeps.
@@ -52,85 +46,6 @@ impl Runner {
         self.metrics.as_ref()
     }
 
-    /// A strictly sequential runner.
-    #[must_use]
-    pub fn sequential() -> Self {
-        Runner::with_threads(1)
-    }
-
-    /// A runner using all available hardware parallelism.
-    #[must_use]
-    pub fn parallel() -> Self {
-        Runner::with_threads(
-            std::thread::available_parallelism()
-                .map(NonZeroUsize::get)
-                .unwrap_or(4),
-        )
-    }
-
-    /// The configured worker count.
-    #[must_use]
-    pub fn threads(&self) -> usize {
-        self.threads
-    }
-
-    /// Returns `true` if this runner actually runs work concurrently.
-    #[must_use]
-    pub fn is_parallel(&self) -> bool {
-        self.threads > 1
-    }
-
-    /// Order-preserving map over `items`: applies `job` to every item
-    /// (receiving the item's index) and returns the results in input
-    /// order, regardless of which thread computed what.
-    pub fn map<T, R, F>(&self, items: Vec<T>, job: F) -> Vec<R>
-    where
-        T: Send,
-        R: Send,
-        F: Fn(usize, T) -> R + Sync,
-    {
-        if self.threads == 1 || items.len() <= 1 {
-            return items
-                .into_iter()
-                .enumerate()
-                .map(|(i, item)| job(i, item))
-                .collect();
-        }
-        let len = items.len();
-        let chunk_len = len.div_ceil(self.threads);
-        // Contiguous chunks keep (chunk id, offset) → global index trivial
-        // and let each worker write into its own slice of the output.
-        let mut chunks: Vec<Vec<T>> = Vec::new();
-        let mut iter = items.into_iter();
-        loop {
-            let chunk: Vec<T> = iter.by_ref().take(chunk_len).collect();
-            if chunk.is_empty() {
-                break;
-            }
-            chunks.push(chunk);
-        }
-        let mut results: Vec<Option<R>> = Vec::with_capacity(len);
-        results.resize_with(len, || None);
-        let job = &job;
-        std::thread::scope(|scope| {
-            let mut remaining: &mut [Option<R>] = &mut results;
-            for (chunk_id, chunk) in chunks.into_iter().enumerate() {
-                let (slot, rest) = remaining.split_at_mut(chunk.len());
-                remaining = rest;
-                let base = chunk_id * chunk_len;
-                scope.spawn(move || {
-                    for (offset, item) in chunk.into_iter().enumerate() {
-                        slot[offset] = Some(job(base + offset, item));
-                    }
-                });
-            }
-        });
-        results
-            .into_iter()
-            .map(|r| r.expect("every slot written by exactly one worker"))
-            .collect()
-    }
-
     /// Executes every scenario through `executor` and returns the raw
     /// outcomes in input order — the building block piece executors use
     /// for their batches.
@@ -138,17 +53,17 @@ impl Runner {
     /// # Errors
     ///
     /// The first [`RunnerError`] by scenario index, if any execution
-    /// failed — deterministic even under parallelism.
+    /// failed; no later scenario runs.
     pub fn outcomes(
         &self,
         executor: &dyn Executor,
         scenarios: &[Scenario],
     ) -> Result<Vec<crate::ScenarioOutcome>, RunnerError> {
-        self.map((0..scenarios.len()).collect(), |_, i| {
-            executor.run(&scenarios[i]).map_err(|e| e.at_index(i))
-        })
-        .into_iter()
-        .collect()
+        scenarios
+            .iter()
+            .enumerate()
+            .map(|(i, scenario)| executor.run(scenario).map_err(|e| e.at_index(i)))
+            .collect()
     }
 
     /// Sweeps an entire [`Workload`] into a [`SweepReport`] — the one
@@ -168,25 +83,16 @@ impl Runner {
     /// Sweeps the global index range `[lo, hi)` of a [`Workload`].
     ///
     /// The range is walked in fixed chunks of `SWEEP_CHUNK` (4096) units:
-    /// each chunk's pieces are enumerated, run and folded into the one
-    /// report before the next chunk is enumerated, so no more than a chunk's
-    /// scenarios and outcomes are ever held at once, however large the
-    /// workload. Chunking never changes a report: the fold is at global
-    /// indices, so any contiguous split folds to the same aggregates.
-    ///
-    /// Parallelism adapts to each chunk's shape: a multi-piece chunk (a
-    /// topology sweep touching many specs) parallelizes **across
-    /// pieces**, each piece running its batch sequentially — nesting two
-    /// parallel levels would only oversubscribe cores — while a
-    /// single-piece chunk (a plain grid) hands this runner to the piece
-    /// executor, which parallelizes across scenarios. Either way the
-    /// fold walks outcomes in global order, so parallel and sequential
-    /// runs produce identical reports and identical first-error
-    /// behavior.
+    /// each chunk's pieces are enumerated, then run and folded into the
+    /// one report piece by piece, each piece's outcomes dropped before the
+    /// next piece runs. So no more than a chunk's scenarios and a piece's
+    /// outcomes are ever held at once, however large the workload.
+    /// Chunking never changes a report: the fold is at global indices, so
+    /// any contiguous split folds to the same aggregates.
     ///
     /// # Errors
     ///
-    /// See [`Runner::sweep`].
+    /// See [`Runner::sweep`]; the sweep stops at the first failing piece.
     pub fn sweep_range<W, E>(
         &self,
         workload: &W,
@@ -208,8 +114,7 @@ impl Runner {
                 .step_by(SWEEP_CHUNK)
                 .map(|a| (a, hi.min(a + SWEEP_CHUNK)))
         };
-        let telemetry = self.metrics.as_deref();
-        if let Some(metrics) = telemetry {
+        if let Some(metrics) = self.metrics.as_deref() {
             // Planned once for the whole range, so live progress shows
             // whole-sweep totals from the first chunk on.
             let pieces = chunks().map(|(a, b)| workload.piece_count(a, b)).sum();
@@ -217,64 +122,46 @@ impl Runner {
         }
         let mut report = SweepReport::default();
         for (a, b) in chunks() {
-            self.fold_chunk(&mut report, workload.pieces(a, b), executor)?;
+            for piece in workload.pieces(a, b) {
+                self.fold_piece(&mut report, &piece, executor)?;
+            }
         }
         Ok(report)
     }
 
-    /// Runs one chunk's pieces and folds their outcomes into `report` in
-    /// global order, each piece into its group with one lookup.
-    fn fold_chunk<E>(
+    /// Runs one piece and folds its outcomes into `report` at their
+    /// global indices, into the piece's group with one lookup.
+    fn fold_piece<E>(
         &self,
         report: &mut SweepReport,
-        pieces: Vec<WorkPiece<'_>>,
+        piece: &WorkPiece<'_>,
         executor: &E,
     ) -> Result<(), RunnerError>
     where
         E: PieceExecutor + ?Sized,
     {
         let telemetry = self.metrics.as_deref();
-        // The inner runner keeps this one's sink, so executors that attach
-        // it count the same in parallel and sequential runs.
-        let inner = if self.is_parallel() && pieces.len() > 1 {
-            Runner {
-                threads: 1,
-                metrics: self.metrics.clone(),
+        let watch = telemetry.map(|_| Stopwatch::start());
+        let result = executor.run_piece(self, piece);
+        if let (Some(metrics), Some(watch)) = (telemetry, &watch) {
+            metrics
+                .histogram("piece_wall_ns")
+                .record_ns(watch.elapsed_ns());
+            if result.is_ok() {
+                metrics
+                    .counter(Scope::Scenario, "scenarios_executed")
+                    .add_count(piece.scenarios.len());
+                metrics.counter(Scope::Process, "pieces_completed").inc();
             }
-        } else {
-            self.clone()
-        };
-        let results = self.map(pieces, |_, piece| {
-            let watch = telemetry.map(|_| Stopwatch::start());
-            let result = executor.run_piece(&inner, &piece);
-            if let Some(metrics) = telemetry {
-                if let Some(watch) = &watch {
-                    metrics
-                        .histogram("piece_wall_ns")
-                        .record_ns(watch.elapsed_ns());
-                }
-                if result.is_ok() {
-                    metrics
-                        .counter(Scope::Scenario, "scenarios_executed")
-                        .add_count(piece.scenarios.len());
-                    metrics.counter(Scope::Process, "pieces_completed").inc();
-                }
-                metrics.progress().piece_done(piece.scenarios.len());
-            }
-            result
-                .map_err(|e| e.in_piece(piece.offset, piece.key))
-                .map(|(outcomes, bounds)| (piece, outcomes, bounds))
-        });
-        for result in results {
-            let (piece, outcomes, bounds) = result?;
-            debug_assert_eq!(outcomes.len(), piece.scenarios.len());
-            let spec = piece.entry.map(|e| &e.spec);
-            report.absorb_piece(piece.key, piece.offset, spec, &outcomes, bounds);
+            metrics.progress().piece_done(piece.scenarios.len());
         }
+        let (outcomes, bounds) = result.map_err(|e| e.in_piece(piece.offset, piece.key))?;
+        debug_assert_eq!(outcomes.len(), piece.scenarios.len());
+        let spec = piece.entry.map(|e| &e.spec);
+        report.absorb_piece(piece.key, piece.offset, spec, &outcomes, bounds);
         Ok(())
     }
 }
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -283,8 +170,7 @@ mod tests {
     use rendezvous_explore::{spec_explorer, OrientedRingExplorer};
     use rendezvous_graph::{generators, GraphSpec, RingSpec, SeededSpec};
     use rendezvous_telemetry::ProgressCounts;
-    use std::sync::atomic::{AtomicUsize, Ordering};
-    use std::sync::Mutex;
+    use std::cell::{Cell, RefCell};
 
     fn cheap_ring(n: usize, l: u64) -> Cheap {
         let g = Arc::new(generators::oriented_ring(n).unwrap());
@@ -343,10 +229,10 @@ mod tests {
     struct Recording<'e, E: ?Sized> {
         inner: &'e E,
         metrics: Option<Arc<Metrics>>,
-        calls: AtomicUsize,
-        largest: AtomicUsize,
-        units: AtomicUsize,
-        planned: Mutex<Vec<ProgressCounts>>,
+        calls: Cell<usize>,
+        largest: Cell<usize>,
+        units: Cell<usize>,
+        planned: RefCell<Vec<ProgressCounts>>,
     }
 
     impl<'e, E: PieceExecutor + ?Sized> Recording<'e, E> {
@@ -354,10 +240,10 @@ mod tests {
             Recording {
                 inner,
                 metrics,
-                calls: AtomicUsize::new(0),
-                largest: AtomicUsize::new(0),
-                units: AtomicUsize::new(0),
-                planned: Mutex::new(Vec::new()),
+                calls: Cell::new(0),
+                largest: Cell::new(0),
+                units: Cell::new(0),
+                planned: RefCell::new(Vec::new()),
             }
         }
     }
@@ -369,12 +255,11 @@ mod tests {
             piece: &WorkPiece<'_>,
         ) -> Result<(Vec<ScenarioOutcome>, Option<Bounds>), RunnerError> {
             let len = piece.scenarios.len();
-            self.calls.fetch_add(1, Ordering::Relaxed);
-            self.largest.fetch_max(len, Ordering::Relaxed);
-            self.units.fetch_add(len, Ordering::Relaxed);
+            self.calls.set(self.calls.get() + 1);
+            self.largest.set(self.largest.get().max(len));
+            self.units.set(self.units.get() + len);
             if let Some(metrics) = &self.metrics {
-                let counts = metrics.progress().counts();
-                self.planned.lock().unwrap().push(counts);
+                self.planned.borrow_mut().push(metrics.progress().counts());
             }
             self.inner.run_piece(runner, piece)
         }
@@ -431,27 +316,23 @@ mod tests {
         let grid = straddling_grid(&alg);
         let batched = BatchExecutor::new(&alg);
         let topo = straddling_topo();
-        for runner in [Runner::sequential(), Runner::with_threads(3)] {
-            let recording = Recording::new(&batched, None);
-            assert_eq!(
-                runner.sweep(&grid, &recording).unwrap().executed(),
-                grid.size()
-            );
-            assert!(recording.largest.into_inner() <= SWEEP_CHUNK);
-            assert_eq!(recording.units.into_inner(), grid.size());
-            assert_eq!(
-                recording.calls.into_inner(),
-                grid.size().div_ceil(SWEEP_CHUNK)
-            );
+        let runner = Runner::sequential();
+        let recording = Recording::new(&batched, None);
+        assert_eq!(
+            runner.sweep(&grid, &recording).unwrap().executed(),
+            grid.size()
+        );
+        assert!(recording.largest.get() <= SWEEP_CHUNK);
+        assert_eq!(recording.units.get(), grid.size());
+        assert_eq!(recording.calls.get(), grid.size().div_ceil(SWEEP_CHUNK));
 
-            let recording = Recording::new(&CheapTopo, None);
-            assert_eq!(
-                runner.sweep(&topo, &recording).unwrap().executed(),
-                topo.size()
-            );
-            assert!(recording.largest.into_inner() <= SWEEP_CHUNK);
-            assert_eq!(recording.units.into_inner(), topo.size());
-        }
+        let recording = Recording::new(&CheapTopo, None);
+        assert_eq!(
+            runner.sweep(&topo, &recording).unwrap().executed(),
+            topo.size()
+        );
+        assert!(recording.largest.get() <= SWEEP_CHUNK);
+        assert_eq!(recording.units.get(), topo.size());
     }
 
     #[test]
@@ -469,9 +350,10 @@ mod tests {
             .expect("one-shot run succeeds");
         let reference = fold_outcomes(&outcomes, piece_bounds);
         assert_eq!(reference, one_shot(&grid, &batched));
-        for runner in [Runner::sequential(), Runner::with_threads(3)] {
-            assert_eq!(runner.sweep(&grid, &batched).unwrap(), reference);
-        }
+        assert_eq!(
+            Runner::sequential().sweep(&grid, &batched).unwrap(),
+            reference
+        );
         // A range that starts and ends mid-chunk folds like the same
         // slice of the one-shot outcomes.
         let (lo, hi) = (SWEEP_CHUNK - 2, 2 * SWEEP_CHUNK + 3);
@@ -480,7 +362,7 @@ mod tests {
             slice.absorb("", lo + k, None, outcome, piece_bounds);
         }
         assert_eq!(
-            Runner::with_threads(2)
+            Runner::sequential()
                 .sweep_range(&grid, lo, hi, &batched)
                 .unwrap(),
             slice
@@ -493,9 +375,10 @@ mod tests {
         let reference = one_shot(&topo, &CheapTopo);
         assert_eq!(reference.executed(), topo.size());
         assert!(reference.clean());
-        for runner in [Runner::sequential(), Runner::with_threads(3)] {
-            assert_eq!(runner.sweep(&topo, &CheapTopo).unwrap(), reference);
-        }
+        assert_eq!(
+            Runner::sequential().sweep(&topo, &CheapTopo).unwrap(),
+            reference
+        );
     }
 
     /// Sweeps `workload` with live progress attached: the planned
@@ -509,10 +392,10 @@ mod tests {
         assert_eq!(report.executed(), workload.size());
         let done = metrics.progress().counts();
         let size = workload.size() as u64;
-        let pieces = recording.calls.into_inner() as u64;
+        let pieces = recording.calls.get() as u64;
         assert_eq!((done.scenarios_done, done.scenarios_total), (size, size));
         assert_eq!((done.pieces_done, done.pieces_total), (pieces, pieces));
-        let planned = recording.planned.into_inner().unwrap();
+        let planned = recording.planned.into_inner();
         assert!(planned.len() > 1, "the sweep spans several chunks");
         for seen in planned {
             assert_eq!((seen.scenarios_total, seen.pieces_total), (size, pieces));
@@ -524,30 +407,5 @@ mod tests {
         let alg = cheap_ring(8, 8);
         assert_whole_sweep_plan(&straddling_grid(&alg), &BatchExecutor::new(&alg));
         assert_whole_sweep_plan(&straddling_topo(), &CheapTopo);
-    }
-
-    #[test]
-    fn map_preserves_order_under_parallelism() {
-        let items: Vec<usize> = (0..997).collect();
-        let sequential = Runner::sequential().map(items.clone(), |i, x| i * 31 + x);
-        let parallel = Runner::with_threads(8).map(items, |i, x| i * 31 + x);
-        assert_eq!(sequential, parallel);
-    }
-
-    #[test]
-    fn map_handles_small_and_empty_batches() {
-        let empty: Vec<u64> = Vec::new();
-        assert!(Runner::with_threads(8).map(empty, |_, x| x).is_empty());
-        assert_eq!(
-            Runner::with_threads(8).map(vec![7], |i, x| (i, x)),
-            vec![(0, 7)]
-        );
-    }
-
-    #[test]
-    fn thread_counts_are_clamped() {
-        assert_eq!(Runner::with_threads(0).threads(), 1);
-        assert!(!Runner::sequential().is_parallel());
-        assert!(Runner::parallel().threads() >= 1);
     }
 }

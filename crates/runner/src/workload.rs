@@ -191,7 +191,7 @@ impl Default for Fnv1a {
 /// over any split of the index space merges back to the whole-workload
 /// [`SweepReport`](crate::SweepReport) field for field — witnesses and
 /// their lowest-global-index tie-breaks included.
-pub trait Workload: Sync {
+pub trait Workload {
     /// Total units the workload yields (sampling caps applied).
     fn size(&self) -> usize;
 
@@ -248,14 +248,13 @@ pub trait Workload: Sync {
 /// [`Bounds`]; implement the trait directly when each piece needs its own
 /// machinery (topology sweeps build the algorithm per entry on the
 /// piece's cached graph).
-pub trait PieceExecutor: Sync {
+pub trait PieceExecutor {
     /// Runs `piece.scenarios` (in order) and returns the outcomes **in
     /// input order**, together with the bounds the piece's outcomes are
     /// judged against (`None` when only per-outcome bounds apply).
     ///
-    /// `runner` is the executor to use for the batch itself (e.g. via
-    /// [`Runner::outcomes`]); the sweep passes a sequential one when it
-    /// is already parallel across pieces.
+    /// `runner` is the sweep's own runner, for executors that run their
+    /// batch through [`Runner::outcomes`] or read its telemetry sink.
     ///
     /// # Errors
     ///

@@ -110,25 +110,6 @@ proptest! {
         }
     }
 
-    /// BatchExecutor is deterministic under parallelism, like every other
-    /// executor: thread count must not leak into the report.
-    #[test]
-    fn parallel_batched_sweep_equals_sequential(
-        seed in 0u64..200,
-        threads in 2usize..9,
-        fast in 0u8..2,
-    ) {
-        let spec = spec_for(1, 7, seed);
-        let (graph, alg) = algorithm_on(&spec, 4, fast == 1);
-        let grid = Grid::new(4 * alg.time_bound())
-            .label_pairs_both_orders(&[(1, 4), (2, 3)])
-            .delays(&[0, 2, 5, 11])
-            .all_start_pairs(&graph);
-        let sequential = batched_sweep(&Runner::sequential(), &grid, alg.as_ref());
-        let parallel = batched_sweep(&Runner::with_threads(threads), &grid, alg.as_ref());
-        prop_assert_eq!(sequential, parallel);
-    }
-
     /// Split batched sweeps merge to the direct batched sweep (split
     /// x10-style sweeps use piece offsets, which the batched scatter
     /// must respect).

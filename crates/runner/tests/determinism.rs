@@ -1,8 +1,8 @@
 //! The Runner's two core guarantees, as tests:
 //!
-//! 1. **Determinism** — a parallel [`Runner::sweep`] produces a
-//!    [`SweepReport`] identical to a sequential fold of the very same
-//!    workload (property-tested over random instances);
+//! 1. **Determinism** — [`Runner::sweep`] produces a [`SweepReport`]
+//!    identical to a hand fold of the very same workload
+//!    (property-tested over random instances);
 //! 2. **Model fidelity** — edge crossings are *never* reported as
 //!    meetings, no matter how they reach the statistics (regression test
 //!    for the paper's "agents crossing inside an edge do not notice each
@@ -21,15 +21,13 @@ use std::sync::Arc;
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Parallel sweep aggregates == sequential fold of the same grid, for
-    /// arbitrary ring sizes, label spaces, delay sets, thread counts and
-    /// algorithms.
+    /// Sweep aggregates == a hand fold of the same grid, for arbitrary
+    /// ring sizes, label spaces, delay sets and algorithms.
     #[test]
-    fn parallel_sweep_equals_sequential_fold(
+    fn sweep_equals_hand_fold(
         n in 4usize..10,
         l in 2u64..8,
         delay in 0u64..12,
-        threads in 2usize..9,
         fast in 0u8..2,
     ) {
         let g = Arc::new(generators::oriented_ring(n).unwrap());
@@ -48,7 +46,7 @@ proptest! {
             .all_start_pairs(&g);
         let executor = AlgorithmExecutor::new(alg.as_ref());
 
-        // Reference: execute and fold strictly sequentially, by hand.
+        // Reference: execute and fold by hand.
         let outcomes: Vec<_> = grid
             .scenarios()
             .iter()
@@ -56,29 +54,22 @@ proptest! {
             .collect();
         let reference = fold_outcomes(&outcomes, bounds);
 
-        // Parallel runner over the same grid, as a Workload.
-        let parallel = Runner::with_threads(threads)
+        // The runner over the same grid, as a Workload.
+        let swept = Runner::sequential()
             .sweep(&grid, &Bounded::new(&executor, bounds))
             .expect("valid configurations");
-
-        prop_assert_eq!(&parallel, &reference);
-        // And the single-threaded runner agrees too.
-        let sequential = Runner::sequential()
-            .sweep(&grid, &Bounded::new(&executor, bounds))
-            .expect("valid configurations");
-        prop_assert_eq!(&sequential, &reference);
+        prop_assert_eq!(&swept, &reference);
         // Sanity: the paper's algorithms meet everywhere within 4x bounds.
         prop_assert_eq!(reference.failures(), 0);
         prop_assert!(reference.clean());
     }
 
-    /// The capped grid is a deterministic subset: sweeping it twice (with
-    /// different thread counts) gives identical reports.
+    /// The capped grid is a deterministic subset: sweeping it twice
+    /// (cold, then warm plan caches) gives identical reports.
     #[test]
     fn capped_grids_sweep_deterministically(
         n in 4usize..9,
         cap in 1usize..40,
-        threads in 2usize..8,
     ) {
         let g = Arc::new(generators::oriented_ring(n).unwrap());
         let ex = Arc::new(OrientedRingExplorer::new(g.clone()).unwrap());
@@ -90,7 +81,7 @@ proptest! {
             .sample_cap(cap);
         prop_assert!(grid.scenarios().len() <= cap.min(grid.full_size()));
         let executor = AlgorithmExecutor::new(&alg);
-        let a = Runner::with_threads(threads).sweep(&grid, &executor).unwrap();
+        let a = Runner::sequential().sweep(&grid, &executor).unwrap();
         let b = Runner::sequential().sweep(&grid, &executor).unwrap();
         prop_assert_eq!(a, b);
     }
@@ -124,21 +115,19 @@ fn edge_crossings_are_never_reported_as_meetings() {
     let grid = Grid::new(horizon)
         .label_pairs_ordered(&[(1, 2)])
         .start_pairs(&pairs);
-    for runner in [Runner::sequential(), Runner::with_threads(4)] {
-        let stats = runner.sweep(&grid, &executor).unwrap().solo();
-        assert_eq!(stats.executed, 4);
-        assert_eq!(
-            stats.meetings, 0,
-            "a crossing inside an edge must never count as a meeting"
-        );
-        assert_eq!(stats.failures, 4, "all four executions time out instead");
-        assert!(
-            stats.crossings >= 4,
-            "the swaps themselves must be visible as crossings (got {})",
-            stats.crossings
-        );
-        assert!(stats.worst_time.is_none() && stats.worst_cost.is_none());
-    }
+    let stats = Runner::sequential().sweep(&grid, &executor).unwrap().solo();
+    assert_eq!(stats.executed, 4);
+    assert_eq!(
+        stats.meetings, 0,
+        "a crossing inside an edge must never count as a meeting"
+    );
+    assert_eq!(stats.failures, 4, "all four executions time out instead");
+    assert!(
+        stats.crossings >= 4,
+        "the swaps themselves must be visible as crossings (got {})",
+        stats.crossings
+    );
+    assert!(stats.worst_time.is_none() && stats.worst_cost.is_none());
 }
 
 /// The exhaustive adversary, through the grid: a clockwise walker versus
@@ -162,10 +151,7 @@ fn worst_case_witness_of_walker_vs_idler_is_ring_length_minus_one() {
         .label_pairs_ordered(&[(1, 2)])
         .delays(&[0, 3, 10])
         .all_start_pairs(&g);
-    let stats = Runner::with_threads(4)
-        .sweep(&grid, &executor)
-        .unwrap()
-        .solo();
+    let stats = Runner::sequential().sweep(&grid, &executor).unwrap().solo();
     assert_eq!(stats.failures, 0);
     assert_eq!(stats.max_time, (n - 1) as u64, "idler just behind walker");
     assert_eq!(stats.max_cost, (n - 1) as u64);
@@ -190,7 +176,7 @@ fn algorithm_sweeps_account_meetings_and_crossings_separately() {
         .label_pairs_both_orders(&[(1, 2), (7, 8), (1, 8)])
         .delays(&[0, 1, 5])
         .all_start_pairs(&g);
-    let stats = Runner::parallel()
+    let stats = Runner::sequential()
         .sweep(&grid, &AlgorithmExecutor::new(&alg))
         .unwrap()
         .solo();

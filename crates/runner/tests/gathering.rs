@@ -1,11 +1,11 @@
-//! Gathering sweeps inherit the Runner's two multi-process guarantees,
-//! property-tested over random fleets (mirroring `tests/sharding.rs` for
-//! the pair sweeps) — a fleet-mode [`Grid`] is the same [`Workload`] as
-//! a pair grid, so the generic pipeline covers it unchanged:
+//! Gathering sweeps inherit the Runner's guarantees, property-tested
+//! over random fleets (mirroring `tests/sharding.rs` for the pair
+//! sweeps) — a fleet-mode [`Grid`] is the same [`Workload`] as a pair
+//! grid, so the generic pipeline covers it unchanged:
 //!
-//! 1. **Order determinism** — a parallel gathering sweep folds to the
-//!    same [`SweepReport`] as a sequential one (merge events,
-//!    per-scenario ratio witnesses included);
+//! 1. **Bounds** — every sampled gathering meets within its own
+//!    merge-and-restart bound, and the fold carries merge events and
+//!    per-scenario ratio witnesses;
 //! 2. **Range-merge byte identity** — for m ∈ {2, 3, 7}, sweeping the
 //!    ≤ m lease ranges independently, serde-round-tripping each partial
 //!    and merging reproduces the whole sweep field for field *and byte
@@ -43,25 +43,20 @@ fn gathering_setup(n: usize, l: u64, phase: u64) -> (GatheringExecutor, Grid) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 
-    /// Parallel == sequential, and every sampled gathering stays within
-    /// its own merge-and-restart bound.
+    /// Every sampled gathering stays within its own merge-and-restart
+    /// bound.
     #[test]
-    fn gathering_sweeps_are_order_deterministic(
+    fn gathering_sweeps_stay_within_their_bounds(
         n in 6usize..12,
         l in 5u64..17,
         phase in 0u64..13,
-        threads in 2usize..8,
     ) {
         let (executor, grid) = gathering_setup(n, l, phase);
-        let sequential = Runner::sequential().sweep(&grid, &executor).unwrap();
-        let parallel = Runner::with_threads(threads)
-            .sweep(&grid, &executor)
-            .unwrap();
-        prop_assert_eq!(&parallel, &sequential);
-        // The claim under test rides along: no failures, no violations
-        // of the per-scenario (k−1)(T + max delay) bound, and the ratio
-        // witness exists because every outcome carries its bound.
-        let stats = sequential.solo();
+        let report = Runner::sequential().sweep(&grid, &executor).unwrap();
+        // No failures, no violations of the per-scenario
+        // (k−1)(T + max delay) bound, and the ratio witness exists
+        // because every outcome carries its bound.
+        let stats = report.solo();
         prop_assert_eq!(stats.failures, 0);
         prop_assert_eq!(stats.time_violations, 0);
         prop_assert!(stats.worst_ratio.is_some());

@@ -107,7 +107,7 @@ fn schedule_memoization_is_invisible_to_results() {
         .all_start_pairs(alg.graph());
 
     let shared = AlgorithmExecutor::new(alg.as_ref());
-    let cached = Runner::parallel()
+    let cached = Runner::sequential()
         .sweep(&grid, &Bounded::new(&shared, bounds))
         .unwrap();
     // Distinct labels of the grid: {1, 2, 3, 6}; every label visits every

@@ -1,12 +1,7 @@
-//! The telemetry layer's two contracts, end to end:
-//!
-//! 1. **Non-perturbation** — a sweep with a [`Metrics`] sink attached
-//!    produces a [`SweepReport`] byte-identical to one without (the
-//!    sink observes, it never enters the fold);
-//! 2. **Counter determinism** — the exact counter sections agree
-//!    between sequential and parallel runs of the same execution plan
-//!    (the plan-cache counters are raced, but race-proof: a miss is
-//!    counted exactly once per distinct key, at insertion).
+//! The telemetry layer's contract, end to end: **non-perturbation** —
+//! a sweep with a [`Metrics`] sink attached produces a [`SweepReport`]
+//! byte-identical to one without (the sink observes, it never enters
+//! the fold).
 //!
 //! Plus the `RunnerError` context contract: errors surface the failing
 //! scenario's *global* index and piece key in the rendered message.
@@ -67,8 +62,7 @@ fn error_context_renders_global_index_and_key() {
 
 /// End to end: a sweep over a grid whose third label pair is invalid
 /// (label 0 — the core layer rejects it) fails with the *global*
-/// scenario index attached — identically under sequential and parallel
-/// execution.
+/// scenario index attached.
 #[test]
 fn sweep_error_carries_global_scenario_index() {
     let (_, alg) = ring_fast(6, 4);
@@ -78,23 +72,20 @@ fn sweep_error_carries_global_scenario_index() {
         .start_pairs(&[(NodeId::new(0), NodeId::new(3))]);
     let executor = AlgorithmExecutor::new(&alg);
     let bounded = Bounded::new(&executor, None);
-    for runner in [Runner::sequential(), Runner::with_threads(4)] {
-        let err = runner
-            .sweep(&grid, &bounded)
-            .expect_err("label 0 is invalid");
-        assert_eq!(err.index(), Some(2), "global index of the bad scenario");
-        let msg = err.to_string();
-        assert!(
-            msg.contains("at global index 2"),
-            "rendered message names the global index: {msg}"
-        );
-    }
+    let err = Runner::sequential()
+        .sweep(&grid, &bounded)
+        .expect_err("label 0 is invalid");
+    assert_eq!(err.index(), Some(2), "global index of the bad scenario");
+    let msg = err.to_string();
+    assert!(
+        msg.contains("at global index 2"),
+        "rendered message names the global index: {msg}"
+    );
 }
 
-/// Contract 1: telemetry attached everywhere (runner + executor),
-/// running parallel, folds the same report — byte for byte, through
-/// the same serde path fabric frames use — as a bare sequential
-/// sweep.
+/// Telemetry attached everywhere (runner + executor) folds the same
+/// report — byte for byte, through the same serde path fabric frames
+/// use — as a bare sweep.
 #[test]
 fn metrics_never_perturb_report_bytes() {
     let (_, alg) = ring_fast(7, 4);
@@ -111,7 +102,7 @@ fn metrics_never_perturb_report_bytes() {
 
     let metrics = Arc::new(Metrics::new());
     let observed_executor = AlgorithmExecutor::new(&alg).with_metrics(&metrics);
-    let observed = Runner::with_threads(4)
+    let observed = Runner::sequential()
         .with_metrics(Arc::clone(&metrics))
         .sweep(&grid, &Bounded::new(&observed_executor, bounds))
         .expect("sweep succeeds");
@@ -126,41 +117,6 @@ fn metrics_never_perturb_report_bytes() {
     let total = u64::try_from(grid.scenarios().len()).unwrap();
     assert_eq!(snap.counters.get("scenarios_executed"), Some(&total));
     assert!(snap.process.get("plan_cache_misses").copied() > Some(0));
-}
-
-/// Contract 2: the exact counter sections agree between a sequential
-/// and a parallel run — including the raced plan-cache counters, whose
-/// hit/miss split is deterministic by construction (misses counted
-/// once per distinct key at `Entry::Vacant`, hits everywhere else).
-#[test]
-fn parallel_and_sequential_counters_agree() {
-    let (_, alg) = ring_fast(8, 6);
-    let grid = standard_grid(&alg);
-    let bounds = Some(Bounds {
-        time: alg.time_bound(),
-        cost: alg.cost_bound(),
-    });
-    let mut snapshots = Vec::new();
-    for threads in [1usize, 8] {
-        let metrics = Arc::new(Metrics::new());
-        let executor = BatchExecutor::new(&alg)
-            .with_bounds(bounds)
-            .with_metrics(&metrics);
-        let report = Runner::with_threads(threads)
-            .with_metrics(Arc::clone(&metrics))
-            .sweep(&grid, &executor)
-            .expect("sweep succeeds");
-        assert!(!report.groups.is_empty());
-        snapshots.push(metrics.snapshot());
-    }
-    let (sequential, parallel) = (&snapshots[0], &snapshots[1]);
-    assert_eq!(sequential.counters, parallel.counters);
-    assert_eq!(sequential.process, parallel.process);
-    // The plan-cache split is exact: hits + misses = accesses, and
-    // misses = distinct (label, start) keys compiled.
-    let hits = sequential.process["plan_cache_hits"];
-    let misses = sequential.process["plan_cache_misses"];
-    assert!(hits > 0 && misses > 0, "hits {hits}, misses {misses}");
 }
 
 /// The batched-vs-fallback classification observed on a mixed piece: a

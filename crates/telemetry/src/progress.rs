@@ -2,8 +2,7 @@
 //!
 //! Everything here is display-only — progress never feeds a fold or a
 //! report, which is why the sampler thread below is a sanctioned (and
-//! annotated) departure from the Runner's order-deterministic
-//! parallelism. The reporter takes any counts source: a sink's
+//! annotated) exception to the one-thread sweep. The reporter takes any counts source: a sink's
 //! [`Progress`] in a direct run, the coordinator's chunk table in a
 //! fabric driver.
 

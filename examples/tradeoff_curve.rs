@@ -12,7 +12,7 @@ use rendezvous_runner::Runner;
 fn main() {
     let (n, l) = (12, 64);
     println!("time/cost tradeoff on the oriented {n}-ring, label space L = {l}\n");
-    let points = x4_tradeoff::run(n, l, &[1, 2, 3, 4, 5], &Runner::parallel());
+    let points = x4_tradeoff::run(n, l, &[1, 2, 3, 4, 5], &Runner::sequential());
     print!("{}", x4_tradeoff::render(&points));
 
     // ASCII scatter: x = time bound, y = cost bound (log-ish bucketing).

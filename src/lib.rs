@@ -6,7 +6,7 @@
 //! - [`rendezvous_sim`] — the synchronous two-agent execution model,
 //! - [`rendezvous_core`] — the paper's algorithms (`Cheap`, `Fast`, `FastWithRelabeling`),
 //! - [`rendezvous_lower_bounds`] — the executable lower-bound machinery of §3,
-//! - [`rendezvous_runner`] — the shared parallel scenario-sweep engine
+//! - [`rendezvous_runner`] — the shared scenario-sweep engine
 //!   (`Scenario`, `Grid`, `Runner`) every experiment executes through.
 
 pub use rendezvous_core as core;
