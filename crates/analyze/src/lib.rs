@@ -218,10 +218,10 @@ fn parse_allow(rest: &str) -> Result<(String, String), String> {
 /// I/O failures reading the tree, with the offending path.
 pub fn analyze_workspace(root: &Path, cfg: &Config) -> Result<AnalysisReport, String> {
     let mut files = Vec::new();
-    for scan_root in &cfg.roots {
+    for scan_root in cfg.roots {
         let dir = root.join(scan_root);
         if dir.is_dir() {
-            collect_rs_files(root, &dir, &cfg.exclude, &mut files)?;
+            collect_rs_files(root, &dir, cfg.exclude, &mut files)?;
         }
     }
     files.sort();
@@ -243,7 +243,7 @@ pub fn analyze_workspace(root: &Path, cfg: &Config) -> Result<AnalysisReport, St
 fn collect_rs_files(
     root: &Path,
     dir: &Path,
-    exclude: &[String],
+    exclude: &[&str],
     out: &mut Vec<String>,
 ) -> Result<(), String> {
     let mut entries: Vec<_> = std::fs::read_dir(dir)

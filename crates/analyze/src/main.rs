@@ -1,13 +1,14 @@
 //! CLI for the workspace determinism linter.
 //!
 //! ```text
-//! rendezvous-analyze [--root <dir>] [--config <file>] [--json <file>] [--deny] [--all]
+//! rendezvous-analyze [--root <dir>] [--json <file>] [--deny] [--all]
 //! ```
 //!
 //! Prints unsuppressed findings as `file:line [rule] message` (add
 //! `--all` to also show allowed findings with their justifications),
 //! optionally writes the full JSON report, and with `--deny` exits
 //! nonzero when any unsuppressed finding remains — that's the CI gate.
+//! The scope is the constant [`Config::workspace`].
 
 use rendezvous_analyze::analyze_workspace;
 use rendezvous_analyze::config::Config;
@@ -16,7 +17,6 @@ use std::process::ExitCode;
 
 struct Cli {
     root: PathBuf,
-    config: Option<PathBuf>,
     json: Option<PathBuf>,
     deny: bool,
     all: bool,
@@ -25,7 +25,6 @@ struct Cli {
 fn parse_args() -> Result<Cli, String> {
     let mut cli = Cli {
         root: PathBuf::from("."),
-        config: None,
         json: None,
         deny: false,
         all: false,
@@ -34,17 +33,14 @@ fn parse_args() -> Result<Cli, String> {
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--root" => cli.root = next_value(&mut args, "--root")?.into(),
-            "--config" => cli.config = Some(next_value(&mut args, "--config")?.into()),
             "--json" => cli.json = Some(next_value(&mut args, "--json")?.into()),
             "--deny" => cli.deny = true,
             "--all" => cli.all = true,
             "--help" | "-h" => {
                 println!(
                     "rendezvous-analyze: workspace determinism linter (rules D1-D5)\n\n\
-                     usage: rendezvous-analyze [--root <dir>] [--config <file>] \
-                     [--json <file>] [--deny] [--all]\n\n\
+                     usage: rendezvous-analyze [--root <dir>] [--json <file>] [--deny] [--all]\n\n\
                      --root    workspace root to scan (default: .)\n\
-                     --config  analyze.toml path (default: <root>/analyze.toml)\n\
                      --json    write the full machine-readable report here\n\
                      --deny    exit 1 if any unsuppressed finding remains\n\
                      --all     also print allowed findings with justifications"
@@ -63,15 +59,7 @@ fn next_value(args: &mut impl Iterator<Item = String>, flag: &str) -> Result<Str
 
 fn run() -> Result<bool, String> {
     let cli = parse_args()?;
-    let config_path = cli
-        .config
-        .clone()
-        .unwrap_or_else(|| cli.root.join("analyze.toml"));
-    let text = std::fs::read_to_string(&config_path)
-        .map_err(|e| format!("read {}: {e}", config_path.display()))?;
-    let cfg = Config::parse(&text).map_err(|e| format!("{}: {e}", config_path.display()))?;
-
-    let report = analyze_workspace(&cli.root, &cfg)?;
+    let report = analyze_workspace(&cli.root, &Config::workspace())?;
     for f in &report.findings {
         if !f.allowed {
             println!("{}", f.render());

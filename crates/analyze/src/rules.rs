@@ -147,24 +147,18 @@ fn item_end_after(tokens: &[Token], start: usize) -> usize {
     tokens.len()
 }
 
-/// Runs every rule whose configured paths cover `cx.rel`; findings are
-/// deduplicated to one per (rule, line).
+/// Runs D4 on every file and D1, D2, D3 and D5 where `cx.rel` is
+/// critical; findings are deduplicated to one per (rule, line).
 #[must_use]
 pub fn run_rules(cx: &FileContext<'_>, cfg: &Config) -> Vec<RawFinding> {
     let mut out = Vec::new();
-    if path_in(cx.rel, &cfg.d1_paths) {
+    if path_in(cx.rel, cfg.critical) {
         d1_hash_order(cx, &mut out);
-    }
-    if path_in(cx.rel, &cfg.d2_paths) {
         d2_truncating_casts(cx, &mut out);
-    }
-    if path_in(cx.rel, &cfg.d3_paths) {
         d3_float_arithmetic(cx, &mut out);
-    }
-    d4_nondeterminism_sources(cx, cfg, &mut out);
-    if path_in(cx.rel, &cfg.d5_paths) {
         d5_unordered_parallel(cx, &mut out);
     }
+    d4_nondeterminism_sources(cx, cfg, &mut out);
     let mut seen = BTreeSet::new();
     out.retain(|f| seen.insert((f.rule, f.line)));
     out.sort();
@@ -338,8 +332,8 @@ const ENV_READS: [&str; 5] = ["var", "vars", "var_os", "args", "current_exe"];
 /// nondeterminism source is hazardous wherever it lives.
 fn d4_nondeterminism_sources(cx: &FileContext<'_>, cfg: &Config, out: &mut Vec<RawFinding>) {
     let tokens = &cx.lexed.tokens;
-    let timing_exempt = path_in(cx.rel, &cfg.d4_timing_exempt);
-    let env_exempt = path_in(cx.rel, &cfg.d4_env_exempt);
+    let timing_exempt = path_in(cx.rel, cfg.d4_timing_exempt);
+    let env_exempt = path_in(cx.rel, cfg.d4_env_exempt);
     for (i, t) in tokens.iter().enumerate() {
         if cx.in_test[i] {
             continue;

@@ -1,11 +1,13 @@
 //! Fixture-corpus tests: every rule flags its violating fixture and
 //! passes its clean twin, the allow machinery behaves, and — the gate
-//! the whole crate exists for — the workspace itself analyzes clean.
+//! the whole crate exists for — the workspace itself analyzes clean
+//! under its one constant scope, which no flag can replace.
 
 use rendezvous_analyze::analyze_source;
 use rendezvous_analyze::config::Config;
 use rendezvous_analyze::report::{AnalysisReport, Finding};
 use std::path::Path;
+use std::process::Command;
 
 fn fixture(name: &str) -> Vec<Finding> {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -122,7 +124,7 @@ fn d4_timing_exemption_is_scoped_to_configured_paths() {
     let path = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/d4_scoped_timing.rs");
     let source = std::fs::read_to_string(&path).expect("fixture");
     let mut cfg = Config::everywhere();
-    cfg.d4_timing_exempt = vec!["crates/telemetry/src".into()];
+    cfg.d4_timing_exempt = &["crates/telemetry/src"];
     let exempt = analyze_source("crates/telemetry/src/metrics.rs", &source, &cfg);
     assert!(
         exempt.is_empty(),
@@ -136,17 +138,15 @@ fn d4_timing_exemption_is_scoped_to_configured_paths() {
 }
 
 /// The acceptance gate, inside the suite: the workspace's own source
-/// analyzes clean under the checked-in `analyze.toml` — every finding
-/// either fixed or carrying a written justification.
+/// analyzes clean under [`Config::workspace`] — every finding either
+/// fixed or carrying a written justification.
 #[test]
 fn workspace_is_clean_under_checked_in_config() {
     let root = Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .canonicalize()
         .expect("workspace root");
-    let toml = std::fs::read_to_string(root.join("analyze.toml")).expect("analyze.toml");
-    let cfg = Config::parse(&toml).expect("config parses");
-    let report = rendezvous_analyze::analyze_workspace(&root, &cfg).expect("scan");
+    let report = rendezvous_analyze::analyze_workspace(&root, &Config::workspace()).expect("scan");
     assert!(report.files_scanned > 50, "sanity: the walk found the tree");
     let stragglers: Vec<String> = report
         .unsuppressed_findings()
@@ -156,5 +156,21 @@ fn workspace_is_clean_under_checked_in_config() {
         stragglers.is_empty(),
         "unsuppressed determinism findings:\n{}",
         stragglers.join("\n")
+    );
+}
+
+/// The scope is a constant: there is no config file, so no flag names
+/// one.
+#[test]
+fn config_flag_is_refused_as_an_unknown_argument() {
+    let out = Command::new(env!("CARGO_BIN_EXE_rendezvous-analyze"))
+        .args(["--config", "x"])
+        .output()
+        .expect("the linter runs");
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("unknown argument `--config`"),
+        "stderr: {stderr}"
     );
 }

@@ -122,8 +122,8 @@ mod tests {
         assert_eq!(Engine::parse("turbo"), None);
         assert_eq!(Engine::Stepped.name(), "stepped");
         assert_eq!(Engine::Batched.name(), "batched");
-        // Default selection is the batched engine. (No unit test
-        // installs a session, so this is race-free.)
+        // Default selection is the batched engine. (Sessions are per
+        // thread, so no other test's install reaches this one.)
         assert_eq!(current(), Engine::Batched);
         assert_eq!(Engine::default(), Engine::Batched);
     }

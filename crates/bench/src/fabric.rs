@@ -34,14 +34,13 @@
 use rendezvous_fabric::{FabricError, WorkerClient};
 use rendezvous_runner::{PieceExecutor, Runner, SweepReport, Workload, WorkloadKind, WorkloadMeta};
 use rendezvous_telemetry::TelemetrySnapshot;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::cell::{Cell, RefCell};
 
 /// A fabric worker's connection to its coordinator.
 pub struct Worker {
-    client: Mutex<WorkerClient>,
+    client: RefCell<WorkerClient>,
     /// Leases completed by this process, across all sweeps.
-    completed: AtomicUsize,
+    completed: Cell<usize>,
     /// The `--fabric-self-kill` chaos hook.
     self_kill: bool,
 }
@@ -55,8 +54,8 @@ impl Worker {
         let client = WorkerClient::connect(addr, u64::from(std::process::id()))
             .unwrap_or_else(|e| end_worker(&format!("cannot join the fabric at {addr}: {e}")));
         Worker {
-            client: Mutex::new(client),
-            completed: AtomicUsize::new(0),
+            client: RefCell::new(client),
+            completed: Cell::new(0),
             self_kill,
         }
     }
@@ -65,8 +64,7 @@ impl Worker {
     /// reports it complete, executing each granted range through
     /// [`Runner::sweep_range`] and submitting its fold. Returns the local
     /// merge of this worker's own ranges — partial, and possibly empty on
-    /// a resume of a finished checkpoint. The client lock is held for
-    /// each message, never while a range executes.
+    /// a resume of a finished checkpoint.
     ///
     /// A refusal or a lost coordinator ends the process: the
     /// coordinator requeues its leases and the driver reports the run.
@@ -89,7 +87,7 @@ impl Worker {
         let meta = workload.meta();
         let mut merged = SweepReport::default();
         loop {
-            let lease = self.client().next_lease(sweep, meta);
+            let lease = self.client.borrow_mut().next_lease(sweep, meta);
             match lease {
                 Ok(Some((lo, hi))) => {
                     self.maybe_self_kill();
@@ -98,12 +96,13 @@ impl Worker {
                         .unwrap_or_else(|e| {
                             panic!("fabric sweep failed for {context} on [{lo}, {hi}): {e}")
                         });
-                    self.client()
+                    self.client
+                        .borrow_mut()
                         .submit(sweep, lo, hi, partial.clone())
                         .unwrap_or_else(|e| {
                             end_worker(&format!("fabric worker cannot submit [{lo}, {hi}): {e}"))
                         });
-                    self.completed.fetch_add(1, Ordering::SeqCst);
+                    self.completed.set(self.completed.get() + 1);
                     merged = merged.merge(&partial);
                 }
                 Ok(None) => return merged,
@@ -117,18 +116,16 @@ impl Worker {
         }
     }
 
-    fn client(&self) -> std::sync::MutexGuard<'_, WorkerClient> {
-        self.client.lock().expect("fabric client lock")
-    }
-
     /// Ends the conversation: sends the process's telemetry `snapshot`
     /// and half-closes the socket. A frame that cannot be written ends
     /// the process.
     pub(crate) fn finish(self, snapshot: TelemetrySnapshot) {
-        let client = self.client.into_inner().expect("fabric client lock");
-        client.finish(snapshot).unwrap_or_else(|e| {
-            end_worker(&format!("fabric worker cannot deliver its snapshot: {e}"))
-        });
+        self.client
+            .into_inner()
+            .finish(snapshot)
+            .unwrap_or_else(|e| {
+                end_worker(&format!("fabric worker cannot deliver its snapshot: {e}"))
+            });
     }
 
     /// The `--fabric-self-kill` hook: once at least one lease has
@@ -136,7 +133,7 @@ impl Worker {
     /// — the reassignment path under test. SIGKILL (not a clean exit)
     /// so the coordinator learns only from the socket closing.
     fn maybe_self_kill(&self) {
-        if self.self_kill && self.completed.load(Ordering::SeqCst) >= 1 {
+        if self.self_kill && self.completed.get() >= 1 {
             let pid = std::process::id().to_string();
             let _ = std::process::Command::new("kill")
                 .args(["-9", &pid])
@@ -159,7 +156,7 @@ fn end_worker(message: &str) -> ! {
 /// The driver's replay: the coordinator's merged reports, one per sweep
 /// in walk order.
 pub struct Replay {
-    sweeps: Mutex<Vec<(WorkloadMeta, SweepReport)>>,
+    sweeps: RefCell<Vec<(WorkloadMeta, SweepReport)>>,
     /// Where the reports came from — named in every diagnostic.
     source: String,
 }
@@ -170,7 +167,7 @@ impl Replay {
     #[must_use]
     pub fn new(sweeps: Vec<(WorkloadMeta, SweepReport)>, source: String) -> Replay {
         Replay {
-            sweeps: Mutex::new(sweeps),
+            sweeps: RefCell::new(sweeps),
             source,
         }
     }
@@ -186,19 +183,17 @@ impl Replay {
     /// sweep's position in the sequence, the expected versus found
     /// sweep, and the source.
     pub(crate) fn take(&self, sweep: usize, meta: &WorkloadMeta) -> SweepReport {
-        let mut sweeps = self.sweeps.lock().expect("replay lock");
-        // Diagnose inside the lock, panic outside it: a poisoned replay
-        // would mask the actual diagnostic.
+        let mut sweeps = self.sweeps.borrow_mut();
         let held = sweeps.len();
-        let diagnostic = match sweeps.get_mut(sweep) {
-            None => format!(
+        match sweeps.get_mut(sweep) {
+            None => panic!(
                 "sweep #{sweep} ({}) requested but the merged ledger from {} \
                  holds only {held} records — the workers covered a different \
                  experiment selection",
                 describe(meta),
                 self.source,
             ),
-            Some((recorded, _)) if recorded != meta => format!(
+            Some((recorded, _)) if recorded != meta => panic!(
                 "sweep #{sweep} expected a {} but the merged ledger from {} \
                  recorded a {} — workers and driver must use identical \
                  experiment selections and flags",
@@ -206,10 +201,8 @@ impl Replay {
                 self.source,
                 describe(recorded)
             ),
-            Some((_, report)) => return std::mem::take(report),
-        };
-        drop(sweeps);
-        panic!("{diagnostic}");
+            Some((_, report)) => std::mem::take(report),
+        }
     }
 
     /// Verifies that all `consumed` sweeps account for every merged
@@ -220,7 +213,7 @@ impl Replay {
     ///
     /// Panics if reports remain unconsumed.
     pub(crate) fn finish(self, consumed: usize) {
-        let held = self.sweeps.into_inner().expect("replay lock").len();
+        let held = self.sweeps.into_inner().len();
         assert_eq!(
             consumed, held,
             "replay consumed {consumed} of {held} merged sweeps from {} — \

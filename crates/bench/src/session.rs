@@ -15,6 +15,11 @@
 //! store. Telemetry is not part of the session: the sink rides on the
 //! [`Runner`] each sweep is handed.
 //!
+//! A session has one owner: it is installed per thread, and only the
+//! thread that installed it sweeps through it (a process runs its
+//! sweeps on one thread; the fabric is the one parallel path), so it
+//! holds no locks.
+//!
 //! One cursor numbers the sweeps of a walk. Under `--plan` it counts
 //! every sweep; otherwise it counts store misses only, which is the
 //! sweep identity a fabric worker registers with the coordinator and a
@@ -28,8 +33,8 @@ use rendezvous_runner::{PieceExecutor, Runner, SweepReport, Workload, WorkloadMe
 use rendezvous_store::{Store, StoreKey};
 use rendezvous_telemetry::{Scope, TelemetrySnapshot};
 use std::borrow::Cow;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Arc, RwLock};
+use std::cell::{Cell, RefCell};
+use std::rc::Rc;
 
 /// How a process runs its sweeps.
 #[derive(Default)]
@@ -41,7 +46,7 @@ pub struct Session {
     /// What a sweep does when the store does not serve it.
     pub mode: Mode,
     /// Position of the next sweep in this process's walk.
-    cursor: AtomicUsize,
+    cursor: Cell<usize>,
 }
 
 /// What a sweep does when the store does not serve it.
@@ -58,20 +63,21 @@ pub enum Mode {
     Replay(Replay),
 }
 
-static INSTALLED: RwLock<Option<Arc<Session>>> = RwLock::new(None);
-
-/// Installs `session` for every later sweep in this process, replacing
-/// any earlier one.
-pub fn install(session: Session) {
-    *INSTALLED.write().expect("session lock") = Some(Arc::new(session));
+thread_local! {
+    static INSTALLED: RefCell<Option<Rc<Session>>> = const { RefCell::new(None) };
 }
 
-/// The installed session, or [`Session::default`] when none is. The
-/// lock is released before this returns, so no sweep runs under it.
+/// Installs `session` for every later sweep on this thread, replacing
+/// any earlier one. Other threads keep their own sessions.
+pub fn install(session: Session) {
+    INSTALLED.with_borrow_mut(|installed| *installed = Some(Rc::new(session)));
+}
+
+/// This thread's installed session, or [`Session::default`] when none
+/// is.
 #[must_use]
-pub fn current() -> Arc<Session> {
-    let installed = INSTALLED.read().expect("session lock").clone();
-    installed.unwrap_or_default()
+pub fn current() -> Rc<Session> {
+    INSTALLED.with_borrow(Clone::clone).unwrap_or_default()
 }
 
 /// Uninstalls the session and ends its mode: a worker delivers the
@@ -84,10 +90,10 @@ pub fn current() -> Arc<Session> {
 /// Panics if a replay left reports unconsumed, a worker cannot deliver
 /// its snapshot, or a sweep still holds the session.
 pub fn finish(runner: &Runner) {
-    let Some(session) = INSTALLED.write().expect("session lock").take() else {
+    let Some(session) = INSTALLED.take() else {
         return;
     };
-    let session = Arc::into_inner(session).expect("session finished while a sweep holds it");
+    let session = Rc::into_inner(session).expect("session finished while a sweep holds it");
     match session.mode {
         Mode::Worker(worker) => {
             worker.finish(
@@ -109,7 +115,7 @@ impl Session {
             engine,
             store,
             mode,
-            cursor: AtomicUsize::new(0),
+            cursor: Cell::new(0),
         }
     }
 
@@ -157,7 +163,7 @@ impl Session {
                 return (report, true);
             }
         }
-        let sweep = self.cursor.fetch_add(1, Ordering::SeqCst);
+        let sweep = self.cursor.replace(self.cursor.get() + 1);
         // Sweeps executed here, by this process; a replayed report
         // stands in for execution and counts nothing.
         let count_sweep = || {

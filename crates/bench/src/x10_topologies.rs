@@ -192,9 +192,15 @@ fn topo_grid_of(
 /// query --direct` must agree on it to address the same cache entries.
 #[must_use]
 pub fn serve_context(algorithm: &str) -> Option<&'static str> {
+    serve_algorithm(algorithm).map(|(_, context)| context)
+}
+
+/// The algorithm a sweep-service query names, with its
+/// [`serve_context`] — the one home of that mapping.
+fn serve_algorithm(algorithm: &str) -> Option<(Algo, &'static str)> {
     match algorithm {
-        "cheap" => Some("serve cheap"),
-        "fast" => Some("serve fast"),
+        "cheap" => Some((Algo::Cheap, "serve cheap")),
+        "fast" => Some((Algo::Fast, "serve fast")),
         _ => None,
     }
 }
@@ -218,14 +224,10 @@ pub(crate) fn answer_spec_query(
     cap: usize,
     runner: &Runner,
 ) -> Result<(SweepReport, bool, StoreKey), String> {
-    let (which, context) = match algorithm {
-        "cheap" => (Algo::Cheap, "serve cheap"),
-        "fast" => (Algo::Fast, "serve fast"),
-        _ => {
-            return Err(format!(
-                "unknown algorithm `{algorithm}` (expected cheap or fast)"
-            ))
-        }
+    let Some((which, context)) = serve_algorithm(algorithm) else {
+        return Err(format!(
+            "unknown algorithm `{algorithm}` (expected cheap or fast)"
+        ));
     };
     if l < 2 {
         return Err(format!("l must be >= 2, got {l}"));

@@ -82,7 +82,7 @@ pub fn build_gathering_topo_grid(
     ks: &[usize],
     phases: &[u64],
     cap: usize,
-) -> (TopoGrid, Arc<Vec<EntryContext>>) {
+) -> (TopoGrid, Vec<EntryContext>) {
     let space = LabelSpace::new(l).expect("l >= 2");
     let mut contexts: Vec<EntryContext> = Vec::new();
     let topo = TopoGrid::build(specs, |spec, graph| {
@@ -125,7 +125,7 @@ pub fn build_gathering_topo_grid(
         grid
     })
     .unwrap_or_else(|e| panic!("standard topo specs must build: {e}"));
-    (topo, Arc::new(contexts))
+    (topo, contexts)
 }
 
 /// Per-entry gathering executor: builds `Fast` on the entry's cached
@@ -135,7 +135,7 @@ pub fn build_gathering_topo_grid(
 struct GatheringTopoExecutor {
     space: LabelSpace,
     /// `spec_index → (explorer, bounds)`, parallel to the grid's entries.
-    contexts: Arc<Vec<EntryContext>>,
+    contexts: Vec<EntryContext>,
 }
 
 impl PieceExecutor for GatheringTopoExecutor {

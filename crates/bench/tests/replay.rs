@@ -7,9 +7,8 @@
 //! sweeps in call order, or every x1–x11 `--fabric` run would come
 //! apart.
 //!
-//! Replay diagnostics live here too: they install the process's
-//! session, so every test in this binary serializes on one lock instead
-//! of racing it.
+//! Replay diagnostics live here too: each test installs its own
+//! thread's session.
 
 use rendezvous_bench::common::sweep_recorded;
 use rendezvous_bench::engine::Engine;
@@ -23,12 +22,7 @@ use rendezvous_runner::{
     RunnerError, ScenarioOutcome, SweepReport, TopoGrid, WorkPiece, Workload, WorkloadKind,
     WorkloadMeta,
 };
-use std::sync::{Arc, Mutex};
-
-/// All tests in this binary install the process's session; they
-/// serialize on this lock (a poisoned lock just means an earlier test
-/// already failed, so keep going with its guard).
-static SESSION_TESTS: Mutex<()> = Mutex::new(());
+use std::sync::Arc;
 
 /// Installs a replay of `sweeps` from `source` (a fresh cursor).
 fn begin_replay(sweeps: Vec<(WorkloadMeta, SweepReport)>, source: &str) {
@@ -157,7 +151,6 @@ fn caught(run: impl FnOnce()) -> String {
 
 #[test]
 fn mixed_sequence_replays_byte_identically() {
-    let _serial = SESSION_TESTS.lock().unwrap_or_else(|e| e.into_inner());
     let runner = Runner::sequential();
     // Direct run.
     session::install(Session::default());
@@ -190,7 +183,6 @@ fn mixed_sequence_replays_byte_identically() {
 /// `sweep_recorded` path, not a fabricated plan.
 #[test]
 fn replay_diagnostics_name_position_kind_and_source() {
-    let _serial = SESSION_TESTS.lock().unwrap_or_else(|e| e.into_inner());
     let runner = Runner::sequential();
     // Genuine reports of the mixed sequence: one Grid, one Grid (fleet),
     // one Topo sweep, fingerprints intact.

@@ -4,11 +4,8 @@
 //! the installed session selects, while the measured statistics stay
 //! exactly what an unobserved sweep produces (the runner-level
 //! byte-identity tests pin that; here we pin the wiring the experiments
-//! binary relies on).
-//!
-//! Lives in its own integration-test binary on purpose: it installs the
-//! process's session, which must not leak into the crate's other test
-//! processes.
+//! binary relies on). A session is installed per thread, so it never
+//! leaks into another test.
 
 use rendezvous_bench::engine::Engine;
 use rendezvous_bench::session::{self, Mode, Session};
@@ -63,4 +60,18 @@ fn installed_session_observes_sweep_worst() {
     let counts = metrics.progress().counts();
     assert_eq!(counts.scenarios_done, executed);
     assert_eq!(counts.scenarios_done, counts.scenarios_total);
+}
+
+/// A session belongs to the thread that installed it: another thread
+/// still sweeps on [`Session::default`].
+#[test]
+fn installed_session_stays_on_its_thread() {
+    session::install(Session::new(Engine::Stepped, None, Mode::Direct));
+    let elsewhere = std::thread::spawn(engine::current)
+        .join()
+        .expect("the other thread reads its session");
+    assert_eq!(elsewhere, Engine::default());
+    assert_eq!(engine::current(), Engine::Stepped);
+    session::finish(&Runner::sequential());
+    assert_eq!(engine::current(), Engine::default());
 }

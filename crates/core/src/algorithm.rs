@@ -13,6 +13,11 @@ use std::sync::Arc;
 /// are exposed as [`RendezvousAlgorithm::time_bound`] and
 /// [`RendezvousAlgorithm::cost_bound`] so that experiments can assert
 /// *measured ≤ bound* on every execution.
+///
+/// The `Send + Sync` bound stays although every sweep runs on one
+/// thread: algorithms, their schedules and explorers are shared as
+/// `Arc`s, and without the bound clippy's `arc_with_non_send_sync`
+/// lint rejects each of those `Arc`s.
 pub trait RendezvousAlgorithm: fmt::Debug + Send + Sync {
     /// Short name used in experiment output (e.g. `"cheap"`, `"fast"`).
     fn name(&self) -> &'static str;

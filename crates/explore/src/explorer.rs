@@ -36,6 +36,11 @@ pub trait ExploreRun {
 /// "port-labelled map with a marked starting position" scenario; explorers
 /// for weaker scenarios (trial-DFS, UXS) simply ignore the argument, and
 /// their documentation says so.
+///
+/// The `Send + Sync` bound stays although every sweep runs on one
+/// thread: explorers are shared as `Arc<dyn Explorer>`, and without the
+/// bound clippy's `arc_with_non_send_sync` lint rejects the `Arc`s that
+/// hold them.
 pub trait Explorer: fmt::Debug + Send + Sync {
     /// The bound `E`: from any start node, all nodes are visited within
     /// `bound()` rounds.

@@ -14,6 +14,10 @@ use std::sync::Arc;
 /// An indexed family `EXPLORE_1, EXPLORE_2, …` where level `i` explores
 /// every graph of the intended class with at most `2^i` nodes, with bound
 /// `E_i` non-decreasing in `i`.
+///
+/// The `Send + Sync` bound stays although every sweep runs on one
+/// thread: families are shared as `Arc`s, and without the bound clippy's
+/// `arc_with_non_send_sync` lint rejects them.
 pub trait ExplorationFamily: std::fmt::Debug + Send + Sync {
     /// The procedure for graphs of size at most `2^level`.
     fn level(&self, level: u32) -> Arc<dyn Explorer>;

@@ -29,8 +29,8 @@
 //!
 //! The crate is the workspace's **only** sanctioned wall-clock reader
 //! outside the bench harness: [`Stopwatch`] wraps `Instant` here, under
-//! a scoped `analyze.toml` timing exemption, so `rendezvous-analyze`
-//! keeps flagging clocks everywhere else.
+//! a timing exemption scoped to this crate in the linter's workspace
+//! scope, so `rendezvous-analyze` keeps flagging clocks everywhere else.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
