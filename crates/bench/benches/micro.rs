@@ -465,6 +465,38 @@ fn runner_fold(c: &mut Criterion) {
     }
 }
 
+/// The whole batched pair sweep, end to end: X3's exhaustive grid at
+/// w = 2 (`FastWithRelabeling` on the 10-ring, L = 16: 240 label orders
+/// × 90 start pairs × 5 delays = 108 000 scenarios) through
+/// `Runner::sweep` and the `BatchExecutor` — enumeration, plan lookups,
+/// solves and the fold together. `runner/fold_piece_*` (prebuilt
+/// outcomes) and `batch/delay_sweep_batched` (the solver alone) cannot
+/// see the per-scenario enumeration and fold costs this one includes.
+fn runner_sweep(c: &mut Criterion) {
+    use rendezvous_bench::common::{
+        adversarial_grid, all_label_pairs, ring_setup, standard_delays,
+    };
+    use rendezvous_core::FastWithRelabeling;
+    use rendezvous_runner::{BatchExecutor, Bounds, Runner};
+    let (g, ex) = ring_setup(10);
+    let alg = FastWithRelabeling::new(g, ex, LabelSpace::new(16).unwrap(), 2).unwrap();
+    let grid = adversarial_grid(
+        &alg,
+        &all_label_pairs(16),
+        &standard_delays(9),
+        4 * alg.time_bound(),
+    );
+    assert_eq!(grid.size(), 108_000);
+    let executor = BatchExecutor::new(&alg).with_bounds(Some(Bounds {
+        time: alg.time_bound(),
+        cost: alg.cost_bound(),
+    }));
+    let runner = Runner::sequential();
+    c.bench_function("runner/batched_pair_sweep", |b| {
+        b.iter(|| black_box(runner.sweep(&grid, &executor).unwrap().executed()));
+    });
+}
+
 /// Samples per bench — recorded in the sidecar `meta` so the medians'
 /// stability is interpretable.
 const SAMPLE_SIZE: usize = 20;
@@ -472,7 +504,7 @@ const SAMPLE_SIZE: usize = 20;
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(SAMPLE_SIZE);
-    targets = engine_throughput, engine_occupancy, engine_flat_plan, walk_computation, label_machinery, graph_generation, topo_graph_build, batch_solving, runner_fold, store_paths
+    targets = engine_throughput, engine_occupancy, engine_flat_plan, walk_computation, label_machinery, graph_generation, topo_graph_build, batch_solving, runner_fold, runner_sweep, store_paths
 }
 
 /// Runs every group, then persists the recorded medians as

@@ -14,8 +14,8 @@
 
 use rendezvous_core::RendezvousAlgorithm;
 use rendezvous_runner::{
-    AlgorithmExecutor, BatchExecutor, Bounds, PieceExecutor, Runner, RunnerError, ScenarioOutcome,
-    WorkPiece,
+    AlgorithmExecutor, BatchExecutor, Bounded, Bounds, PieceExecutor, Runner, RunnerError,
+    ScenarioOutcome, SweepReport, WorkPiece,
 };
 
 /// Which executor pair sweeps run through.
@@ -89,18 +89,33 @@ pub(crate) enum EngineExecutor<'a> {
     Batched(BatchExecutor<'a>),
 }
 
+impl EngineExecutor<'_> {
+    /// Hands `f` this executor as a [`PieceExecutor`]: the stepped one
+    /// wrapped in its bounds, the batched one as is.
+    fn with<R>(&self, f: impl FnOnce(&dyn PieceExecutor) -> R) -> R {
+        match self {
+            EngineExecutor::Stepped(executor, bounds) => f(&Bounded::new(executor, *bounds)),
+            EngineExecutor::Batched(executor) => f(executor),
+        }
+    }
+}
+
 impl PieceExecutor for EngineExecutor<'_> {
     fn run_piece(
         &self,
         runner: &Runner,
         piece: &WorkPiece<'_>,
     ) -> Result<(Vec<ScenarioOutcome>, Option<Bounds>), RunnerError> {
-        match self {
-            EngineExecutor::Stepped(executor, bounds) => runner
-                .outcomes(executor, &piece.scenarios)
-                .map(|outcomes| (outcomes, *bounds)),
-            EngineExecutor::Batched(executor) => executor.run_piece(runner, piece),
-        }
+        self.with(|e| e.run_piece(runner, piece))
+    }
+
+    fn fold_piece(
+        &self,
+        runner: &Runner,
+        piece: &WorkPiece<'_>,
+        report: &mut SweepReport,
+    ) -> Result<(), RunnerError> {
+        self.with(|e| e.fold_piece(runner, piece, report))
     }
 }
 

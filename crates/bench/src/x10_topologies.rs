@@ -21,7 +21,7 @@
 //! [`Runner`] each piece is handed.
 
 use crate::common::{markdown_table, standard_delays, standard_label_pairs};
-use crate::engine::Engine;
+use crate::engine::{Engine, EngineExecutor};
 use rendezvous_core::{Cheap, Fast, LabelSpace, RendezvousAlgorithm};
 use rendezvous_explore::{spec_explorer, Explorer};
 use rendezvous_graph::{
@@ -110,6 +110,25 @@ impl AlgoTopoExecutor {
             Algo::Fast => Box::new(Fast::new(entry.graph.clone(), explorer, self.space)),
         }
     }
+
+    /// Hands `f` the engine's executor for the piece's graph, judging
+    /// against that algorithm's bounds. The batched executor folds at the
+    /// piece's global offsets, so reports stay byte-identical on either
+    /// engine.
+    fn with_executor<R>(
+        &self,
+        runner: &Runner,
+        piece: &WorkPiece<'_>,
+        f: impl FnOnce(&EngineExecutor<'_>) -> R,
+    ) -> R {
+        let entry = piece.entry.expect("topology pieces carry their entry");
+        let alg = self.algorithm(entry);
+        let bounds = Bounds {
+            time: alg.time_bound(),
+            cost: alg.cost_bound(),
+        };
+        f(&self.engine.executor(alg.as_ref(), Some(bounds), runner))
+    }
 }
 
 impl PieceExecutor for AlgoTopoExecutor {
@@ -118,17 +137,16 @@ impl PieceExecutor for AlgoTopoExecutor {
         runner: &Runner,
         piece: &WorkPiece<'_>,
     ) -> Result<(Vec<ScenarioOutcome>, Option<Bounds>), RunnerError> {
-        let entry = piece.entry.expect("topology pieces carry their entry");
-        let alg = self.algorithm(entry);
-        let bounds = Bounds {
-            time: alg.time_bound(),
-            cost: alg.cost_bound(),
-        };
-        // The batched executor folds at the piece's global offsets, so
-        // reports stay byte-identical on either engine.
-        self.engine
-            .executor(alg.as_ref(), Some(bounds), runner)
-            .run_piece(runner, piece)
+        self.with_executor(runner, piece, |e| e.run_piece(runner, piece))
+    }
+
+    fn fold_piece(
+        &self,
+        runner: &Runner,
+        piece: &WorkPiece<'_>,
+        report: &mut SweepReport,
+    ) -> Result<(), RunnerError> {
+        self.with_executor(runner, piece, |e| e.fold_piece(runner, piece, report))
     }
 }
 

@@ -7,10 +7,14 @@
 //! precomputed [`FlatPlan`] position arrays, the whole run collapses into
 //! one [`BatchSolver`] pass over two fixed arrays (O(T + D) instead of
 //! the stepped engine's O(D·T)). [`BatchExecutor`] splits each piece into
-//! such maximal runs, solves them in order and concatenates the results,
-//! so outcomes keep their in-piece indices and the fold — and with it
-//! `SweepReport`s, witnesses and every merged report — is byte-identical to
-//! the stepped engine's.
+//! such maximal runs and solves them in order. In a sweep
+//! ([`PieceExecutor::fold_piece`]) each solve is folded straight into the
+//! piece's group at its global index — no per-delay
+//! [`ScenarioOutcome`] is built — through the same fold rule an outcome
+//! goes through, so `SweepReport`s, witnesses and every merged report are
+//! byte-identical to the stepped engine's. [`PieceExecutor::run_piece`]
+//! runs the same loop and collects the outcomes instead, for callers
+//! that read them one by one.
 //!
 //! Scenarios the solver's preconditions don't cover (fleets, equal or
 //! out-of-range starts, a delayed *first* agent, a disconnected graph)
@@ -22,9 +26,9 @@
 //! [`FlatPlan`]: rendezvous_core::FlatPlan
 
 use crate::executor::{AlgorithmExecutor, Executor, RunnerError};
-use crate::scenario::{Scenario, ScenarioOutcome};
+use crate::scenario::{Measured, Scenario, ScenarioOutcome};
 use crate::workload::{PieceExecutor, WorkPiece};
-use crate::{Bounds, Runner};
+use crate::{Bounds, Runner, SweepReport};
 use rendezvous_core::RendezvousAlgorithm;
 use rendezvous_graph::analysis;
 use rendezvous_sim::BatchSolver;
@@ -114,33 +118,68 @@ impl<'a> BatchExecutor<'a> {
     }
 
     /// Solves one batched run: both plans are compiled (or fetched from
-    /// the shared cache) once, then every delay is one solver call.
-    /// Returns the run's outcomes in order, or its error tagged with the
-    /// run's first index.
+    /// the shared cache) once, then every delay is one solver call, handed
+    /// to `sink` with its in-piece index. Errors carry the run's first
+    /// index.
     fn solve_run(
         &self,
         scenarios: &[Scenario],
         run: Range<usize>,
-    ) -> Result<Vec<ScenarioOutcome>, (usize, RunnerError)> {
+        sink: &mut impl FnMut(usize, &Scenario, Measured),
+    ) -> Result<(), RunnerError> {
         let lead = &scenarios[run.start];
-        let plan_a = self
-            .inner
-            .plan(lead.first_label(), lead.start_a())
-            .map_err(|e| (run.start, e))?;
-        let plan_b = self
-            .inner
-            .plan(lead.second_label(), lead.start_b())
-            .map_err(|e| (run.start, e))?;
+        let plan = |label, start| {
+            self.inner
+                .plan(label, start)
+                .map_err(|e| e.at_index(run.start))
+        };
+        let plan_a = plan(lead.first_label(), lead.start_a())?;
+        let plan_b = plan(lead.second_label(), lead.start_b())?;
         let solver = BatchSolver::new(plan_a.trajectory(), plan_b.trajectory(), lead.horizon);
-        Ok(scenarios[run]
-            .iter()
-            .map(|scenario| {
-                let out = solver.solve(scenario.delay());
-                // With an undelayed first agent the meeting round *is*
-                // the paper's time (counted from the earlier wake-up).
-                ScenarioOutcome::pairwise(scenario.clone(), out.round, out.cost, out.crossings)
-            })
-            .collect())
+        for (i, scenario) in run.clone().zip(&scenarios[run]) {
+            let out = solver.solve(scenario.delay());
+            // With an undelayed first agent the meeting round *is* the
+            // paper's time (counted from the earlier wake-up).
+            sink(
+                i,
+                scenario,
+                Measured::pairwise(out.round, out.cost, out.crossings),
+            );
+        }
+        Ok(())
+    }
+
+    /// The one run loop behind [`PieceExecutor::run_piece`] and
+    /// [`PieceExecutor::fold_piece`]: every scenario of the piece, in
+    /// index order, goes to `sink` with its in-piece index and what it
+    /// measured — batched runs straight from the solver, fallbacks from
+    /// the stepped executor's outcome. Jobs cover the piece in index
+    /// order, so the first error met is the lowest-index one, which is
+    /// what the per-scenario fold would surface.
+    fn drive(
+        &self,
+        scenarios: &[Scenario],
+        mut sink: impl FnMut(usize, &Scenario, Measured),
+    ) -> Result<(), RunnerError> {
+        for job in self.jobs(scenarios) {
+            match job {
+                Job::Batched(run) => {
+                    if let Some(counters) = &self.counters {
+                        counters.batched.add_count(run.len());
+                        counters.groups.inc();
+                    }
+                    self.solve_run(scenarios, run, &mut sink)?;
+                }
+                Job::Stepped(i) => {
+                    if let Some(counters) = &self.counters {
+                        counters.stepped.inc();
+                    }
+                    let outcome = self.inner.run(&scenarios[i]).map_err(|e| e.at_index(i))?;
+                    sink(i, &scenarios[i], outcome.measured());
+                }
+            }
+        }
+        Ok(())
     }
 
     /// Splits a piece into jobs, in index order: grid order is label pair
@@ -182,37 +221,40 @@ impl PieceExecutor for BatchExecutor<'_> {
         _runner: &Runner,
         piece: &WorkPiece<'_>,
     ) -> Result<(Vec<ScenarioOutcome>, Option<Bounds>), RunnerError> {
-        let scenarios = &piece.scenarios;
-        // Jobs cover the piece in index order, so concatenating restores
-        // it, and the first error met is the lowest-index one — what the
-        // per-scenario fold would surface.
-        let mut outcomes = Vec::with_capacity(scenarios.len());
-        for job in self.jobs(scenarios) {
-            match job {
-                Job::Batched(run) => {
-                    if let Some(counters) = &self.counters {
-                        counters.batched.add_count(run.len());
-                        counters.groups.inc();
-                    }
-                    let solved = self.solve_run(scenarios, run);
-                    outcomes.extend(solved.map_err(|(i, e)| e.at_index(i))?);
-                }
-                Job::Stepped(i) => {
-                    if let Some(counters) = &self.counters {
-                        counters.stepped.inc();
-                    }
-                    outcomes.push(self.inner.run(&scenarios[i]).map_err(|e| e.at_index(i))?);
-                }
-            }
-        }
+        let mut outcomes = Vec::with_capacity(piece.scenarios.len());
+        self.drive(&piece.scenarios, |_, scenario, m| {
+            outcomes.push(ScenarioOutcome::from_measured(scenario.clone(), m));
+        })?;
         Ok((outcomes, self.bounds))
+    }
+
+    /// Folds each solve straight into the piece's group, at its global
+    /// index: no [`ScenarioOutcome`] is built, and the report equals
+    /// `run_piece` followed by [`SweepReport::absorb_piece`].
+    fn fold_piece(
+        &self,
+        _runner: &Runner,
+        piece: &WorkPiece<'_>,
+        report: &mut SweepReport,
+    ) -> Result<(), RunnerError> {
+        if piece.scenarios.is_empty() {
+            return Ok(());
+        }
+        let spec = piece.entry.map(|e| &e.spec);
+        let group = report.group_mut(piece.key);
+        self.drive(&piece.scenarios, |i, scenario, m| {
+            group.absorb_measured(piece.offset + i, spec, scenario, m, self.bounds);
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::runner::SWEEP_CHUNK;
     use crate::scenario::Placement;
+    use crate::{Grid, Workload};
+    use proptest::prelude::*;
     use rendezvous_core::{Cheap, LabelSpace};
     use rendezvous_explore::OrientedRingExplorer;
     use rendezvous_graph::{generators, NodeId};
@@ -256,34 +298,90 @@ mod tests {
         Scenario::fleet(vec![place(1, 0), place(2, 2), place(3, 4)], horizon)
     }
 
-    /// Runs `scenarios` as two pieces cut at `cut`, like a chunk boundary
-    /// would, lifting errors to global indices the way the sweep does.
-    fn run_cut(
+    /// The pieces of `scenarios` cut at `cuts` (ascending, each within
+    /// the list; repeats give empty pieces), under `key`.
+    fn pieces_at<'k>(scenarios: &[Scenario], cuts: &[usize], key: &'k str) -> Vec<WorkPiece<'k>> {
+        let mut edges = vec![0];
+        edges.extend_from_slice(cuts);
+        edges.push(scenarios.len());
+        edges
+            .windows(2)
+            .map(|w| WorkPiece {
+                offset: w[0],
+                key,
+                entry: None,
+                scenarios: scenarios[w[0]..w[1]].to_vec(),
+            })
+            .collect()
+    }
+
+    /// Runs the pieces through `run_piece`, lifting errors to global
+    /// indices the way the sweep does.
+    fn run_pieces(
         executor: &BatchExecutor<'_>,
-        runner: &Runner,
-        scenarios: &[Scenario],
-        cut: usize,
+        pieces: &[WorkPiece<'_>],
     ) -> Result<Vec<ScenarioOutcome>, RunnerError> {
         let mut outcomes = Vec::new();
-        for (offset, part) in [(0, &scenarios[..cut]), (cut, &scenarios[cut..])] {
-            let piece = WorkPiece {
-                offset,
-                key: "",
-                entry: None,
-                scenarios: part.to_vec(),
-            };
+        for piece in pieces {
             let (solved, _) = executor
-                .run_piece(runner, &piece)
+                .run_piece(&Runner::sequential(), piece)
                 .map_err(|e| e.in_piece(piece.offset, piece.key))?;
             outcomes.extend(solved);
         }
         Ok(outcomes)
     }
 
+    /// The two folds of the same pieces, serialized: `run_piece` +
+    /// `absorb_piece` (the default `fold_piece`), and the batched
+    /// `fold_piece`. Both stop at the first error, lifted to its global
+    /// index.
+    fn both_folds(
+        executor: &BatchExecutor<'_>,
+        pieces: &[WorkPiece<'_>],
+    ) -> [Result<String, RunnerError>; 2] {
+        let runner = Runner::sequential();
+        let by_outcomes = || {
+            let mut report = SweepReport::default();
+            for piece in pieces {
+                let (outcomes, bounds) = executor
+                    .run_piece(&runner, piece)
+                    .map_err(|e| e.in_piece(piece.offset, piece.key))?;
+                report.absorb_piece(piece.key, piece.offset, None, &outcomes, bounds);
+            }
+            Ok(serde_json::to_string(&report).unwrap())
+        };
+        let folded = || {
+            let mut report = SweepReport::default();
+            for piece in pieces {
+                executor
+                    .fold_piece(&runner, piece, &mut report)
+                    .map_err(|e| e.in_piece(piece.offset, piece.key))?;
+            }
+            Ok(serde_json::to_string(&report).unwrap())
+        };
+        [by_outcomes(), folded()]
+    }
+
+    /// The stepped oracle's fold of `scenarios` under `key`, serialized,
+    /// or its lowest-index error.
+    fn stepped_fold(
+        alg: &dyn RendezvousAlgorithm,
+        scenarios: &[Scenario],
+        key: &str,
+        bounds: Option<Bounds>,
+    ) -> Result<String, RunnerError> {
+        let outcomes = Runner::sequential()
+            .outcomes(&AlgorithmExecutor::new(alg), scenarios)
+            .map_err(|e| e.in_piece(0, key))?;
+        let mut report = SweepReport::default();
+        report.absorb_piece(key, 0, None, &outcomes, bounds);
+        Ok(serde_json::to_string(&report).unwrap())
+    }
+
     /// Batchable runs (one of them a repeat of an earlier key) around
     /// stepped fallbacks, cut at every index — including mid-run:
-    /// outcomes and errors equal the stepped executor's, the error at the
-    /// same global index.
+    /// outcomes, folded reports and errors equal the stepped executor's,
+    /// the error at the same global index.
     #[test]
     fn mixed_piece_equals_stepped_outcomes_at_every_cut() {
         let alg = cheap_ring(6, 4);
@@ -332,10 +430,136 @@ mod tests {
                 reference.as_ref().err().and_then(RunnerError::index),
                 error_at
             );
+            let folded = stepped_fold(&alg, &scenarios, "", None);
+            // An empty piece adds no group, as `absorb_piece` promises.
+            let mut report = SweepReport::default();
+            let empty = &pieces_at(&scenarios, &[0], "ring")[0];
+            executor
+                .fold_piece(&Runner::sequential(), empty, &mut report)
+                .unwrap();
+            assert_eq!(report, SweepReport::default());
             for cut in 0..=scenarios.len() {
-                let batched = run_cut(&executor, &Runner::sequential(), &scenarios, cut);
-                assert_eq!(batched, reference, "cut at {cut}");
+                let pieces = pieces_at(&scenarios, &[cut], "");
+                assert_eq!(run_pieces(&executor, &pieces), reference, "cut at {cut}");
+                for fold in both_folds(&executor, &pieces) {
+                    assert_eq!(fold, folded, "cut at {cut}");
+                }
             }
+        }
+    }
+
+    /// Four times Cheap's time bound on the 6-ring with `L = 4`.
+    const H: u64 = 4 * 45;
+
+    /// One generated stretch of a piece list: a batchable run of delays
+    /// for one of a few (labels, starts) keys at one of three horizons
+    /// (the shortest forces misses), or a stepped fallback — a delayed
+    /// first agent, or an error: equal starts or a 3-agent fleet.
+    fn arb_stretch() -> impl Strategy<Value = Vec<Scenario>> {
+        const LABELS: [(u64, u64); 3] = [(1, 3), (3, 1), (2, 4)];
+        const STARTS: [(usize, usize); 3] = [(0, 2), (4, 1), (3, 5)];
+        (
+            0u8..16,
+            (0usize..3, 0usize..3, 0usize..3),
+            collection::vec(0u64..30, 1..6),
+        )
+            .prop_map(move |(kind, (labels, starts, horizon), delays)| {
+                let horizon = [H, H / 2, 6][horizon];
+                match kind {
+                    0 => vec![pair(LABELS[labels], (3, 3), delays[0], horizon)],
+                    1 => vec![fleet(horizon)],
+                    2..=4 => vec![delayed_first(horizon)],
+                    _ => delays
+                        .iter()
+                        .map(|&d| pair(LABELS[labels], STARTS[starts], d, horizon))
+                        .collect(),
+                }
+            })
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(128))]
+
+        /// Random piece lists, repeated stretches (forced time, cost and
+        /// ratio ties at different indices), fallbacks, horizon changes
+        /// and errors, cut anywhere, empty pieces included: the batched
+        /// `fold_piece` serializes to the same report as `run_piece` +
+        /// `absorb_piece` and as the stepped oracle's fold, or fails at
+        /// the same global index with the same error.
+        #[test]
+        fn fold_piece_equals_run_piece_then_absorb(
+            stretches in collection::vec(arb_stretch(), 1..10),
+            repeat in collection::vec(0usize..10, 0..3),
+            mut cuts in collection::vec(0usize..60, 0..5),
+        ) {
+            let alg = cheap_ring(6, 4);
+            prop_assert_eq!(4 * alg.time_bound(), H);
+            let mut scenarios: Vec<Scenario> = stretches.concat();
+            for r in repeat {
+                scenarios.extend_from_slice(&stretches[r % stretches.len()]);
+            }
+            cuts.iter_mut().for_each(|c| *c = (*c).min(scenarios.len()));
+            cuts.sort_unstable();
+            let bounds = Some(Bounds { time: alg.time_bound(), cost: alg.cost_bound() });
+            let executor = BatchExecutor::new(&alg).with_bounds(bounds);
+            let oracle = stepped_fold(&alg, &scenarios, "ring", bounds);
+            for fold in both_folds(&executor, &pieces_at(&scenarios, &cuts, "ring")) {
+                prop_assert_eq!(&fold, &oracle);
+            }
+            // The witness of every slot is the lowest index at its
+            // maximum (the oracle's rule, restated on the fold itself).
+            if let Ok(json) = &oracle {
+                let report: SweepReport = serde_json::from_str(json).unwrap();
+                let outcomes = run_pieces(&executor, &pieces_at(&scenarios, &[], "")).unwrap();
+                for stats in &report.groups {
+                    let first = |hit: &dyn Fn(&ScenarioOutcome) -> bool| {
+                        outcomes.iter().position(|o| o.time.is_some() && hit(o))
+                    };
+                    let time = stats.worst_time.as_ref().map(|w| w.index);
+                    let cost = stats.worst_cost.as_ref().map(|w| w.index);
+                    prop_assert_eq!(time, first(&|o| o.time == Some(stats.max_time)));
+                    prop_assert_eq!(cost, first(&|o| o.cost == stats.max_cost));
+                    prop_assert_eq!(stats.worst_ratio.as_ref().map(|w| w.index), time);
+                }
+            }
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(12))]
+
+        /// Random grids longer than a sweep chunk, swept over a range
+        /// that starts and ends anywhere: the runner's chunked
+        /// `fold_piece` sweep serializes to the same report as one
+        /// `run_piece` over the whole range, absorbed at once.
+        #[test]
+        fn chunked_fold_sweep_equals_one_run_piece(
+            (len, step, first) in (9u64..12, 1u64..5, 0u64..3),
+            horizon in 0usize..3,
+            lo in 0usize..512,
+            back in 0usize..200,
+        ) {
+            let alg = cheap_ring(6, 5);
+            let horizon = [4 * alg.time_bound(), alg.time_bound() / 2, 6][horizon];
+            let grid = Grid::new(horizon)
+                .label_pairs_both_orders(&[(1, 2), (1, 3), (1, 4), (1, 5), (2, 3), (2, 4), (2, 5), (3, 4), (3, 5), (4, 5)])
+                .delays(&(0..len).map(|i| first + i * step).collect::<Vec<_>>())
+                .all_start_pairs(alg.graph());
+            // 20 label orders × 30 start pairs × ≥ 9 delays: the range
+            // crosses at least one chunk boundary.
+            let hi = grid.size() - back;
+            prop_assert!(hi > lo + SWEEP_CHUNK);
+            let bounds = Some(Bounds { time: alg.time_bound(), cost: alg.cost_bound() });
+            let executor = BatchExecutor::new(&alg).with_bounds(bounds);
+            let swept = Runner::sequential().sweep_range(&grid, lo, hi, &executor).unwrap();
+            let whole = grid.pieces(lo, hi).remove(0);
+            let (outcomes, piece_bounds) = executor.run_piece(&Runner::sequential(), &whole).unwrap();
+            let mut reference = SweepReport::default();
+            reference.absorb_piece("", lo, None, &outcomes, piece_bounds);
+            prop_assert_eq!(
+                serde_json::to_string(&swept).unwrap(),
+                serde_json::to_string(&reference).unwrap()
+            );
         }
     }
 }

@@ -14,9 +14,10 @@
 //!     → split (Workload::lease_ranges) → merge (SweepReport::merge)
 //! ```
 //!
-//! * [`Scenario`] — one fully-specified `k ≥ 2`-agent execution: a list
-//!   of [`Placement`]s (label, start, wake-up delay) plus the round
-//!   budget. [`Scenario::pair`] builds the paper's two-agent case;
+//! * [`Scenario`] — one fully-specified `k ≥ 2`-agent execution: its
+//!   [`Placements`] (one [`Placement`] — label, start, wake-up delay —
+//!   per agent) plus the round budget. [`Scenario::pair`] builds the
+//!   paper's two-agent case, stored inline;
 //! * [`Workload`] — an index-stable, capped, splittable source of
 //!   `(global index, context, Scenario)` units. Implemented by [`Grid`]
 //!   (label pairs × start pairs × delays in pair mode, fleet sizes ×
@@ -84,7 +85,7 @@ pub use executor::{AlgorithmExecutor, Executor, FactoryExecutor, GatheringExecut
 pub use grid::{FleetRule, Grid};
 pub use report::{fold_outcomes, Bounds, GroupStats, SweepReport, Witness};
 pub use runner::Runner;
-pub use scenario::{Placement, Scenario, ScenarioOutcome};
+pub use scenario::{Placement, Placements, Scenario, ScenarioOutcome};
 pub use topo::{TopoEntry, TopoGrid};
 pub use workload::{
     Bounded, Fnv1a, PieceExecutor, WorkPiece, Workload, WorkloadKind, WorkloadMeta,

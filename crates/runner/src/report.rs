@@ -11,6 +11,7 @@
 //! so neither execution order, nor chunking, nor the fabric's lease
 //! split and merge order can perturb a single field.
 
+use crate::scenario::Measured;
 use crate::{Scenario, ScenarioOutcome};
 use rendezvous_graph::GraphSpec;
 use serde::{Deserialize, Serialize};
@@ -156,27 +157,44 @@ impl GroupStats {
         outcome: &ScenarioOutcome,
         bounds: Option<Bounds>,
     ) {
+        self.absorb_measured(index, spec, &outcome.scenario, outcome.measured(), bounds);
+    }
+
+    /// The one fold rule, over what `scenario` measured: the outcome fold
+    /// ([`GroupStats::absorb`]) and the batched engine's outcome-free fold
+    /// both call it, so sums, violations and the witness tie rules exist
+    /// once.
+    #[inline]
+    pub(crate) fn absorb_measured(
+        &mut self,
+        index: usize,
+        spec: Option<&GraphSpec>,
+        scenario: &Scenario,
+        m: Measured,
+        bounds: Option<Bounds>,
+    ) {
         self.executed += 1;
-        self.crossings += outcome.crossings;
-        self.merges += outcome.merges;
-        let Some(time) = outcome.time else {
+        self.crossings += m.crossings;
+        self.merges += m.merges;
+        let Some(time) = m.time else {
             self.failures += 1;
             return;
         };
+        let cost = m.cost;
         self.meetings += 1;
         self.total_time += u128::from(time);
-        self.total_cost += u128::from(outcome.cost);
+        self.total_cost += u128::from(cost);
         self.max_time = self.max_time.max(time);
-        self.max_cost = self.max_cost.max(outcome.cost);
+        self.max_cost = self.max_cost.max(cost);
         // A per-scenario bound overrides the piece-level time bound:
         // gathering's merge-and-restart bound depends on the fleet, so
         // each outcome is judged against its own.
-        let time_bound = outcome.time_bound.or(bounds.map(|b| b.time));
+        let time_bound = m.time_bound.or(bounds.map(|b| b.time));
         let cost_bound = bounds.map(|b| b.cost);
         if time_bound.is_some_and(|b| time > b) {
             self.time_violations += 1;
         }
-        if cost_bound.is_some_and(|b| outcome.cost > b) {
+        if cost_bound.is_some_and(|b| cost > b) {
             self.cost_violations += 1;
         }
         // Decide every slot on plain integers first: ~10 of a sweep's
@@ -185,7 +203,6 @@ impl GroupStats {
         // explicit lowest-index (not first-absorbed-wins) so the
         // documented witness contract survives folds that absorb
         // outcomes out of index order, e.g. shard merges.
-        let cost = outcome.cost;
         let takes_time = takes(&self.worst_time, index, |w| time.cmp(&w.time));
         let takes_cost = takes(&self.worst_cost, index, |w| cost.cmp(&w.cost));
         let takes_ratio = time_bound.is_some_and(|bound| {
@@ -199,7 +216,7 @@ impl GroupStats {
         let witness = Witness {
             index,
             spec: spec.cloned(),
-            scenario: outcome.scenario.clone(),
+            scenario: scenario.clone(),
             time,
             cost,
             time_bound,
@@ -290,7 +307,7 @@ pub struct SweepReport {
 impl SweepReport {
     /// The group of `key`, inserted (empty, in key order) if the report
     /// has none yet.
-    fn group_mut(&mut self, key: &str) -> &mut GroupStats {
+    pub(crate) fn group_mut(&mut self, key: &str) -> &mut GroupStats {
         let slot = match self.groups.binary_search_by(|g| g.key.as_str().cmp(key)) {
             Ok(i) => i,
             Err(i) => {

@@ -19,8 +19,9 @@ pub(crate) const SWEEP_CHUNK: usize = 4096;
 ///
 /// A [`Metrics`] sink may be attached ([`Runner::with_metrics`]); it
 /// observes the sweep (scenarios executed, pieces completed, per-piece
-/// wall time, live progress) without ever entering the fold — a sweep
-/// with a sink produces byte-identical reports to one without.
+/// wall time of run and fold, live progress) without ever entering the
+/// fold — a sweep with a sink produces byte-identical reports to one
+/// without.
 #[derive(Debug, Clone)]
 pub struct Runner {
     metrics: Option<Arc<Metrics>>,
@@ -83,10 +84,12 @@ impl Runner {
     /// Sweeps the global index range `[lo, hi)` of a [`Workload`].
     ///
     /// The range is walked in fixed chunks of `SWEEP_CHUNK` (4096) units:
-    /// each chunk's pieces are enumerated, then run and folded into the
-    /// one report piece by piece, each piece's outcomes dropped before the
-    /// next piece runs. So no more than a chunk's scenarios and a piece's
-    /// outcomes are ever held at once, however large the workload.
+    /// each chunk's pieces are enumerated, then folded into the one report
+    /// piece by piece through [`PieceExecutor::fold_piece`] (the batched
+    /// engine folds each solve directly; other executors build a piece's
+    /// outcomes and drop them before the next piece runs). So no more
+    /// than a chunk's scenarios and a piece's outcomes are ever held at
+    /// once, however large the workload.
     /// Chunking never changes a report: the fold is at global indices, so
     /// any contiguous split folds to the same aggregates.
     ///
@@ -129,8 +132,9 @@ impl Runner {
         Ok(report)
     }
 
-    /// Runs one piece and folds its outcomes into `report` at their
-    /// global indices, into the piece's group with one lookup.
+    /// Runs one piece through [`PieceExecutor::fold_piece`] into
+    /// `report`, timed and counted by the telemetry sink, lifting an
+    /// error to its global index.
     fn fold_piece<E>(
         &self,
         report: &mut SweepReport,
@@ -142,7 +146,7 @@ impl Runner {
     {
         let telemetry = self.metrics.as_deref();
         let watch = telemetry.map(|_| Stopwatch::start());
-        let result = executor.run_piece(self, piece);
+        let result = executor.fold_piece(self, piece, report);
         if let (Some(metrics), Some(watch)) = (telemetry, &watch) {
             metrics
                 .histogram("piece_wall_ns")
@@ -155,11 +159,7 @@ impl Runner {
             }
             metrics.progress().piece_done(piece.scenarios.len());
         }
-        let (outcomes, bounds) = result.map_err(|e| e.in_piece(piece.offset, piece.key))?;
-        debug_assert_eq!(outcomes.len(), piece.scenarios.len());
-        let spec = piece.entry.map(|e| &e.spec);
-        report.absorb_piece(piece.key, piece.offset, spec, &outcomes, bounds);
-        Ok(())
+        result.map_err(|e| e.in_piece(piece.offset, piece.key))
     }
 }
 #[cfg(test)]

@@ -1,7 +1,8 @@
 //! One fully-specified adversarial configuration and its measured result.
 
 use rendezvous_graph::NodeId;
-use serde::{Deserialize, Serialize};
+use serde::{DeError, Deserialize, Serialize, Value};
+use std::hash::{Hash, Hasher};
 
 /// One agent's slot in a [`Scenario`]: everything the adversary chooses
 /// about a single fleet member.
@@ -15,6 +16,75 @@ pub struct Placement {
     pub delay: u64,
 }
 
+/// The agents of a [`Scenario`], in placement order (`len() ≥ 2`).
+///
+/// A pair is stored inline, so building, cloning and dropping a
+/// two-agent scenario touches no heap; fleets of three or more live in
+/// a `Vec`. Either way it reads as a `[Placement]` slice (`Deref`), and
+/// equality, hashing and serialization go by that slice: a pair built by
+/// [`Scenario::pair`] and one read back from a two-element JSON array are
+/// the same value, and both serialize as the same array.
+#[derive(Debug, Clone)]
+pub struct Placements(Repr);
+
+#[derive(Debug, Clone)]
+enum Repr {
+    Pair([Placement; 2]),
+    Fleet(Vec<Placement>),
+}
+
+impl Placements {
+    /// The placements of `fleet`, a pair inline; fewer than two are
+    /// refused, since rendezvous and gathering need `k ≥ 2`.
+    fn from_vec(fleet: Vec<Placement>) -> Result<Placements, String> {
+        match fleet[..] {
+            [] | [_] => Err(format!(
+                "a scenario places at least two agents, got {}",
+                fleet.len()
+            )),
+            [a, b] => Ok(Placements(Repr::Pair([a, b]))),
+            _ => Ok(Placements(Repr::Fleet(fleet))),
+        }
+    }
+}
+
+impl std::ops::Deref for Placements {
+    type Target = [Placement];
+
+    fn deref(&self) -> &[Placement] {
+        match &self.0 {
+            Repr::Pair(pair) => pair,
+            Repr::Fleet(fleet) => fleet,
+        }
+    }
+}
+
+impl PartialEq for Placements {
+    fn eq(&self, other: &Placements) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Placements {}
+
+impl Hash for Placements {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        (**self).hash(state);
+    }
+}
+
+impl Serialize for Placements {
+    fn to_value(&self) -> Value {
+        (**self).to_value()
+    }
+}
+
+impl Deserialize for Placements {
+    fn from_value(value: &Value) -> Result<Self, DeError> {
+        Placements::from_vec(Vec::from_value(value)?).map_err(DeError::custom)
+    }
+}
+
 /// A complete `k ≥ 2`-agent configuration: everything the adversary
 /// chooses, plus the round budget the harness allows.
 ///
@@ -25,11 +95,13 @@ pub struct Placement {
 /// the adversary's wake-up power is expressed by the second placement's
 /// delay *combined with* enumerating both label role orders in the
 /// [`Grid`](crate::Grid) — that pair of choices realizes "either agent
-/// may be delayed arbitrarily" exactly, as in §1.2 of the paper.
+/// may be delayed arbitrarily" exactly, as in §1.2 of the paper. A pair
+/// holds its two placements inline ([`Placements`]), so the hundreds of
+/// thousands of pair scenarios a sweep enumerates allocate nothing.
 #[derive(Debug, Clone, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct Scenario {
     /// The fleet, in placement order (`len() ≥ 2`).
-    pub placements: Vec<Placement>,
+    pub placements: Placements,
     /// Maximum number of rounds to simulate.
     pub horizon: u64,
 }
@@ -48,7 +120,7 @@ impl Scenario {
         horizon: u64,
     ) -> Scenario {
         Scenario {
-            placements: vec![
+            placements: Placements(Repr::Pair([
                 Placement {
                     label: first_label,
                     start: start_a,
@@ -59,7 +131,7 @@ impl Scenario {
                     start: start_b,
                     delay,
                 },
-            ],
+            ])),
             horizon,
         }
     }
@@ -72,13 +144,8 @@ impl Scenario {
     /// gathering are both defined for `k ≥ 2` only.
     #[must_use]
     pub fn fleet(placements: Vec<Placement>, horizon: u64) -> Scenario {
-        assert!(
-            placements.len() >= 2,
-            "a scenario places at least two agents, got {}",
-            placements.len()
-        );
         Scenario {
-            placements,
+            placements: Placements::from_vec(placements).unwrap_or_else(|msg| panic!("{msg}")),
             horizon,
         }
     }
@@ -171,17 +238,59 @@ pub struct ScenarioOutcome {
     pub merges: u64,
 }
 
-impl ScenarioOutcome {
-    /// A pair-execution outcome: no per-scenario bound, no merge events.
-    #[must_use]
-    pub fn pairwise(scenario: Scenario, time: Option<u64>, cost: u64, crossings: u64) -> Self {
-        ScenarioOutcome {
-            scenario,
+/// What one execution measured: every field of a [`ScenarioOutcome`]
+/// but the scenario, as one `Copy` value — what the fold reads, so the
+/// batched engine can fold a solve without building an outcome.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct Measured {
+    pub(crate) time: Option<u64>,
+    pub(crate) cost: u64,
+    pub(crate) crossings: u64,
+    pub(crate) time_bound: Option<u64>,
+    pub(crate) merges: u64,
+}
+
+impl Measured {
+    /// A pair execution's measurements: no per-scenario bound, no merge
+    /// events.
+    pub(crate) fn pairwise(time: Option<u64>, cost: u64, crossings: u64) -> Measured {
+        Measured {
             time,
             cost,
             crossings,
             time_bound: None,
             merges: 0,
+        }
+    }
+}
+
+impl ScenarioOutcome {
+    /// A pair-execution outcome: no per-scenario bound, no merge events.
+    #[must_use]
+    pub fn pairwise(scenario: Scenario, time: Option<u64>, cost: u64, crossings: u64) -> Self {
+        ScenarioOutcome::from_measured(scenario, Measured::pairwise(time, cost, crossings))
+    }
+
+    /// The outcome of `scenario` that measured `m`.
+    pub(crate) fn from_measured(scenario: Scenario, m: Measured) -> Self {
+        ScenarioOutcome {
+            scenario,
+            time: m.time,
+            cost: m.cost,
+            crossings: m.crossings,
+            time_bound: m.time_bound,
+            merges: m.merges,
+        }
+    }
+
+    /// This outcome's measurements, without the scenario.
+    pub(crate) fn measured(&self) -> Measured {
+        Measured {
+            time: self.time,
+            cost: self.cost,
+            crossings: self.crossings,
+            time_bound: self.time_bound,
+            merges: self.merges,
         }
     }
 
@@ -274,5 +383,97 @@ mod tests {
         let back: Scenario = serde_json::from_str(&json).unwrap();
         assert_eq!(back, s);
         assert_eq!(serde_json::to_string(&back).unwrap(), json);
+    }
+
+    /// Golden bytes: a pair serializes exactly as when placements were a
+    /// plain `Vec` (the 3-fleet's golden string is in the test above).
+    #[test]
+    fn pair_serializes_as_a_two_element_array() {
+        let pair = Scenario::pair(3, 7, NodeId::new(1), NodeId::new(4), 5, 100);
+        assert_eq!(
+            serde_json::to_string(&pair).unwrap(),
+            r#"{"placements":[{"label":3,"start":1,"delay":0},{"label":7,"start":4,"delay":5}],"horizon":100}"#
+        );
+    }
+
+    fn hash_of(s: &Scenario) -> u64 {
+        let mut h = std::collections::hash_map::DefaultHasher::new();
+        s.hash(&mut h);
+        h.finish()
+    }
+
+    /// However a pair is built — `pair`, a two-placement `fleet`, or read
+    /// back from JSON — it is one value, stored inline, with one hash.
+    #[test]
+    fn every_two_agent_scenario_is_the_inline_pair() {
+        let pair = Scenario::pair(3, 7, NodeId::new(1), NodeId::new(4), 5, 100);
+        assert!(matches!(pair.placements.0, Repr::Pair(_)));
+        let fleet = Scenario::fleet(pair.placements.to_vec(), 100);
+        let json = r#"{"placements":[{"label":3,"start":1,"delay":0},{"label":7,"start":4,"delay":5}],"horizon":100}"#;
+        let read: Scenario = serde_json::from_str(json).unwrap();
+        for same in [&fleet, &read] {
+            assert_eq!(*same, pair);
+            assert_eq!(hash_of(same), hash_of(&pair));
+            assert!(matches!(same.placements.0, Repr::Pair(_)));
+        }
+        let three = Scenario::fleet(
+            (1..=3)
+                .map(|i| Placement {
+                    label: i,
+                    start: NodeId::new(i as usize),
+                    delay: 0,
+                })
+                .collect(),
+            100,
+        );
+        assert!(matches!(three.placements.0, Repr::Fleet(_)));
+        assert_ne!(three, pair);
+    }
+
+    /// Fewer than two placements is refused on load, as `fleet` refuses
+    /// it on construction — not loaded for `second()` to panic on later.
+    #[test]
+    fn fewer_than_two_placements_do_not_load() {
+        for placements in ["[]", r#"[{"label":1,"start":0,"delay":0}]"#] {
+            let json = format!(r#"{{"placements":{placements},"horizon":10}}"#);
+            let err = serde_json::from_str::<Scenario>(&json).unwrap_err();
+            assert!(err.to_string().contains("at least two agents"), "{err}");
+        }
+    }
+
+    /// A store entry written before pairs were stored inline (schema 1,
+    /// checked in verbatim) still loads: its report equals the same sweep
+    /// recomputed now, and re-serializes to the same JSON.
+    #[test]
+    fn a_schema_1_store_entry_loads_and_equals_the_recomputed_report() {
+        use crate::Workload;
+        use crate::{BatchExecutor, Bounds, Grid, Runner, SweepReport, WorkloadMeta};
+        use rendezvous_core::{Cheap, LabelSpace, RendezvousAlgorithm};
+        use rendezvous_explore::OrientedRingExplorer;
+        use rendezvous_graph::generators;
+        use std::sync::Arc;
+
+        let text = include_str!("../testdata/store_entry_v1.json");
+        let entry = serde_json::parse(text).unwrap();
+        let g = Arc::new(generators::oriented_ring(5).unwrap());
+        let ex = Arc::new(OrientedRingExplorer::new(g.clone()).unwrap());
+        let alg = Cheap::new(g.clone(), ex, LabelSpace::new(3).unwrap());
+        let grid = Grid::new(4 * alg.time_bound())
+            .label_pairs_both_orders(&[(1, 2), (2, 3)])
+            .delays(&[0, 1, 4])
+            .all_start_pairs(&g);
+        let bounds = Some(Bounds {
+            time: alg.time_bound(),
+            cost: alg.cost_bound(),
+        });
+        let report = Runner::sequential()
+            .sweep(&grid, &BatchExecutor::new(&alg).with_bounds(bounds))
+            .unwrap();
+        assert_eq!(
+            WorkloadMeta::from_value(&entry["meta"]).unwrap(),
+            grid.meta()
+        );
+        assert_eq!(SweepReport::from_value(&entry["report"]).unwrap(), report);
+        assert_eq!(report.to_value(), entry["report"]);
     }
 }

@@ -33,7 +33,7 @@
 //!   graph family, so the report groups per family.
 
 use crate::topo::TopoEntry;
-use crate::{Bounds, Runner, RunnerError, Scenario, ScenarioOutcome};
+use crate::{Bounds, Runner, RunnerError, Scenario, ScenarioOutcome, SweepReport};
 use serde::{Deserialize, Serialize};
 
 /// A contiguous run of one workload's units sharing a single context —
@@ -264,6 +264,33 @@ pub trait PieceExecutor {
         runner: &Runner,
         piece: &WorkPiece<'_>,
     ) -> Result<(Vec<ScenarioOutcome>, Option<Bounds>), RunnerError>;
+
+    /// Runs `piece` and folds it into `report` at its global indices,
+    /// under the piece's key — what [`Runner::sweep`] calls per piece.
+    /// The default is [`PieceExecutor::run_piece`] followed by
+    /// [`SweepReport::absorb_piece`]; an executor that can fold without
+    /// building outcomes (the batched engine) overrides it, and must
+    /// fold the same report. Errors carry in-piece indices, as from
+    /// `run_piece`; on an error the report may hold part of the piece,
+    /// and the sweep discards it. The runner's `piece_wall_ns` histogram
+    /// times this call, so it includes the fold; like every timing, it
+    /// lives in the telemetry `timing` section only.
+    ///
+    /// # Errors
+    ///
+    /// See [`PieceExecutor::run_piece`].
+    fn fold_piece(
+        &self,
+        runner: &Runner,
+        piece: &WorkPiece<'_>,
+        report: &mut SweepReport,
+    ) -> Result<(), RunnerError> {
+        let (outcomes, bounds) = self.run_piece(runner, piece)?;
+        debug_assert_eq!(outcomes.len(), piece.scenarios.len());
+        let spec = piece.entry.map(|e| &e.spec);
+        report.absorb_piece(piece.key, piece.offset, spec, &outcomes, bounds);
+        Ok(())
+    }
 }
 
 impl<E: crate::Executor> PieceExecutor for E {
