@@ -497,6 +497,67 @@ fn runner_sweep(c: &mut Criterion) {
     });
 }
 
+/// The x11 gathering sweep on a fixed slice of its specs: the first
+/// entry of each of the six families (`standard_topo_specs` cycles the
+/// families), at x11's paper parameters (L = 6, k ∈ {2, 3, 4}, phases
+/// {0, 3, 9}, 8 fleets per entry). Each entry gets a fresh executor, as
+/// in the experiment, so plan compiles are included. `x11_fleet_sweep`
+/// replays compiled walks through the fleet solver;
+/// `x11_fleet_sweep_stepped` steps `GatheringAgent`s, the oracle.
+fn gathering_sweep(c: &mut Criterion) {
+    use rendezvous_bench::x10_topologies::standard_topo_specs;
+    use rendezvous_bench::x11_gathering_topo::{
+        build_gathering_topo_grid, standard_fleet_sizes, standard_phases,
+    };
+    use rendezvous_explore::spec_explorer;
+    use rendezvous_runner::{GatheringExecutor, Runner};
+    let specs: Vec<_> = standard_topo_specs(false).into_iter().take(6).collect();
+    let (topo, _) = build_gathering_topo_grid(
+        specs,
+        6,
+        &standard_fleet_sizes(false),
+        &standard_phases(false),
+        8,
+    );
+    let families: std::collections::BTreeSet<&str> =
+        topo.entries().iter().map(|e| e.family.as_str()).collect();
+    assert_eq!(families.len(), 6, "one entry per family");
+    let space = LabelSpace::new(6).unwrap();
+    let entries: Vec<_> = topo
+        .entries()
+        .iter()
+        .map(|entry| {
+            let explorer = spec_explorer(&entry.spec, entry.graph.clone()).unwrap();
+            (entry.graph.clone(), explorer, entry.grid.scenarios())
+        })
+        .collect();
+    let runner = Runner::sequential();
+    for (name, stepped) in [
+        ("gathering/x11_fleet_sweep", false),
+        ("gathering/x11_fleet_sweep_stepped", true),
+    ] {
+        c.bench_function(name, |b| {
+            b.iter(|| {
+                let mut cost = 0;
+                for (graph, explorer, scenarios) in &entries {
+                    let alg: Arc<dyn RendezvousAlgorithm> =
+                        Arc::new(Fast::new(graph.clone(), explorer.clone(), space));
+                    let executor = if stepped {
+                        GatheringExecutor::stepped(alg)
+                    } else {
+                        GatheringExecutor::new(alg)
+                    };
+                    for outcome in runner.outcomes(&executor, scenarios).unwrap() {
+                        assert!(outcome.met());
+                        cost += outcome.cost;
+                    }
+                }
+                black_box(cost)
+            });
+        });
+    }
+}
+
 /// Samples per bench — recorded in the sidecar `meta` so the medians'
 /// stability is interpretable.
 const SAMPLE_SIZE: usize = 20;
@@ -504,7 +565,7 @@ const SAMPLE_SIZE: usize = 20;
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(SAMPLE_SIZE);
-    targets = engine_throughput, engine_occupancy, engine_flat_plan, walk_computation, label_machinery, graph_generation, topo_graph_build, batch_solving, runner_fold, runner_sweep, store_paths
+    targets = engine_throughput, engine_occupancy, engine_flat_plan, walk_computation, label_machinery, graph_generation, topo_graph_build, batch_solving, runner_fold, runner_sweep, gathering_sweep, store_paths
 }
 
 /// Runs every group, then persists the recorded medians as

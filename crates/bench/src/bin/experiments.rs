@@ -30,11 +30,14 @@
 //! below. `--sequential` is still accepted (the benchmark harness passes
 //! it) and changes nothing: it names the only in-process mode.
 //!
-//! Every pair sweep runs on the delay-batched trajectory solver
-//! (`BatchExecutor`) by default; `--engine stepped` swaps in the stepped
-//! simulator, the oracle — same knob shape: the outputs are
-//! **byte-identical** either way, the batched engine is only faster, and
-//! CI diffs the two on every experiment on every push. The engine name
+//! Every sweep runs on compiled trajectories by default: pair sweeps on
+//! the delay-batched trajectory solver (`BatchExecutor`), the x9/x11
+//! gathering fleets on the fleet solver (`GatheringExecutor::new`).
+//! `--engine stepped` swaps in the stepped simulator (and, for fleets,
+//! `GatheringAgent`s over `run_gathering`), the oracle — same knob
+//! shape: the outputs are **byte-identical** either way, the batched
+//! engine is only faster, and CI diffs the two on every experiment on
+//! every push. The engine name
 //! is part of every `--store` key, so entries written under one engine
 //! miss (and are recomputed) under the other.
 //!

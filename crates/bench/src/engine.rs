@@ -1,5 +1,7 @@
-//! Sweep-engine selection: the delay-batched trajectory solver (the
-//! default) or the stepped simulator (the oracle).
+//! Sweep-engine selection: compiled trajectories (the default) or the
+//! stepped simulator (the oracle). Pair sweeps run on the delay-batched
+//! trajectory solver or step round by round; gathering fleets (x9/x11)
+//! are replayed from compiled walks or step `GatheringAgent`s.
 //!
 //! Both engines produce byte-identical experiment outputs (that is
 //! CI-enforced for every experiment); the choice is purely a throughput
@@ -7,26 +9,29 @@
 //! selection is a field of the process's [`Session`](crate::session::Session);
 //! experiment code asks [`current`] and builds its executor with
 //! `Engine::executor` ([`crate::common::sweep_worst`], the x5/x6 trim
-//! sweeps and the `x10` topology executor), the one place the two
-//! engines differ.
+//! sweeps and the `x10` topology executor) or `Engine::gathering` (the
+//! x9 and x11 fleet sweeps), the two places the engines differ.
 //! The engine name is part of every result-store key, so a store written
 //! under one engine misses (and recomputes) under the other.
 
 use rendezvous_core::RendezvousAlgorithm;
 use rendezvous_runner::{
-    AlgorithmExecutor, BatchExecutor, Bounded, Bounds, PieceExecutor, Runner, RunnerError,
-    ScenarioOutcome, SweepReport, WorkPiece,
+    AlgorithmExecutor, BatchExecutor, Bounded, Bounds, GatheringExecutor, PieceExecutor, Runner,
+    RunnerError, ScenarioOutcome, SweepReport, WorkPiece,
 };
+use std::sync::Arc;
 
-/// Which executor pair sweeps run through.
+/// Which executors sweeps run through.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
-    /// Round-by-round simulation ([`rendezvous_runner::AlgorithmExecutor`])
-    /// — the semantic reference the batched engine is checked against.
+    /// Round-by-round simulation ([`rendezvous_runner::AlgorithmExecutor`]
+    /// for pairs, [`GatheringExecutor::stepped`] for fleets) — the
+    /// semantic reference the batched engine is checked against.
     Stepped,
-    /// Delay-batched trajectory solving
-    /// ([`rendezvous_runner::BatchExecutor`]) — O(T+D) per (labels,
-    /// starts) group instead of O(D·T). The default.
+    /// Compiled trajectories: delay-batched solving for pairs
+    /// ([`rendezvous_runner::BatchExecutor`], O(T+D) per (labels,
+    /// starts) group instead of O(D·T)) and the fleet solver for
+    /// gatherings ([`GatheringExecutor::new`]). The default.
     #[default]
     Batched,
 }
@@ -77,6 +82,16 @@ impl Engine {
                 }
                 EngineExecutor::Batched(executor)
             }
+        }
+    }
+}
+
+impl Engine {
+    /// The gathering executor of `algorithm` on this engine.
+    pub(crate) fn gathering(self, algorithm: Arc<dyn RendezvousAlgorithm>) -> GatheringExecutor {
+        match self {
+            Engine::Stepped => GatheringExecutor::stepped(algorithm),
+            Engine::Batched => GatheringExecutor::new(algorithm),
         }
     }
 }

@@ -8,10 +8,10 @@
 //! configuration exercise: each [`GraphSpec`]'s entry in the
 //! [`TopoGrid`] is a **fleet-mode** [`Grid`] (fleet sizes × start
 //! rotations × delay phases, expanded by the standard [`FleetRule`]
-//! spread), executed by the [`GatheringExecutor`] and folded into a
-//! per-family [`SweepReport`] — worst rounds, worst rounds/bound ratio
-//! (against each scenario's own merge-and-restart bound
-//! `(k−1)·(time bound + max delay)`, compared by exact `u128`
+//! spread), executed by the session engine's [`GatheringExecutor`] and
+//! folded into a per-family [`SweepReport`] — worst rounds, worst
+//! rounds/bound ratio (against each scenario's own merge-and-restart
+//! bound `(k−1)·(time bound + max delay)`, compared by exact `u128`
 //! cross-multiplication) and total merge events.
 //!
 //! The sweep splits across processes exactly like X10:
@@ -20,6 +20,7 @@
 //! a direct run (CI-checked).
 
 use crate::common::{markdown_table, sweep_recorded};
+use crate::engine::Engine;
 use rendezvous_core::{Fast, LabelSpace, RendezvousAlgorithm};
 use rendezvous_explore::{spec_explorer, Explorer};
 use rendezvous_graph::GraphSpec;
@@ -129,13 +130,28 @@ pub fn build_gathering_topo_grid(
 }
 
 /// Per-entry gathering executor: builds `Fast` on the entry's cached
-/// graph and pre-resolved explorer, wraps it in a [`GatheringExecutor`],
-/// and reports the entry-level [`Bounds`] precomputed by
-/// [`build_gathering_topo_grid`].
+/// graph and pre-resolved explorer, wraps it in the engine's
+/// [`GatheringExecutor`], and reports the entry-level [`Bounds`]
+/// precomputed by [`build_gathering_topo_grid`].
 struct GatheringTopoExecutor {
+    engine: Engine,
     space: LabelSpace,
     /// `spec_index → (explorer, bounds)`, parallel to the grid's entries.
     contexts: Vec<EntryContext>,
+}
+
+impl GatheringTopoExecutor {
+    /// The gathering executor of `piece`'s entry, and its bounds.
+    fn entry_executor(&self, piece: &WorkPiece<'_>) -> (GatheringExecutor, Bounds) {
+        let entry = piece.entry.expect("topology pieces carry their entry");
+        let context = &self.contexts[entry.spec_index];
+        let alg: Arc<dyn RendezvousAlgorithm> = Arc::new(Fast::new(
+            entry.graph.clone(),
+            Arc::clone(&context.explorer),
+            self.space,
+        ));
+        (self.engine.gathering(alg), context.bounds)
+    }
 }
 
 impl PieceExecutor for GatheringTopoExecutor {
@@ -144,15 +160,9 @@ impl PieceExecutor for GatheringTopoExecutor {
         runner: &Runner,
         piece: &WorkPiece<'_>,
     ) -> Result<(Vec<ScenarioOutcome>, Option<Bounds>), RunnerError> {
-        let entry = piece.entry.expect("topology pieces carry their entry");
-        let context = &self.contexts[entry.spec_index];
-        let alg: Arc<dyn RendezvousAlgorithm> = Arc::new(Fast::new(
-            entry.graph.clone(),
-            Arc::clone(&context.explorer),
-            self.space,
-        ));
-        let outcomes = runner.outcomes(&GatheringExecutor::new(alg), &piece.scenarios)?;
-        Ok((outcomes, Some(context.bounds)))
+        let (executor, bounds) = self.entry_executor(piece);
+        let outcomes = runner.outcomes(&executor, &piece.scenarios)?;
+        Ok((outcomes, Some(bounds)))
     }
 }
 
@@ -210,7 +220,11 @@ pub fn run(
     let stats = sweep_recorded(
         "x11 gathering",
         &topo,
-        &GatheringTopoExecutor { space, contexts },
+        &GatheringTopoExecutor {
+            engine: crate::engine::current(),
+            space,
+            contexts,
+        },
         runner,
     );
     assert!(
@@ -313,6 +327,35 @@ mod tests {
         assert!(report.stats.clean());
     }
 
+    /// On the batched engine an x11 piece's fleets are replayed from
+    /// trajectories alone: every entry compiles plans, and none of them
+    /// builds its per-round actions.
+    #[test]
+    fn batched_x11_pieces_build_no_plan_actions() {
+        let specs: Vec<GraphSpec> = standard_topo_specs(false).into_iter().step_by(37).collect();
+        let (topo, contexts) = build_gathering_topo_grid(
+            specs,
+            6,
+            &standard_fleet_sizes(false),
+            &standard_phases(false),
+            8,
+        );
+        let exec = GatheringTopoExecutor {
+            engine: Engine::Batched,
+            space: LabelSpace::new(6).unwrap(),
+            contexts,
+        };
+        for piece in topo.pieces(0, topo.size()) {
+            let (executor, _) = exec.entry_executor(&piece);
+            let outcomes = Runner::sequential()
+                .outcomes(&executor, &piece.scenarios)
+                .unwrap();
+            assert!(outcomes.iter().all(|o| o.met()));
+            assert!(executor.compiled_plans() > 0);
+            assert_eq!(executor.plans_with_actions(), 0, "{:?}", piece.key);
+        }
+    }
+
     /// X11 split into lease ranges, each swept with `Runner::sweep_range`
     /// and merged, reproduces the direct sweep exactly — the merge
     /// property the fabric's lease folds depend on.
@@ -321,6 +364,7 @@ mod tests {
         let specs: Vec<GraphSpec> = standard_topo_specs(true).into_iter().step_by(40).collect();
         let (topo, contexts) = build_gathering_topo_grid(specs, 4, &[2, 3], &[0, 5], 2);
         let exec = GatheringTopoExecutor {
+            engine: Engine::Batched,
             space: LabelSpace::new(4).unwrap(),
             contexts,
         };

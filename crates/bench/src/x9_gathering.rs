@@ -10,14 +10,15 @@
 //! Since the `Scenario` redesign, X9 runs **through the Runner's
 //! generic workload path**: each fleet size is a [`Grid`] in fleet mode
 //! (the standard [`FleetRule`] spread × a delay-phase axis), executed by
-//! the [`GatheringExecutor`] and folded into a
-//! [`SweepReport`](rendezvous_runner::SweepReport) — which means
-//! gathering sweeps are cached, leased to fabric workers and replayed
-//! exactly like the adversarial pair sweeps of X1–X8.
+//! the session engine's
+//! [`GatheringExecutor`](rendezvous_runner::GatheringExecutor) and
+//! folded into a [`SweepReport`](rendezvous_runner::SweepReport) — which
+//! means gathering sweeps are cached, leased to fabric workers and
+//! replayed exactly like the adversarial pair sweeps of X1–X8.
 
 use crate::common::{ring_setup, sweep_recorded};
 use rendezvous_core::{Fast, LabelSpace, RendezvousAlgorithm};
-use rendezvous_runner::{FleetRule, GatheringExecutor, Grid, GroupStats, Runner};
+use rendezvous_runner::{FleetRule, Grid, GroupStats, Runner};
 use serde::Serialize;
 use std::sync::Arc;
 
@@ -70,7 +71,7 @@ pub fn run(n: usize, l: u64, ks: &[usize], runner: &Runner) -> Vec<Row> {
     let (g, ex) = ring_setup(n);
     let space = LabelSpace::new(l).expect("l >= 2");
     let alg: Arc<dyn RendezvousAlgorithm> = Arc::new(Fast::new(g.clone(), ex, space));
-    let executor = GatheringExecutor::new(Arc::clone(&alg));
+    let executor = crate::engine::current().gathering(Arc::clone(&alg));
     let rule = FleetRule::spread(&g, l);
     ks.iter()
         .map(|&k| {
@@ -219,7 +220,7 @@ mod tests {
     /// merge property fabric replays rest on.
     #[test]
     fn x9_range_merge_reproduces_the_direct_rows() {
-        use rendezvous_runner::{SweepReport, Workload};
+        use rendezvous_runner::{GatheringExecutor, SweepReport, Workload};
         let (n, l, ks) = (9, 16, [2usize, 3]);
         let (g, ex) = ring_setup(n);
         let space = LabelSpace::new(l).unwrap();

@@ -12,7 +12,7 @@ use rendezvous_graph::{NodeId, Port, PortLabeledGraph};
 use rendezvous_sim::{Action, AgentBehavior, Observation, Trajectory};
 use std::cell::RefCell;
 use std::fmt;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
 /// One phase of a schedule.
 #[derive(Clone)]
@@ -258,9 +258,9 @@ impl ScheduleBehavior {
 }
 
 /// A schedule fully unrolled from a fixed start node: every round's
-/// action precomputed into one flat array, so an agent's per-round
-/// decision phase is an **indexed load** instead of phase bookkeeping
-/// plus an explorer-run step.
+/// position (and, on demand, action) precomputed into flat arrays, so an
+/// agent's per-round decision phase is an **indexed load** instead of
+/// phase bookkeeping plus an explorer-run step.
 ///
 /// Everything a [`ScheduleBehavior`] does is a deterministic function of
 /// `(schedule, start)` — the observation stream never influences its
@@ -282,14 +282,39 @@ impl ScheduleBehavior {
 /// construction. The equivalence tests below and the byte-identical
 /// experiment outputs both rest on that.
 ///
-/// A plan keeps both forms of the walk: [`FlatPlan::actions`] for the
-/// stepped engine and [`FlatPlan::trajectory`] for the batched one.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// Compiling a plan writes only its [`FlatPlan::trajectory`], the form
+/// the batched engines read. The per-round [`FlatPlan::actions`] that
+/// the stepped engine replays are built on first use, from the phase
+/// list the plan keeps (bulk waits and shared segments), so a plan that
+/// only the batched engines touch never pays for them.
+#[derive(Debug, Clone)]
 pub struct FlatPlan {
-    actions: Vec<Action>,
+    /// The schedule's phases as compiled: what `actions` is built from.
+    pieces: Vec<PlanPiece>,
+    actions: OnceLock<Vec<Action>>,
     end_position: NodeId,
     trajectory: Trajectory,
 }
+
+/// One compiled phase of a [`FlatPlan`].
+#[derive(Debug, Clone)]
+enum PlanPiece {
+    /// A wait phase of this many rounds.
+    Wait(u64),
+    /// An explore phase: its segment from the node the phase starts on.
+    Explore(Arc<Segment>),
+}
+
+impl PartialEq for FlatPlan {
+    /// Plans are equal when they walk alike, action for action.
+    fn eq(&self, other: &Self) -> bool {
+        self.end_position == other.end_position
+            && self.trajectory == other.trajectory
+            && self.actions() == other.actions()
+    }
+}
+
+impl Eq for FlatPlan {}
 
 /// One explore phase unrolled from its start node: what the phase
 /// appends to every plan that runs the same explorer from that node.
@@ -421,47 +446,67 @@ impl FlatPlan {
     pub fn compile_memoized(memo: &SegmentMemo, schedule: &Schedule, start: NodeId) -> FlatPlan {
         assert!(memo.graph.contains(start), "start node out of range");
         let total = usize::try_from(schedule.total_rounds()).expect("schedule fits in memory");
-        let mut actions = Vec::with_capacity(total);
+        let mut pieces = Vec::with_capacity(schedule.phases().len());
         let mut trajectory = Trajectory::with_capacity(node_index(start), total);
         let mut at = start;
         for phase in schedule.phases() {
             match phase {
                 Phase::Wait(rounds) => {
-                    let idle = usize::try_from(*rounds).expect("wait fits in memory");
-                    actions.resize(actions.len() + idle, Action::Stay);
                     trajectory.idle(*rounds);
+                    pieces.push(PlanPiece::Wait(*rounds));
                 }
                 Phase::Explore(explorer) => {
                     let segment = memo.segment(explorer, at);
-                    actions.extend_from_slice(&segment.actions);
                     trajectory.append(&segment.trajectory);
                     at = segment.end;
+                    pieces.push(PlanPiece::Explore(segment));
                 }
             }
         }
         FlatPlan {
-            actions,
+            pieces,
+            actions: OnceLock::new(),
             end_position: at,
             trajectory,
         }
     }
 
-    /// The compiled per-round actions, in schedule order.
+    /// The per-round actions, in schedule order: built from the plan's
+    /// phases on the first call (each wait appended whole, each explore
+    /// phase as its segment's actions) and kept.
     #[must_use]
     pub fn actions(&self) -> &[Action] {
-        &self.actions
+        self.actions.get_or_init(|| {
+            let mut actions = Vec::with_capacity(self.len());
+            for piece in &self.pieces {
+                match piece {
+                    PlanPiece::Wait(rounds) => {
+                        let idle = usize::try_from(*rounds).expect("wait fits in memory");
+                        actions.resize(actions.len() + idle, Action::Stay);
+                    }
+                    PlanPiece::Explore(segment) => actions.extend_from_slice(&segment.actions),
+                }
+            }
+            actions
+        })
+    }
+
+    /// Returns `true` once [`FlatPlan::actions`] has been built.
+    #[must_use]
+    pub fn actions_built(&self) -> bool {
+        self.actions.get().is_some()
     }
 
     /// Total rounds the plan covers (= the schedule's total rounds).
     #[must_use]
     pub fn len(&self) -> usize {
-        self.actions.len()
+        usize::try_from(self.trajectory.steps()).expect("plan fits in memory")
     }
 
     /// Returns `true` for a zero-round plan.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.actions.is_empty()
+        self.len() == 0
     }
 
     /// Where the agent stands after the full plan has executed.
@@ -489,6 +534,12 @@ impl FlatPlan {
     }
 }
 
+impl AsRef<Trajectory> for FlatPlan {
+    fn as_ref(&self) -> &Trajectory {
+        &self.trajectory
+    }
+}
+
 /// Replays a compiled [`FlatPlan`]: each round is one array load and a
 /// cursor increment. After the plan is exhausted the agent stays idle
 /// forever, exactly like an exhausted [`ScheduleBehavior`].
@@ -512,7 +563,7 @@ impl AgentBehavior for FlatPlanBehavior {
     fn next_action(&mut self, _observation: Observation) -> Action {
         let action = self
             .plan
-            .actions
+            .actions()
             .get(self.cursor)
             .copied()
             .unwrap_or(Action::Stay);
@@ -667,11 +718,33 @@ mod tests {
         assert_eq!(s.describe(), "EEEEEwwEE");
     }
 
+    /// The eager compile plans used to run before their actions became
+    /// lazy: every wait appended as stays, every explore phase as its
+    /// memo segment's actions.
+    fn eager_actions(memo: &SegmentMemo, schedule: &Schedule, start: NodeId) -> Vec<Action> {
+        let mut actions = Vec::new();
+        let mut at = start;
+        for phase in schedule.phases() {
+            match phase {
+                Phase::Wait(rounds) => {
+                    actions.resize(actions.len() + *rounds as usize, Action::Stay);
+                }
+                Phase::Explore(explorer) => {
+                    let segment = memo.segment(explorer, at);
+                    actions.extend_from_slice(&segment.actions);
+                    at = segment.end;
+                }
+            }
+        }
+        actions
+    }
+
     /// The flat plan is defined as the stepped execution: for every
     /// (algorithm, label, start) triple here, replaying the compiled
     /// array move for move matches driving the `ScheduleBehavior`, and
     /// both agree on the final position. The sweep executors' byte-identical
-    /// outputs rest on this equivalence.
+    /// outputs rest on this equivalence. Compiling builds no actions;
+    /// the ones built on first use equal the old eager compile's.
     #[test]
     fn flat_plan_replays_the_stepped_schedule_exactly() {
         use crate::{Cheap, Fast, Label, LabelSpace, RendezvousAlgorithm};
@@ -688,15 +761,13 @@ mod tests {
                 let schedule = Arc::new(alg.schedule(Label::new(label).unwrap()).unwrap());
                 for start in 0..g.node_count() {
                     let start = NodeId::new(start);
-                    let plan = Arc::new(FlatPlan::compile(g.clone(), Arc::clone(&schedule), start));
+                    let memo = SegmentMemo::new(g.clone());
+                    let plan = Arc::new(FlatPlan::compile_memoized(&memo, &schedule, start));
+                    assert!(!plan.actions_built(), "compiling builds no actions");
                     let rounds = schedule.total_rounds();
                     let mut stepped =
                         ScheduleBehavior::with_shared(g.clone(), Arc::clone(&schedule), start);
                     let step_trace = run_solo(&g, &mut stepped, start, rounds).unwrap();
-                    let mut flat = plan.behavior();
-                    let flat_trace = run_solo(&g, &mut flat, start, rounds).unwrap();
-                    assert_eq!(flat_trace.actions, step_trace.actions);
-                    assert_eq!(flat_trace.positions, step_trace.positions);
                     assert_eq!(plan.len() as u64, rounds);
                     assert_eq!(plan.end_position(), *step_trace.positions.last().unwrap());
                     // The recorded trajectory is the same walk as SoA:
@@ -713,6 +784,14 @@ mod tests {
                     for (r, action) in step_trace.actions.iter().enumerate() {
                         assert_eq!(trajectory.moved_in(r as u64 + 1), action.is_move());
                     }
+                    assert!(!plan.actions_built(), "the trajectory builds no actions");
+                    assert_eq!(plan.actions(), &eager_actions(&memo, &schedule, start)[..]);
+                    assert_eq!(plan.actions(), &step_trace.actions[..]);
+                    assert!(plan.actions_built());
+                    let mut flat = plan.behavior();
+                    let flat_trace = run_solo(&g, &mut flat, start, rounds).unwrap();
+                    assert_eq!(flat_trace.actions, step_trace.actions);
+                    assert_eq!(flat_trace.positions, step_trace.positions);
                     // Past the end, the plan idles forever like an
                     // exhausted schedule.
                     let mut tail = plan.behavior();

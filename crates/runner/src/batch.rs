@@ -16,11 +16,13 @@
 //! runs the same loop and collects the outcomes instead, for callers
 //! that read them one by one.
 //!
-//! Scenarios the solver's preconditions don't cover (fleets, equal or
-//! out-of-range starts, a delayed *first* agent, a disconnected graph)
-//! fall back to the wrapped [`AlgorithmExecutor`] one by one, which keeps
-//! error behavior — `StartsNotDistinct`, `NotConnected`, bad labels —
-//! identical too. The stepped engine thus stays in the loop as the
+//! Scenarios the solver's preconditions don't cover (equal or
+//! out-of-range starts, a delayed *first* agent, a disconnected graph,
+//! and fleets, which run on the
+//! [`GatheringExecutor`](crate::GatheringExecutor) instead) fall back to
+//! the wrapped [`AlgorithmExecutor`] one by one, which keeps error
+//! behavior — `StartsNotDistinct`, `NotConnected`, bad labels, the
+//! refusal of a fleet — identical too. The stepped engine thus stays in the loop as the
 //! equivalence oracle; see `tests/batch_equivalence.rs`.
 //!
 //! [`FlatPlan`]: rendezvous_core::FlatPlan

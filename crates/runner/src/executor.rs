@@ -106,25 +106,23 @@ pub trait Executor {
     fn run(&self, scenario: &Scenario) -> Result<ScenarioOutcome, RunnerError>;
 }
 
-/// Executes scenarios against a [`RendezvousAlgorithm`]: each agent runs
-/// the schedule the algorithm compiles for its label.
+/// The compiled forms of one algorithm's schedules, memoized at three
+/// levels and owned by one executor. A sweep revisits each label across
+/// thousands of start pairs and delays, so the cache compiles
+/// `label → Arc<Schedule>` once; and because a schedule's whole
+/// execution is a deterministic function of its start node, it further
+/// unrolls `(label, start) → Arc<FlatPlan>` (see [`FlatPlan`]). Plans
+/// are assembled from explore segments compiled once per (explorer,
+/// node) in a [`SegmentMemo`], shared by every label and start. All
+/// three caches are write-once per key.
 ///
-/// Compilation is **memoized per executor**, at three levels. A sweep
-/// revisits each label across thousands of start pairs and delays, so
-/// the executor compiles `label → Arc<Schedule>` once; and because a
-/// schedule's whole execution is a deterministic function of its start
-/// node, it further unrolls `(label, start) → Arc<FlatPlan>` — the flat
-/// action array that turns every agent's per-round decision phase into
-/// an indexed load (see [`FlatPlan`]). Plans are assembled from explore
-/// segments compiled once per (explorer, node) in a [`SegmentMemo`],
-/// shared by every label and start. All three caches are write-once
-/// per key and owned by the executor alone.
-pub struct AlgorithmExecutor<'a> {
-    algorithm: &'a dyn RendezvousAlgorithm,
+/// The cache does not hold the algorithm: its owner passes the same one
+/// to every call.
+pub(crate) struct PlanCache {
     schedules: RefCell<BTreeMap<u64, Arc<Schedule>>>,
     plans: RefCell<BTreeMap<(u64, NodeId), Arc<FlatPlan>>>,
     segments: SegmentMemo,
-    plan_stats: Option<PlanCacheStats>,
+    stats: Option<PlanCacheStats>,
 }
 
 /// Plan-cache hit/miss counters (attached via
@@ -134,16 +132,102 @@ struct PlanCacheStats {
     misses: Counter,
 }
 
+impl PlanCache {
+    /// An empty cache for `algorithm`'s schedules.
+    pub(crate) fn new(algorithm: &dyn RendezvousAlgorithm) -> Self {
+        PlanCache {
+            schedules: RefCell::new(BTreeMap::new()),
+            plans: RefCell::new(BTreeMap::new()),
+            segments: SegmentMemo::new(Arc::clone(algorithm.graph())),
+            stats: None,
+        }
+    }
+
+    /// The compiled schedule for `label_value`; see
+    /// [`AlgorithmExecutor::schedule`].
+    pub(crate) fn schedule(
+        &self,
+        algorithm: &dyn RendezvousAlgorithm,
+        label_value: u64,
+    ) -> Result<Arc<Schedule>, RunnerError> {
+        if let Some(s) = self.schedules.borrow().get(&label_value) {
+            return Ok(Arc::clone(s));
+        }
+        let label = Label::new(label_value)
+            .ok_or_else(|| RunnerError::new(format!("label {label_value} is not positive")))?;
+        let compiled = Arc::new(algorithm.schedule(label)?);
+        self.schedules
+            .borrow_mut()
+            .insert(label_value, Arc::clone(&compiled));
+        Ok(compiled)
+    }
+
+    /// The flat plan for `(label_value, start)`; see
+    /// [`AlgorithmExecutor::plan`].
+    pub(crate) fn plan(
+        &self,
+        algorithm: &dyn RendezvousAlgorithm,
+        label_value: u64,
+        start: NodeId,
+    ) -> Result<Arc<FlatPlan>, RunnerError> {
+        let key = (label_value, start);
+        if let Some(p) = self.plans.borrow().get(&key) {
+            if let Some(stats) = &self.stats {
+                stats.hits.inc();
+            }
+            return Ok(Arc::clone(p));
+        }
+        let schedule = self.schedule(algorithm, label_value)?;
+        let compiled = Arc::new(FlatPlan::compile_memoized(&self.segments, &schedule, start));
+        if let Some(stats) = &self.stats {
+            stats.misses.inc();
+        }
+        self.plans.borrow_mut().insert(key, Arc::clone(&compiled));
+        Ok(compiled)
+    }
+
+    /// Number of distinct labels compiled so far.
+    pub(crate) fn compiled_labels(&self) -> usize {
+        self.schedules.borrow().len()
+    }
+
+    /// Number of distinct `(label, start)` plans compiled so far.
+    pub(crate) fn compiled_plans(&self) -> usize {
+        self.plans.borrow().len()
+    }
+
+    /// Number of cached plans whose per-round actions have been built.
+    pub(crate) fn plans_with_actions(&self) -> usize {
+        self.plans
+            .borrow()
+            .values()
+            .filter(|p| p.actions_built())
+            .count()
+    }
+}
+
+/// Executes scenarios against a [`RendezvousAlgorithm`]: each agent runs
+/// the schedule the algorithm compiles for its label.
+///
+/// Compilation is **memoized per executor**: `label → Arc<Schedule>`,
+/// `(label, start) → Arc<FlatPlan>` (the flat action plan that turns
+/// every agent's per-round decision phase into an indexed load, see
+/// [`FlatPlan`]) and explore segments per (explorer, node), in one
+/// write-once cache owned by the executor alone. A
+/// [`GatheringExecutor`](crate::GatheringExecutor) owns the same kind of
+/// cache.
+pub struct AlgorithmExecutor<'a> {
+    algorithm: &'a dyn RendezvousAlgorithm,
+    cache: PlanCache,
+}
+
 impl<'a> AlgorithmExecutor<'a> {
     /// Wraps an algorithm.
     #[must_use]
     pub fn new(algorithm: &'a dyn RendezvousAlgorithm) -> Self {
         AlgorithmExecutor {
             algorithm,
-            schedules: RefCell::new(BTreeMap::new()),
-            plans: RefCell::new(BTreeMap::new()),
-            segments: SegmentMemo::new(Arc::clone(algorithm.graph())),
-            plan_stats: None,
+            cache: PlanCache::new(algorithm),
         }
     }
 
@@ -152,7 +236,7 @@ impl<'a> AlgorithmExecutor<'a> {
     /// `hits + misses` equals accesses.
     #[must_use]
     pub fn with_metrics(mut self, metrics: &Metrics) -> Self {
-        self.plan_stats = Some(PlanCacheStats {
+        self.cache.stats = Some(PlanCacheStats {
             hits: metrics.counter(Scope::Process, "plan_cache_hits"),
             misses: metrics.counter(Scope::Process, "plan_cache_misses"),
         });
@@ -166,16 +250,7 @@ impl<'a> AlgorithmExecutor<'a> {
     /// Rejects non-positive labels and propagates compilation errors
     /// (e.g. a label outside the algorithm's label space).
     pub fn schedule(&self, label_value: u64) -> Result<Arc<Schedule>, RunnerError> {
-        if let Some(s) = self.schedules.borrow().get(&label_value) {
-            return Ok(Arc::clone(s));
-        }
-        let label = Label::new(label_value)
-            .ok_or_else(|| RunnerError::new(format!("label {label_value} is not positive")))?;
-        let compiled = Arc::new(self.algorithm.schedule(label)?);
-        self.schedules
-            .borrow_mut()
-            .insert(label_value, Arc::clone(&compiled));
-        Ok(compiled)
+        self.cache.schedule(self.algorithm, label_value)
     }
 
     /// The flat action plan for `(label_value, start)` — the label's
@@ -188,32 +263,19 @@ impl<'a> AlgorithmExecutor<'a> {
     ///
     /// See [`AlgorithmExecutor::schedule`].
     pub fn plan(&self, label_value: u64, start: NodeId) -> Result<Arc<FlatPlan>, RunnerError> {
-        let key = (label_value, start);
-        if let Some(p) = self.plans.borrow().get(&key) {
-            if let Some(stats) = &self.plan_stats {
-                stats.hits.inc();
-            }
-            return Ok(Arc::clone(p));
-        }
-        let schedule = self.schedule(label_value)?;
-        let compiled = Arc::new(FlatPlan::compile_memoized(&self.segments, &schedule, start));
-        if let Some(stats) = &self.plan_stats {
-            stats.misses.inc();
-        }
-        self.plans.borrow_mut().insert(key, Arc::clone(&compiled));
-        Ok(compiled)
+        self.cache.plan(self.algorithm, label_value, start)
     }
 
     /// Number of distinct labels compiled so far (cache size).
     #[must_use]
     pub fn compiled_labels(&self) -> usize {
-        self.schedules.borrow().len()
+        self.cache.compiled_labels()
     }
 
     /// Number of distinct `(label, start)` flat plans unrolled so far.
     #[must_use]
     pub fn compiled_plans(&self) -> usize {
-        self.plans.borrow().len()
+        self.cache.compiled_plans()
     }
 }
 
@@ -308,63 +370,5 @@ where
             outcome.cost(),
             outcome.crossings(),
         ))
-    }
-}
-
-/// Executes **fleet** scenarios (`k ≥ 2`) as gatherings: every placement
-/// becomes a merge-and-restart [`GatheringAgent`](rendezvous_core::GatheringAgent)
-/// running `algorithm`, driven by
-/// [`run_gathering`](rendezvous_sim::gathering::run_gathering) until all
-/// `k` agents share a node or the horizon elapses.
-///
-/// Each outcome carries the merge-and-restart analytic bound
-/// `(k−1) · (time bound + max delay)` as its per-scenario
-/// [`time_bound`](crate::ScenarioOutcome::time_bound), so
-/// [`SweepReport`](crate::SweepReport) folds judge violations and the
-/// worst rounds/bound ratio against the bound that actually applies to
-/// that fleet — a sweep-level [`Bounds`](crate::Bounds) pair cannot
-/// express it.
-pub struct GatheringExecutor {
-    algorithm: Arc<dyn RendezvousAlgorithm>,
-}
-
-impl GatheringExecutor {
-    /// Wraps the two-agent algorithm the fleet members run pairwise.
-    #[must_use]
-    pub fn new(algorithm: Arc<dyn RendezvousAlgorithm>) -> Self {
-        GatheringExecutor { algorithm }
-    }
-
-    /// The merge-and-restart bound `(k−1) · (time bound + max delay)` of
-    /// one fleet scenario under this executor's algorithm.
-    #[must_use]
-    pub fn merge_restart_bound(&self, scenario: &Scenario) -> u64 {
-        (scenario.k() as u64 - 1) * (self.algorithm.time_bound() + scenario.max_delay())
-    }
-}
-
-impl Executor for GatheringExecutor {
-    fn run(&self, scenario: &Scenario) -> Result<ScenarioOutcome, RunnerError> {
-        let placements: Vec<(u64, rendezvous_graph::NodeId, u64)> = scenario
-            .placements
-            .iter()
-            .map(|p| (p.label, p.start, p.delay))
-            .collect();
-        let fleet = rendezvous_core::gathering_fleet(&self.algorithm, &placements)?;
-        let out = rendezvous_sim::gathering::run_gathering(
-            self.algorithm.graph(),
-            fleet,
-            scenario.horizon,
-        )?;
-        Ok(ScenarioOutcome {
-            scenario: scenario.clone(),
-            time: out.gathered.as_ref().map(|m| m.round),
-            cost: out.cost(),
-            // The gathering engine does not track edge crossings — they
-            // are a two-agent-meeting diagnostic.
-            crossings: 0,
-            time_bound: Some(self.merge_restart_bound(scenario)),
-            merges: out.merge_events() as u64,
-        })
     }
 }

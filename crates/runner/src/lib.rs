@@ -73,6 +73,7 @@
 
 mod batch;
 mod executor;
+mod gathering;
 mod grid;
 mod report;
 mod runner;
@@ -81,7 +82,8 @@ mod topo;
 mod workload;
 
 pub use batch::BatchExecutor;
-pub use executor::{AlgorithmExecutor, Executor, FactoryExecutor, GatheringExecutor, RunnerError};
+pub use executor::{AlgorithmExecutor, Executor, FactoryExecutor, RunnerError};
+pub use gathering::GatheringExecutor;
 pub use grid::{FleetRule, Grid};
 pub use report::{fold_outcomes, Bounds, GroupStats, SweepReport, Witness};
 pub use runner::Runner;

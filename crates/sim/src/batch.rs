@@ -161,6 +161,12 @@ impl Trajectory {
     }
 }
 
+impl AsRef<Trajectory> for Trajectory {
+    fn as_ref(&self) -> &Trajectory {
+        self
+    }
+}
+
 /// Comparison lanes per scan chunk: equality over fixed 8-wide `u32`
 /// windows compiles to vector compares with a movemask-style reduction.
 const LANES: usize = 8;

@@ -19,6 +19,12 @@ pub enum SimError {
         /// The shared node.
         node: NodeId,
     },
+    /// Two fleet members carry the same label; gathering agents tell
+    /// each other apart by label, so labels must be distinct.
+    LabelsNotDistinct {
+        /// The shared label.
+        label: u64,
+    },
     /// A start node is not a node of the graph.
     StartOutOfRange {
         /// The offending node.
@@ -53,6 +59,9 @@ impl fmt::Display for SimError {
             }
             SimError::StartsNotDistinct { node } => {
                 write!(f, "agents must start at distinct nodes (both at {node})")
+            }
+            SimError::LabelsNotDistinct { label } => {
+                write!(f, "agents must carry distinct labels (two carry {label})")
             }
             SimError::StartOutOfRange { node } => write!(f, "start node {node} out of range"),
             SimError::InvalidWakeRound => write!(f, "wake-up rounds are 1-based (got 0)"),
