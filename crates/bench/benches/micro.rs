@@ -74,15 +74,13 @@ fn engine_occupancy(c: &mut Criterion) {
     }
 }
 
-/// The flat-plan decision phase: a compiled `(label, start)` action
-/// array replaces the `ScheduleBehavior`'s per-round phase bookkeeping
-/// and explorer-run stepping with an indexed load. The baseline drives
-/// the stepped behavior through a full solo run; the flat variant
-/// replays the precompiled plan over the same rounds; the compile case
-/// prices the one-off unroll the executor's `(label, start)` cache
-/// amortizes across every delay and partner configuration of a sweep.
-fn engine_flat_plan(c: &mut Criterion) {
-    use rendezvous_core::{FlatPlan, Label, ScheduleBehavior};
+/// Plans and stepped schedules. The compile cases price the one-off
+/// trajectory compile the executor's `(label, start)` cache amortizes
+/// across every delay and partner configuration of a sweep; the step
+/// cases drive the `ScheduleBehavior` the stepped engine runs, round by
+/// round, through its decisions alone and through a full solo run.
+fn engine_plan(c: &mut Criterion) {
+    use rendezvous_core::{Label, ScheduleBehavior, SegmentMemo};
     use rendezvous_sim::run_solo;
     let g = Arc::new(generators::oriented_ring(64).unwrap());
     let ex: Arc<dyn Explorer> = Arc::new(OrientedRingExplorer::new(g.clone()).unwrap());
@@ -92,7 +90,11 @@ fn engine_flat_plan(c: &mut Criterion) {
     let start = NodeId::new(0);
     c.bench_function("engine/flat_plan_compile", |b| {
         b.iter(|| {
-            black_box(FlatPlan::compile(g.clone(), Arc::clone(&schedule), start).len());
+            black_box(
+                SegmentMemo::new(g.clone())
+                    .trajectory(&schedule, start)
+                    .steps(),
+            );
         });
     });
     // Every (label, start) plan of Cheap and Fast on one 12-node DfsMap
@@ -122,7 +124,7 @@ fn engine_flat_plan(c: &mut Criterion) {
                     let executor = AlgorithmExecutor::new(alg.as_ref());
                     for label in 1..=space.size() {
                         for start in g.nodes() {
-                            rounds += executor.plan(label, start).unwrap().len();
+                            rounds += executor.plan(label, start).unwrap().steps();
                         }
                     }
                 }
@@ -150,30 +152,8 @@ fn engine_flat_plan(c: &mut Criterion) {
             black_box(moves)
         });
     });
-    let plan = Arc::new(FlatPlan::compile(g.clone(), Arc::clone(&schedule), start));
-    c.bench_function("engine/flat_plan_decisions", |b| {
-        b.iter(|| {
-            let mut flat = plan.behavior();
-            let mut moves = 0u64;
-            for r in 0..rounds {
-                let action = flat.next_action(Observation {
-                    local_round: r,
-                    degree: 2,
-                    entry_port: None,
-                });
-                moves += u64::from(action.is_move());
-            }
-            black_box(moves)
-        });
-    });
-    // End-to-end through the solo harness, for the realistic per-run
-    // saving a sweep scenario sees.
-    c.bench_function("engine/flat_plan_solo_run", |b| {
-        b.iter(|| {
-            let mut flat = plan.behavior();
-            black_box(run_solo(&g, &mut flat, start, rounds).unwrap().cost())
-        });
-    });
+    // End-to-end through the solo harness, for the per-run cost a
+    // stepped sweep scenario sees.
     c.bench_function("engine/schedule_step_solo_run", |b| {
         b.iter(|| {
             let mut stepped =
@@ -285,12 +265,13 @@ fn topo_graph_build(c: &mut Criterion) {
 
 /// The delay-batched solver against the stepped engine on the same
 /// delay sweep — the O(D·T) → O(T+D) tentpole measurement. Both variants
-/// start from precompiled plans (matching the production executors,
-/// where the `(label, start)` plan cache makes compilation a one-off),
-/// so the ratio isolates solve time. D = 24 delays ≥ the 16 the
-/// acceptance threshold is defined at.
+/// start from what the production executors cache: compiled schedules,
+/// stepped by `ScheduleBehavior`s, and precompiled trajectories, which
+/// the `(label, start)` plan cache makes a one-off, so the ratio
+/// isolates solve time. D = 24 delays ≥ the 16 the acceptance threshold
+/// is defined at.
 fn batch_solving(c: &mut Criterion) {
-    use rendezvous_core::FlatPlan;
+    use rendezvous_core::{ScheduleBehavior, SegmentMemo};
     use rendezvous_sim::BatchSolver;
     let g = Arc::new(generators::oriented_ring(64).unwrap());
     let ex: Arc<dyn Explorer> = Arc::new(OrientedRingExplorer::new(g.clone()).unwrap());
@@ -298,16 +279,15 @@ fn batch_solving(c: &mut Criterion) {
     let schedule_a = Arc::new(alg.schedule(Label::new(17).unwrap()).unwrap());
     let schedule_b = Arc::new(alg.schedule(Label::new(42).unwrap()).unwrap());
     let (start_a, start_b) = (NodeId::new(0), NodeId::new(31));
-    let plan_a = Arc::new(FlatPlan::compile(
-        g.clone(),
-        Arc::clone(&schedule_a),
-        start_a,
-    ));
-    let plan_b = Arc::new(FlatPlan::compile(
-        g.clone(),
-        Arc::clone(&schedule_b),
-        start_b,
-    ));
+    let plan_a = SegmentMemo::new(g.clone()).trajectory(&schedule_a, start_a);
+    let plan_b = SegmentMemo::new(g.clone()).trajectory(&schedule_b, start_b);
+    let behavior = |schedule: &Arc<_>, start| {
+        Box::new(ScheduleBehavior::with_shared(
+            g.clone(),
+            Arc::clone(schedule),
+            start,
+        ))
+    };
     let horizon = alg.time_bound();
     let delays: Vec<u64> = (0..24).collect();
     c.bench_function("batch/delay_sweep_stepped", |b| {
@@ -315,8 +295,14 @@ fn batch_solving(c: &mut Criterion) {
             let mut met = 0u64;
             for &d in &delays {
                 let out = Simulation::new(&g)
-                    .agent(Box::new(plan_a.behavior()), AgentSpec::immediate(start_a))
-                    .agent(Box::new(plan_b.behavior()), AgentSpec::delayed(start_b, d))
+                    .agent(
+                        behavior(&schedule_a, start_a),
+                        AgentSpec::immediate(start_a),
+                    )
+                    .agent(
+                        behavior(&schedule_b, start_b),
+                        AgentSpec::delayed(start_b, d),
+                    )
                     .max_rounds(horizon)
                     .run()
                     .unwrap();
@@ -327,7 +313,7 @@ fn batch_solving(c: &mut Criterion) {
     });
     c.bench_function("batch/delay_sweep_batched", |b| {
         b.iter(|| {
-            let solver = BatchSolver::new(plan_a.trajectory(), plan_b.trajectory(), horizon);
+            let solver = BatchSolver::new(&plan_a, &plan_b, horizon);
             let mut met = 0u64;
             for &d in &delays {
                 met += u64::from(solver.solve(d).round.is_some());
@@ -366,12 +352,12 @@ fn batch_solving(c: &mut Criterion) {
         });
     }
     // The one-off cost the batched path adds on a plan-cache miss:
-    // compiling a plan now also records its trajectory.
+    // compiling the plan's trajectory.
     c.bench_function("batch/trajectory_compile", |b| {
         b.iter(|| {
             black_box(
-                FlatPlan::compile(g.clone(), Arc::clone(&schedule_a), start_a)
-                    .trajectory()
+                SegmentMemo::new(g.clone())
+                    .trajectory(&schedule_a, start_a)
                     .steps(),
             )
         });
@@ -565,7 +551,7 @@ const SAMPLE_SIZE: usize = 20;
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(SAMPLE_SIZE);
-    targets = engine_throughput, engine_occupancy, engine_flat_plan, walk_computation, label_machinery, graph_generation, topo_graph_build, batch_solving, runner_fold, runner_sweep, gathering_sweep, store_paths
+    targets = engine_throughput, engine_occupancy, engine_plan, walk_computation, label_machinery, graph_generation, topo_graph_build, batch_solving, runner_fold, runner_sweep, gathering_sweep, store_paths
 }
 
 /// Runs every group, then persists the recorded medians as

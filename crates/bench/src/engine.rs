@@ -25,8 +25,10 @@ use std::sync::Arc;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum Engine {
     /// Round-by-round simulation ([`rendezvous_runner::AlgorithmExecutor`]
-    /// for pairs, [`GatheringExecutor::stepped`] for fleets) — the
-    /// semantic reference the batched engine is checked against.
+    /// stepping `ScheduleBehavior`s for pairs, [`GatheringExecutor::stepped`]
+    /// for fleets) — the semantic reference the batched engine is checked
+    /// against. It compiles no trajectory, so a compile bug cannot reach
+    /// both engines alike.
     Stepped,
     /// Compiled trajectories: delay-batched solving for pairs
     /// ([`rendezvous_runner::BatchExecutor`], O(T+D) per (labels,

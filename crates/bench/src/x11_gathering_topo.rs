@@ -328,10 +328,10 @@ mod tests {
     }
 
     /// On the batched engine an x11 piece's fleets are replayed from
-    /// trajectories alone: every entry compiles plans, and none of them
-    /// builds its per-round actions.
+    /// compiled trajectories: every entry compiles plans, and every
+    /// fleet gathers.
     #[test]
-    fn batched_x11_pieces_build_no_plan_actions() {
+    fn batched_x11_pieces_replay_compiled_plans() {
         let specs: Vec<GraphSpec> = standard_topo_specs(false).into_iter().step_by(37).collect();
         let (topo, contexts) = build_gathering_topo_grid(
             specs,
@@ -351,8 +351,7 @@ mod tests {
                 .outcomes(&executor, &piece.scenarios)
                 .unwrap();
             assert!(outcomes.iter().all(|o| o.met()));
-            assert!(executor.compiled_plans() > 0);
-            assert_eq!(executor.plans_with_actions(), 0, "{:?}", piece.key);
+            assert!(executor.compiled_plans() > 0, "{:?}", piece.key);
         }
     }
 

@@ -12,7 +12,7 @@ use rendezvous_graph::{NodeId, Port, PortLabeledGraph};
 use rendezvous_sim::{Action, AgentBehavior, Observation, Trajectory};
 use std::cell::RefCell;
 use std::fmt;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// One phase of a schedule.
 #[derive(Clone)]
@@ -257,106 +257,27 @@ impl ScheduleBehavior {
     }
 }
 
-/// A schedule fully unrolled from a fixed start node: every round's
-/// position (and, on demand, action) precomputed into flat arrays, so an
-/// agent's per-round decision phase is an **indexed load** instead of
-/// phase bookkeeping plus an explorer-run step.
+/// Explore segments compiled once per (explorer, start node) of one
+/// graph, and the trajectories of whole schedules assembled from them.
 ///
 /// Everything a [`ScheduleBehavior`] does is a deterministic function of
 /// `(schedule, start)` — the observation stream never influences its
-/// moves — so the whole action sequence can be compiled once and replayed
-/// by [`FlatPlan::behavior`]. Sweep workloads revisit each `(label,
-/// start)` pair across every delay and partner choice of the grid, which
-/// is exactly the reuse the
+/// moves — so its whole walk can be recorded once as a [`Trajectory`],
+/// the form the batched engines read. Sweep workloads revisit each
+/// `(label, start)` pair across every delay and partner choice of the
+/// grid, which is exactly the reuse the
 /// [`AlgorithmExecutor`](../../rendezvous_runner/struct.AlgorithmExecutor.html)
 /// cache exploits.
 ///
-/// The compiler walks the schedule's phases. A wait phase is appended
-/// whole (stays, a repeated position, no moves). An explore phase is
-/// appended as the *segment* of (explorer, node the phase starts on)
-/// from a [`SegmentMemo`]: a [`ScheduleBehavior`] restarts its explorer
-/// and clears the entry port at every phase boundary, so that pair
-/// fixes the phase's every move. Each segment is computed once, by a
-/// [`ScheduleBehavior`] stepped round by round over a one-phase
-/// schedule — so the flat plan is equal to the stepped execution by
-/// construction. The equivalence tests below and the byte-identical
-/// experiment outputs both rest on that.
-///
-/// Compiling a plan writes only its [`FlatPlan::trajectory`], the form
-/// the batched engines read. The per-round [`FlatPlan::actions`] that
-/// the stepped engine replays are built on first use, from the phase
-/// list the plan keeps (bulk waits and shared segments), so a plan that
-/// only the batched engines touch never pays for them.
-#[derive(Debug, Clone)]
-pub struct FlatPlan {
-    /// The schedule's phases as compiled: what `actions` is built from.
-    pieces: Vec<PlanPiece>,
-    actions: OnceLock<Vec<Action>>,
-    end_position: NodeId,
-    trajectory: Trajectory,
-}
-
-/// One compiled phase of a [`FlatPlan`].
-#[derive(Debug, Clone)]
-enum PlanPiece {
-    /// A wait phase of this many rounds.
-    Wait(u64),
-    /// An explore phase: its segment from the node the phase starts on.
-    Explore(Arc<Segment>),
-}
-
-impl PartialEq for FlatPlan {
-    /// Plans are equal when they walk alike, action for action.
-    fn eq(&self, other: &Self) -> bool {
-        self.end_position == other.end_position
-            && self.trajectory == other.trajectory
-            && self.actions() == other.actions()
-    }
-}
-
-impl Eq for FlatPlan {}
-
-/// One explore phase unrolled from its start node: what the phase
-/// appends to every plan that runs the same explorer from that node.
-#[derive(Debug)]
-struct Segment {
-    actions: Vec<Action>,
-    /// The phase's walk, starting at the start node.
-    trajectory: Trajectory,
-    end: NodeId,
-}
-
-impl Segment {
-    /// Steps a [`ScheduleBehavior`] through the one-phase schedule
-    /// `[Explore(explorer)]` from `start`.
-    fn explore(graph: &Arc<PortLabeledGraph>, explorer: &Arc<dyn Explorer>, start: NodeId) -> Self {
-        let rounds = explorer.bound();
-        let schedule = Arc::new(Schedule::new(vec![Phase::Explore(Arc::clone(explorer))]));
-        let mut behavior = ScheduleBehavior::with_shared(Arc::clone(graph), schedule, start);
-        let mut actions = Vec::with_capacity(rounds);
-        let mut trajectory = Trajectory::with_capacity(node_index(start), rounds);
-        for round in 0..rounds as u64 {
-            // The behavior reads only the degree from its observation
-            // (it tracks position and entry ports internally), so the
-            // synthesized observation needs nothing else.
-            let action = behavior.next_action(Observation {
-                local_round: round,
-                degree: graph.degree(behavior.position()),
-                entry_port: None,
-            });
-            trajectory.push(node_index(behavior.position()), action.is_move());
-            actions.push(action);
-        }
-        Segment {
-            actions,
-            trajectory,
-            end: behavior.position(),
-        }
-    }
-}
-
-/// Explore segments compiled once per (explorer, start node) of one
-/// graph, shared by every [`FlatPlan`] compiled through the memo.
+/// [`SegmentMemo::trajectory`] walks the schedule's phases. A wait phase
+/// is appended whole (a repeated position, no moves). An explore phase
+/// is appended as the *segment* of (explorer, node the phase starts
+/// on): a [`ScheduleBehavior`] restarts its explorer and clears the
+/// entry port at every phase boundary, so that pair fixes the phase's
+/// every move. Each segment is computed once, by a [`ScheduleBehavior`]
+/// stepped round by round over a one-phase schedule — so the trajectory
+/// equals the stepped execution by construction. The equivalence tests
+/// below and the byte-identical experiment outputs both rest on that.
 ///
 /// An explorer is identified by its `Arc` ([`Arc::ptr_eq`] against the
 /// `Arc`s the memo holds, so an address cannot be reused while the memo
@@ -367,11 +288,12 @@ pub struct SegmentMemo {
     explorers: RefCell<Vec<ExplorerSegments>>,
 }
 
-/// One explorer's segments, indexed by start node.
+/// One explorer's segments, indexed by start node: each the phase's walk
+/// from that node.
 #[derive(Debug)]
 struct ExplorerSegments {
     explorer: Arc<dyn Explorer>,
-    by_start: Vec<Option<Arc<Segment>>>,
+    by_start: Vec<Option<Trajectory>>,
 }
 
 impl SegmentMemo {
@@ -394,9 +316,41 @@ impl SegmentMemo {
             .sum()
     }
 
-    /// The segment of `explorer` run from `start`, compiled on first use.
-    fn segment(&self, explorer: &Arc<dyn Explorer>, start: NodeId) -> Arc<Segment> {
+    /// The trajectory of `schedule` run from `start` on the memo's graph:
+    /// each wait phase appended in bulk, each explore phase as the memo's
+    /// segment for (explorer, node the phase starts on), compiled on
+    /// first use. `positions()[r]` is the node index after round `r`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start` is not a node of the memo's graph.
+    #[must_use]
+    pub fn trajectory(&self, schedule: &Schedule, start: NodeId) -> Trajectory {
+        assert!(self.graph.contains(start), "start node out of range");
+        let total = usize::try_from(schedule.total_rounds()).expect("schedule fits in memory");
+        let mut trajectory = Trajectory::with_capacity(node_index(start), total);
         let mut explorers = self.explorers.borrow_mut();
+        for phase in schedule.phases() {
+            match phase {
+                Phase::Wait(rounds) => trajectory.idle(*rounds),
+                Phase::Explore(explorer) => {
+                    let at = NodeId::new(trajectory.end() as usize);
+                    trajectory.append(self.segment(&mut explorers, explorer, at));
+                }
+            }
+        }
+        trajectory
+    }
+
+    /// The segment of `explorer` run from `start`: a [`ScheduleBehavior`]
+    /// stepped through the one-phase schedule `[Explore(explorer)]`,
+    /// compiled on first use.
+    fn segment<'m>(
+        &self,
+        explorers: &'m mut Vec<ExplorerSegments>,
+        explorer: &Arc<dyn Explorer>,
+        start: NodeId,
+    ) -> &'m Trajectory {
         let i = explorers
             .iter()
             .position(|e| Arc::ptr_eq(&e.explorer, explorer))
@@ -407,169 +361,31 @@ impl SegmentMemo {
                 });
                 explorers.len() - 1
             });
-        Arc::clone(
-            explorers[i].by_start[start.index()]
-                .get_or_insert_with(|| Arc::new(Segment::explore(&self.graph, explorer, start))),
-        )
+        explorers[i].by_start[start.index()].get_or_insert_with(|| {
+            let graph = &self.graph;
+            let rounds = explorer.bound();
+            let schedule = Arc::new(Schedule::new(vec![Phase::Explore(Arc::clone(explorer))]));
+            let mut behavior = ScheduleBehavior::with_shared(Arc::clone(graph), schedule, start);
+            let mut walk = Trajectory::with_capacity(node_index(start), rounds);
+            for round in 0..rounds as u64 {
+                // The behavior reads only the degree from its observation
+                // (it tracks position and entry ports internally), so the
+                // synthesized observation needs nothing else.
+                let action = behavior.next_action(Observation {
+                    local_round: round,
+                    degree: graph.degree(behavior.position()),
+                    entry_port: None,
+                });
+                walk.push(node_index(behavior.position()), action.is_move());
+            }
+            walk
+        })
     }
 }
 
 /// A node's index as a trajectory entry.
 fn node_index(node: NodeId) -> u32 {
     u32::try_from(node.index()).expect("node index fits in u32")
-}
-
-impl FlatPlan {
-    /// Compiles the flat plan of `schedule` from `start` through a
-    /// throwaway [`SegmentMemo`]; see [`FlatPlan::compile_memoized`].
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start` is not a node of `graph`.
-    #[must_use]
-    pub fn compile(
-        graph: Arc<PortLabeledGraph>,
-        schedule: Arc<Schedule>,
-        start: NodeId,
-    ) -> FlatPlan {
-        Self::compile_memoized(&SegmentMemo::new(graph), &schedule, start)
-    }
-
-    /// Compiles the flat plan of `schedule` from `start` on the memo's
-    /// graph: each wait phase is appended in bulk, each explore phase as
-    /// the memo's segment for (explorer, node the phase starts on).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `start` is not a node of the memo's graph.
-    #[must_use]
-    pub fn compile_memoized(memo: &SegmentMemo, schedule: &Schedule, start: NodeId) -> FlatPlan {
-        assert!(memo.graph.contains(start), "start node out of range");
-        let total = usize::try_from(schedule.total_rounds()).expect("schedule fits in memory");
-        let mut pieces = Vec::with_capacity(schedule.phases().len());
-        let mut trajectory = Trajectory::with_capacity(node_index(start), total);
-        let mut at = start;
-        for phase in schedule.phases() {
-            match phase {
-                Phase::Wait(rounds) => {
-                    trajectory.idle(*rounds);
-                    pieces.push(PlanPiece::Wait(*rounds));
-                }
-                Phase::Explore(explorer) => {
-                    let segment = memo.segment(explorer, at);
-                    trajectory.append(&segment.trajectory);
-                    at = segment.end;
-                    pieces.push(PlanPiece::Explore(segment));
-                }
-            }
-        }
-        FlatPlan {
-            pieces,
-            actions: OnceLock::new(),
-            end_position: at,
-            trajectory,
-        }
-    }
-
-    /// The per-round actions, in schedule order: built from the plan's
-    /// phases on the first call (each wait appended whole, each explore
-    /// phase as its segment's actions) and kept.
-    #[must_use]
-    pub fn actions(&self) -> &[Action] {
-        self.actions.get_or_init(|| {
-            let mut actions = Vec::with_capacity(self.len());
-            for piece in &self.pieces {
-                match piece {
-                    PlanPiece::Wait(rounds) => {
-                        let idle = usize::try_from(*rounds).expect("wait fits in memory");
-                        actions.resize(actions.len() + idle, Action::Stay);
-                    }
-                    PlanPiece::Explore(segment) => actions.extend_from_slice(&segment.actions),
-                }
-            }
-            actions
-        })
-    }
-
-    /// Returns `true` once [`FlatPlan::actions`] has been built.
-    #[must_use]
-    pub fn actions_built(&self) -> bool {
-        self.actions.get().is_some()
-    }
-
-    /// Total rounds the plan covers (= the schedule's total rounds).
-    #[must_use]
-    pub fn len(&self) -> usize {
-        usize::try_from(self.trajectory.steps()).expect("plan fits in memory")
-    }
-
-    /// Returns `true` for a zero-round plan.
-    #[must_use]
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    /// Where the agent stands after the full plan has executed.
-    #[must_use]
-    pub fn end_position(&self) -> NodeId {
-        self.end_position
-    }
-
-    /// The position-and-moves trace recorded during compilation, the
-    /// input of the delay-batched
-    /// [`BatchSolver`](rendezvous_sim::BatchSolver): `positions()[r]` is
-    /// the node index after round `r` of the plan.
-    #[must_use]
-    pub fn trajectory(&self) -> &Trajectory {
-        &self.trajectory
-    }
-
-    /// A behavior replaying this plan from its first round.
-    #[must_use]
-    pub fn behavior(self: &Arc<Self>) -> FlatPlanBehavior {
-        FlatPlanBehavior {
-            plan: Arc::clone(self),
-            cursor: 0,
-        }
-    }
-}
-
-impl AsRef<Trajectory> for FlatPlan {
-    fn as_ref(&self) -> &Trajectory {
-        &self.trajectory
-    }
-}
-
-/// Replays a compiled [`FlatPlan`]: each round is one array load and a
-/// cursor increment. After the plan is exhausted the agent stays idle
-/// forever, exactly like an exhausted [`ScheduleBehavior`].
-pub struct FlatPlanBehavior {
-    /// Shared, not owned: sweep executors compile a `(label, start)`
-    /// plan once and hand the same `Arc` to thousands of behaviors.
-    plan: Arc<FlatPlan>,
-    cursor: usize,
-}
-
-impl fmt::Debug for FlatPlanBehavior {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("FlatPlanBehavior")
-            .field("rounds", &self.plan.len())
-            .field("cursor", &self.cursor)
-            .finish()
-    }
-}
-
-impl AgentBehavior for FlatPlanBehavior {
-    fn next_action(&mut self, _observation: Observation) -> Action {
-        let action = self
-            .plan
-            .actions()
-            .get(self.cursor)
-            .copied()
-            .unwrap_or(Action::Stay);
-        self.cursor += 1;
-        action
-    }
 }
 
 impl AgentBehavior for ScheduleBehavior {
@@ -718,35 +534,13 @@ mod tests {
         assert_eq!(s.describe(), "EEEEEwwEE");
     }
 
-    /// The eager compile plans used to run before their actions became
-    /// lazy: every wait appended as stays, every explore phase as its
-    /// memo segment's actions.
-    fn eager_actions(memo: &SegmentMemo, schedule: &Schedule, start: NodeId) -> Vec<Action> {
-        let mut actions = Vec::new();
-        let mut at = start;
-        for phase in schedule.phases() {
-            match phase {
-                Phase::Wait(rounds) => {
-                    actions.resize(actions.len() + *rounds as usize, Action::Stay);
-                }
-                Phase::Explore(explorer) => {
-                    let segment = memo.segment(explorer, at);
-                    actions.extend_from_slice(&segment.actions);
-                    at = segment.end;
-                }
-            }
-        }
-        actions
-    }
-
-    /// The flat plan is defined as the stepped execution: for every
-    /// (algorithm, label, start) triple here, replaying the compiled
-    /// array move for move matches driving the `ScheduleBehavior`, and
-    /// both agree on the final position. The sweep executors' byte-identical
-    /// outputs rest on this equivalence. Compiling builds no actions;
-    /// the ones built on first use equal the old eager compile's.
+    /// A compiled trajectory is the stepped execution, checked through
+    /// the simulator's solo harness: for every (algorithm, label, start)
+    /// triple here, its positions, per-round moves, total cost and end
+    /// position equal driving the `ScheduleBehavior`. The sweep
+    /// executors' byte-identical outputs rest on this equivalence.
     #[test]
-    fn flat_plan_replays_the_stepped_schedule_exactly() {
+    fn compiled_trajectory_equals_the_solo_run() {
         use crate::{Cheap, Fast, Label, LabelSpace, RendezvousAlgorithm};
         use rendezvous_explore::DfsMapExplorer;
         let g = Arc::new(generators::grid(3, 3).unwrap());
@@ -761,19 +555,18 @@ mod tests {
                 let schedule = Arc::new(alg.schedule(Label::new(label).unwrap()).unwrap());
                 for start in 0..g.node_count() {
                     let start = NodeId::new(start);
-                    let memo = SegmentMemo::new(g.clone());
-                    let plan = Arc::new(FlatPlan::compile_memoized(&memo, &schedule, start));
-                    assert!(!plan.actions_built(), "compiling builds no actions");
+                    let trajectory = SegmentMemo::new(g.clone()).trajectory(&schedule, start);
                     let rounds = schedule.total_rounds();
                     let mut stepped =
                         ScheduleBehavior::with_shared(g.clone(), Arc::clone(&schedule), start);
                     let step_trace = run_solo(&g, &mut stepped, start, rounds).unwrap();
-                    assert_eq!(plan.len() as u64, rounds);
-                    assert_eq!(plan.end_position(), *step_trace.positions.last().unwrap());
-                    // The recorded trajectory is the same walk as SoA:
-                    // per-round positions and cumulative traversals.
-                    let trajectory = plan.trajectory();
                     assert_eq!(trajectory.steps(), rounds);
+                    assert_eq!(
+                        trajectory.end() as usize,
+                        step_trace.positions.last().unwrap().index()
+                    );
+                    // The same walk as SoA: per-round positions and
+                    // cumulative traversals.
                     let step_positions: Vec<u32> = step_trace
                         .positions
                         .iter()
@@ -784,36 +577,21 @@ mod tests {
                     for (r, action) in step_trace.actions.iter().enumerate() {
                         assert_eq!(trajectory.moved_in(r as u64 + 1), action.is_move());
                     }
-                    assert!(!plan.actions_built(), "the trajectory builds no actions");
-                    assert_eq!(plan.actions(), &eager_actions(&memo, &schedule, start)[..]);
-                    assert_eq!(plan.actions(), &step_trace.actions[..]);
-                    assert!(plan.actions_built());
-                    let mut flat = plan.behavior();
-                    let flat_trace = run_solo(&g, &mut flat, start, rounds).unwrap();
-                    assert_eq!(flat_trace.actions, step_trace.actions);
-                    assert_eq!(flat_trace.positions, step_trace.positions);
-                    // Past the end, the plan idles forever like an
-                    // exhausted schedule.
-                    let mut tail = plan.behavior();
-                    let long = run_solo(&g, &mut tail, start, rounds + 7).unwrap();
-                    assert!(long.actions[rounds as usize..].iter().all(|a| !a.is_move()));
                 }
             }
         }
     }
 
     /// The compile oracle: a [`ScheduleBehavior`] stepped through every
-    /// round of the whole schedule, waits included. Returns the actions,
-    /// the trajectory and the end position.
+    /// round of the whole schedule, waits included. Returns the
+    /// trajectory and the end position.
     fn stepped_plan(
         graph: &Arc<PortLabeledGraph>,
         schedule: &Arc<Schedule>,
         start: NodeId,
-    ) -> (Vec<Action>, Trajectory, NodeId) {
-        let node_index = |n: NodeId| u32::try_from(n.index()).unwrap();
+    ) -> (Trajectory, NodeId) {
         let mut behavior =
             ScheduleBehavior::with_shared(Arc::clone(graph), Arc::clone(schedule), start);
-        let mut actions = Vec::new();
         let mut trajectory = Trajectory::new(node_index(start));
         for round in 0..schedule.total_rounds() {
             let action = behavior.next_action(Observation {
@@ -822,26 +600,24 @@ mod tests {
                 entry_port: None,
             });
             trajectory.push(node_index(behavior.position()), action.is_move());
-            actions.push(action);
         }
-        (actions, trajectory, behavior.position())
+        (trajectory, behavior.position())
     }
 
-    /// Plans of `schedule` from every start, compiled cold and through
-    /// `memo` (warm after the first call), equal the stepped compile:
-    /// actions, positions, prefix moves, end position.
+    /// Trajectories of `schedule` from every start, compiled cold and
+    /// through `memo` (warm after the first call), equal the stepped
+    /// compile: positions, prefix moves, end position.
     fn assert_compile_is_stepped(memo: &SegmentMemo, schedule: Schedule) {
         let graph = &memo.graph;
         let schedule = Arc::new(schedule);
         for start in graph.nodes() {
-            let cold = FlatPlan::compile(Arc::clone(graph), Arc::clone(&schedule), start);
-            let (actions, trajectory, end) = stepped_plan(graph, &schedule, start);
+            let cold = SegmentMemo::new(Arc::clone(graph)).trajectory(&schedule, start);
+            let (trajectory, end) = stepped_plan(graph, &schedule, start);
             let context = format!("{:?} from {start:?}", schedule.phases());
-            assert_eq!(cold.actions(), &actions[..], "actions of {context}");
             // Trajectory equality covers positions and prefix moves.
-            assert_eq!(cold.trajectory(), &trajectory, "trajectory of {context}");
-            assert_eq!(cold.end_position(), end, "end position of {context}");
-            let warm = FlatPlan::compile_memoized(memo, &schedule, start);
+            assert_eq!(cold, trajectory, "trajectory of {context}");
+            assert_eq!(cold.end(), node_index(end), "end position of {context}");
+            let warm = memo.trajectory(&schedule, start);
             assert_eq!(warm, cold, "warm and cold memo differ on {context}");
         }
     }
@@ -884,7 +660,7 @@ mod tests {
 
     /// Every algorithm's schedules, on an oriented ring and on a DFS-map
     /// grid, with ring-doubling Iterated schedules running a different
-    /// explorer per level: compiled plans equal the stepped compile.
+    /// explorer per level: compiled trajectories equal the stepped compile.
     #[test]
     fn bulk_wait_compile_equals_stepped_for_every_algorithm() {
         use crate::{
@@ -938,10 +714,10 @@ mod tests {
 
     /// The compile oracle: for Cheap, Fast, FastWithRelabeling and both
     /// Iterated bases, over all seven explorers and from every start
-    /// node, a plan's actions, trajectory and end position equal a
-    /// round-by-round [`ScheduleBehavior`] run. Plans compiled through
-    /// one warm memo equal cold [`FlatPlan::compile`] plans, and that
-    /// memo holds at most one segment per (explorer, node).
+    /// node, a compiled trajectory and its end position equal a
+    /// round-by-round [`ScheduleBehavior`] run. Trajectories compiled
+    /// through one warm memo equal cold ones, and that memo holds at
+    /// most one segment per (explorer, node).
     #[test]
     fn memoized_compile_equals_stepped_for_every_explorer() {
         use crate::{

@@ -69,7 +69,9 @@ impl WorkerClient {
         // analyze: allow(d5) — liveness side channel; carries no sweep data
         let heartbeat = std::thread::spawn(move || {
             while !beat_stop.load(Ordering::SeqCst) {
-                std::thread::sleep(HEARTBEAT_EVERY);
+                // Woken early by `stop_heartbeat`; a spurious wake-up
+                // only sends one beat early.
+                std::thread::park_timeout(HEARTBEAT_EVERY);
                 if beat_stop.load(Ordering::SeqCst) {
                     break;
                 }
@@ -174,9 +176,12 @@ impl WorkerClient {
         }
     }
 
+    /// Stops the heartbeat thread: wakes it from its wait and joins it,
+    /// so a worker exits without waiting out a heartbeat period.
     fn stop_heartbeat(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(h) = self.heartbeat.take() {
+            h.thread().unpark();
             let _ = h.join();
         }
     }
@@ -184,9 +189,40 @@ impl WorkerClient {
 
 impl Drop for WorkerClient {
     fn drop(&mut self) {
-        self.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.heartbeat.take() {
-            let _ = h.join();
-        }
+        self.stop_heartbeat();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use std::net::TcpListener;
+    use std::time::Instant;
+
+    /// Dropping or finishing a connected client wakes its heartbeat
+    /// thread instead of waiting out the period the thread sleeps.
+    #[test]
+    fn stopping_a_client_does_not_wait_out_a_heartbeat() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap().to_string();
+        let dropped = WorkerClient::connect(&addr, 1).unwrap();
+        let finished = WorkerClient::connect(&addr, 2).unwrap();
+        // Let both heartbeat threads reach their wait: a thread stopped
+        // before it first checks the flag never waits at all.
+        std::thread::sleep(HEARTBEAT_EVERY / 10);
+        let started = Instant::now();
+        drop(dropped);
+        assert!(
+            started.elapsed() < HEARTBEAT_EVERY / 2,
+            "drop waited {:?}",
+            started.elapsed()
+        );
+        let started = Instant::now();
+        finished.finish(TelemetrySnapshot::default()).unwrap();
+        assert!(
+            started.elapsed() < HEARTBEAT_EVERY / 2,
+            "finish waited {:?}",
+            started.elapsed()
+        );
     }
 }

@@ -4,7 +4,7 @@
 //! A pair grid enumerates label pair → start pair → delay, so within a
 //! work piece the scenarios sharing (labels, starts, horizon) form one
 //! contiguous run of delays — and since both agents' walks are
-//! precomputed [`FlatPlan`] position arrays, the whole run collapses into
+//! precompiled [`Trajectory`] position arrays, the whole run collapses into
 //! one [`BatchSolver`] pass over two fixed arrays (O(T + D) instead of
 //! the stepped engine's O(D·T)). [`BatchExecutor`] splits each piece into
 //! such maximal runs and solves them in order. In a sweep
@@ -21,11 +21,14 @@
 //! and fleets, which run on the
 //! [`GatheringExecutor`](crate::GatheringExecutor) instead) fall back to
 //! the wrapped [`AlgorithmExecutor`] one by one, which keeps error
-//! behavior — `StartsNotDistinct`, `NotConnected`, bad labels, the
-//! refusal of a fleet — identical too. The stepped engine thus stays in the loop as the
+//! behavior — `StartsNotDistinct`, `StartOutOfRange`, `NotConnected`,
+//! bad labels, the refusal of a fleet — identical too. The fallback
+//! steps [`ScheduleBehavior`]s round by round and reads no compiled
+//! plan, so the stepped engine stays in the loop as an independent
 //! equivalence oracle; see `tests/batch_equivalence.rs`.
 //!
-//! [`FlatPlan`]: rendezvous_core::FlatPlan
+//! [`Trajectory`]: rendezvous_sim::Trajectory
+//! [`ScheduleBehavior`]: rendezvous_core::ScheduleBehavior
 
 use crate::executor::{AlgorithmExecutor, Executor, RunnerError};
 use crate::scenario::{Measured, Scenario, ScenarioOutcome};
@@ -47,8 +50,8 @@ enum Job {
 
 /// Piece executor that solves the delay axis of a pair sweep in batch.
 ///
-/// Wraps an [`AlgorithmExecutor`] (sharing its schedule/plan caches with
-/// the fallback path) and carries the sweep's [`Bounds`] itself, playing
+/// Wraps an [`AlgorithmExecutor`] (reading its plan cache, whose
+/// schedules the stepped fallback shares) and carries the sweep's [`Bounds`] itself, playing
 /// the role [`Bounded`](crate::Bounded) plays for stepped executors.
 pub struct BatchExecutor<'a> {
     algorithm: &'a dyn RendezvousAlgorithm,
@@ -137,7 +140,7 @@ impl<'a> BatchExecutor<'a> {
         };
         let plan_a = plan(lead.first_label(), lead.start_a())?;
         let plan_b = plan(lead.second_label(), lead.start_b())?;
-        let solver = BatchSolver::new(plan_a.trajectory(), plan_b.trajectory(), lead.horizon);
+        let solver = BatchSolver::new(&plan_a, &plan_b, lead.horizon);
         for (i, scenario) in run.clone().zip(&scenarios[run]) {
             let out = solver.solve(scenario.delay());
             // With an undelayed first agent the meeting round *is* the
@@ -260,6 +263,7 @@ mod tests {
     use rendezvous_core::{Cheap, LabelSpace};
     use rendezvous_explore::OrientedRingExplorer;
     use rendezvous_graph::{generators, NodeId};
+    use rendezvous_sim::SimError;
     use std::sync::Arc;
 
     fn cheap_ring(n: usize, l: u64) -> Cheap {
@@ -414,24 +418,35 @@ mod tests {
             "runs split at fallbacks, key changes and horizon changes"
         );
         // Errors: equal starts (`StartsNotDistinct`) before a fleet, and
-        // the other way round.
+        // the other way round; a start outside the 6-ring
+        // (`StartOutOfRange`) before equal starts.
         let mut equal_first = clean.clone();
         equal_first.insert(6, pair((2, 3), (3, 3), 0, h));
         equal_first.insert(9, fleet(h));
         let mut fleet_first = clean.clone();
         fleet_first.insert(2, fleet(h));
         fleet_first.insert(8, pair((2, 3), (3, 3), 1, h));
+        let mut out_of_range = clean.clone();
+        out_of_range.insert(4, pair((1, 2), (0, 9), 0, h));
+        out_of_range.insert(7, pair((2, 3), (3, 3), 0, h));
+        let out_of_range_error = SimError::StartOutOfRange {
+            node: NodeId::new(9),
+        }
+        .to_string();
         let stepped = AlgorithmExecutor::new(&alg);
         for (scenarios, error_at) in [
             (clean, None),
             (equal_first, Some(6)),
             (fleet_first, Some(2)),
+            (out_of_range, Some(4)),
         ] {
             let reference = Runner::sequential().outcomes(&stepped, &scenarios);
-            assert_eq!(
-                reference.as_ref().err().and_then(RunnerError::index),
-                error_at
-            );
+            let error = reference.as_ref().err();
+            assert_eq!(error.and_then(RunnerError::index), error_at);
+            if error_at == Some(4) {
+                let msg = error.unwrap().to_string();
+                assert!(msg.ends_with(&out_of_range_error), "{msg}");
+            }
             let folded = stepped_fold(&alg, &scenarios, "", None);
             // An empty piece adds no group, as `absorb_piece` promises.
             let mut report = SweepReport::default();

@@ -1,9 +1,11 @@
 //! How a [`Scenario`] becomes an execution: pluggable executors.
 
 use crate::{Scenario, ScenarioOutcome};
-use rendezvous_core::{CoreError, FlatPlan, Label, RendezvousAlgorithm, Schedule, SegmentMemo};
+use rendezvous_core::{
+    CoreError, Label, RendezvousAlgorithm, Schedule, ScheduleBehavior, SegmentMemo,
+};
 use rendezvous_graph::NodeId;
-use rendezvous_sim::{AgentBehavior, AgentSpec, SimError, Simulation};
+use rendezvous_sim::{AgentBehavior, AgentSpec, SimError, Simulation, Trajectory};
 use rendezvous_telemetry::{Counter, Metrics, Scope};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -111,16 +113,16 @@ pub trait Executor {
 /// thousands of start pairs and delays, so the cache compiles
 /// `label → Arc<Schedule>` once; and because a schedule's whole
 /// execution is a deterministic function of its start node, it further
-/// unrolls `(label, start) → Arc<FlatPlan>` (see [`FlatPlan`]). Plans
-/// are assembled from explore segments compiled once per (explorer,
-/// node) in a [`SegmentMemo`], shared by every label and start. All
-/// three caches are write-once per key.
+/// records `(label, start) → Arc<Trajectory>`, the plan the batched
+/// engines read. Plans are assembled from explore segments compiled
+/// once per (explorer, node) in a [`SegmentMemo`], shared by every label
+/// and start. All three caches are write-once per key.
 ///
 /// The cache does not hold the algorithm: its owner passes the same one
 /// to every call.
 pub(crate) struct PlanCache {
     schedules: RefCell<BTreeMap<u64, Arc<Schedule>>>,
-    plans: RefCell<BTreeMap<(u64, NodeId), Arc<FlatPlan>>>,
+    plans: RefCell<BTreeMap<(u64, NodeId), Arc<Trajectory>>>,
     segments: SegmentMemo,
     stats: Option<PlanCacheStats>,
 }
@@ -162,14 +164,14 @@ impl PlanCache {
         Ok(compiled)
     }
 
-    /// The flat plan for `(label_value, start)`; see
+    /// The plan for `(label_value, start)`; see
     /// [`AlgorithmExecutor::plan`].
     pub(crate) fn plan(
         &self,
         algorithm: &dyn RendezvousAlgorithm,
         label_value: u64,
         start: NodeId,
-    ) -> Result<Arc<FlatPlan>, RunnerError> {
+    ) -> Result<Arc<Trajectory>, RunnerError> {
         let key = (label_value, start);
         if let Some(p) = self.plans.borrow().get(&key) {
             if let Some(stats) = &self.stats {
@@ -178,7 +180,7 @@ impl PlanCache {
             return Ok(Arc::clone(p));
         }
         let schedule = self.schedule(algorithm, label_value)?;
-        let compiled = Arc::new(FlatPlan::compile_memoized(&self.segments, &schedule, start));
+        let compiled = Arc::new(self.segments.trajectory(&schedule, start));
         if let Some(stats) = &self.stats {
             stats.misses.inc();
         }
@@ -195,25 +197,19 @@ impl PlanCache {
     pub(crate) fn compiled_plans(&self) -> usize {
         self.plans.borrow().len()
     }
-
-    /// Number of cached plans whose per-round actions have been built.
-    pub(crate) fn plans_with_actions(&self) -> usize {
-        self.plans
-            .borrow()
-            .values()
-            .filter(|p| p.actions_built())
-            .count()
-    }
 }
 
-/// Executes scenarios against a [`RendezvousAlgorithm`]: each agent runs
-/// the schedule the algorithm compiles for its label.
+/// Executes scenarios against a [`RendezvousAlgorithm`]: each agent is a
+/// [`ScheduleBehavior`] stepping the schedule the algorithm compiles for
+/// its label, round by round — the stepped engine, the oracle the
+/// batched engine is checked against.
 ///
-/// Compilation is **memoized per executor**: `label → Arc<Schedule>`,
-/// `(label, start) → Arc<FlatPlan>` (the flat action plan that turns
-/// every agent's per-round decision phase into an indexed load, see
-/// [`FlatPlan`]) and explore segments per (explorer, node), in one
-/// write-once cache owned by the executor alone. A
+/// Compilation is **memoized per executor**: `label → Arc<Schedule>`
+/// serves every scenario, and the executor also owns the `(label,
+/// start) → Arc<Trajectory>` plans and per-(explorer, node) explore
+/// segments the [`BatchExecutor`](crate::BatchExecutor) around it reads,
+/// in one write-once cache owned by the executor alone. Its own
+/// [`run`](Executor::run) compiles no plan. A
 /// [`GatheringExecutor`](crate::GatheringExecutor) owns the same kind of
 /// cache.
 pub struct AlgorithmExecutor<'a> {
@@ -233,7 +229,8 @@ impl<'a> AlgorithmExecutor<'a> {
 
     /// Attaches plan-cache hit/miss counters from `metrics`: a **miss**
     /// per plan compiled (once per key), a **hit** per reuse, so
-    /// `hits + misses` equals accesses.
+    /// `hits + misses` equals accesses. Only the batched engine reads
+    /// plans, so a stepped sweep leaves both at 0.
     #[must_use]
     pub fn with_metrics(mut self, metrics: &Metrics) -> Self {
         self.cache.stats = Some(PlanCacheStats {
@@ -253,16 +250,21 @@ impl<'a> AlgorithmExecutor<'a> {
         self.cache.schedule(self.algorithm, label_value)
     }
 
-    /// The flat action plan for `(label_value, start)` — the label's
-    /// compiled schedule unrolled from that start node — memoized across
-    /// scenarios. A pair grid revisits each `(label, start)` across every
-    /// delay and every partner configuration, so the unroll amortizes the
-    /// same way the schedule compile does one level up.
+    /// The plan for `(label_value, start)` — the trajectory of the
+    /// label's compiled schedule run from that start node — memoized
+    /// across scenarios. A pair grid revisits each `(label, start)`
+    /// across every delay and every partner configuration, so the
+    /// compile amortizes the same way the schedule compile does one
+    /// level up.
     ///
     /// # Errors
     ///
     /// See [`AlgorithmExecutor::schedule`].
-    pub fn plan(&self, label_value: u64, start: NodeId) -> Result<Arc<FlatPlan>, RunnerError> {
+    ///
+    /// # Panics
+    ///
+    /// Panics if `start` is not a node of the algorithm's graph.
+    pub fn plan(&self, label_value: u64, start: NodeId) -> Result<Arc<Trajectory>, RunnerError> {
         self.cache.plan(self.algorithm, label_value, start)
     }
 
@@ -272,7 +274,7 @@ impl<'a> AlgorithmExecutor<'a> {
         self.cache.compiled_labels()
     }
 
-    /// Number of distinct `(label, start)` flat plans unrolled so far.
+    /// Number of distinct `(label, start)` plans compiled so far.
     #[must_use]
     pub fn compiled_plans(&self) -> usize {
         self.cache.compiled_plans()
@@ -283,19 +285,24 @@ impl Executor for AlgorithmExecutor<'_> {
     fn run(&self, scenario: &Scenario) -> Result<ScenarioOutcome, RunnerError> {
         require_pair(scenario, "AlgorithmExecutor")?;
         let graph = self.algorithm.graph();
-        let a = self
-            .plan(scenario.first_label(), scenario.start_a())?
-            .behavior();
-        let b = self
-            .plan(scenario.second_label(), scenario.start_b())?
-            .behavior();
+        // Checked before a behavior is built (its constructor panics on a
+        // start outside the graph), with the error `Simulation::run` gives.
+        for node in [scenario.start_a(), scenario.start_b()] {
+            if !graph.contains(node) {
+                return Err(SimError::StartOutOfRange { node }.into());
+            }
+        }
+        let behavior = |label, start| {
+            self.schedule(label)
+                .map(|s| Box::new(ScheduleBehavior::with_shared(Arc::clone(graph), s, start)))
+        };
         let outcome = Simulation::new(graph)
             .agent(
-                Box::new(a),
+                behavior(scenario.first_label(), scenario.start_a())?,
                 AgentSpec::delayed(scenario.start_a(), scenario.first().delay),
             )
             .agent(
-                Box::new(b),
+                behavior(scenario.second_label(), scenario.start_b())?,
                 AgentSpec::delayed(scenario.start_b(), scenario.delay()),
             )
             .max_rounds(scenario.horizon)

@@ -17,8 +17,8 @@ use std::sync::Arc;
 ///
 /// [`GatheringExecutor::new`] replays the strategy from compiled walks:
 /// each agent's walk between restarts is the trajectory of one
-/// `(effective label, restart node)` [`FlatPlan`](rendezvous_core::FlatPlan),
-/// drawn from the same memoized schedule/plan/segment cache an
+/// `(effective label, restart node)` plan, drawn from the same memoized
+/// schedule/plan/segment cache an
 /// [`AlgorithmExecutor`](crate::AlgorithmExecutor) owns, and a
 /// [`FleetSolver`] runs the rounds. [`GatheringExecutor::stepped`] is
 /// the oracle: [`GatheringAgent`](rendezvous_core::GatheringAgent)s
@@ -80,13 +80,6 @@ impl GatheringExecutor {
     #[must_use]
     pub fn compiled_plans(&self) -> usize {
         self.plans.as_ref().map_or(0, PlanCache::compiled_plans)
-    }
-
-    /// Number of compiled plans whose per-round actions have been built:
-    /// the solver reads trajectories only, so its sweeps leave it at 0.
-    #[must_use]
-    pub fn plans_with_actions(&self) -> usize {
-        self.plans.as_ref().map_or(0, PlanCache::plans_with_actions)
     }
 }
 

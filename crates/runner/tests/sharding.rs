@@ -10,7 +10,10 @@ use proptest::prelude::*;
 use rendezvous_core::{Cheap, Fast, LabelSpace, RendezvousAlgorithm};
 use rendezvous_explore::OrientedRingExplorer;
 use rendezvous_graph::generators;
-use rendezvous_runner::{AlgorithmExecutor, Bounded, Bounds, Grid, Runner, SweepReport, Workload};
+use rendezvous_runner::{
+    AlgorithmExecutor, BatchExecutor, Bounded, Bounds, Grid, Runner, SweepReport, Workload,
+};
+use rendezvous_telemetry::Metrics;
 use std::sync::Arc;
 
 fn sweep_setup(n: usize, l: u64, fast: bool) -> (Box<dyn RendezvousAlgorithm>, Option<Bounds>) {
@@ -93,11 +96,12 @@ proptest! {
     }
 }
 
-/// The executor's two compile caches (label → schedule, (label, start) →
-/// flat plan) change nothing observable: a sweep with one shared executor
-/// equals a sweep where every scenario pays a fresh compile (the
-/// pre-cache behavior), and the caches hold exactly the distinct labels /
-/// (label, start) pairs of the grid.
+/// The executors' compile caches (label → schedule, (label, start) →
+/// trajectory) change nothing observable: a sweep with one shared
+/// executor equals a sweep where every scenario pays a fresh compile
+/// (the pre-cache behavior), the stepped executor caches exactly the
+/// distinct labels of the grid and compiles no trajectory, and the
+/// batched executor compiles one per distinct (label, start) pair.
 #[test]
 fn schedule_memoization_is_invisible_to_results() {
     let (alg, bounds) = sweep_setup(7, 6, true);
@@ -110,10 +114,21 @@ fn schedule_memoization_is_invisible_to_results() {
     let cached = Runner::sequential()
         .sweep(&grid, &Bounded::new(&shared, bounds))
         .unwrap();
-    // Distinct labels of the grid: {1, 2, 3, 6}; every label visits every
-    // one of the 7 start nodes across the ordered start pairs.
+    // Distinct labels of the grid: {1, 2, 3, 6}. The stepped executor
+    // steps schedules and compiles no trajectory.
     assert_eq!(shared.compiled_labels(), 4);
-    assert_eq!(shared.compiled_plans(), 4 * 7);
+    assert_eq!(shared.compiled_plans(), 0);
+    // Every label visits every one of the 7 start nodes across the
+    // ordered start pairs: the batched executor compiles each plan once.
+    let metrics = Metrics::new();
+    let batched = BatchExecutor::new(alg.as_ref())
+        .with_bounds(bounds)
+        .with_metrics(&metrics);
+    assert_eq!(Runner::sequential().sweep(&grid, &batched).unwrap(), cached);
+    assert_eq!(
+        metrics.snapshot().process.get("plan_cache_misses"),
+        Some(&(4 * 7))
+    );
 
     let mut uncached = SweepReport::default();
     for (i, s) in grid.scenarios().iter().enumerate() {

@@ -116,7 +116,24 @@ fn metrics_never_perturb_report_bytes() {
     let snap = metrics.snapshot();
     let total = u64::try_from(grid.scenarios().len()).unwrap();
     assert_eq!(snap.counters.get("scenarios_executed"), Some(&total));
-    assert!(snap.process.get("plan_cache_misses").copied() > Some(0));
+    // The stepped executor steps schedules: it compiles no plan.
+    assert_eq!(snap.process.get("plan_cache_misses"), Some(&0));
+
+    // The batched executor reads compiled plans, and its counters say so.
+    let metrics = Arc::new(Metrics::new());
+    let batched = BatchExecutor::new(&alg)
+        .with_bounds(bounds)
+        .with_metrics(&metrics);
+    let observed = Runner::sequential()
+        .with_metrics(Arc::clone(&metrics))
+        .sweep(&grid, &batched)
+        .expect("sweep succeeds");
+    assert_eq!(
+        serde_json::to_string(&bare).unwrap(),
+        serde_json::to_string(&observed).unwrap(),
+        "telemetry-on batched report must be byte-identical to telemetry-off"
+    );
+    assert!(metrics.snapshot().process.get("plan_cache_misses").copied() > Some(0));
 }
 
 /// The batched-vs-fallback classification observed on a mixed piece: a
@@ -166,8 +183,8 @@ fn batch_classification_counters_split_batched_from_fallback() {
     assert_eq!(snap.counters.get("scenarios_stepped"), Some(&1));
     // Two distinct (labels, starts, horizon) groups among the batched 3.
     assert_eq!(snap.process.get("batch_groups"), Some(&2));
-    // The shared plan cache served both paths: 4 distinct (label, start)
-    // plans compiled, every further access a hit.
+    // The two batched groups compiled 4 distinct (label, start) plans,
+    // once each; the stepped fallback steps schedules and reads none.
     assert_eq!(snap.process.get("plan_cache_misses"), Some(&4));
-    assert!(snap.process["plan_cache_hits"] > 0);
+    assert_eq!(snap.process.get("plan_cache_hits"), Some(&0));
 }

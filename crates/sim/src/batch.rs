@@ -2,7 +2,7 @@
 //! delay of one (trajectory, trajectory) pair in a single pass.
 //!
 //! A deterministic agent's whole walk is a fixed position array (a
-//! [`Trajectory`], exported by `FlatPlan` in `rendezvous-core`). For a
+//! [`Trajectory`], compiled by `SegmentMemo` in `rendezvous-core`). For a
 //! fixed pair of trajectories on a fixed graph, the stepped engine's
 //! round loop reduces to offset-shifted array comparisons: delaying the
 //! second agent by `d` rounds shifts its position array `d` places to the
@@ -158,12 +158,6 @@ impl Trajectory {
     #[must_use]
     pub fn positions(&self) -> &[u32] {
         &self.positions
-    }
-}
-
-impl AsRef<Trajectory> for Trajectory {
-    fn as_ref(&self) -> &Trajectory {
-        self
     }
 }
 

@@ -300,8 +300,7 @@ impl FleetSolver {
         mut walk: impl FnMut(u64, NodeId) -> Result<P, E>,
     ) -> Result<FleetOutcome, E>
     where
-        P: Deref + Clone,
-        P::Target: AsRef<Trajectory>,
+        P: Deref<Target = Trajectory> + Clone,
         E: From<SimError>,
     {
         self.check(fleet)?;
@@ -372,12 +371,12 @@ impl FleetSolver {
             // where it stands.
             for m in members.iter_mut().filter(|m| round >= m.wake) {
                 let mut step = round - m.origin;
-                if step > (*m.walk).as_ref().steps() {
+                if step > m.walk.steps() {
                     m.walk = walk(m.effective, node(m.position))?;
                     m.origin = round - 1;
                     step = 1;
                 }
-                let trajectory = (*m.walk).as_ref();
+                let trajectory = &*m.walk;
                 if step <= trajectory.steps() {
                     m.cost += u64::from(trajectory.moved_in(step));
                     m.position = trajectory.position_at(step);
