@@ -8,9 +8,10 @@ use rendezvous_explore::{Explorer, OrientedRingExplorer};
 use rendezvous_graph::{generators, PortLabeledGraph};
 use rendezvous_lower_bounds::{TrimSweep, TrimmedAlgorithm};
 use rendezvous_runner::{
-    Bounds, Fnv1a, Grid, GroupStats, PieceExecutor, Runner, SweepReport, Workload,
+    Bounds, Fnv1a, Grid, GroupStats, PieceExecutor, Runner, SweepReport, TopoGrid, Workload,
 };
 use serde::Serialize;
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::sync::Arc;
 
@@ -280,6 +281,17 @@ pub fn standard_delays(e: u64) -> Vec<u64> {
     d.sort_unstable();
     d.dedup();
     d
+}
+
+/// Each graph family of a topology grid with its number of specs, in
+/// family order — read from the grid itself, so direct, worker and
+/// replay runs (which all rebuild the same grid) agree.
+pub(crate) fn family_spec_counts(topo: &TopoGrid) -> Vec<(String, usize)> {
+    let mut counts = BTreeMap::new();
+    for entry in topo.entries() {
+        *counts.entry(entry.spec.family()).or_insert(0) += 1;
+    }
+    counts.into_iter().collect()
 }
 
 /// Renders rows of `(name, values…)` as a GitHub-flavoured markdown table.

@@ -3,8 +3,11 @@
 //! trajectory solver or step round by round; gathering fleets (x9/x11)
 //! are replayed from compiled walks or step `GatheringAgent`s.
 //!
-//! Both engines produce byte-identical experiment outputs (that is
-//! CI-enforced for every experiment); the choice is purely a throughput
+//! The two engines share no execution path: each validates a scenario
+//! the same way, in the same order, and the compiled engine then solves
+//! every scenario that passes, with no fallback to the stepped one. Both
+//! produce byte-identical experiment outputs (that is CI-enforced for
+//! every experiment) and the same refusals; the choice is purely a throughput
 //! knob, surfaced as `experiments --engine {batched,stepped}`. The
 //! selection is a field of the process's [`Session`](crate::session::Session);
 //! experiment code asks [`current`] and builds its executor with

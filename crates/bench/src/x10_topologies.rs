@@ -20,7 +20,7 @@
 //! when an executor is built and the telemetry sink comes from the
 //! [`Runner`] each piece is handed.
 
-use crate::common::{markdown_table, standard_delays, standard_label_pairs};
+use crate::common::{family_spec_counts, markdown_table, standard_delays, standard_label_pairs};
 use crate::engine::{Engine, EngineExecutor};
 use rendezvous_core::{Cheap, Fast, LabelSpace, RendezvousAlgorithm};
 use rendezvous_explore::{spec_explorer, Explorer};
@@ -405,17 +405,7 @@ pub fn run(specs: Vec<GraphSpec>, l: u64, cap: usize, runner: &Runner) -> Report
         },
         runner,
     );
-    // Family → spec count from the grid itself (identical in direct,
-    // worker and replay runs, since all rebuild the same TopoGrid).
-    let mut spec_counts: Vec<(String, usize)> = Vec::new();
-    for entry in topo.entries() {
-        let family = entry.spec.family();
-        match spec_counts.binary_search_by(|(f, _)| f.as_str().cmp(&family)) {
-            Ok(i) => spec_counts[i].1 += 1,
-            Err(i) => spec_counts.insert(i, (family, 1)),
-        }
-    }
-    let rows = spec_counts
+    let rows = family_spec_counts(&topo)
         .iter()
         .map(|(family, specs)| {
             let c = cheap.group(family);

@@ -19,7 +19,7 @@
 //! processes and replays the merged [`SweepReport`]s, byte-identical to
 //! a direct run (CI-checked).
 
-use crate::common::{markdown_table, sweep_recorded};
+use crate::common::{family_spec_counts, markdown_table, sweep_recorded};
 use crate::engine::Engine;
 use rendezvous_core::{Fast, LabelSpace, RendezvousAlgorithm};
 use rendezvous_explore::{spec_explorer, Explorer};
@@ -233,17 +233,7 @@ pub fn run(
         stats.failures(),
         stats.violations()
     );
-    // Family → spec count from the grid itself (identical in direct,
-    // worker and replay runs, since all rebuild the same TopoGrid).
-    let mut spec_counts: Vec<(String, usize)> = Vec::new();
-    for entry in topo.entries() {
-        let family = entry.spec.family();
-        match spec_counts.binary_search_by(|(f, _)| f.as_str().cmp(&family)) {
-            Ok(i) => spec_counts[i].1 += 1,
-            Err(i) => spec_counts.insert(i, (family, 1)),
-        }
-    }
-    let rows = spec_counts
+    let rows = family_spec_counts(&topo)
         .iter()
         .map(|(family, specs)| {
             let f = stats.group(family);

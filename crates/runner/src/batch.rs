@@ -16,43 +16,38 @@
 //! runs the same loop and collects the outcomes instead, for callers
 //! that read them one by one.
 //!
-//! Scenarios the solver's preconditions don't cover (equal or
-//! out-of-range starts, a delayed *first* agent, a disconnected graph,
-//! and fleets, which run on the
-//! [`GatheringExecutor`](crate::GatheringExecutor) instead) fall back to
-//! the wrapped [`AlgorithmExecutor`] one by one, which keeps error
-//! behavior — `StartsNotDistinct`, `StartOutOfRange`, `NotConnected`,
-//! bad labels, the refusal of a fleet — identical too. The fallback
-//! steps [`ScheduleBehavior`]s round by round and reads no compiled
-//! plan, so the stepped engine stays in the loop as an independent
-//! equivalence oracle; see `tests/batch_equivalence.rs`.
+//! The executor validates, then solves. Each run's lead is checked as
+//! the stepped engine checks a scenario, in the same order: a pair
+//! (fleets run on the [`GatheringExecutor`](crate::GatheringExecutor)),
+//! starts inside the graph, both labels (by fetching their plans, which
+//! fail exactly when the labels' schedules do), [`check_agents`], then
+//! the graph's connectivity (computed once per executor). Every
+//! scenario of a run would fail alike, so a refusal carries the run's
+//! first index and the stepped engine's error. Every pair that passes
+//! is solved, whichever agent sleeps: time counts from the earlier
+//! wake-up and nobody moves before it, so the earlier riser is the
+//! solver's first agent, the delay is the difference of the two, and
+//! the horizon loses the rounds both sleep. The stepped
+//! [`AlgorithmExecutor`] is never run; it is the independent oracle of
+//! `--engine stepped` and `tests/batch_equivalence.rs`.
 //!
 //! [`Trajectory`]: rendezvous_sim::Trajectory
-//! [`ScheduleBehavior`]: rendezvous_core::ScheduleBehavior
 
-use crate::executor::{AlgorithmExecutor, Executor, RunnerError};
+use crate::executor::{AlgorithmExecutor, RunnerError};
 use crate::scenario::{Measured, Scenario, ScenarioOutcome};
 use crate::workload::{PieceExecutor, WorkPiece};
 use crate::{Bounds, Runner, SweepReport};
 use rendezvous_core::RendezvousAlgorithm;
 use rendezvous_graph::analysis;
-use rendezvous_sim::BatchSolver;
+use rendezvous_sim::{check_agents, BatchSolver, SimError};
 use rendezvous_telemetry::{Counter, Metrics, Scope};
 use std::ops::Range;
 
-/// A work unit of one piece, as a range of in-piece scenario indices:
-/// either a maximal run of batchable scenarios sharing labels, starts and
-/// horizon, or a single stepped-fallback scenario.
-enum Job {
-    Batched(Range<usize>),
-    Stepped(usize),
-}
-
 /// Piece executor that solves the delay axis of a pair sweep in batch.
 ///
-/// Wraps an [`AlgorithmExecutor`] (reading its plan cache, whose
-/// schedules the stepped fallback shares) and carries the sweep's [`Bounds`] itself, playing
-/// the role [`Bounded`](crate::Bounded) plays for stepped executors.
+/// Wraps an [`AlgorithmExecutor`] (its pair check and plan cache) and
+/// carries the sweep's [`Bounds`] itself, playing the role
+/// [`Bounded`](crate::Bounded) plays for stepped executors.
 pub struct BatchExecutor<'a> {
     algorithm: &'a dyn RendezvousAlgorithm,
     inner: AlgorithmExecutor<'a>,
@@ -61,14 +56,11 @@ pub struct BatchExecutor<'a> {
     counters: Option<BatchCounters>,
 }
 
-/// Batched-vs-fallback classification counters (attached via
-/// [`BatchExecutor::with_metrics`]). The scenario-scoped pair is
-/// sharding-invariant because [`BatchExecutor::batchable`] is a pure
-/// per-scenario predicate: any partition of a sweep classifies every
-/// scenario identically.
+/// Run counters (attached via [`BatchExecutor::with_metrics`]). The
+/// scenario count is sharding-invariant: every scenario is solved once,
+/// whatever run a cut puts it in.
 struct BatchCounters {
     batched: Counter,
-    stepped: Counter,
     groups: Counter,
 }
 
@@ -80,9 +72,8 @@ impl<'a> BatchExecutor<'a> {
             algorithm,
             inner: AlgorithmExecutor::new(algorithm),
             bounds: None,
-            // The stepped engine re-checks connectivity every run; check
-            // once here and route everything stepped if it fails, so the
-            // error surfaces identically.
+            // The stepped engine checks connectivity every run; this
+            // executor checks once.
             connected: analysis::is_connected(algorithm.graph()),
             counters: None,
         }
@@ -96,55 +87,59 @@ impl<'a> BatchExecutor<'a> {
         self
     }
 
-    /// Attaches classification counters (and the inner executor's
-    /// plan-cache counters) from `metrics`.
+    /// Attaches run counters (and the inner executor's plan-cache
+    /// counters) from `metrics`.
     #[must_use]
     pub fn with_metrics(mut self, metrics: &Metrics) -> Self {
         self.inner = self.inner.with_metrics(metrics);
         self.counters = Some(BatchCounters {
             batched: metrics.counter(Scope::Scenario, "scenarios_batched"),
-            stepped: metrics.counter(Scope::Scenario, "scenarios_stepped"),
             groups: metrics.counter(Scope::Process, "batch_groups"),
         });
         self
     }
 
-    /// Returns `true` if `scenario` satisfies the batched solver's
-    /// preconditions; anything else goes through the stepped fallback so
-    /// outcomes *and errors* match the stepped engine exactly.
-    fn batchable(&self, scenario: &Scenario) -> bool {
-        let graph = self.algorithm.graph();
-        self.connected
-            && scenario.is_pair()
-            && scenario.first().delay == 0
-            && scenario.start_a() != scenario.start_b()
-            && graph.contains(scenario.start_a())
-            && graph.contains(scenario.start_b())
-    }
-
-    /// Solves one batched run: both plans are compiled (or fetched from
-    /// the shared cache) once, then every delay is one solver call, handed
-    /// to `sink` with its in-piece index. Errors carry the run's first
-    /// index.
+    /// Checks one run's lead as the stepped engine checks a scenario,
+    /// then solves the run: both plans are compiled (or fetched from the
+    /// shared cache) once, and every scenario is one solver call, handed
+    /// to `sink` with its in-piece index.
     fn solve_run(
         &self,
         scenarios: &[Scenario],
         run: Range<usize>,
         sink: &mut impl FnMut(usize, &Scenario, Measured),
     ) -> Result<(), RunnerError> {
-        let lead = &scenarios[run.start];
-        let plan = |label, start| {
-            self.inner
-                .plan(label, start)
-                .map_err(|e| e.at_index(run.start))
-        };
-        let plan_a = plan(lead.first_label(), lead.start_a())?;
-        let plan_b = plan(lead.second_label(), lead.start_b())?;
-        let solver = BatchSolver::new(&plan_a, &plan_b, lead.horizon);
+        let [(plan_a, a), (plan_b, b)] = self
+            .inner
+            .check_pair(&scenarios[run.start], |label, start| {
+                self.inner.plan(label, start)
+            })?;
+        check_agents(self.algorithm.graph(), &[a, b])?;
+        if !self.connected {
+            return Err(SimError::NotConnected.into());
+        }
+        let mut solver = None;
         for (i, scenario) in run.clone().zip(&scenarios[run]) {
-            let out = solver.solve(scenario.delay());
-            // With an undelayed first agent the meeting round *is* the
-            // paper's time (counted from the earlier wake-up).
+            // Nobody moves before the earlier wake-up, from which the
+            // paper counts time: the earlier riser leads (a tie keeps
+            // placement order), the later one sleeps the difference, and
+            // the horizon loses the rounds both sleep. Cost and crossings
+            // are symmetric in the two agents.
+            let (d1, d2) = (scenario.first().delay, scenario.delay());
+            let shape = (d1 > d2, d1.min(d2));
+            let solve = match &solver {
+                Some((built, solve)) if *built == shape => solve,
+                _ => {
+                    let horizon = scenario.horizon.saturating_sub(shape.1);
+                    let built = if shape.0 {
+                        BatchSolver::new(&plan_b, &plan_a, horizon)
+                    } else {
+                        BatchSolver::new(&plan_a, &plan_b, horizon)
+                    };
+                    &solver.insert((shape, built)).1
+                }
+            };
+            let out = solve.solve(d1.abs_diff(d2));
             sink(
                 i,
                 scenario,
@@ -157,67 +152,54 @@ impl<'a> BatchExecutor<'a> {
     /// The one run loop behind [`PieceExecutor::run_piece`] and
     /// [`PieceExecutor::fold_piece`]: every scenario of the piece, in
     /// index order, goes to `sink` with its in-piece index and what it
-    /// measured — batched runs straight from the solver, fallbacks from
-    /// the stepped executor's outcome. Jobs cover the piece in index
-    /// order, so the first error met is the lowest-index one, which is
-    /// what the per-scenario fold would surface.
+    /// measured. Runs cover the piece in index order, so the first error
+    /// met is the lowest-index one, which is what the per-scenario fold
+    /// would surface.
     fn drive(
         &self,
         scenarios: &[Scenario],
         mut sink: impl FnMut(usize, &Scenario, Measured),
     ) -> Result<(), RunnerError> {
-        for job in self.jobs(scenarios) {
-            match job {
-                Job::Batched(run) => {
-                    if let Some(counters) = &self.counters {
-                        counters.batched.add_count(run.len());
-                        counters.groups.inc();
-                    }
-                    self.solve_run(scenarios, run, &mut sink)?;
-                }
-                Job::Stepped(i) => {
-                    if let Some(counters) = &self.counters {
-                        counters.stepped.inc();
-                    }
-                    let outcome = self.inner.run(&scenarios[i]).map_err(|e| e.at_index(i))?;
-                    sink(i, &scenarios[i], outcome.measured());
-                }
+        for run in runs(scenarios) {
+            if let Some(counters) = &self.counters {
+                counters.batched.add_count(run.len());
+                counters.groups.inc();
             }
+            let first = run.start;
+            self.solve_run(scenarios, run, &mut sink)
+                .map_err(|e| e.at_index(first))?;
         }
         Ok(())
     }
+}
 
-    /// Splits a piece into jobs, in index order: grid order is label pair
-    /// → start pair → delay, so each (labels, starts, horizon) group is
-    /// one contiguous run.
-    fn jobs(&self, scenarios: &[Scenario]) -> Vec<Job> {
-        let run_key = |s: &Scenario| {
-            (
-                s.first_label(),
-                s.second_label(),
-                s.start_a(),
-                s.start_b(),
-                s.horizon,
-            )
-        };
-        let mut jobs = Vec::new();
-        let mut i = 0;
-        while i < scenarios.len() {
-            if !self.batchable(&scenarios[i]) {
-                jobs.push(Job::Stepped(i));
-                i += 1;
-                continue;
-            }
-            let key = run_key(&scenarios[i]);
-            let end = scenarios[i..]
-                .iter()
-                .position(|s| !self.batchable(s) || run_key(s) != key)
-                .map_or(scenarios.len(), |k| i + k);
-            jobs.push(Job::Batched(i..end));
-            i = end;
-        }
-        jobs
-    }
+/// Splits a piece into maximal runs, in index order, of scenarios that
+/// share agent count, labels, starts and horizon: grid order is label
+/// pair → start pair → delay, so each such group is one contiguous run
+/// of delays. Every check the stepped engine makes depends on the run's
+/// key alone, so all scenarios of a run pass or fail alike.
+fn runs(scenarios: &[Scenario]) -> impl Iterator<Item = Range<usize>> + '_ {
+    let key = |s: &Scenario| {
+        (
+            s.k(),
+            s.first_label(),
+            s.second_label(),
+            s.start_a(),
+            s.start_b(),
+            s.horizon,
+        )
+    };
+    let mut start = 0;
+    std::iter::from_fn(move || {
+        let lead = key(scenarios.get(start)?);
+        let end = scenarios[start..]
+            .iter()
+            .position(|s| key(s) != lead)
+            .map_or(scenarios.len(), |k| start + k);
+        let run = start..end;
+        start = end;
+        Some(run)
+    })
 }
 
 impl PieceExecutor for BatchExecutor<'_> {
@@ -260,7 +242,7 @@ mod tests {
     use crate::scenario::Placement;
     use crate::{Grid, Workload};
     use proptest::prelude::*;
-    use rendezvous_core::{Cheap, LabelSpace};
+    use rendezvous_core::{Cheap, CoreError, LabelSpace};
     use rendezvous_explore::OrientedRingExplorer;
     use rendezvous_graph::{generators, NodeId};
     use rendezvous_sim::SimError;
@@ -284,7 +266,8 @@ mod tests {
         )
     }
 
-    /// Two agents where the *first* sleeps — a pair the solver can't take.
+    /// Two agents where the *first* sleeps: solved with the second one
+    /// leading.
     fn delayed_first(horizon: u64) -> Scenario {
         let place = |label, start, delay| Placement {
             label,
@@ -384,10 +367,10 @@ mod tests {
         Ok(serde_json::to_string(&report).unwrap())
     }
 
-    /// Batchable runs (one of them a repeat of an earlier key) around
-    /// stepped fallbacks, cut at every index — including mid-run:
-    /// outcomes, folded reports and errors equal the stepped executor's,
-    /// the error at the same global index.
+    /// Runs (one of them a repeat of an earlier key, one delayed-first)
+    /// cut at every index — including mid-run: outcomes, folded reports
+    /// and errors equal the stepped executor's, the error at the same
+    /// global index, also where a scenario fails two checks at once.
     #[test]
     fn mixed_piece_equals_stepped_outcomes_at_every_cut() {
         let alg = cheap_ring(6, 4);
@@ -404,18 +387,11 @@ mod tests {
             s
         }));
         let executor = BatchExecutor::new(&alg);
-        let shape: Vec<(bool, usize)> = executor
-            .jobs(&clean)
-            .into_iter()
-            .map(|job| match job {
-                Job::Batched(run) => (true, run.len()),
-                Job::Stepped(_) => (false, 1),
-            })
-            .collect();
+        let shape: Vec<usize> = runs(&clean).map(|run| run.len()).collect();
         assert_eq!(
             shape,
-            [(true, 4), (false, 1), (true, 2), (true, 2), (true, 1)],
-            "runs split at fallbacks, key changes and horizon changes"
+            [4, 1, 2, 2, 1],
+            "runs split at key changes and horizon changes"
         );
         // Errors: equal starts (`StartsNotDistinct`) before a fleet, and
         // the other way round; a start outside the 6-ring
@@ -429,23 +405,36 @@ mod tests {
         let mut out_of_range = clean.clone();
         out_of_range.insert(4, pair((1, 2), (0, 9), 0, h));
         out_of_range.insert(7, pair((2, 3), (3, 3), 0, h));
+        // Two checks failed at once: equal starts and a label outside
+        // the space (the label is checked first), then label 0 (refused
+        // as outside the space too), each before a later equal-start
+        // pair.
+        let mut bad_label = clean.clone();
+        bad_label.insert(5, pair((1, 7), (2, 2), 0, h));
+        bad_label.insert(8, pair((2, 3), (3, 3), 0, h));
+        let mut label_zero = clean.clone();
+        label_zero.insert(1, pair((0, 3), (0, 2), 1, h));
+        label_zero.insert(3, pair((2, 3), (3, 3), 0, h));
         let out_of_range_error = SimError::StartOutOfRange {
             node: NodeId::new(9),
         }
         .to_string();
+        let label_error = |label| CoreError::LabelOutOfRange { label, space: 4 }.to_string();
         let stepped = AlgorithmExecutor::new(&alg);
-        for (scenarios, error_at) in [
-            (clean, None),
-            (equal_first, Some(6)),
-            (fleet_first, Some(2)),
-            (out_of_range, Some(4)),
+        for (scenarios, error_at, expected) in [
+            (clean, None, None),
+            (equal_first, Some(6), None),
+            (fleet_first, Some(2), None),
+            (out_of_range, Some(4), Some(out_of_range_error)),
+            (bad_label, Some(5), Some(label_error(7))),
+            (label_zero, Some(1), Some(label_error(0))),
         ] {
             let reference = Runner::sequential().outcomes(&stepped, &scenarios);
             let error = reference.as_ref().err();
             assert_eq!(error.and_then(RunnerError::index), error_at);
-            if error_at == Some(4) {
+            if let Some(expected) = expected {
                 let msg = error.unwrap().to_string();
-                assert!(msg.ends_with(&out_of_range_error), "{msg}");
+                assert!(msg.ends_with(&expected), "{msg}");
             }
             let folded = stepped_fold(&alg, &scenarios, "", None);
             // An empty piece adds no group, as `absorb_piece` promises.
@@ -468,10 +457,10 @@ mod tests {
     /// Four times Cheap's time bound on the 6-ring with `L = 4`.
     const H: u64 = 4 * 45;
 
-    /// One generated stretch of a piece list: a batchable run of delays
-    /// for one of a few (labels, starts) keys at one of three horizons
-    /// (the shortest forces misses), or a stepped fallback — a delayed
-    /// first agent, or an error: equal starts or a 3-agent fleet.
+    /// One generated stretch of a piece list: a run of delays for one of
+    /// a few (labels, starts) keys at one of three horizons (the
+    /// shortest forces misses), a delayed first agent, or an error:
+    /// equal starts or a 3-agent fleet.
     fn arb_stretch() -> impl Strategy<Value = Vec<Scenario>> {
         const LABELS: [(u64, u64); 3] = [(1, 3), (3, 1), (2, 4)];
         const STARTS: [(usize, usize); 3] = [(0, 2), (4, 1), (3, 5)];
@@ -498,7 +487,7 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(128))]
 
         /// Random piece lists, repeated stretches (forced time, cost and
-        /// ratio ties at different indices), fallbacks, horizon changes
+        /// ratio ties at different indices), delayed first agents, horizon changes
         /// and errors, cut anywhere, empty pieces included: the batched
         /// `fold_piece` serializes to the same report as `run_piece` +
         /// `absorb_piece` and as the stepped oracle's fold, or fails at

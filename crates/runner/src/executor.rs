@@ -1,11 +1,11 @@
 //! How a [`Scenario`] becomes an execution: pluggable executors.
 
-use crate::{Scenario, ScenarioOutcome};
+use crate::{Placement, Scenario, ScenarioOutcome};
 use rendezvous_core::{
     CoreError, Label, RendezvousAlgorithm, Schedule, ScheduleBehavior, SegmentMemo,
 };
 use rendezvous_graph::NodeId;
-use rendezvous_sim::{AgentBehavior, AgentSpec, SimError, Simulation, Trajectory};
+use rendezvous_sim::{AgentSpec, SimError, Simulation, Trajectory};
 use rendezvous_telemetry::{Counter, Metrics, Scope};
 use std::cell::RefCell;
 use std::collections::BTreeMap;
@@ -155,8 +155,11 @@ impl PlanCache {
         if let Some(s) = self.schedules.borrow().get(&label_value) {
             return Ok(Arc::clone(s));
         }
-        let label = Label::new(label_value)
-            .ok_or_else(|| RunnerError::new(format!("label {label_value} is not positive")))?;
+        // Label 0 is refused as `gathering_fleet` refuses it.
+        let label = Label::new(label_value).ok_or(CoreError::LabelOutOfRange {
+            label: 0,
+            space: algorithm.label_space().size(),
+        })?;
         let compiled = Arc::new(algorithm.schedule(label)?);
         self.schedules
             .borrow_mut()
@@ -281,94 +284,58 @@ impl<'a> AlgorithmExecutor<'a> {
     }
 }
 
-impl Executor for AlgorithmExecutor<'_> {
-    fn run(&self, scenario: &Scenario) -> Result<ScenarioOutcome, RunnerError> {
-        require_pair(scenario, "AlgorithmExecutor")?;
+impl AlgorithmExecutor<'_> {
+    /// The checks both pair engines make before the placements: a pair
+    /// (a fleet is refused, not cut to its first two agents), both starts
+    /// nodes of the graph (a behavior's constructor panics on any other,
+    /// so this comes first, with the error
+    /// [`check_agents`](rendezvous_sim::check_agents) gives), then both
+    /// labels, each through `compile(label, start)`: the stepped engine
+    /// fetches the label's schedule, the batched one its plan, which
+    /// compiles from that schedule and fails exactly when it does. Both
+    /// engines then check the returned placements with `check_agents`,
+    /// then the graph's connectivity — [`Simulation::run`]'s order — so
+    /// a scenario that fails two checks gets the same error from either.
+    pub(crate) fn check_pair<T>(
+        &self,
+        scenario: &Scenario,
+        mut compile: impl FnMut(u64, NodeId) -> Result<T, RunnerError>,
+    ) -> Result<[(T, AgentSpec); 2], RunnerError> {
+        if !scenario.is_pair() {
+            return Err(RunnerError::new(format!(
+                "AlgorithmExecutor runs two-agent rendezvous but the scenario places {} agents; \
+                 use GatheringExecutor for fleets",
+                scenario.k()
+            )));
+        }
         let graph = self.algorithm.graph();
-        // Checked before a behavior is built (its constructor panics on a
-        // start outside the graph), with the error `Simulation::run` gives.
         for node in [scenario.start_a(), scenario.start_b()] {
             if !graph.contains(node) {
                 return Err(SimError::StartOutOfRange { node }.into());
             }
         }
-        let behavior = |label, start| {
-            self.schedule(label)
-                .map(|s| Box::new(ScheduleBehavior::with_shared(Arc::clone(graph), s, start)))
+        let mut member = |p: &Placement| {
+            compile(p.label, p.start).map(|c| (c, AgentSpec::delayed(p.start, p.delay)))
+        };
+        Ok([member(scenario.first())?, member(scenario.second())?])
+    }
+}
+
+impl Executor for AlgorithmExecutor<'_> {
+    fn run(&self, scenario: &Scenario) -> Result<ScenarioOutcome, RunnerError> {
+        let [(schedule_a, a), (schedule_b, b)] =
+            self.check_pair(scenario, |label, _| self.schedule(label))?;
+        let graph = self.algorithm.graph();
+        let behavior = |schedule, spec: AgentSpec| {
+            Box::new(ScheduleBehavior::with_shared(
+                Arc::clone(graph),
+                schedule,
+                spec.start,
+            ))
         };
         let outcome = Simulation::new(graph)
-            .agent(
-                behavior(scenario.first_label(), scenario.start_a())?,
-                AgentSpec::delayed(scenario.start_a(), scenario.first().delay),
-            )
-            .agent(
-                behavior(scenario.second_label(), scenario.start_b())?,
-                AgentSpec::delayed(scenario.start_b(), scenario.delay()),
-            )
-            .max_rounds(scenario.horizon)
-            .run()?;
-        Ok(ScenarioOutcome::pairwise(
-            scenario.clone(),
-            outcome.time(),
-            outcome.cost(),
-            outcome.crossings(),
-        ))
-    }
-}
-
-/// Rejects non-pair scenarios on inherently pairwise executors with an
-/// error naming the executor, instead of silently ignoring placements
-/// beyond the first two.
-fn require_pair(scenario: &Scenario, who: &str) -> Result<(), RunnerError> {
-    if scenario.is_pair() {
-        Ok(())
-    } else {
-        Err(RunnerError::new(format!(
-            "{who} runs two-agent rendezvous but the scenario places {} agents; \
-             use GatheringExecutor for fleets",
-            scenario.k()
-        )))
-    }
-}
-
-/// The two behaviors of one execution, built per scenario so that
-/// position-aware behaviors can be constructed correctly.
-pub type BehaviorPair<'a> = (Box<dyn AgentBehavior + 'a>, Box<dyn AgentBehavior + 'a>);
-
-/// Executes scenarios with arbitrary behaviors from a factory — the
-/// escape hatch for scripted agents, baselines, and tests.
-pub struct FactoryExecutor<'a, F>
-where
-    F: Fn(&Scenario) -> BehaviorPair<'a>,
-{
-    graph: &'a rendezvous_graph::PortLabeledGraph,
-    factory: F,
-}
-
-impl<'a, F> FactoryExecutor<'a, F>
-where
-    F: Fn(&Scenario) -> BehaviorPair<'a>,
-{
-    /// Wraps a behavior factory operating on `graph`.
-    #[must_use]
-    pub fn new(graph: &'a rendezvous_graph::PortLabeledGraph, factory: F) -> Self {
-        FactoryExecutor { graph, factory }
-    }
-}
-
-impl<'a, F> Executor for FactoryExecutor<'a, F>
-where
-    F: Fn(&Scenario) -> BehaviorPair<'a>,
-{
-    fn run(&self, scenario: &Scenario) -> Result<ScenarioOutcome, RunnerError> {
-        require_pair(scenario, "FactoryExecutor")?;
-        let (a, b) = (self.factory)(scenario);
-        let outcome = Simulation::new(self.graph)
-            .agent(
-                a,
-                AgentSpec::delayed(scenario.start_a(), scenario.first().delay),
-            )
-            .agent(b, AgentSpec::delayed(scenario.start_b(), scenario.delay()))
+            .agent(behavior(schedule_a, a), a)
+            .agent(behavior(schedule_b, b), b)
             .max_rounds(scenario.horizon)
             .run()?;
         Ok(ScenarioOutcome::pairwise(

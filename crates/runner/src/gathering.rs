@@ -5,7 +5,7 @@
 
 use crate::executor::{Executor, PlanCache, RunnerError};
 use crate::{Scenario, ScenarioOutcome};
-use rendezvous_core::{gathering_fleet, CoreError, RendezvousAlgorithm};
+use rendezvous_core::{gathering_fleet, RendezvousAlgorithm};
 use rendezvous_graph::NodeId;
 use rendezvous_sim::gathering::{run_gathering, FleetSolver};
 use rendezvous_sim::AgentSpec;
@@ -94,14 +94,6 @@ impl Executor for GatheringExecutor {
             let out = self
                 .solver
                 .solve(&fleet, scenario.horizon, |label, start| {
-                    if label == 0 {
-                        // Refused as `gathering_fleet` refuses it.
-                        return Err(CoreError::LabelOutOfRange {
-                            label: 0,
-                            space: self.algorithm.label_space().size(),
-                        }
-                        .into());
-                    }
                     plans.plan(self.algorithm.as_ref(), label, start)
                 })?;
             (out.gathered, out.cost, out.merges)

@@ -25,6 +25,13 @@
 //!   and [`TopoGrid`] (per-[`GraphSpec`](rendezvous_graph::GraphSpec)
 //!   grids concatenated over many graphs, each built once and keyed by
 //!   family);
+//! * two pair engines behind [`PieceExecutor`]: [`AlgorithmExecutor`]
+//!   steps each scenario's schedules round by round (the oracle), and
+//!   [`BatchExecutor`] solves whole (labels, starts) runs of delays from
+//!   compiled trajectories. Both check a scenario the same way, in the
+//!   same order, and share no execution path, so a diff of their
+//!   outputs compares two independent implementations;
+//!   [`GatheringExecutor`] has the same two engines for fleets;
 //! * [`Runner`] — executes workloads on the calling thread through a
 //!   [`PieceExecutor`] (any per-scenario [`Executor`] works as-is;
 //!   [`Bounded`] attaches sweep-level [`Bounds`]); the fold walks
@@ -82,7 +89,7 @@ mod topo;
 mod workload;
 
 pub use batch::BatchExecutor;
-pub use executor::{AlgorithmExecutor, Executor, FactoryExecutor, RunnerError};
+pub use executor::{AlgorithmExecutor, Executor, RunnerError};
 pub use gathering::GatheringExecutor;
 pub use grid::{FleetRule, Grid};
 pub use report::{fold_outcomes, Bounds, GroupStats, SweepReport, Witness};

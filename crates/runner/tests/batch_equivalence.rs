@@ -8,12 +8,16 @@
 //! on.
 
 use proptest::prelude::*;
-use rendezvous_core::{Cheap, Fast, LabelSpace, RendezvousAlgorithm};
-use rendezvous_explore::spec_explorer;
-use rendezvous_graph::{ErdosRenyiSpec, GraphSpec, RegularSpec, RingSpec, SeededSpec};
-use rendezvous_runner::{
-    AlgorithmExecutor, BatchExecutor, Bounded, Bounds, Grid, Runner, SweepReport, Workload,
+use rendezvous_core::{Cheap, CoreError, Fast, LabelSpace, RendezvousAlgorithm};
+use rendezvous_explore::{spec_explorer, BoundedWalkExplorer};
+use rendezvous_graph::{
+    ErdosRenyiSpec, GraphBuilder, GraphSpec, NodeId, RegularSpec, RingSpec, SeededSpec,
 };
+use rendezvous_runner::{
+    AlgorithmExecutor, BatchExecutor, Bounded, Bounds, Grid, PieceExecutor, Placement, Runner,
+    Scenario, SweepReport, WorkPiece, Workload,
+};
+use rendezvous_sim::SimError;
 use std::sync::Arc;
 
 /// One seeded spec per family knob, mirroring the experiment's spec pool.
@@ -154,5 +158,109 @@ fn degenerate_grids_agree() {
         let batched = batched_sweep(&Runner::sequential(), &grid, alg.as_ref());
         assert_eq!(stepped, batched, "delays {delays:?}");
         assert!(stepped.clean());
+    }
+}
+
+/// One stretch of a piece: pairs sharing labels, starts and horizon
+/// (so one batched run), each with its own two delays. Starts are
+/// equal, out of range (either agent's) or distinct; delays reach past
+/// the horizon, so horizons below both delays occur.
+fn arb_stretch(n: usize) -> impl Strategy<Value = Vec<Scenario>> {
+    (
+        (1u64..=4, 1u64..=4),
+        (0u8..8, 0..n, 1..n),
+        0u64..250,
+        collection::vec((0u64..60, 0u64..60), 1..4),
+    )
+        .prop_map(move |(labels, (kind, s, t), horizon, delays)| {
+            let starts = match kind {
+                0 => (s, s),
+                1 => (s, n + t),
+                2 => (n + t, s),
+                _ => (s, (s + t) % n),
+            };
+            delays
+                .into_iter()
+                .map(|(d1, d2)| {
+                    let place = |label, start, delay| Placement {
+                        label,
+                        start: NodeId::new(start),
+                        delay,
+                    };
+                    Scenario::fleet(
+                        vec![place(labels.0, starts.0, d1), place(labels.1, starts.1, d2)],
+                        horizon,
+                    )
+                })
+                .collect()
+        })
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// Any two delays (the first agent's too) and any horizon, on Cheap
+    /// and Fast over five graph families: the batched piece equals the
+    /// stepped engine's outcomes, or fails with its error at the same
+    /// index — for each stretch alone and for all of them in one piece.
+    #[test]
+    fn any_delays_and_horizon_equal_stepped_outcomes(
+        family in 0u8..5,
+        seed in 0u64..100,
+        fast in 0u8..2,
+        stretches in collection::vec(arb_stretch(6), 1..5),
+    ) {
+        let spec = spec_for(family, 6, seed);
+        let (_, alg) = algorithm_on(&spec, 4, fast == 1);
+        let stepped = AlgorithmExecutor::new(alg.as_ref());
+        let batched = BatchExecutor::new(alg.as_ref());
+        let mut pieces = stretches.clone();
+        pieces.push(stretches.concat());
+        for scenarios in pieces {
+            let reference = Runner::sequential().outcomes(&stepped, &scenarios);
+            let piece = WorkPiece { offset: 0, key: "", entry: None, scenarios };
+            let solved = batched
+                .run_piece(&Runner::sequential(), &piece)
+                .map(|(outcomes, _)| outcomes);
+            prop_assert_eq!(solved, reference);
+        }
+    }
+}
+
+/// Two disjoint triangles: both pair engines refuse every scenario with
+/// `NotConnected`, first at the range's first global index; and where a
+/// label lies outside the space, both give the label error first, as
+/// the stepped engine orders its checks.
+#[test]
+fn disconnected_graphs_are_refused_alike() {
+    let mut builder = GraphBuilder::new(6);
+    for (u, v) in [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)] {
+        builder.add_edge(NodeId::new(u), NodeId::new(v)).unwrap();
+    }
+    let split = Arc::new(builder.build().unwrap());
+    let walk = Arc::new(BoundedWalkExplorer::new(2));
+    let alg = Fast::new(split.clone(), walk, LabelSpace::new(4).unwrap());
+    let grid = |labels| {
+        Grid::new(50)
+            .label_pairs_ordered(&[labels])
+            .delays(&[0, 3])
+            .all_start_pairs(&split)
+    };
+    let not_connected = SimError::NotConnected.to_string();
+    let bad_label = CoreError::LabelOutOfRange { label: 9, space: 4 }.to_string();
+    for (grid, expected) in [(grid((1, 2)), not_connected), (grid((1, 9)), bad_label)] {
+        for lo in [0, 5] {
+            let hi = grid.size();
+            let sweep = |executor: &dyn PieceExecutor| {
+                Runner::sequential()
+                    .sweep_range(&grid, lo, hi, executor)
+                    .unwrap_err()
+            };
+            let stepped = sweep(&AlgorithmExecutor::new(&alg));
+            let batched = sweep(&BatchExecutor::new(&alg));
+            assert_eq!(batched, stepped);
+            assert_eq!(stepped.index(), Some(lo));
+            assert!(stepped.to_string().ends_with(&expected), "{stepped}");
+        }
     }
 }

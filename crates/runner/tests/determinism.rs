@@ -11,12 +11,44 @@
 use proptest::prelude::*;
 use rendezvous_core::{Cheap, Fast, LabelSpace, RendezvousAlgorithm};
 use rendezvous_explore::OrientedRingExplorer;
-use rendezvous_graph::{generators, NodeId, Port};
+use rendezvous_graph::{generators, NodeId, Port, PortLabeledGraph};
 use rendezvous_runner::{
-    fold_outcomes, AlgorithmExecutor, Bounded, Bounds, Executor, FactoryExecutor, Grid, Runner,
+    fold_outcomes, AlgorithmExecutor, Bounded, Bounds, Executor, Grid, Runner, RunnerError,
+    Scenario, ScenarioOutcome,
 };
-use rendezvous_sim::{Action, ScriptedAgent};
+use rendezvous_sim::{Action, AgentSpec, ScriptedAgent, Simulation};
 use std::sync::Arc;
+
+/// Runs every pair scenario with the same two scripted agents, whatever
+/// its labels: the first agent follows `first`, the second `second`.
+struct Scripted<'a> {
+    graph: &'a PortLabeledGraph,
+    first: Vec<Action>,
+    second: Vec<Action>,
+}
+
+impl Executor for Scripted<'_> {
+    fn run(&self, scenario: &Scenario) -> Result<ScenarioOutcome, RunnerError> {
+        let agent = |script: &[Action]| Box::new(ScriptedAgent::new(script.to_vec()));
+        let outcome = Simulation::new(self.graph)
+            .agent(
+                agent(&self.first),
+                AgentSpec::delayed(scenario.start_a(), scenario.first().delay),
+            )
+            .agent(
+                agent(&self.second),
+                AgentSpec::delayed(scenario.start_b(), scenario.delay()),
+            )
+            .max_rounds(scenario.horizon)
+            .run()?;
+        Ok(ScenarioOutcome::pairwise(
+            scenario.clone(),
+            outcome.time(),
+            outcome.cost(),
+            outcome.crossings(),
+        ))
+    }
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
@@ -95,18 +127,11 @@ proptest! {
 fn edge_crossings_are_never_reported_as_meetings() {
     let g = generators::oriented_ring(4).unwrap();
     let horizon = 8;
-    let executor = FactoryExecutor::new(&g, |_scenario| {
-        (
-            Box::new(ScriptedAgent::new(vec![
-                Action::Move(Port::new(0));
-                horizon as usize
-            ])) as Box<dyn rendezvous_sim::AgentBehavior>,
-            Box::new(ScriptedAgent::new(vec![
-                Action::Move(Port::new(1));
-                horizon as usize
-            ])) as Box<dyn rendezvous_sim::AgentBehavior>,
-        )
-    });
+    let executor = Scripted {
+        graph: &g,
+        first: vec![Action::Move(Port::new(0)); horizon as usize],
+        second: vec![Action::Move(Port::new(1)); horizon as usize],
+    };
     // Adjacent ordered start pairs (i, i+1): the cw/ccw pair swaps every
     // other round; positions coincide only if 2r ≡ 1 (mod 4) — never.
     let pairs: Vec<(NodeId, NodeId)> = (0..4)
@@ -140,13 +165,11 @@ fn edge_crossings_are_never_reported_as_meetings() {
 fn worst_case_witness_of_walker_vs_idler_is_ring_length_minus_one() {
     let n = 8usize;
     let g = generators::oriented_ring(n).unwrap();
-    let executor = FactoryExecutor::new(&g, |_scenario| {
-        (
-            Box::new(ScriptedAgent::new(vec![Action::Move(Port::new(0)); 512]))
-                as Box<dyn rendezvous_sim::AgentBehavior>,
-            Box::new(ScriptedAgent::new(vec![])) as Box<dyn rendezvous_sim::AgentBehavior>,
-        )
-    });
+    let executor = Scripted {
+        graph: &g,
+        first: vec![Action::Move(Port::new(0)); 512],
+        second: vec![],
+    };
     let grid = Grid::new(1_000)
         .label_pairs_ordered(&[(1, 2)])
         .delays(&[0, 3, 10])

@@ -14,10 +14,14 @@
 //! that the generator really produces each of those situations.
 
 use proptest::prelude::*;
-use rendezvous_core::{gathering_fleet, Cheap, Fast, Label, LabelSpace, RendezvousAlgorithm};
+use rendezvous_core::{
+    gathering_fleet, Cheap, CoreError, Fast, Label, LabelSpace, RendezvousAlgorithm,
+};
 use rendezvous_explore::{spec_explorer, BoundedWalkExplorer, Explorer};
 use rendezvous_graph::{ErdosRenyiSpec, GraphBuilder, GraphSpec, NodeId, RingSpec, SeededSpec};
-use rendezvous_runner::{Executor, GatheringExecutor, Placement, Runner, Scenario};
+use rendezvous_runner::{
+    AlgorithmExecutor, Executor, GatheringExecutor, Placement, Runner, Scenario,
+};
 use rendezvous_sim::gathering::{run_gathering, GatheringOutcome};
 use std::sync::Arc;
 
@@ -232,6 +236,10 @@ fn both_engines_refuse_bad_fleets_alike() {
         ),
         ("label outside the space", refused(&[(1, 0, 0), (9, 3, 0)])),
         ("label zero", refused(&[(0, 0, 0), (3, 3, 0)])),
+        (
+            "label zero later",
+            refused(&[(3, 0, 2), (5, 3, 0), (0, 6, 0)]),
+        ),
     ];
     let compiled = GatheringExecutor::new(Arc::clone(&algorithm));
     let stepped = GatheringExecutor::stepped(Arc::clone(&algorithm));
@@ -242,6 +250,18 @@ fn both_engines_refuse_bad_fleets_alike() {
         let got = runner.outcomes(&compiled, &batch).unwrap_err();
         assert_eq!(got, expected, "{what}");
         assert_eq!(got.index(), Some(2), "{what}");
+    }
+    // Label 0 is outside the space, in the same words on both fleet
+    // engines and on the pair engine.
+    let zero = CoreError::LabelOutOfRange { label: 0, space: 8 }.to_string();
+    let pair = [good.clone(), good.clone(), refused(&[(0, 0, 0), (3, 3, 0)])];
+    let pair_error = runner
+        .outcomes(&AlgorithmExecutor::new(algorithm.as_ref()), &pair)
+        .unwrap_err();
+    for executor in [&compiled, &stepped] {
+        let got = runner.outcomes(executor, &pair).unwrap_err();
+        assert!(got.to_string().ends_with(&zero), "{got}");
+        assert_eq!(got, pair_error);
     }
     // Repeated labels would otherwise run: the two agents carrying one
     // label never merge on meeting, so the engines could disagree.

@@ -146,14 +146,19 @@ fn schedule_memoization_is_invisible_to_results() {
 fn cached_executor_still_rejects_invalid_labels() {
     let (alg, _) = sweep_setup(5, 4, false);
     let executor = AlgorithmExecutor::new(alg.as_ref());
-    assert!(executor.schedule(0).is_err(), "label 0 is not positive");
+    // Label 0 is refused as outside the space, as a fleet refuses it.
+    let zero = executor.schedule(0).unwrap_err().to_string();
+    assert!(
+        zero.ends_with("label 0 outside the label space {1, …, 4}"),
+        "{zero}"
+    );
     assert!(executor.schedule(3).is_ok());
     assert!(
         executor.schedule(99).is_err(),
         "label outside the space must not cache"
     );
     assert_eq!(executor.compiled_labels(), 1);
-    // The flat-plan cache guards the same boundary.
+    // The plan cache guards the same boundary.
     use rendezvous_graph::NodeId;
     assert!(executor.plan(0, NodeId::new(0)).is_err());
     assert!(executor.plan(3, NodeId::new(2)).is_ok());

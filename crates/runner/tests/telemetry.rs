@@ -136,12 +136,12 @@ fn metrics_never_perturb_report_bytes() {
     assert!(metrics.snapshot().process.get("plan_cache_misses").copied() > Some(0));
 }
 
-/// The batched-vs-fallback classification observed on a mixed piece: a
-/// hand-built piece whose last scenario delays the *first* agent (a
-/// batched-solver precondition violation) routes exactly that scenario
-/// through the stepped fallback — and the counters say so.
+/// The batched engine's run counters on a mixed piece: all four
+/// scenarios are solved, a pair whose *first* agent sleeps included, in
+/// three runs, and match the stepped engine. The last run has the first
+/// run's labels and starts, so it reuses that run's two plans.
 #[test]
-fn batch_classification_counters_split_batched_from_fallback() {
+fn batch_run_counters_count_every_scenario_once() {
     let (_, alg) = ring_fast(6, 4);
     let horizon = 4 * alg.time_bound();
     let mut scenarios = vec![
@@ -149,8 +149,7 @@ fn batch_classification_counters_split_batched_from_fallback() {
         Scenario::pair(1, 2, NodeId::new(0), NodeId::new(3), 1, horizon),
         Scenario::pair(2, 3, NodeId::new(1), NodeId::new(4), 0, horizon),
     ];
-    // First agent delayed: `BatchExecutor::batchable` rejects it, so it
-    // must fall back to the stepped engine.
+    // First agent delayed: solved with the second agent leading.
     scenarios.push(Scenario::fleet(
         vec![
             Placement {
@@ -178,13 +177,18 @@ fn batch_classification_counters_split_batched_from_fallback() {
         .run_piece(&Runner::sequential(), &piece)
         .expect("mixed piece succeeds");
     assert_eq!(outcomes.len(), 4);
+    let stepped = Runner::sequential()
+        .outcomes(&AlgorithmExecutor::new(&alg), &piece.scenarios)
+        .expect("the stepped engine runs it too");
+    assert_eq!(outcomes, stepped);
     let snap = metrics.snapshot();
-    assert_eq!(snap.counters.get("scenarios_batched"), Some(&3));
-    assert_eq!(snap.counters.get("scenarios_stepped"), Some(&1));
-    // Two distinct (labels, starts, horizon) groups among the batched 3.
-    assert_eq!(snap.process.get("batch_groups"), Some(&2));
-    // The two batched groups compiled 4 distinct (label, start) plans,
-    // once each; the stepped fallback steps schedules and reads none.
+    assert_eq!(snap.counters.get("scenarios_batched"), Some(&4));
+    assert!(!snap.counters.contains_key("scenarios_stepped"));
+    // Three runs: delays 0 and 1 of the first key, the second key, and
+    // the delayed-first scenario.
+    assert_eq!(snap.process.get("batch_groups"), Some(&3));
+    // The first two runs compiled 4 distinct (label, start) plans, once
+    // each; the third reads the first run's two again.
     assert_eq!(snap.process.get("plan_cache_misses"), Some(&4));
-    assert_eq!(snap.process.get("plan_cache_hits"), Some(&0));
+    assert_eq!(snap.process.get("plan_cache_hits"), Some(&2));
 }

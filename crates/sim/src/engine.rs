@@ -82,6 +82,36 @@ impl AgentSpec {
     }
 }
 
+/// Checks agent placements the way every engine does before its first
+/// round: at least two agents, then per agent (in order) a start that is
+/// a node of `graph` and a 1-based wake round, then distinct starts.
+/// Connectivity is left to the caller, which can check it once per graph.
+///
+/// # Errors
+///
+/// The first violated condition's [`SimError`]:
+/// [`SimError::TooFewAgents`], [`SimError::StartOutOfRange`],
+/// [`SimError::InvalidWakeRound`] or [`SimError::StartsNotDistinct`].
+pub fn check_agents(graph: &PortLabeledGraph, agents: &[AgentSpec]) -> Result<(), SimError> {
+    if agents.len() < 2 {
+        return Err(SimError::TooFewAgents { got: agents.len() });
+    }
+    for spec in agents {
+        if !graph.contains(spec.start) {
+            return Err(SimError::StartOutOfRange { node: spec.start });
+        }
+        if spec.wake_round == 0 {
+            return Err(SimError::InvalidWakeRound);
+        }
+    }
+    for (i, a) in agents.iter().enumerate() {
+        if agents[i + 1..].iter().any(|b| b.start == a.start) {
+            return Err(SimError::StartsNotDistinct { node: a.start });
+        }
+    }
+    Ok(())
+}
+
 /// A successful meeting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Meeting {
@@ -252,9 +282,8 @@ impl<'a> Simulation<'a> {
     ///
     /// # Errors
     ///
-    /// * [`SimError::TooFewAgents`], [`SimError::StartsNotDistinct`],
-    ///   [`SimError::StartOutOfRange`], [`SimError::InvalidWakeRound`],
-    ///   [`SimError::NotConnected`] — configuration errors;
+    /// * the configuration errors of [`check_agents`], then
+    ///   [`SimError::NotConnected`];
     /// * [`SimError::InvalidMove`] if an agent emits a port that does not
     ///   exist at its current node (an algorithm bug, surfaced loudly).
     pub fn run(self) -> Result<Outcome, SimError> {
@@ -265,26 +294,8 @@ impl<'a> Simulation<'a> {
             record_trace,
         } = self;
         let k = agents.len();
-        if k < 2 {
-            return Err(SimError::TooFewAgents { got: k });
-        }
-        for (_, spec) in &agents {
-            if !graph.contains(spec.start) {
-                return Err(SimError::StartOutOfRange { node: spec.start });
-            }
-            if spec.wake_round == 0 {
-                return Err(SimError::InvalidWakeRound);
-            }
-        }
-        for i in 0..k {
-            for j in (i + 1)..k {
-                if agents[i].1.start == agents[j].1.start {
-                    return Err(SimError::StartsNotDistinct {
-                        node: agents[i].1.start,
-                    });
-                }
-            }
-        }
+        let specs: Vec<AgentSpec> = agents.iter().map(|(_, s)| *s).collect();
+        check_agents(graph, &specs)?;
         if !rendezvous_graph::analysis::is_connected(graph) {
             return Err(SimError::NotConnected);
         }

@@ -19,7 +19,7 @@
 //! label and restart node), with no behavior objects and no allocation
 //! in its round loop.
 
-use crate::{Action, AgentSpec, Meeting, Observation, SimError, Trajectory};
+use crate::{check_agents, Action, AgentSpec, Meeting, Observation, SimError, Trajectory};
 use rendezvous_graph::{NodeId, Port, PortLabeledGraph};
 use std::ops::Deref;
 use std::sync::Arc;
@@ -81,31 +81,16 @@ impl GatheringOutcome {
 }
 
 /// Checks a fleet of `(label, placement)` members the way a gathering
-/// run does before its first round: at least two members, every start
-/// a node of `graph`, 1-based wake rounds, distinct starts and distinct
-/// labels, in that order. Connectivity is left to the caller, which
-/// can check it once per graph.
+/// run does before its first round: [`check_agents`] on the
+/// placements, then distinct labels. Connectivity is left to the
+/// caller, which can check it once per graph.
 ///
 /// # Errors
 ///
 /// The first violated condition's [`SimError`].
 pub fn check_fleet(graph: &PortLabeledGraph, fleet: &[(u64, AgentSpec)]) -> Result<(), SimError> {
-    if fleet.len() < 2 {
-        return Err(SimError::TooFewAgents { got: fleet.len() });
-    }
-    for (_, spec) in fleet {
-        if !graph.contains(spec.start) {
-            return Err(SimError::StartOutOfRange { node: spec.start });
-        }
-        if spec.wake_round == 0 {
-            return Err(SimError::InvalidWakeRound);
-        }
-    }
-    for (i, (_, a)) in fleet.iter().enumerate() {
-        if let Some((_, b)) = fleet[i + 1..].iter().find(|(_, b)| b.start == a.start) {
-            return Err(SimError::StartsNotDistinct { node: b.start });
-        }
-    }
+    let specs: Vec<AgentSpec> = fleet.iter().map(|(_, s)| *s).collect();
+    check_agents(graph, &specs)?;
     for (i, (label, _)) in fleet.iter().enumerate() {
         if fleet[i + 1..].iter().any(|(other, _)| other == label) {
             return Err(SimError::LabelsNotDistinct { label: *label });

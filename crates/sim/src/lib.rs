@@ -46,6 +46,6 @@ mod solo;
 
 pub use batch::{BatchSolver, DelayOutcome, Trajectory};
 pub use behavior::{Action, AgentBehavior, IdleAgent, Observation, ScriptedAgent};
-pub use engine::{AgentSpec, Meeting, Outcome, Simulation, Trace};
+pub use engine::{check_agents, AgentSpec, Meeting, Outcome, Simulation, Trace};
 pub use error::SimError;
 pub use solo::{run_solo, SoloTrace};

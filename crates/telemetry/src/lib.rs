@@ -1,8 +1,8 @@
 //! `rendezvous-telemetry` — determinism-safe observability for the
 //! sweep engine.
 //!
-//! A long sweep was a black box: no progress, no ETA, no cache-hit or
-//! batch-fallback rates. This crate adds those signals under one hard
+//! A long sweep was a black box: no progress, no ETA, no cache-hit
+//! rates. This crate adds those signals under one hard
 //! invariant: **telemetry must be invisible to the byte-identity
 //! discipline**. Attaching a [`Metrics`] sink, rendering progress, or
 //! emitting a sidecar may never change a `SweepReport` or a markdown
