@@ -483,6 +483,27 @@ fn runner_sweep(c: &mut Criterion) {
     });
 }
 
+/// One x6 trim sweep: every label pair x < y of `Fast` with L = 16 × the
+/// 132 ordered start pairs of the oriented 12-ring, delay 0, through
+/// `Runner::sweep` and the `BatchExecutor` — 15,840 one-scenario runs,
+/// so each run's fixed work (plan lookups, checks, solver setup) is
+/// paid per scenario. The executor is built once, so its plans are
+/// warm after the first iteration.
+fn runner_trim(c: &mut Criterion) {
+    use rendezvous_bench::common::ring_setup;
+    use rendezvous_lower_bounds::TrimSweep;
+    use rendezvous_runner::{BatchExecutor, Runner, Workload};
+    let (g, ex) = ring_setup(12);
+    let alg = Fast::new(g, ex, LabelSpace::new(16).unwrap());
+    let sweep = TrimSweep::new(&alg, 4 * alg.time_bound()).unwrap();
+    assert_eq!(sweep.size(), 15_840);
+    let executor = BatchExecutor::new(&alg);
+    let runner = Runner::sequential();
+    c.bench_function("runner/trim_sweep", |b| {
+        b.iter(|| black_box(runner.sweep(&sweep, &executor).unwrap().executed()));
+    });
+}
+
 /// The x11 gathering sweep on a fixed slice of its specs: the first
 /// entry of each of the six families (`standard_topo_specs` cycles the
 /// families), at x11's paper parameters (L = 6, k ∈ {2, 3, 4}, phases
@@ -551,7 +572,7 @@ const SAMPLE_SIZE: usize = 20;
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(SAMPLE_SIZE);
-    targets = engine_throughput, engine_occupancy, engine_plan, walk_computation, label_machinery, graph_generation, topo_graph_build, batch_solving, runner_fold, runner_sweep, gathering_sweep, store_paths
+    targets = engine_throughput, engine_occupancy, engine_plan, walk_computation, label_machinery, graph_generation, topo_graph_build, batch_solving, runner_fold, runner_sweep, runner_trim, gathering_sweep, store_paths
 }
 
 /// Runs every group, then persists the recorded medians as

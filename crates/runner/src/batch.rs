@@ -53,15 +53,10 @@ pub struct BatchExecutor<'a> {
     inner: AlgorithmExecutor<'a>,
     bounds: Option<Bounds>,
     connected: bool,
-    counters: Option<BatchCounters>,
-}
-
-/// Run counters (attached via [`BatchExecutor::with_metrics`]). The
-/// scenario count is sharding-invariant: every scenario is solved once,
-/// whatever run a cut puts it in.
-struct BatchCounters {
-    batched: Counter,
-    groups: Counter,
+    /// Runs solved (attached via [`BatchExecutor::with_metrics`]); it
+    /// depends on where a sweep's cuts fall. How many scenarios ran is
+    /// the sweep's `scenarios_executed`.
+    groups: Option<Counter>,
 }
 
 impl<'a> BatchExecutor<'a> {
@@ -75,7 +70,7 @@ impl<'a> BatchExecutor<'a> {
             // The stepped engine checks connectivity every run; this
             // executor checks once.
             connected: analysis::is_connected(algorithm.graph()),
-            counters: None,
+            groups: None,
         }
     }
 
@@ -87,15 +82,12 @@ impl<'a> BatchExecutor<'a> {
         self
     }
 
-    /// Attaches run counters (and the inner executor's plan-cache
-    /// counters) from `metrics`.
+    /// Attaches the run counter `batch_groups` (and the inner executor's
+    /// plan-cache counters) from `metrics`.
     #[must_use]
     pub fn with_metrics(mut self, metrics: &Metrics) -> Self {
         self.inner = self.inner.with_metrics(metrics);
-        self.counters = Some(BatchCounters {
-            batched: metrics.counter(Scope::Scenario, "scenarios_batched"),
-            groups: metrics.counter(Scope::Process, "batch_groups"),
-        });
+        self.groups = Some(metrics.counter(Scope::Process, "batch_groups"));
         self
     }
 
@@ -161,9 +153,8 @@ impl<'a> BatchExecutor<'a> {
         mut sink: impl FnMut(usize, &Scenario, Measured),
     ) -> Result<(), RunnerError> {
         for run in runs(scenarios) {
-            if let Some(counters) = &self.counters {
-                counters.batched.add_count(run.len());
-                counters.groups.inc();
+            if let Some(groups) = &self.groups {
+                groups.inc();
             }
             let first = run.start;
             self.solve_run(scenarios, run, &mut sink)

@@ -7,7 +7,7 @@ use rendezvous_core::{
 use rendezvous_graph::NodeId;
 use rendezvous_sim::{AgentSpec, SimError, Simulation, Trajectory};
 use rendezvous_telemetry::{Counter, Metrics, Scope};
-use std::cell::RefCell;
+use std::cell::{Cell, RefCell};
 use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
@@ -110,21 +110,33 @@ pub trait Executor {
 
 /// The compiled forms of one algorithm's schedules, memoized at three
 /// levels and owned by one executor. A sweep revisits each label across
-/// thousands of start pairs and delays, so the cache compiles
-/// `label → Arc<Schedule>` once; and because a schedule's whole
-/// execution is a deterministic function of its start node, it further
-/// records `(label, start) → Arc<Trajectory>`, the plan the batched
-/// engines read. Plans are assembled from explore segments compiled
-/// once per (explorer, node) in a [`SegmentMemo`], shared by every label
-/// and start. All three caches are write-once per key.
+/// thousands of start pairs and delays, so the cache compiles each
+/// label's schedule once; and because a schedule's whole execution is a
+/// deterministic function of its start node, it further records the
+/// label's plan (the `Arc<Trajectory>` the batched engines read) per
+/// start node. Both live in one table keyed by label, whose row holds
+/// the schedule and one plan slot per node, so a lookup is one `u64`
+/// search plus an index. Plans are assembled from explore segments
+/// compiled once per (explorer, node) in a [`SegmentMemo`], shared by
+/// every label and start. Every entry is write-once.
 ///
 /// The cache does not hold the algorithm: its owner passes the same one
 /// to every call.
 pub(crate) struct PlanCache {
-    schedules: RefCell<BTreeMap<u64, Arc<Schedule>>>,
-    plans: RefCell<BTreeMap<(u64, NodeId), Arc<Trajectory>>>,
+    labels: RefCell<BTreeMap<u64, LabelPlans>>,
+    /// Filled plan slots over all rows.
+    plans: Cell<usize>,
+    nodes: usize,
     segments: SegmentMemo,
     stats: Option<PlanCacheStats>,
+}
+
+/// One compiled label: its schedule and its plan from each start node
+/// (`plans[start.index()]`, compiled on first use). A row exists only
+/// once the schedule compiled, so a refused label allocates nothing.
+struct LabelPlans {
+    schedule: Arc<Schedule>,
+    plans: Vec<Option<Arc<Trajectory>>>,
 }
 
 /// Plan-cache hit/miss counters (attached via
@@ -137,10 +149,12 @@ struct PlanCacheStats {
 impl PlanCache {
     /// An empty cache for `algorithm`'s schedules.
     pub(crate) fn new(algorithm: &dyn RendezvousAlgorithm) -> Self {
+        let graph = algorithm.graph();
         PlanCache {
-            schedules: RefCell::new(BTreeMap::new()),
-            plans: RefCell::new(BTreeMap::new()),
-            segments: SegmentMemo::new(Arc::clone(algorithm.graph())),
+            labels: RefCell::new(BTreeMap::new()),
+            plans: Cell::new(0),
+            nodes: graph.node_count(),
+            segments: SegmentMemo::new(Arc::clone(graph)),
             stats: None,
         }
     }
@@ -152,8 +166,8 @@ impl PlanCache {
         algorithm: &dyn RendezvousAlgorithm,
         label_value: u64,
     ) -> Result<Arc<Schedule>, RunnerError> {
-        if let Some(s) = self.schedules.borrow().get(&label_value) {
-            return Ok(Arc::clone(s));
+        if let Some(row) = self.labels.borrow().get(&label_value) {
+            return Ok(Arc::clone(&row.schedule));
         }
         // Label 0 is refused as `gathering_fleet` refuses it.
         let label = Label::new(label_value).ok_or(CoreError::LabelOutOfRange {
@@ -161,9 +175,13 @@ impl PlanCache {
             space: algorithm.label_space().size(),
         })?;
         let compiled = Arc::new(algorithm.schedule(label)?);
-        self.schedules
-            .borrow_mut()
-            .insert(label_value, Arc::clone(&compiled));
+        self.labels.borrow_mut().insert(
+            label_value,
+            LabelPlans {
+                schedule: Arc::clone(&compiled),
+                plans: vec![None; self.nodes],
+            },
+        );
         Ok(compiled)
     }
 
@@ -175,30 +193,36 @@ impl PlanCache {
         label_value: u64,
         start: NodeId,
     ) -> Result<Arc<Trajectory>, RunnerError> {
-        let key = (label_value, start);
-        if let Some(p) = self.plans.borrow().get(&key) {
-            if let Some(stats) = &self.stats {
-                stats.hits.inc();
+        if let Some(row) = self.labels.borrow().get(&label_value) {
+            if let Some(Some(p)) = row.plans.get(start.index()) {
+                if let Some(stats) = &self.stats {
+                    stats.hits.inc();
+                }
+                return Ok(Arc::clone(p));
             }
-            return Ok(Arc::clone(p));
         }
         let schedule = self.schedule(algorithm, label_value)?;
         let compiled = Arc::new(self.segments.trajectory(&schedule, start));
         if let Some(stats) = &self.stats {
             stats.misses.inc();
         }
-        self.plans.borrow_mut().insert(key, Arc::clone(&compiled));
+        self.labels
+            .borrow_mut()
+            .get_mut(&label_value)
+            .expect("the schedule's row")
+            .plans[start.index()] = Some(Arc::clone(&compiled));
+        self.plans.set(self.plans.get() + 1);
         Ok(compiled)
     }
 
     /// Number of distinct labels compiled so far.
     pub(crate) fn compiled_labels(&self) -> usize {
-        self.schedules.borrow().len()
+        self.labels.borrow().len()
     }
 
     /// Number of distinct `(label, start)` plans compiled so far.
     pub(crate) fn compiled_plans(&self) -> usize {
-        self.plans.borrow().len()
+        self.plans.get()
     }
 }
 
@@ -207,11 +231,11 @@ impl PlanCache {
 /// its label, round by round — the stepped engine, the oracle the
 /// batched engine is checked against.
 ///
-/// Compilation is **memoized per executor**: `label → Arc<Schedule>`
-/// serves every scenario, and the executor also owns the `(label,
-/// start) → Arc<Trajectory>` plans and per-(explorer, node) explore
-/// segments the [`BatchExecutor`](crate::BatchExecutor) around it reads,
-/// in one write-once cache owned by the executor alone. Its own
+/// Compilation is **memoized per executor**: each label's schedule
+/// serves every scenario, and the executor also owns the label's plan
+/// per start node and the per-(explorer, node) explore segments the
+/// [`BatchExecutor`](crate::BatchExecutor) around it reads, in one
+/// write-once cache owned by the executor alone. Its own
 /// [`run`](Executor::run) compiles no plan. A
 /// [`GatheringExecutor`](crate::GatheringExecutor) owns the same kind of
 /// cache.

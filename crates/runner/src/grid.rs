@@ -406,6 +406,11 @@ impl Grid {
         );
         let start_i = rest % self.start_pairs.len();
         let label_i = rest / self.start_pairs.len();
+        self.pair_at(label_i, start_i, delay_i)
+    }
+
+    /// The pair scenario at the given axis indices.
+    fn pair_at(&self, label_i: usize, start_i: usize, delay_i: usize) -> Scenario {
         let (first_label, second_label) = self.label_pairs[label_i];
         let (start_a, start_b) = self.start_pairs[start_i];
         Scenario::pair(
@@ -419,16 +424,23 @@ impl Grid {
     }
 
     /// The scenario at post-cap index `i` — identical to
-    /// `self.scenarios()[i]` without materializing the list. The single
-    /// definition of the capped-index → scenario mapping, shared by
-    /// [`Grid::scenarios`] and [`Grid::scenarios_in`] so the two can
-    /// never drift.
+    /// `self.scenarios()[i]` without materializing the list. The
+    /// definition of the capped-index → scenario mapping:
+    /// [`Grid::scenarios_in`] calls it per index on capped and fleet
+    /// grids, and on the rest steps the axes from `lo` instead, which a
+    /// proptest pins to this mapping.
     fn capped_nth(&self, i: usize) -> Scenario {
-        let total = self.full_size();
-        match self.cap {
-            Some(cap) if total > cap => self.nth(strided(i, total, cap)),
-            _ => self.nth(i),
+        match self.stride() {
+            Some((total, cap)) => self.nth(strided(i, total, cap)),
+            None => self.nth(i),
         }
+    }
+
+    /// `(full size, cap)` when the cap samples the space, `None` when
+    /// every index is kept.
+    fn stride(&self) -> Option<(usize, usize)> {
+        let total = self.full_size();
+        self.cap.filter(|&cap| total > cap).map(|cap| (total, cap))
     }
 
     /// Enumerates the scenarios of this grid, applying the sampling cap.
@@ -457,7 +469,27 @@ impl Grid {
             "scenario range {lo}..{hi} out of bounds for a grid of {}",
             self.size()
         );
-        (lo..hi).map(|i| self.capped_nth(i)).collect()
+        if lo == hi || self.stride().is_some() || !self.fleet_sizes.is_empty() {
+            return (lo..hi).map(|i| self.capped_nth(i)).collect();
+        }
+        // Every index kept, pair mode: unrank `lo` once, then step the
+        // axes as a mixed-radix counter, delay fastest (as `nth` orders).
+        let (ds, ss) = (self.delays.len(), self.start_pairs.len());
+        let (mut delay_i, mut start_i, mut label_i) = (lo % ds, lo / ds % ss, lo / ds / ss);
+        let mut scenarios = Vec::with_capacity(hi - lo);
+        for _ in lo..hi {
+            scenarios.push(self.pair_at(label_i, start_i, delay_i));
+            delay_i += 1;
+            if delay_i == ds {
+                delay_i = 0;
+                start_i += 1;
+                if start_i == ss {
+                    start_i = 0;
+                    label_i += 1;
+                }
+            }
+        }
+        scenarios
     }
 }
 
@@ -658,6 +690,69 @@ mod tests {
             assert_eq!(grid.scenarios_in(0, n), whole);
             assert_eq!(grid.scenarios_in(3, 11), whole[3..11].to_vec());
             assert!(grid.scenarios_in(5, 5).is_empty());
+        }
+    }
+
+    /// A pair or fleet grid with the given axis lengths (each ≥ 1) and
+    /// cap mode: 0 uncapped, 1 capped below its full size, 2 capped at
+    /// or above it (`extra` picks the cap within the mode).
+    fn axis_grid(fleet: bool, lens: [usize; 3], cap_mode: u8, extra: usize) -> Grid {
+        let g = generators::oriented_ring(12).unwrap();
+        let [outer, middle, inner] = lens;
+        let delays: Vec<u64> = (0..inner as u64).map(|d| 3 * d + 1).collect();
+        let grid = if fleet {
+            let sizes: Vec<usize> = (0..outer).map(|i| 2 + (i * 3) % 5).collect();
+            let rotations: Vec<usize> = (0..middle).map(|r| 5 * r).collect();
+            Grid::new(50)
+                .fleet_sizes(&sizes)
+                .fleet_rule(FleetRule::spread(&g, 8))
+                .fleet_rotations(&rotations)
+                .delays(&delays)
+        } else {
+            let labels: Vec<(u64, u64)> = (0..outer as u64).map(|i| (i + 1, 9 - i)).collect();
+            let starts: Vec<(NodeId, NodeId)> = (0..middle)
+                .map(|i| (NodeId::new(i), NodeId::new(11 - i)))
+                .collect();
+            Grid::new(50)
+                .label_pairs_ordered(&labels)
+                .start_pairs(&starts)
+                .delays(&delays)
+        };
+        let full = grid.full_size();
+        match cap_mode {
+            0 => grid,
+            1 if full > 1 => grid.sample_cap(1 + extra % (full - 1)),
+            _ => grid.sample_cap(full + extra % 3),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(48))]
+
+        /// `scenarios_in` steps the axes on pair grids whose cap keeps
+        /// every index and maps `capped_nth` on the rest; either way
+        /// every range `lo ≤ hi` equals `capped_nth` per index.
+        #[test]
+        fn scenarios_in_equals_capped_nth_on_every_range(
+            fleet in 0u8..2,
+            outer in 1usize..6,
+            middle in 1usize..6,
+            inner in 1usize..6,
+            cap_mode in 0u8..3,
+            extra in 0usize..1000,
+        ) {
+            let grid = axis_grid(fleet == 1, [outer, middle, inner], cap_mode, extra);
+            let size = grid.size();
+            let nth: Vec<Scenario> = (0..size).map(|i| grid.capped_nth(i)).collect();
+            for lo in 0..=size {
+                for hi in lo..=size {
+                    proptest::prop_assert_eq!(
+                        grid.scenarios_in(lo, hi),
+                        nth[lo..hi].to_vec(),
+                        "{:?} {}..{}", (fleet, outer, middle, inner, cap_mode), lo, hi
+                    );
+                }
+            }
         }
     }
 

@@ -141,9 +141,12 @@ fn schedule_memoization_is_invisible_to_results() {
 }
 
 /// Invalid labels surface as errors through the cached path, same as they
-/// did through the uncached one.
+/// did through the uncached one, and leave nothing in the cache: labels
+/// 0 and L + 1 are refused by `schedule` and `plan` alike, with no label
+/// row and no plan behind them.
 #[test]
 fn cached_executor_still_rejects_invalid_labels() {
+    use rendezvous_graph::NodeId;
     let (alg, _) = sweep_setup(5, 4, false);
     let executor = AlgorithmExecutor::new(alg.as_ref());
     // Label 0 is refused as outside the space, as a fleet refuses it.
@@ -152,15 +155,26 @@ fn cached_executor_still_rejects_invalid_labels() {
         zero.ends_with("label 0 outside the label space {1, …, 4}"),
         "{zero}"
     );
+    for label in [0, 5] {
+        assert!(executor.schedule(label).is_err(), "schedule({label})");
+        assert!(
+            executor.plan(label, NodeId::new(1)).is_err(),
+            "plan({label})"
+        );
+    }
+    assert_eq!(executor.compiled_labels(), 0);
+    assert_eq!(executor.compiled_plans(), 0);
     assert!(executor.schedule(3).is_ok());
     assert!(
         executor.schedule(99).is_err(),
         "label outside the space must not cache"
     );
     assert_eq!(executor.compiled_labels(), 1);
-    // The plan cache guards the same boundary.
-    use rendezvous_graph::NodeId;
-    assert!(executor.plan(0, NodeId::new(0)).is_err());
-    assert!(executor.plan(3, NodeId::new(2)).is_ok());
-    assert_eq!(executor.compiled_plans(), 1);
+    assert_eq!(executor.compiled_plans(), 0);
+    // Each start of a compiled label fills one plan slot, once.
+    for start in [2, 0, 2] {
+        assert!(executor.plan(3, NodeId::new(start)).is_ok());
+    }
+    assert_eq!(executor.compiled_labels(), 1);
+    assert_eq!(executor.compiled_plans(), 2);
 }

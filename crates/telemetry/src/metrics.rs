@@ -24,7 +24,7 @@ use std::time::Instant;
 pub enum Scope {
     /// Counts attributed to individual workload units: summing the
     /// shards of any partition reproduces the direct sweep's value
-    /// exactly (e.g. scenarios executed or batched).
+    /// exactly (e.g. scenarios executed).
     Scenario,
     /// Counts describing one process's execution structure: pieces
     /// completed, plan-cache hits/misses, batch groups. Deterministic
