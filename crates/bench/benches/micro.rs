@@ -6,6 +6,12 @@
 //! Besides the stdout report, the run writes every `(name, median
 //! ns/iter)` pair to `BENCH_micro.json` at the repo root, so the perf
 //! trajectory is tracked across changes.
+//!
+//! `cargo bench` builds under `[profile.bench]`, which keeps overflow
+//! checks on, so `BENCH_micro.json` times checked arithmetic: a loop
+//! with a running sum may not vectorize there as it does in the shipped
+//! binary. To time the release build instead, run
+//! `cargo bench --profile release -p rendezvous-bench --bench micro`.
 
 use criterion::{criterion_group, BatchSize, Criterion};
 use rendezvous_core::{lex_subset_bits, Fast, Label, LabelSpace, RendezvousAlgorithm};
@@ -372,7 +378,7 @@ fn batch_solving(c: &mut Criterion) {
 fn store_paths(c: &mut Criterion) {
     use rendezvous_bench::common::{standard_delays, standard_label_pairs};
     use rendezvous_core::Cheap;
-    use rendezvous_runner::{AlgorithmExecutor, Bounded, Bounds, Grid, Runner, Workload};
+    use rendezvous_runner::{AlgorithmExecutor, Bounds, Grid, Runner, Workload};
     use rendezvous_store::{Store, StoreKey};
     let g = Arc::new(generators::oriented_ring(12).unwrap());
     let ex: Arc<dyn Explorer> = Arc::new(OrientedRingExplorer::new(g.clone()).unwrap());
@@ -387,9 +393,8 @@ fn store_paths(c: &mut Criterion) {
         cost: alg.cost_bound(),
     });
     let runner = Runner::sequential();
-    let executor = AlgorithmExecutor::new(&alg);
-    let bounded = Bounded::new(&executor, bounds);
-    let report = runner.sweep(&grid, &bounded).unwrap();
+    let executor = AlgorithmExecutor::new(&alg).with_bounds(bounds);
+    let report = runner.sweep(&grid, &executor).unwrap();
     let dir = std::env::temp_dir().join(format!("rendezvous-store-bench-{}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     let store = Store::open(&dir).unwrap();
@@ -409,7 +414,7 @@ fn store_paths(c: &mut Criterion) {
     });
     // ...and the cold computation it replaces.
     c.bench_function("store/sweep_compute_baseline", |b| {
-        b.iter(|| black_box(runner.sweep(&grid, &bounded).unwrap().executed()));
+        b.iter(|| black_box(runner.sweep(&grid, &executor).unwrap().executed()));
     });
     let _ = std::fs::remove_dir_all(&dir);
 }

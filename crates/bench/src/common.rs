@@ -114,7 +114,7 @@ pub fn sweep_worst(
         Some(&key_context),
         &grid.meta(),
         &grid,
-        &executor,
+        &*executor,
         runner,
     );
     check_failures(algorithm, report.solo())
@@ -150,11 +150,11 @@ pub(crate) fn sweep_trim(
         Some(&key_context),
         &sweep.meta(),
         &sweep,
-        &executor,
+        &*executor,
         runner,
     );
     (report.executed() == sweep.size()).then(|| {
-        TrimmedAlgorithm::from_report(algorithm, &sweep, &report, &executor, runner)
+        TrimmedAlgorithm::from_report(algorithm, &sweep, &report, &*executor, runner)
             .unwrap_or_else(|e| panic!("{context} failed: {e}"))
     })
 }
@@ -289,7 +289,7 @@ pub fn standard_delays(e: u64) -> Vec<u64> {
 pub(crate) fn family_spec_counts(topo: &TopoGrid) -> Vec<(String, usize)> {
     let mut counts = BTreeMap::new();
     for entry in topo.entries() {
-        *counts.entry(entry.spec.family()).or_insert(0) += 1;
+        *counts.entry(entry.family.clone()).or_insert(0) += 1;
     }
     counts.into_iter().collect()
 }

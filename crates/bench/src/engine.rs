@@ -13,14 +13,16 @@
 //! experiment code asks [`current`] and builds its executor with
 //! `Engine::executor` ([`crate::common::sweep_worst`], the x5/x6 trim
 //! sweeps and the `x10` topology executor) or `Engine::gathering` (the
-//! x9 and x11 fleet sweeps), the two places the engines differ.
+//! x9 and x11 fleet sweeps), the two places the engines differ. Either
+//! pair executor carries the paper bounds it judges against, and each
+//! gathering outcome carries its fleet's own, so an executor from either
+//! engine is used as is.
 //! The engine name is part of every result-store key, so a store written
 //! under one engine misses (and recomputes) under the other.
 
 use rendezvous_core::RendezvousAlgorithm;
 use rendezvous_runner::{
-    AlgorithmExecutor, BatchExecutor, Bounded, Bounds, GatheringExecutor, PieceExecutor, Runner,
-    RunnerError, ScenarioOutcome, SweepReport, WorkPiece,
+    AlgorithmExecutor, BatchExecutor, Bounds, GatheringExecutor, PieceExecutor, Runner,
 };
 use std::sync::Arc;
 
@@ -70,72 +72,32 @@ impl Engine {
         algorithm: &'a dyn RendezvousAlgorithm,
         bounds: Option<Bounds>,
         runner: &Runner,
-    ) -> EngineExecutor<'a> {
+    ) -> Box<dyn PieceExecutor + 'a> {
         let metrics = runner.metrics();
         match self {
             Engine::Stepped => {
-                let mut executor = AlgorithmExecutor::new(algorithm);
+                let mut executor = AlgorithmExecutor::new(algorithm).with_bounds(bounds);
                 if let Some(metrics) = metrics {
                     executor = executor.with_metrics(metrics);
                 }
-                EngineExecutor::Stepped(executor, bounds)
+                Box::new(executor)
             }
             Engine::Batched => {
                 let mut executor = BatchExecutor::new(algorithm).with_bounds(bounds);
                 if let Some(metrics) = metrics {
                     executor = executor.with_metrics(metrics);
                 }
-                EngineExecutor::Batched(executor)
+                Box::new(executor)
             }
         }
     }
-}
 
-impl Engine {
     /// The gathering executor of `algorithm` on this engine.
     pub(crate) fn gathering(self, algorithm: Arc<dyn RendezvousAlgorithm>) -> GatheringExecutor {
         match self {
             Engine::Stepped => GatheringExecutor::stepped(algorithm),
             Engine::Batched => GatheringExecutor::new(algorithm),
         }
-    }
-}
-
-/// One algorithm's executor on one [`Engine`].
-pub(crate) enum EngineExecutor<'a> {
-    /// Per-scenario stepped runs, judged against the bounds.
-    Stepped(AlgorithmExecutor<'a>, Option<Bounds>),
-    /// Delay-batched solving (bounds inside).
-    Batched(BatchExecutor<'a>),
-}
-
-impl EngineExecutor<'_> {
-    /// Hands `f` this executor as a [`PieceExecutor`]: the stepped one
-    /// wrapped in its bounds, the batched one as is.
-    fn with<R>(&self, f: impl FnOnce(&dyn PieceExecutor) -> R) -> R {
-        match self {
-            EngineExecutor::Stepped(executor, bounds) => f(&Bounded::new(executor, *bounds)),
-            EngineExecutor::Batched(executor) => f(executor),
-        }
-    }
-}
-
-impl PieceExecutor for EngineExecutor<'_> {
-    fn run_piece(
-        &self,
-        runner: &Runner,
-        piece: &WorkPiece<'_>,
-    ) -> Result<(Vec<ScenarioOutcome>, Option<Bounds>), RunnerError> {
-        self.with(|e| e.run_piece(runner, piece))
-    }
-
-    fn fold_piece(
-        &self,
-        runner: &Runner,
-        piece: &WorkPiece<'_>,
-        report: &mut SweepReport,
-    ) -> Result<(), RunnerError> {
-        self.with(|e| e.fold_piece(runner, piece, report))
     }
 }
 

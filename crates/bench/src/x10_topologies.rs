@@ -21,7 +21,7 @@
 //! [`Runner`] each piece is handed.
 
 use crate::common::{family_spec_counts, markdown_table, standard_delays, standard_label_pairs};
-use crate::engine::{Engine, EngineExecutor};
+use crate::engine::Engine;
 use rendezvous_core::{Cheap, Fast, LabelSpace, RendezvousAlgorithm};
 use rendezvous_explore::{spec_explorer, Explorer};
 use rendezvous_graph::{
@@ -81,6 +81,9 @@ pub fn standard_topo_specs(quick: bool) -> Vec<GraphSpec> {
     specs
 }
 
+/// One explorer per spec of a topology grid, indexed by `spec_index`.
+type Explorers = Arc<Vec<Arc<dyn Explorer>>>;
+
 /// Which algorithm a topo sweep runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 enum Algo {
@@ -99,7 +102,7 @@ struct AlgoTopoExecutor {
     which: Algo,
     engine: Engine,
     /// `spec_index → explorer`, parallel to the topo grid's entries.
-    explorers: Arc<Vec<Arc<dyn Explorer>>>,
+    explorers: Explorers,
 }
 
 impl AlgoTopoExecutor {
@@ -119,7 +122,7 @@ impl AlgoTopoExecutor {
         &self,
         runner: &Runner,
         piece: &WorkPiece<'_>,
-        f: impl FnOnce(&EngineExecutor<'_>) -> R,
+        f: impl FnOnce(&dyn PieceExecutor) -> R,
     ) -> R {
         let entry = piece.entry.expect("topology pieces carry their entry");
         let alg = self.algorithm(entry);
@@ -127,7 +130,8 @@ impl AlgoTopoExecutor {
             time: alg.time_bound(),
             cost: alg.cost_bound(),
         };
-        f(&self.engine.executor(alg.as_ref(), Some(bounds), runner))
+        let executor = self.engine.executor(alg.as_ref(), Some(bounds), runner);
+        f(&*executor)
     }
 }
 
@@ -161,14 +165,11 @@ impl PieceExecutor for AlgoTopoExecutor {
 ///
 /// # Panics
 ///
-/// Panics if a spec in the standard list fails to build (a bug in the
-/// list, not a reportable outcome).
+/// Panics if a spec in the standard list fails to build or its horizon
+/// does not fit in a `u64` (a bug in the list, not a reportable
+/// outcome).
 #[must_use]
-pub fn build_topo_grid(
-    specs: Vec<GraphSpec>,
-    l: u64,
-    cap: usize,
-) -> (TopoGrid, Arc<Vec<Arc<dyn Explorer>>>) {
+pub fn build_topo_grid(specs: Vec<GraphSpec>, l: u64, cap: usize) -> (TopoGrid, Explorers) {
     let graphs = specs
         .into_iter()
         .map(|spec| match spec.build() {
@@ -176,32 +177,44 @@ pub fn build_topo_grid(
             Err(e) => panic!("standard topo specs must build: building {spec:?}: {e}"),
         })
         .collect();
-    topo_grid_of(graphs, l, cap)
+    topo_grid_of(graphs, l, cap).unwrap_or_else(|e| panic!("{e}"))
 }
 
-/// [`build_topo_grid`] over graphs already built from their specs.
+/// [`build_topo_grid`] over graphs already built from their specs, or
+/// why a spec's horizon, four times the larger paper time bound, does
+/// not fit in a `u64`.
 fn topo_grid_of(
     graphs: Vec<(GraphSpec, Arc<PortLabeledGraph>)>,
     l: u64,
     cap: usize,
-) -> (TopoGrid, Arc<Vec<Arc<dyn Explorer>>>) {
+) -> Result<(TopoGrid, Explorers), String> {
     let space = LabelSpace::new(l).expect("l >= 2");
     let pairs = standard_label_pairs(l);
     let mut explorers: Vec<Arc<dyn Explorer>> = Vec::new();
+    let mut overflow = None;
     let topo = TopoGrid::from_graphs(graphs, |spec, graph| {
         let explorer = spec_explorer(spec, graph.clone()).expect("sound recipe");
         let e = explorer.bound() as u64;
         let cheap = Cheap::new(graph.clone(), explorer.clone(), space);
         let fast = Fast::new(graph.clone(), explorer.clone(), space);
         explorers.push(explorer);
-        let horizon = 4 * cheap.time_bound().max(fast.time_bound());
-        Grid::new(horizon)
+        // The bounds saturate, so a wrapped horizon cannot pass here.
+        let horizon = cheap.time_bound().max(fast.time_bound()).checked_mul(4);
+        if horizon.is_none() && overflow.is_none() {
+            overflow = Some(format!(
+                "the horizon of {spec:?} at l = {l} does not fit in 64 bits"
+            ));
+        }
+        Grid::new(horizon.unwrap_or(0))
             .label_pairs_both_orders(&pairs)
             .delays(&standard_delays(e))
             .all_start_pairs(graph)
             .sample_cap(cap)
     });
-    (topo, Arc::new(explorers))
+    match overflow {
+        Some(reason) => Err(reason),
+        None => Ok((topo, Arc::new(explorers))),
+    }
 }
 
 /// The context string naming a sweep-service computation of one
@@ -233,8 +246,9 @@ fn serve_algorithm(algorithm: &str) -> Option<(Algo, &'static str)> {
 ///
 /// A message saying why the query is malformed: an unknown algorithm
 /// (anything but `cheap`/`fast`), a degenerate grid (`l < 2`,
-/// `cap == 0`), a spec that does not build, or one that builds a graph
-/// of fewer than two nodes (whose grid would be empty).
+/// `cap == 0`), a spec that does not build, one that builds a graph of
+/// fewer than two nodes (whose grid would be empty), or a horizon that
+/// does not fit in a `u64`.
 pub(crate) fn answer_spec_query(
     algorithm: &str,
     spec: GraphSpec,
@@ -263,7 +277,7 @@ pub(crate) fn answer_spec_query(
             graph.node_count()
         ));
     }
-    let (topo, explorers) = topo_grid_of(vec![(spec, graph)], l, cap);
+    let (topo, explorers) = topo_grid_of(vec![(spec, graph)], l, cap)?;
     let session = crate::session::current();
     let exec = AlgoTopoExecutor {
         space: LabelSpace::new(l).expect("l >= 2"),

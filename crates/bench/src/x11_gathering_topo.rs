@@ -11,8 +11,9 @@
 //! spread), executed by the session engine's [`GatheringExecutor`] and
 //! folded into a per-family [`SweepReport`] — worst rounds, worst
 //! rounds/bound ratio (against each scenario's own merge-and-restart
-//! bound `(k−1)·(time bound + max delay)`, compared by exact `u128`
-//! cross-multiplication) and total merge events.
+//! bound `b = (k−1)·(time bound + max delay)`, compared by exact `u128`
+//! cross-multiplication; cost is judged against `k·b`, as in X9) and
+//! total merge events.
 //!
 //! The sweep splits across processes exactly like X10:
 //! `experiments x11 --fabric workers=N` leases its ranges to worker
@@ -53,24 +54,12 @@ pub fn standard_phases(quick: bool) -> Vec<u64> {
     }
 }
 
-/// Per-entry context resolved **once** at grid-build time: the spec's
-/// explorer and the entry-level [`Bounds`] — the loosest per-scenario
-/// merge-and-restart bound over the entry's capped grid for time, and
-/// `k · bound` for cost (each of `k` agents traverses at most one edge
-/// per round). Computing these here instead of per `run_entry` call
-/// avoids re-enumerating every entry's grid on every sweep (and on
-/// every leased piece), and keeps them identical across pieces so
-/// split sweeps fold byte-identically.
-pub struct EntryContext {
-    explorer: Arc<dyn Explorer>,
-    bounds: Bounds,
-}
-
-/// Builds the X11 [`TopoGrid`] plus one [`EntryContext`] per spec: every
-/// entry is a fleet-mode grid — the given fleet sizes (clipped to what
-/// the graph and label space can hold) × two start rotations × the
-/// delay phases — capped at `cap` scenarios, with a horizon generous
-/// for the loosest merge-and-restart bound in the entry.
+/// Builds the X11 [`TopoGrid`] plus one explorer per spec (indexed by
+/// `spec_index`, built once here like X10's): every entry is a
+/// fleet-mode grid — the given fleet sizes (clipped to what the graph and
+/// label space can hold) × two start rotations × the delay phases —
+/// capped at `cap` scenarios, with a horizon generous for the loosest
+/// merge-and-restart bound in the entry.
 ///
 /// # Panics
 ///
@@ -83,14 +72,13 @@ pub fn build_gathering_topo_grid(
     ks: &[usize],
     phases: &[u64],
     cap: usize,
-) -> (TopoGrid, Vec<EntryContext>) {
+) -> (TopoGrid, Vec<Arc<dyn Explorer>>) {
     let space = LabelSpace::new(l).expect("l >= 2");
-    let mut contexts: Vec<EntryContext> = Vec::new();
+    let mut explorers: Vec<Arc<dyn Explorer>> = Vec::new();
     let topo = TopoGrid::build(specs, |spec, graph| {
         let explorer = spec_explorer(spec, graph.clone()).expect("sound recipe");
-        let alg: Arc<dyn RendezvousAlgorithm> =
-            Arc::new(Fast::new(graph.clone(), explorer.clone(), space));
-        let executor = GatheringExecutor::new(Arc::clone(&alg));
+        let time_bound = Fast::new(graph.clone(), explorer.clone(), space).time_bound();
+        explorers.push(explorer);
         let fit: Vec<usize> = ks
             .iter()
             .copied()
@@ -99,58 +87,39 @@ pub fn build_gathering_topo_grid(
         assert!(!fit.is_empty(), "no fleet size fits {spec:?}");
         let k_max = *fit.iter().max().expect("non-empty") as u64;
         let rule = FleetRule::spread(graph, l);
-        let loosest_bound = (k_max - 1) * (alg.time_bound() + rule.max_delay());
-        let grid = Grid::new(4 * loosest_bound)
+        let loosest_bound = (k_max - 1) * (time_bound + rule.max_delay());
+        Grid::new(4 * loosest_bound)
             .fleet_sizes(&fit)
             .fleet_rule(rule)
             .fleet_rotations(&[0, 1])
             .delays(phases)
-            .sample_cap(cap);
-        // Entry-level bounds from the capped grid actually swept —
-        // tighter than `loosest_bound`, since the phase axis rarely
-        // reaches the stagger's full modulus.
-        let mut time_bound = 0u64;
-        let mut cost_bound = 0u64;
-        for s in grid.scenarios() {
-            let b = executor.merge_restart_bound(&s);
-            time_bound = time_bound.max(b);
-            cost_bound = cost_bound.max(s.k() as u64 * b);
-        }
-        contexts.push(EntryContext {
-            explorer,
-            bounds: Bounds {
-                time: time_bound,
-                cost: cost_bound,
-            },
-        });
-        grid
+            .sample_cap(cap)
     })
     .unwrap_or_else(|e| panic!("standard topo specs must build: {e}"));
-    (topo, contexts)
+    (topo, explorers)
 }
 
 /// Per-entry gathering executor: builds `Fast` on the entry's cached
-/// graph and pre-resolved explorer, wraps it in the engine's
-/// [`GatheringExecutor`], and reports the entry-level [`Bounds`]
-/// precomputed by [`build_gathering_topo_grid`].
+/// graph and pre-resolved explorer and runs the piece through the
+/// engine's [`GatheringExecutor`], whose outcomes carry their own
+/// merge-and-restart bounds.
 struct GatheringTopoExecutor {
     engine: Engine,
     space: LabelSpace,
-    /// `spec_index → (explorer, bounds)`, parallel to the grid's entries.
-    contexts: Vec<EntryContext>,
+    /// `spec_index → explorer`, parallel to the grid's entries.
+    explorers: Vec<Arc<dyn Explorer>>,
 }
 
 impl GatheringTopoExecutor {
-    /// The gathering executor of `piece`'s entry, and its bounds.
-    fn entry_executor(&self, piece: &WorkPiece<'_>) -> (GatheringExecutor, Bounds) {
+    /// The gathering executor of `piece`'s entry.
+    fn entry_executor(&self, piece: &WorkPiece<'_>) -> GatheringExecutor {
         let entry = piece.entry.expect("topology pieces carry their entry");
-        let context = &self.contexts[entry.spec_index];
         let alg: Arc<dyn RendezvousAlgorithm> = Arc::new(Fast::new(
             entry.graph.clone(),
-            Arc::clone(&context.explorer),
+            Arc::clone(&self.explorers[entry.spec_index]),
             self.space,
         ));
-        (self.engine.gathering(alg), context.bounds)
+        self.engine.gathering(alg)
     }
 }
 
@@ -160,9 +129,7 @@ impl PieceExecutor for GatheringTopoExecutor {
         runner: &Runner,
         piece: &WorkPiece<'_>,
     ) -> Result<(Vec<ScenarioOutcome>, Option<Bounds>), RunnerError> {
-        let (executor, bounds) = self.entry_executor(piece);
-        let outcomes = runner.outcomes(&executor, &piece.scenarios)?;
-        Ok((outcomes, Some(bounds)))
+        self.entry_executor(piece).run_piece(runner, piece)
     }
 }
 
@@ -216,14 +183,14 @@ pub fn run(
     runner: &Runner,
 ) -> Report {
     let space = LabelSpace::new(l).expect("l >= 2");
-    let (topo, contexts) = build_gathering_topo_grid(specs, l, ks, phases, cap);
+    let (topo, explorers) = build_gathering_topo_grid(specs, l, ks, phases, cap);
     let stats = sweep_recorded(
         "x11 gathering",
         &topo,
         &GatheringTopoExecutor {
             engine: crate::engine::current(),
             space,
-            contexts,
+            explorers,
         },
         runner,
     );
@@ -323,7 +290,7 @@ mod tests {
     #[test]
     fn batched_x11_pieces_replay_compiled_plans() {
         let specs: Vec<GraphSpec> = standard_topo_specs(false).into_iter().step_by(37).collect();
-        let (topo, contexts) = build_gathering_topo_grid(
+        let (topo, explorers) = build_gathering_topo_grid(
             specs,
             6,
             &standard_fleet_sizes(false),
@@ -333,10 +300,10 @@ mod tests {
         let exec = GatheringTopoExecutor {
             engine: Engine::Batched,
             space: LabelSpace::new(6).unwrap(),
-            contexts,
+            explorers,
         };
         for piece in topo.pieces(0, topo.size()) {
-            let (executor, _) = exec.entry_executor(&piece);
+            let executor = exec.entry_executor(&piece);
             let outcomes = Runner::sequential()
                 .outcomes(&executor, &piece.scenarios)
                 .unwrap();
@@ -351,11 +318,11 @@ mod tests {
     #[test]
     fn x11_range_merge_equals_direct_topo_stats() {
         let specs: Vec<GraphSpec> = standard_topo_specs(true).into_iter().step_by(40).collect();
-        let (topo, contexts) = build_gathering_topo_grid(specs, 4, &[2, 3], &[0, 5], 2);
+        let (topo, explorers) = build_gathering_topo_grid(specs, 4, &[2, 3], &[0, 5], 2);
         let exec = GatheringTopoExecutor {
             engine: Engine::Batched,
             space: LabelSpace::new(4).unwrap(),
-            contexts,
+            explorers,
         };
         let direct = Runner::sequential().sweep(&topo, &exec).unwrap();
         for m in [2usize, 3] {

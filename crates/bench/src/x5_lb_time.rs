@@ -57,7 +57,7 @@ pub fn run(n: usize, ls: &[u64], runner: &Runner) -> Vec<Row> {
             // telemetry sink: the sidecar's scenario counts stay equal
             // across direct, fabric and store runs.
             let chain = crate::engine::current().executor(&alg, None, &Runner::sequential());
-            let report = eager_chain(&alg, trimmed, &chain, runner).expect("audit must succeed");
+            let report = eager_chain(&alg, trimmed, &*chain, runner).expect("audit must succeed");
             Some(Row {
                 n,
                 l,

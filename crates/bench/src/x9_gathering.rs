@@ -101,7 +101,8 @@ pub fn run(n: usize, l: u64, ks: &[usize], runner: &Runner) -> Vec<Row> {
 }
 
 /// Builds one table row from a fleet sweep's aggregates, asserting the
-/// merge-and-restart guarantee held on every sampled scenario. The
+/// merge-and-restart guarantee held on every sampled scenario, for time
+/// and for cost (each outcome carries its own bounds). The
 /// stats may be a fabric worker's **partial** fold (possibly empty — a
 /// worker may be leased no range of a 3-scenario grid), whose rows are
 /// never emitted; the ratio cell is `-` when no outcome carried one.
@@ -114,6 +115,10 @@ fn row(n: usize, k: usize, loosest_bound: u64, stats: &GroupStats) -> Row {
     assert_eq!(
         stats.time_violations, 0,
         "merge-and-restart bound broken for k = {k}"
+    );
+    assert_eq!(
+        stats.cost_violations, 0,
+        "merge-and-restart cost bound k·(k−1)(T+d) broken for k = {k}"
     );
     let ratio = stats
         .worst_ratio

@@ -18,7 +18,7 @@ use rendezvous_core::{Cheap, Fast, LabelSpace, RendezvousAlgorithm};
 use rendezvous_explore::{spec_explorer, OrientedRingExplorer};
 use rendezvous_graph::{generators, GraphSpec, RingSpec, SeededSpec};
 use rendezvous_runner::{
-    AlgorithmExecutor, Bounded, Bounds, FleetRule, GatheringExecutor, Grid, PieceExecutor, Runner,
+    AlgorithmExecutor, Bounds, FleetRule, GatheringExecutor, Grid, PieceExecutor, Runner,
     RunnerError, ScenarioOutcome, SweepReport, TopoGrid, WorkPiece, Workload, WorkloadKind,
     WorkloadMeta,
 };
@@ -65,7 +65,7 @@ impl PieceExecutor for CheapTopo {
 fn run_sequence(runner: &Runner) -> Vec<(WorkloadMeta, SweepReport)> {
     let mut reports = Vec::new();
 
-    // 1. A pair sweep with sweep-level bounds (the x1–x8 shape).
+    // 1. A pair sweep with executor bounds (the x1–x8 shape).
     let g = Arc::new(generators::oriented_ring(6).unwrap());
     let ex = Arc::new(OrientedRingExplorer::new(g.clone()).unwrap());
     let cheap = Cheap::new(g.clone(), ex.clone(), LabelSpace::new(4).unwrap());
@@ -77,18 +77,13 @@ fn run_sequence(runner: &Runner) -> Vec<(WorkloadMeta, SweepReport)> {
         .label_pairs_both_orders(&[(1, 4), (2, 3)])
         .delays(&[0, 2])
         .all_start_pairs(&g);
-    let executor = AlgorithmExecutor::new(&cheap);
+    let executor = AlgorithmExecutor::new(&cheap).with_bounds(bounds);
     reports.push((
         pair_grid.meta(),
-        sweep_recorded(
-            "replay pair",
-            &pair_grid,
-            &Bounded::new(&executor, bounds),
-            runner,
-        ),
+        sweep_recorded("replay pair", &pair_grid, &executor, runner),
     ));
 
-    // 2. A gathering fleet sweep with per-scenario bounds (the x9 shape).
+    // 2. A gathering fleet sweep with per-outcome bounds (the x9 shape).
     let g8 = Arc::new(generators::oriented_ring(8).unwrap());
     let ex8 = Arc::new(OrientedRingExplorer::new(g8.clone()).unwrap());
     let fast: Arc<dyn RendezvousAlgorithm> =

@@ -253,6 +253,10 @@ fn direct_and_served_refusals_are_identical() {
         ("cheap", SPEC, "0", "2"),
         ("cheap", SPEC, "2", "0"),
         ("slow", SPEC, "2", "2"),
+        // Horizons past `u64::MAX`: the bound used to wrap into a short
+        // horizon and answer with failures (a debug build panicked).
+        ("fast", SPEC, "4611686018427387904", "2"),
+        ("cheap", SPEC, "18446744073709551615", "2"),
     ] {
         let grid = ["--grid", algorithm, "--spec", spec, "--l", l, "--cap", cap];
         let served = experiments(&[&["query", "--addr", &addr][..], &grid].concat());

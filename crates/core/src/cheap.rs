@@ -85,9 +85,9 @@ impl RendezvousAlgorithm for CheapSimultaneous {
     }
 
     /// `(L − 1) · E`: the smaller of two distinct labels is at most `L − 1`
-    /// and the meeting happens by round `ℓE`.
+    /// and the meeting happens by round `ℓE`. Saturates at `u64::MAX`.
     fn time_bound(&self) -> u64 {
-        (self.space.size() - 1) * self.exploration_bound()
+        (self.space.size() - 1).saturating_mul(self.exploration_bound())
     }
 
     /// Exactly one exploration: `E`.
@@ -167,9 +167,14 @@ impl RendezvousAlgorithm for Cheap {
         ]))
     }
 
-    /// `(2L + 1) · E` (Proposition 2.1).
+    /// `(2L + 1) · E` (Proposition 2.1). Saturates at `u64::MAX`, so a
+    /// label space too large for the bound to fit never yields a small
+    /// wrapped one.
     fn time_bound(&self) -> u64 {
-        (2 * self.space.size() + 1) * self.exploration_bound()
+        let l = self.space.size();
+        l.saturating_mul(2)
+            .saturating_add(1)
+            .saturating_mul(self.exploration_bound())
     }
 
     /// `3E` (Proposition 2.1).
@@ -314,5 +319,24 @@ mod tests {
             out.time().unwrap(),
             alg.time_bound()
         );
+    }
+
+    /// A label space too large for the time bound to fit in a `u64`
+    /// saturates it instead of wrapping it into a short horizon.
+    #[test]
+    fn time_bounds_saturate_instead_of_wrapping() {
+        let (g, ex, _) = ring_setup(6, 2);
+        for l in [1u64 << 62, u64::MAX] {
+            let space = LabelSpace::new(l).unwrap();
+            let cheap = Cheap::new(g.clone(), ex.clone(), space);
+            assert_eq!(cheap.time_bound(), u64::MAX, "L = {l}");
+            assert_eq!(cheap.cost_bound(), 15);
+        }
+        let space = LabelSpace::new(u64::MAX).unwrap();
+        let simultaneous = CheapSimultaneous::new(g.clone(), ex.clone(), space);
+        assert_eq!(simultaneous.time_bound(), u64::MAX);
+        // Below the limit the formula is exact: (2L + 1)·E at L = 2^40.
+        let space = LabelSpace::new(1 << 40).unwrap();
+        assert_eq!(Cheap::new(g, ex, space).time_bound(), ((1 << 41) + 1) * 5);
     }
 }

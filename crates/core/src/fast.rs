@@ -107,15 +107,17 @@ impl RendezvousAlgorithm for Fast {
         Ok(pattern_schedule(&pattern, &self.explorer))
     }
 
-    /// `(4⌊log(L−1)⌋ + 9) · E` (Proposition 2.2).
+    /// `(4⌊log(L−1)⌋ + 9) · E` (Proposition 2.2). Saturates at
+    /// `u64::MAX`.
     fn time_bound(&self) -> u64 {
-        (4 * self.space.floor_log2_l_minus_1() + 9) * self.exploration_bound()
+        (4 * self.space.floor_log2_l_minus_1() + 9).saturating_mul(self.exploration_bound())
     }
 
     /// `(8⌊log(L−1)⌋ + 18) · E` (Proposition 2.2; twice the time since
-    /// both agents traverse at most one edge per round).
+    /// both agents traverse at most one edge per round). Saturates at
+    /// `u64::MAX`.
     fn cost_bound(&self) -> u64 {
-        2 * self.time_bound()
+        self.time_bound().saturating_mul(2)
     }
 }
 

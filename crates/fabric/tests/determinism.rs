@@ -12,7 +12,7 @@ use rendezvous_core::{Cheap, Fast, LabelSpace, RendezvousAlgorithm};
 use rendezvous_explore::OrientedRingExplorer;
 use rendezvous_fabric::{CheckpointRecord, Coordinator, CoordinatorConfig, LeaseReply};
 use rendezvous_graph::generators;
-use rendezvous_runner::{AlgorithmExecutor, Bounded, Grid, Runner, SweepReport, Workload};
+use rendezvous_runner::{AlgorithmExecutor, Grid, Runner, SweepReport, Workload};
 use std::sync::Arc;
 
 /// Two sweeps (Cheap then Fast on the same ring) — enough to exercise
@@ -42,9 +42,9 @@ fn direct_reports(sweeps: &[(Box<dyn RendezvousAlgorithm>, Grid)]) -> Vec<SweepR
     sweeps
         .iter()
         .map(|(alg, grid)| {
-            let executor = AlgorithmExecutor::new(alg.as_ref());
+            let executor = AlgorithmExecutor::new(alg.as_ref()).with_bounds(None);
             Runner::sequential()
-                .sweep(grid, &Bounded::new(&executor, None))
+                .sweep(grid, &executor)
                 .expect("valid configurations")
         })
         .collect()
@@ -100,7 +100,7 @@ fn run_sim(
     // cache) across all the leases of a sweep.
     let executors: Vec<AlgorithmExecutor> = sweeps
         .iter()
-        .map(|(alg, _)| AlgorithmExecutor::new(alg.as_ref()))
+        .map(|(alg, _)| AlgorithmExecutor::new(alg.as_ref()).with_bounds(None))
         .collect();
     let mut checkpoint = Vec::new();
     let mut executed_units = 0usize;
@@ -137,7 +137,7 @@ fn run_sim(
                     }
                     let grid = &sweeps[w.sweep].1;
                     let report = Runner::sequential()
-                        .sweep_range(grid, lo, hi, &Bounded::new(&executors[w.sweep], None))
+                        .sweep_range(grid, lo, hi, &executors[w.sweep])
                         .expect("valid configurations");
                     executed_units += hi - lo;
                     if let Some(record) = coordinator
@@ -267,16 +267,11 @@ fn silent_workers_expire_and_their_late_results_are_discarded() {
     // chunk is missing, so it gets Wait until the deadline passes.
     let executors: Vec<AlgorithmExecutor> = sweeps
         .iter()
-        .map(|(alg, _)| AlgorithmExecutor::new(alg.as_ref()))
+        .map(|(alg, _)| AlgorithmExecutor::new(alg.as_ref()).with_bounds(None))
         .collect();
     let run_range = |sweep: usize, lo: usize, hi: usize| {
         Runner::sequential()
-            .sweep_range(
-                &sweeps[sweep].1,
-                lo,
-                hi,
-                &Bounded::new(&executors[sweep], None),
-            )
+            .sweep_range(&sweeps[sweep].1, lo, hi, &executors[sweep])
             .expect("valid configurations")
     };
     let mut now = 10u64;

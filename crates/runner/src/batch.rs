@@ -45,13 +45,11 @@ use std::ops::Range;
 
 /// Piece executor that solves the delay axis of a pair sweep in batch.
 ///
-/// Wraps an [`AlgorithmExecutor`] (its pair check and plan cache) and
-/// carries the sweep's [`Bounds`] itself, playing the role
-/// [`Bounded`](crate::Bounded) plays for stepped executors.
+/// Wraps an [`AlgorithmExecutor`]: its pair check, its plan cache and
+/// the bounds every outcome is judged against.
 pub struct BatchExecutor<'a> {
     algorithm: &'a dyn RendezvousAlgorithm,
     inner: AlgorithmExecutor<'a>,
-    bounds: Option<Bounds>,
     connected: bool,
     /// Runs solved (attached via [`BatchExecutor::with_metrics`]); it
     /// depends on where a sweep's cuts fall. How many scenarios ran is
@@ -60,13 +58,12 @@ pub struct BatchExecutor<'a> {
 }
 
 impl<'a> BatchExecutor<'a> {
-    /// Wraps `algorithm` with no sweep bounds attached.
+    /// Wraps `algorithm` with no bounds attached.
     #[must_use]
     pub fn new(algorithm: &'a dyn RendezvousAlgorithm) -> Self {
         BatchExecutor {
             algorithm,
             inner: AlgorithmExecutor::new(algorithm),
-            bounds: None,
             // The stepped engine checks connectivity every run; this
             // executor checks once.
             connected: analysis::is_connected(algorithm.graph()),
@@ -75,10 +72,10 @@ impl<'a> BatchExecutor<'a> {
     }
 
     /// Attaches the bounds every outcome of this executor's pieces is
-    /// judged against.
+    /// judged against, as [`AlgorithmExecutor::with_bounds`] does.
     #[must_use]
     pub fn with_bounds(mut self, bounds: Option<Bounds>) -> Self {
-        self.bounds = bounds;
+        self.inner = self.inner.with_bounds(bounds);
         self
     }
 
@@ -203,7 +200,7 @@ impl PieceExecutor for BatchExecutor<'_> {
         self.drive(&piece.scenarios, |_, scenario, m| {
             outcomes.push(ScenarioOutcome::from_measured(scenario.clone(), m));
         })?;
-        Ok((outcomes, self.bounds))
+        Ok((outcomes, self.inner.bounds))
     }
 
     /// Folds each solve straight into the piece's group, at its global
@@ -218,10 +215,10 @@ impl PieceExecutor for BatchExecutor<'_> {
         if piece.scenarios.is_empty() {
             return Ok(());
         }
-        let spec = piece.entry.map(|e| &e.spec);
+        let (spec, bounds) = (piece.entry.map(|e| &e.spec), self.inner.bounds);
         let group = report.group_mut(piece.key);
         self.drive(&piece.scenarios, |i, scenario, m| {
-            group.absorb_measured(piece.offset + i, spec, scenario, m, self.bounds);
+            group.absorb_measured(piece.offset + i, spec, scenario, m, bounds);
         })
     }
 }

@@ -1,6 +1,6 @@
 //! How a [`Scenario`] becomes an execution: pluggable executors.
 
-use crate::{Placement, Scenario, ScenarioOutcome};
+use crate::{Bounds, PieceExecutor, Placement, Runner, Scenario, ScenarioOutcome, WorkPiece};
 use rendezvous_core::{
     CoreError, Label, RendezvousAlgorithm, Schedule, ScheduleBehavior, SegmentMemo,
 };
@@ -239,9 +239,14 @@ impl PlanCache {
 /// [`run`](Executor::run) compiles no plan. A
 /// [`GatheringExecutor`](crate::GatheringExecutor) owns the same kind of
 /// cache.
+///
+/// As a [`PieceExecutor`] it judges every outcome against the bounds
+/// attached with [`AlgorithmExecutor::with_bounds`] (none by default):
+/// one algorithm, hence one bound pair, covers a whole pair sweep.
 pub struct AlgorithmExecutor<'a> {
     algorithm: &'a dyn RendezvousAlgorithm,
     cache: PlanCache,
+    pub(crate) bounds: Option<Bounds>,
 }
 
 impl<'a> AlgorithmExecutor<'a> {
@@ -251,7 +256,16 @@ impl<'a> AlgorithmExecutor<'a> {
         AlgorithmExecutor {
             algorithm,
             cache: PlanCache::new(algorithm),
+            bounds: None,
         }
+    }
+
+    /// Attaches the bounds every outcome of this executor's pieces is
+    /// judged against.
+    #[must_use]
+    pub fn with_bounds(mut self, bounds: Option<Bounds>) -> Self {
+        self.bounds = bounds;
+        self
     }
 
     /// Attaches plan-cache hit/miss counters from `metrics`: a **miss**
@@ -368,5 +382,17 @@ impl Executor for AlgorithmExecutor<'_> {
             outcome.cost(),
             outcome.crossings(),
         ))
+    }
+}
+
+impl PieceExecutor for AlgorithmExecutor<'_> {
+    fn run_piece(
+        &self,
+        runner: &Runner,
+        piece: &WorkPiece<'_>,
+    ) -> Result<(Vec<ScenarioOutcome>, Option<Bounds>), RunnerError> {
+        runner
+            .outcomes(self, &piece.scenarios)
+            .map(|o| (o, self.bounds))
     }
 }

@@ -4,7 +4,7 @@
 //! [`run_gathering`] (the oracle).
 
 use crate::executor::{Executor, PlanCache, RunnerError};
-use crate::{Scenario, ScenarioOutcome};
+use crate::{Bounds, PieceExecutor, Runner, Scenario, ScenarioOutcome, WorkPiece};
 use rendezvous_core::{gathering_fleet, RendezvousAlgorithm};
 use rendezvous_graph::NodeId;
 use rendezvous_sim::gathering::{run_gathering, FleetSolver};
@@ -27,13 +27,14 @@ use std::sync::Arc;
 /// before anything runs, and give the same outcome and the same error
 /// on every scenario.
 ///
-/// Each outcome carries the merge-and-restart analytic bound
-/// `(k−1) · (time bound + max delay)` as its per-scenario
-/// [`time_bound`](crate::ScenarioOutcome::time_bound), so
-/// [`SweepReport`](crate::SweepReport) folds judge violations and the
-/// worst rounds/bound ratio against the bound that actually applies to
-/// that fleet — a sweep-level [`Bounds`](crate::Bounds) pair cannot
-/// express it.
+/// Each outcome carries its fleet's own
+/// [`bounds`](crate::ScenarioOutcome::bounds): the merge-and-restart
+/// time bound `b = (k−1) · (time bound + max delay)` and the cost bound
+/// `k · b`, since each of the `k` agents crosses at most one edge per
+/// round. [`SweepReport`](crate::SweepReport) folds judge violations and
+/// the worst rounds/bound ratio against the bounds that actually apply
+/// to that fleet, which one pair of piece [`Bounds`] cannot express, so
+/// its pieces carry none.
 pub struct GatheringExecutor {
     algorithm: Arc<dyn RendezvousAlgorithm>,
     /// Checks every fleet; on the compiled engine it also replays them.
@@ -113,6 +114,7 @@ impl Executor for GatheringExecutor {
             let merges = out.merge_events() as u64;
             (out.gathered.map(|m| m.round), out.cost(), merges)
         };
+        let bound = self.merge_restart_bound(scenario);
         Ok(ScenarioOutcome {
             scenario: scenario.clone(),
             time,
@@ -120,8 +122,21 @@ impl Executor for GatheringExecutor {
             // Neither engine tracks edge crossings — they are a
             // two-agent-meeting diagnostic.
             crossings: 0,
-            time_bound: Some(self.merge_restart_bound(scenario)),
+            bounds: Some(Bounds {
+                time: bound,
+                cost: scenario.k() as u64 * bound,
+            }),
             merges,
         })
+    }
+}
+
+impl PieceExecutor for GatheringExecutor {
+    fn run_piece(
+        &self,
+        runner: &Runner,
+        piece: &WorkPiece<'_>,
+    ) -> Result<(Vec<ScenarioOutcome>, Option<Bounds>), RunnerError> {
+        runner.outcomes(self, &piece.scenarios).map(|o| (o, None))
     }
 }

@@ -33,10 +33,11 @@
 //!   outputs compares two independent implementations;
 //!   [`GatheringExecutor`] has the same two engines for fleets;
 //! * [`Runner`] — executes workloads on the calling thread through a
-//!   [`PieceExecutor`] (any per-scenario [`Executor`] works as-is;
-//!   [`Bounded`] attaches sweep-level [`Bounds`]); the fold walks
-//!   outcomes in global index order, so any contiguous split of a sweep
-//!   produces an **identical** report by construction;
+//!   [`PieceExecutor`]; the fold walks outcomes in global index order,
+//!   so any contiguous split of a sweep produces an **identical** report
+//!   by construction. A bound is attached one way per executor: a pair
+//!   executor's `with_bounds` sets the [`Bounds`] of its pieces, and a
+//!   gathering outcome carries its own fleet's;
 //! * [`SweepReport`] — the one keyed fold: per-group (`""` for plain
 //!   sweeps, the graph family for topology sweeps) sums, maxima,
 //!   bound-violation counts and worst-case [`Witness`]es, tie-broken
@@ -96,6 +97,4 @@ pub use report::{fold_outcomes, Bounds, GroupStats, SweepReport, Witness};
 pub use runner::Runner;
 pub use scenario::{Placement, Placements, Scenario, ScenarioOutcome};
 pub use topo::{TopoEntry, TopoGrid};
-pub use workload::{
-    Bounded, Fnv1a, PieceExecutor, WorkPiece, Workload, WorkloadKind, WorkloadMeta,
-};
+pub use workload::{Fnv1a, PieceExecutor, WorkPiece, Workload, WorkloadKind, WorkloadMeta};

@@ -48,10 +48,12 @@ pub struct Witness {
     /// Measured cost.
     pub cost: u64,
     /// The time bound this outcome was judged against: the outcome's own
-    /// per-scenario bound (gathering's merge-and-restart bound) when it
-    /// carried one, else the piece-level bound, else `None`.
+    /// bound (gathering's merge-and-restart bound) when it carried one,
+    /// else the piece's, else `None`.
     pub time_bound: Option<u64>,
-    /// The cost bound this outcome was judged against, if any.
+    /// The cost bound this outcome was judged against: the outcome's own
+    /// bound (`k` times gathering's time bound) when it carried one,
+    /// else the piece's, else `None`.
     pub cost_bound: Option<u64>,
 }
 
@@ -114,12 +116,11 @@ pub struct GroupStats {
     /// Total cluster-merge events across all scenarios (gathering
     /// sweeps; 0 for pair sweeps).
     pub merges: u64,
-    /// Meeting scenarios whose time exceeded their bound — the outcome's
-    /// own per-scenario bound when it carried one, else the piece-level
-    /// [`Bounds::time`].
+    /// Meeting scenarios whose time exceeded their [`Bounds::time`] —
+    /// the outcome's own bound when it carried one, else the piece's.
     pub time_violations: usize,
-    /// Meeting scenarios whose cost exceeded the piece-level
-    /// [`Bounds::cost`].
+    /// Meeting scenarios whose cost exceeded their [`Bounds::cost`] —
+    /// the outcome's own bound when it carried one, else the piece's.
     pub cost_violations: usize,
     /// Witness of `max_time` (lowest global index on ties).
     pub worst_time: Option<Witness>,
@@ -186,10 +187,11 @@ impl GroupStats {
         self.total_cost += u128::from(cost);
         self.max_time = self.max_time.max(time);
         self.max_cost = self.max_cost.max(cost);
-        // A per-scenario bound overrides the piece-level time bound:
-        // gathering's merge-and-restart bound depends on the fleet, so
-        // each outcome is judged against its own.
-        let time_bound = m.time_bound.or(bounds.map(|b| b.time));
+        // An outcome's own bounds override the piece's: gathering's
+        // merge-and-restart bounds depend on the fleet, so each outcome
+        // is judged against its own.
+        let bounds = m.bounds.or(bounds);
+        let time_bound = bounds.map(|b| b.time);
         let cost_bound = bounds.map(|b| b.cost);
         if time_bound.is_some_and(|b| time > b) {
             self.time_violations += 1;
@@ -463,11 +465,15 @@ mod tests {
         )
     }
 
-    /// A gathering-style outcome: carries its own merge-and-restart bound
-    /// and a merge-event count.
+    /// A gathering-style outcome: carries its own merge-and-restart time
+    /// bound (cost bound twice that, as for a pair) and a merge-event
+    /// count.
     fn fleet_outcome(time: Option<u64>, cost: u64, bound: u64, merges: u64) -> ScenarioOutcome {
         let mut o = outcome(time, cost, 0);
-        o.time_bound = Some(bound);
+        o.bounds = Some(Bounds {
+            time: bound,
+            cost: 2 * bound,
+        });
         o.merges = merges;
         o
     }
@@ -496,7 +502,7 @@ mod tests {
         assert_eq!(stats.cost_violations, 0);
         assert!(!stats.clean());
         assert_eq!((stats.total_time, stats.total_cost), (24, 11));
-        // With sweep-level bounds every meeting has a ratio witness; the
+        // With piece bounds every meeting has a ratio witness; the
         // worst is 10/9 at index 2 (lowest index of the tie).
         let w = stats.worst_ratio.as_ref().unwrap();
         assert_eq!((w.index, w.time, w.time_bound), (2, 10, Some(9)));
@@ -674,33 +680,54 @@ mod tests {
         );
     }
 
-    /// A per-scenario bound overrides the piece-level one for the time
-    /// violation check and the ratio witness; the piece-level cost bound
-    /// still applies.
+    /// An outcome's own bounds override the piece's, for time and cost
+    /// alike and in either direction; an outcome without bounds falls
+    /// back to the piece's; and every witness records the pair its
+    /// outcome was judged against.
     #[test]
     fn per_scenario_bounds_override_piece_bounds() {
-        let bounds = Some(Bounds {
-            time: 100,
-            cost: 100,
-        });
-        let mut report = SweepReport::default();
-        let mut violating = outcome(Some(30), 5, 0);
-        violating.time_bound = Some(25); // beyond its own bound…
-        violating.merges = 2;
-        let mut clean = outcome(Some(10), 5, 0);
-        clean.time_bound = Some(40); // …this one within its own
-        clean.merges = 1;
-        report.absorb("", 0, None, &violating, bounds);
-        report.absorb("", 1, None, &clean, bounds);
-        let stats = report.solo();
-        assert_eq!(
-            stats.time_violations, 1,
-            "30 > 25 violates even though 30 < 100"
-        );
-        assert_eq!(stats.merges, 3);
-        let w = stats.worst_ratio.as_ref().unwrap();
-        assert_eq!((w.time, w.time_bound), (30, Some(25)), "30/25 > 10/40");
+        let judged = |time, cost, bounds: Option<Bounds>, merges| {
+            let mut o = outcome(Some(time), cost, 0);
+            o.bounds = bounds;
+            o.merges = merges;
+            o
+        };
+        let own = |time, cost| Some(Bounds { time, cost });
+        // No piece bounds: an outcome over its own cost bound alone
+        // still counts, and its witness records both of its bounds.
+        let stats = fold_outcomes(&[judged(10, 9, own(40, 8), 0)], None).solo();
+        assert_eq!((stats.time_violations, stats.cost_violations), (0, 1));
+        let w = stats.worst_cost.as_ref().unwrap();
+        assert_eq!((w.time_bound, w.cost_bound), (Some(40), Some(8)));
         assert!(!stats.clean());
+
+        let piece = Some(Bounds { time: 20, cost: 20 });
+        let outcomes = [
+            // Within the piece's bounds, beyond both of its own.
+            judged(18, 7, own(15, 6), 2),
+            // Beyond the piece's bounds, within both of its own.
+            judged(30, 25, own(40, 60), 1),
+            // No bounds of its own: judged against the piece's.
+            judged(5, 21, None, 0),
+        ];
+        let stats = fold_outcomes(&outcomes, piece).solo();
+        assert_eq!(stats.time_violations, 1, "18 > 15 although 18 < 20");
+        assert_eq!(stats.cost_violations, 2, "7 > 6 and 21 > 20, not 25 < 60");
+        assert_eq!(stats.merges, 3);
+        let bounds_of = |w: &Option<Witness>| {
+            let w = w.as_ref().unwrap();
+            (w.index, w.time_bound, w.cost_bound)
+        };
+        assert_eq!(
+            bounds_of(&stats.worst_ratio),
+            (0, Some(15), Some(6)),
+            "18/15"
+        );
+        assert_eq!(bounds_of(&stats.worst_time), (1, Some(40), Some(60)));
+        assert_eq!(bounds_of(&stats.worst_cost), (1, Some(40), Some(60)));
+        // The fallback outcome's witness records the piece's bounds.
+        let fallback = fold_outcomes(&outcomes[2..], piece).solo();
+        assert_eq!(bounds_of(&fallback.worst_time), (0, Some(20), Some(20)));
     }
 
     #[test]
@@ -752,22 +779,27 @@ mod tests {
     }
 
     /// One generated outcome: time (`None` = no meeting), cost,
-    /// crossings, per-outcome time bound, merges. Small ranges force
+    /// crossings, per-outcome bounds, merges. Small ranges force
     /// equal-time, equal-cost and equal-ratio ties at different indices.
     fn arb_outcome() -> impl Strategy<Value = ScenarioOutcome> {
         (
             (0u8..6, 0u64..6),
             0u64..6,
             0u64..3,
-            (0u8..2, 1u64..8),
+            (0u8..2, 1u64..8, 1u64..8),
             0u64..3,
         )
-            .prop_map(|((met, time), cost, crossings, (own, bound), merges)| {
-                let mut o = outcome(some_unless_zero(met, time), cost, crossings);
-                o.time_bound = some_unless_zero(own, bound);
-                o.merges = merges;
-                o
-            })
+            .prop_map(
+                |((met, time), cost, crossings, (own, bound, cost_bound), merges)| {
+                    let mut o = outcome(some_unless_zero(met, time), cost, crossings);
+                    o.bounds = (own != 0).then_some(Bounds {
+                        time: bound,
+                        cost: cost_bound,
+                    });
+                    o.merges = merges;
+                    o
+                },
+            )
     }
 
     fn arb_bounds() -> impl Strategy<Value = Option<Bounds>> {

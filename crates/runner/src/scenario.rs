@@ -1,5 +1,6 @@
 //! One fully-specified adversarial configuration and its measured result.
 
+use crate::Bounds;
 use rendezvous_graph::NodeId;
 use serde::{DeError, Deserialize, Serialize, Value};
 use std::hash::{Hash, Hasher};
@@ -226,13 +227,12 @@ pub struct ScenarioOutcome {
     /// Edge crossings observed (never meetings, by the model). Pair
     /// executions only; gathering runs report 0.
     pub crossings: u64,
-    /// The per-scenario analytic time bound this execution is checked
-    /// against, when the executor computes one. Gathering's
-    /// merge-and-restart bound `(k−1)·(time bound + max delay)` varies
-    /// with the fleet size and delays, so it travels with the outcome;
-    /// pair executors leave `None` and the sweep-level
-    /// [`Bounds`](crate::Bounds) apply instead.
-    pub time_bound: Option<u64>,
+    /// The bounds this execution is judged against, when they depend on
+    /// the scenario: a gathering's merge-and-restart time bound
+    /// `b = (k−1)·(time bound + max delay)` and cost bound `k·b` vary
+    /// with the fleet, so they travel with the outcome. Pair executors
+    /// leave `None`, and the piece's [`Bounds`] apply instead.
+    pub bounds: Option<Bounds>,
     /// Cluster-merge events observed (gathering runs; 0 for pair
     /// rendezvous, where the single meeting ends the run).
     pub merges: u64,
@@ -246,26 +246,26 @@ pub(crate) struct Measured {
     pub(crate) time: Option<u64>,
     pub(crate) cost: u64,
     pub(crate) crossings: u64,
-    pub(crate) time_bound: Option<u64>,
+    pub(crate) bounds: Option<Bounds>,
     pub(crate) merges: u64,
 }
 
 impl Measured {
-    /// A pair execution's measurements: no per-scenario bound, no merge
+    /// A pair execution's measurements: no per-scenario bounds, no merge
     /// events.
     pub(crate) fn pairwise(time: Option<u64>, cost: u64, crossings: u64) -> Measured {
         Measured {
             time,
             cost,
             crossings,
-            time_bound: None,
+            bounds: None,
             merges: 0,
         }
     }
 }
 
 impl ScenarioOutcome {
-    /// A pair-execution outcome: no per-scenario bound, no merge events.
+    /// A pair-execution outcome: no per-scenario bounds, no merge events.
     #[must_use]
     pub fn pairwise(scenario: Scenario, time: Option<u64>, cost: u64, crossings: u64) -> Self {
         ScenarioOutcome::from_measured(scenario, Measured::pairwise(time, cost, crossings))
@@ -278,7 +278,7 @@ impl ScenarioOutcome {
             time: m.time,
             cost: m.cost,
             crossings: m.crossings,
-            time_bound: m.time_bound,
+            bounds: m.bounds,
             merges: m.merges,
         }
     }
@@ -289,7 +289,7 @@ impl ScenarioOutcome {
             time: self.time,
             cost: self.cost,
             crossings: self.crossings,
-            time_bound: self.time_bound,
+            bounds: self.bounds,
             merges: self.merges,
         }
     }

@@ -242,16 +242,19 @@ pub trait Workload {
 /// Executes the pieces of a [`Workload`] — the seam between the generic
 /// sweep pipeline and the algorithm under test.
 ///
-/// Per-scenario [`Executor`](crate::Executor)s get this for free via the
-/// blanket impl (no sweep-level bounds; per-outcome bounds still apply).
-/// Wrap one in [`Bounded`](crate::Bounded) to attach sweep-level
-/// [`Bounds`]; implement the trait directly when each piece needs its own
-/// machinery (topology sweeps build the algorithm per entry on the
-/// piece's cached graph).
+/// The pair executors ([`AlgorithmExecutor`](crate::AlgorithmExecutor),
+/// [`BatchExecutor`](crate::BatchExecutor)) judge their pieces against
+/// the [`Bounds`] attached with their `with_bounds`; the
+/// [`GatheringExecutor`](crate::GatheringExecutor)'s pieces carry none,
+/// since each of its outcomes carries its fleet's own. Topology sweeps
+/// implement the trait to build the algorithm per entry on the piece's
+/// cached graph.
 pub trait PieceExecutor {
     /// Runs `piece.scenarios` (in order) and returns the outcomes **in
     /// input order**, together with the bounds the piece's outcomes are
-    /// judged against (`None` when only per-outcome bounds apply).
+    /// judged against: an outcome's own
+    /// [`bounds`](crate::ScenarioOutcome::bounds) override them, and
+    /// `None` leaves only those.
     ///
     /// `runner` is the sweep's own runner, for executors that run their
     /// batch through [`Runner::outcomes`] or read its telemetry sink.
@@ -290,46 +293,6 @@ pub trait PieceExecutor {
         let spec = piece.entry.map(|e| &e.spec);
         report.absorb_piece(piece.key, piece.offset, spec, &outcomes, bounds);
         Ok(())
-    }
-}
-
-impl<E: crate::Executor> PieceExecutor for E {
-    fn run_piece(
-        &self,
-        runner: &Runner,
-        piece: &WorkPiece<'_>,
-    ) -> Result<(Vec<ScenarioOutcome>, Option<Bounds>), RunnerError> {
-        runner.outcomes(self, &piece.scenarios).map(|o| (o, None))
-    }
-}
-
-/// Attaches sweep-level [`Bounds`] to a per-scenario
-/// [`Executor`](crate::Executor): every outcome of every piece is judged
-/// against the same pair — the shape of the paper's two-agent sweeps,
-/// where one algorithm (hence one `E`, one bound pair) covers the whole
-/// grid.
-pub struct Bounded<'a> {
-    executor: &'a dyn crate::Executor,
-    bounds: Option<Bounds>,
-}
-
-impl<'a> Bounded<'a> {
-    /// Wraps `executor`, judging every outcome against `bounds`.
-    #[must_use]
-    pub fn new(executor: &'a dyn crate::Executor, bounds: Option<Bounds>) -> Self {
-        Bounded { executor, bounds }
-    }
-}
-
-impl PieceExecutor for Bounded<'_> {
-    fn run_piece(
-        &self,
-        runner: &Runner,
-        piece: &WorkPiece<'_>,
-    ) -> Result<(Vec<ScenarioOutcome>, Option<Bounds>), RunnerError> {
-        runner
-            .outcomes(self.executor, &piece.scenarios)
-            .map(|o| (o, self.bounds))
     }
 }
 

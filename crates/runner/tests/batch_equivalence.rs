@@ -14,8 +14,8 @@ use rendezvous_graph::{
     ErdosRenyiSpec, GraphBuilder, GraphSpec, NodeId, RegularSpec, RingSpec, SeededSpec,
 };
 use rendezvous_runner::{
-    AlgorithmExecutor, BatchExecutor, Bounded, Bounds, Grid, PieceExecutor, Placement, Runner,
-    Scenario, SweepReport, WorkPiece, Workload,
+    AlgorithmExecutor, BatchExecutor, Bounds, Grid, PieceExecutor, Placement, Runner, Scenario,
+    SweepReport, WorkPiece, Workload,
 };
 use rendezvous_sim::SimError;
 use std::sync::Arc;
@@ -59,14 +59,11 @@ fn algorithm_on(
 }
 
 fn stepped_sweep(runner: &Runner, grid: &Grid, alg: &dyn RendezvousAlgorithm) -> SweepReport {
-    let executor = AlgorithmExecutor::new(alg);
-    let bounds = Some(Bounds {
+    let executor = AlgorithmExecutor::new(alg).with_bounds(Some(Bounds {
         time: alg.time_bound(),
         cost: alg.cost_bound(),
-    });
-    runner
-        .sweep(grid, &Bounded::new(&executor, bounds))
-        .expect("stepped sweep")
+    }));
+    runner.sweep(grid, &executor).expect("stepped sweep")
 }
 
 fn batched_sweep(runner: &Runner, grid: &Grid, alg: &dyn RendezvousAlgorithm) -> SweepReport {

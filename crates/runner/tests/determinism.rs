@@ -13,8 +13,8 @@ use rendezvous_core::{Cheap, Fast, LabelSpace, RendezvousAlgorithm};
 use rendezvous_explore::OrientedRingExplorer;
 use rendezvous_graph::{generators, NodeId, Port, PortLabeledGraph};
 use rendezvous_runner::{
-    fold_outcomes, AlgorithmExecutor, Bounded, Bounds, Executor, Grid, Runner, RunnerError,
-    Scenario, ScenarioOutcome,
+    fold_outcomes, AlgorithmExecutor, Bounds, Executor, Grid, PieceExecutor, Runner, RunnerError,
+    Scenario, ScenarioOutcome, WorkPiece,
 };
 use rendezvous_sim::{Action, AgentSpec, ScriptedAgent, Simulation};
 use std::sync::Arc;
@@ -47,6 +47,16 @@ impl Executor for Scripted<'_> {
             outcome.cost(),
             outcome.crossings(),
         ))
+    }
+}
+
+impl PieceExecutor for Scripted<'_> {
+    fn run_piece(
+        &self,
+        runner: &Runner,
+        piece: &WorkPiece<'_>,
+    ) -> Result<(Vec<ScenarioOutcome>, Option<Bounds>), RunnerError> {
+        runner.outcomes(self, &piece.scenarios).map(|o| (o, None))
     }
 }
 
@@ -88,7 +98,7 @@ proptest! {
 
         // The runner over the same grid, as a Workload.
         let swept = Runner::sequential()
-            .sweep(&grid, &Bounded::new(&executor, bounds))
+            .sweep(&grid, &executor.with_bounds(bounds))
             .expect("valid configurations");
         prop_assert_eq!(&swept, &reference);
         // Sanity: the paper's algorithms meet everywhere within 4x bounds.

@@ -11,7 +11,7 @@ use rendezvous_core::{Cheap, Fast, LabelSpace, RendezvousAlgorithm};
 use rendezvous_explore::OrientedRingExplorer;
 use rendezvous_graph::generators;
 use rendezvous_runner::{
-    AlgorithmExecutor, BatchExecutor, Bounded, Bounds, Grid, Runner, SweepReport, Workload,
+    AlgorithmExecutor, BatchExecutor, Bounds, Grid, Runner, SweepReport, Workload,
 };
 use rendezvous_telemetry::Metrics;
 use std::sync::Arc;
@@ -59,9 +59,9 @@ proptest! {
             grid = grid.sample_cap(cap);
         }
 
-        let reference_executor = AlgorithmExecutor::new(alg.as_ref());
+        let reference_executor = AlgorithmExecutor::new(alg.as_ref()).with_bounds(bounds);
         let reference = Runner::sequential()
-            .sweep(&grid, &Bounded::new(&reference_executor, bounds))
+            .sweep(&grid, &reference_executor)
             .expect("valid configurations");
 
         for m in [2usize, 3, 7] {
@@ -75,9 +75,9 @@ proptest! {
                     // Fresh executor per range: each process compiles its
                     // own schedule cache; determinism must not depend on a
                     // shared one.
-                    let executor = AlgorithmExecutor::new(alg.as_ref());
+                    let executor = AlgorithmExecutor::new(alg.as_ref()).with_bounds(bounds);
                     let report = Runner::sequential()
-                        .sweep_range(&grid, lo, hi, &Bounded::new(&executor, bounds))
+                        .sweep_range(&grid, lo, hi, &executor)
                         .expect("valid configurations");
                     // Cross the "process boundary".
                     let json = serde_json::to_string(&report).expect("serializable");
@@ -110,10 +110,8 @@ fn schedule_memoization_is_invisible_to_results() {
         .delays(&[0, 2, 5])
         .all_start_pairs(alg.graph());
 
-    let shared = AlgorithmExecutor::new(alg.as_ref());
-    let cached = Runner::sequential()
-        .sweep(&grid, &Bounded::new(&shared, bounds))
-        .unwrap();
+    let shared = AlgorithmExecutor::new(alg.as_ref()).with_bounds(bounds);
+    let cached = Runner::sequential().sweep(&grid, &shared).unwrap();
     // Distinct labels of the grid: {1, 2, 3, 6}. The stepped executor
     // steps schedules and compiles no trajectory.
     assert_eq!(shared.compiled_labels(), 4);

@@ -11,8 +11,8 @@ use rendezvous_explore::OrientedRingExplorer;
 use rendezvous_graph::{generators, NodeId};
 use rendezvous_runner::PieceExecutor;
 use rendezvous_runner::{
-    AlgorithmExecutor, BatchExecutor, Bounded, Bounds, Grid, Placement, Runner, RunnerError,
-    Scenario, WorkPiece,
+    AlgorithmExecutor, BatchExecutor, Bounds, Grid, Placement, Runner, RunnerError, Scenario,
+    WorkPiece,
 };
 use rendezvous_telemetry::Metrics;
 use std::sync::Arc;
@@ -70,10 +70,9 @@ fn sweep_error_carries_global_scenario_index() {
         .label_pairs_ordered(&[(1, 2), (2, 3), (3, 0)])
         .delays(&[0])
         .start_pairs(&[(NodeId::new(0), NodeId::new(3))]);
-    let executor = AlgorithmExecutor::new(&alg);
-    let bounded = Bounded::new(&executor, None);
+    let executor = AlgorithmExecutor::new(&alg).with_bounds(None);
     let err = Runner::sequential()
-        .sweep(&grid, &bounded)
+        .sweep(&grid, &executor)
         .expect_err("label 0 is invalid");
     assert_eq!(err.index(), Some(2), "global index of the bad scenario");
     let msg = err.to_string();
@@ -95,16 +94,18 @@ fn metrics_never_perturb_report_bytes() {
         cost: alg.cost_bound(),
     });
 
-    let bare_executor = AlgorithmExecutor::new(&alg);
+    let bare_executor = AlgorithmExecutor::new(&alg).with_bounds(bounds);
     let bare = Runner::sequential()
-        .sweep(&grid, &Bounded::new(&bare_executor, bounds))
+        .sweep(&grid, &bare_executor)
         .expect("sweep succeeds");
 
     let metrics = Arc::new(Metrics::new());
-    let observed_executor = AlgorithmExecutor::new(&alg).with_metrics(&metrics);
+    let observed_executor = AlgorithmExecutor::new(&alg)
+        .with_bounds(bounds)
+        .with_metrics(&metrics);
     let observed = Runner::sequential()
         .with_metrics(Arc::clone(&metrics))
-        .sweep(&grid, &Bounded::new(&observed_executor, bounds))
+        .sweep(&grid, &observed_executor)
         .expect("sweep succeeds");
 
     assert_eq!(

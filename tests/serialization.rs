@@ -84,7 +84,10 @@ fn checkpoint_records_round_trip_kind_tagged_payloads_byte_identically() {
             time: Some(311),
             cost: 640,
             crossings: 0,
-            time_bound: Some(900),
+            bounds: Some(Bounds {
+                time: 900,
+                cost: 3_600,
+            }),
             merges: 3,
         },
         None,
@@ -139,6 +142,7 @@ fn checkpoint_records_round_trip_kind_tagged_payloads_byte_identically() {
     let witness = stats.worst_ratio.as_ref().unwrap();
     assert_eq!(witness.scenario.k(), 4);
     assert_eq!(witness.time_bound, Some(900));
+    assert_eq!(witness.cost_bound, Some(3_600));
     assert_eq!(stats.merges, 3);
     let ring = back[1].report.group("ring").unwrap().clone();
     let witness = ring.worst_time.as_ref().unwrap();
