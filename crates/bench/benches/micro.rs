@@ -5,7 +5,9 @@
 //!
 //! Besides the stdout report, the run writes every `(name, median
 //! ns/iter)` pair to `BENCH_micro.json` at the repo root, so the perf
-//! trajectory is tracked across changes.
+//! trajectory is tracked across changes. Every bench runs in
+//! `PASSES` in-process passes, and the file keeps the minimum of its
+//! per-pass medians.
 //!
 //! `cargo bench` builds under `[profile.bench]`, which keeps overflow
 //! checks on, so `BENCH_micro.json` times checked arithmetic: a loop
@@ -94,7 +96,7 @@ fn engine_plan(c: &mut Criterion) {
     let schedule = Arc::new(alg.schedule(Label::new(42).unwrap()).unwrap());
     let rounds = schedule.total_rounds();
     let start = NodeId::new(0);
-    c.bench_function("engine/flat_plan_compile", |b| {
+    c.bench_function("engine/plan_compile", |b| {
         b.iter(|| {
             black_box(
                 SegmentMemo::new(g.clone())
@@ -123,7 +125,7 @@ fn engine_plan(c: &mut Criterion) {
             Box::new(Cheap::new(g.clone(), ex.clone(), space)),
             Box::new(Fast::new(g.clone(), ex, space)),
         ];
-        c.bench_function("engine/flat_plan_compile_dfs", |b| {
+        c.bench_function("engine/plan_compile_dfs", |b| {
             b.iter(|| {
                 let mut rounds = 0;
                 for alg in &algs {
@@ -463,20 +465,19 @@ fn runner_fold(c: &mut Criterion) {
 /// solves and the fold together. `runner/fold_piece_*` (prebuilt
 /// outcomes) and `batch/delay_sweep_batched` (the solver alone) cannot
 /// see the per-scenario enumeration and fold costs this one includes.
+/// X3 itself sweeps the 9 rotation representatives of the start axis
+/// (`Grid::start_orbits`); this bench keeps all 90 pairs, so it times
+/// the same per-scenario work on the same 108 000 scenarios as before.
 fn runner_sweep(c: &mut Criterion) {
-    use rendezvous_bench::common::{
-        adversarial_grid, all_label_pairs, ring_setup, standard_delays,
-    };
+    use rendezvous_bench::common::{all_label_pairs, ring_setup, standard_delays};
     use rendezvous_core::FastWithRelabeling;
-    use rendezvous_runner::{BatchExecutor, Bounds, Runner};
+    use rendezvous_runner::{BatchExecutor, Bounds, Grid, Runner};
     let (g, ex) = ring_setup(10);
     let alg = FastWithRelabeling::new(g, ex, LabelSpace::new(16).unwrap(), 2).unwrap();
-    let grid = adversarial_grid(
-        &alg,
-        &all_label_pairs(16),
-        &standard_delays(9),
-        4 * alg.time_bound(),
-    );
+    let grid = Grid::new(4 * alg.time_bound())
+        .label_pairs_both_orders(&all_label_pairs(16))
+        .delays(&standard_delays(9))
+        .all_start_pairs(alg.graph());
     assert_eq!(grid.size(), 108_000);
     let executor = BatchExecutor::new(&alg).with_bounds(Some(Bounds {
         time: alg.time_bound(),
@@ -489,11 +490,12 @@ fn runner_sweep(c: &mut Criterion) {
 }
 
 /// One x6 trim sweep: every label pair x < y of `Fast` with L = 16 × the
-/// 132 ordered start pairs of the oriented 12-ring, delay 0, through
-/// `Runner::sweep` and the `BatchExecutor` — 15,840 one-scenario runs,
-/// so each run's fixed work (plan lookups, checks, solver setup) is
-/// paid per scenario. The executor is built once, so its plans are
-/// warm after the first iteration.
+/// 11 rotation representatives (0, d) of the 132 ordered start pairs of
+/// the oriented 12-ring, delay 0, through `Runner::sweep` and the
+/// `BatchExecutor` — 1,320 one-scenario runs, so each run's fixed work
+/// (plan lookups, checks, solver setup) is paid per scenario. The
+/// executor is built once, so its plans are warm after the first
+/// iteration.
 fn runner_trim(c: &mut Criterion) {
     use rendezvous_bench::common::ring_setup;
     use rendezvous_lower_bounds::TrimSweep;
@@ -501,7 +503,7 @@ fn runner_trim(c: &mut Criterion) {
     let (g, ex) = ring_setup(12);
     let alg = Fast::new(g, ex, LabelSpace::new(16).unwrap());
     let sweep = TrimSweep::new(&alg, 4 * alg.time_bound()).unwrap();
-    assert_eq!(sweep.size(), 15_840);
+    assert_eq!(sweep.size(), 1_320);
     let executor = BatchExecutor::new(&alg);
     let runner = Runner::sequential();
     c.bench_function("runner/trim_sweep", |b| {
@@ -574,21 +576,36 @@ fn gathering_sweep(c: &mut Criterion) {
 /// stability is interpretable.
 const SAMPLE_SIZE: usize = 20;
 
+/// In-process passes over every bench. The persisted figure is the
+/// minimum of a bench's per-pass medians: one pass's medians moved up to
+/// 2× between runs of the same binary on a shared 2-core box, and the
+/// minimum is the pass least disturbed by other load.
+const PASSES: usize = 3;
+
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(SAMPLE_SIZE);
     targets = engine_throughput, engine_occupancy, engine_plan, walk_computation, label_machinery, graph_generation, topo_graph_build, batch_solving, runner_fold, runner_sweep, runner_trim, gathering_sweep, store_paths
 }
 
-/// Runs every group, then persists the recorded medians as
-/// `BENCH_micro.json` at the repo root (bench names are `[a-z0-9_/]`, so
-/// plain string formatting is valid JSON), under a `meta` section
-/// recording the harness provenance — wall-clock numbers are only
-/// interpretable next to the thread count, build profile, sweep-engine
-/// selection, and sample size that produced them.
+/// Runs every group `PASSES` times, then persists each bench's
+/// minimum median as `BENCH_micro.json` at the repo root (bench names
+/// are `[a-z0-9_/]`, so plain string formatting is valid JSON), under a
+/// `meta` section recording the harness provenance — wall-clock numbers
+/// are only interpretable next to the thread count, build profile,
+/// sweep-engine selection, sample size and pass count that produced
+/// them.
 fn main() {
-    benches();
-    let results = criterion::take_results();
+    let mut results: Vec<(String, u128)> = Vec::new();
+    for _ in 0..PASSES {
+        benches();
+        for (name, median) in criterion::take_results() {
+            match results.iter_mut().find(|(known, _)| *known == name) {
+                Some((_, best)) => *best = (*best).min(median),
+                None => results.push((name, median)),
+            }
+        }
+    }
     let threads = std::thread::available_parallelism()
         .map(std::num::NonZeroUsize::get)
         .unwrap_or(1);
@@ -605,6 +622,7 @@ fn main() {
     ));
     doc.push_str(&format!("    \"profile\": \"{profile}\",\n"));
     doc.push_str(&format!("    \"sample_size\": {SAMPLE_SIZE},\n"));
+    doc.push_str(&format!("    \"passes\": {PASSES},\n"));
     doc.push_str(&format!("    \"threads\": {threads}\n"));
     doc.push_str("  },\n  \"results\": {\n");
     for (i, (name, ns)) in results.iter().enumerate() {
@@ -614,5 +632,8 @@ fn main() {
     doc.push_str("  }\n}\n");
     let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_micro.json");
     std::fs::write(path, &doc).expect("write BENCH_micro.json");
-    println!("\nwrote {} medians to BENCH_micro.json", results.len());
+    println!(
+        "\nwrote {} minimum medians over {PASSES} passes to BENCH_micro.json",
+        results.len()
+    );
 }

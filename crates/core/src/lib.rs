@@ -66,4 +66,4 @@ pub use gathering::{gathering_fleet, FleetMember, GatheringAgent};
 pub use iterated::{BaseAlgorithm, Iterated};
 pub use label::{Label, LabelSpace, ModifiedLabel};
 pub use relabel::{binomial, corollary_t_prime, lex_subset_bits, smallest_t, FastWithRelabeling};
-pub use schedule::{Phase, Schedule, ScheduleBehavior, SegmentMemo};
+pub use schedule::{rotation_equivariant, Phase, Schedule, ScheduleBehavior, SegmentMemo};

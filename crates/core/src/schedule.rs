@@ -7,6 +7,7 @@
 //! [`Schedule`] captures this shape, and [`ScheduleBehavior`] executes it
 //! as a simulator agent.
 
+use crate::{Label, RendezvousAlgorithm};
 use rendezvous_explore::{ExploreRun, Explorer};
 use rendezvous_graph::{NodeId, Port, PortLabeledGraph};
 use rendezvous_sim::{Action, AgentBehavior, Observation, Trajectory};
@@ -381,6 +382,91 @@ impl SegmentMemo {
             walk
         })
     }
+
+    /// Whether `explorer` commutes with the rotation ρ: v ↦ v + 1 (mod n)
+    /// of the memo's node indices: for v = 0…n−2, the segment from
+    /// v + 1 equals the segment from v with every node shifted by +1,
+    /// round for round, positions and moves alike. Checking the
+    /// generator covers every rotation (the segment from v is then ρᵛ
+    /// of the segment from 0, and ρⁿ is the identity), so the check
+    /// compiles each segment once: O(n·E).
+    fn commutes_with_rotation(&self, explorer: &Arc<dyn Explorer>) -> bool {
+        let n = self.graph.node_count();
+        let ring = u32::try_from(n).expect("node indices fit in u32");
+        let mut explorers = self.explorers.borrow_mut();
+        let mut walk = self
+            .segment(&mut explorers, explorer, NodeId::new(0))
+            .clone();
+        for v in 1..n {
+            let next = self.segment(&mut explorers, explorer, NodeId::new(v));
+            let rotated = walk.steps() == next.steps()
+                && (walk.positions().iter().zip(next.positions()))
+                    .all(|(&p, &q)| (p + 1) % ring == q)
+                && (1..=walk.steps()).all(|r| walk.moved_in(r) == next.moved_in(r));
+            if !rotated {
+                return false;
+            }
+            walk.clone_from(next);
+        }
+        true
+    }
+}
+
+/// Certifies that sweeping `algorithm`'s start pairs up to rotation is
+/// exact for the given labels: every distinct explorer in their
+/// schedules commutes with the rotation v ↦ v + 1 (mod n) of the graph's
+/// node indices (see [`SegmentMemo`]'s segments).
+///
+/// When it holds, a label's compiled walk from v + k is its walk from v
+/// shifted by k, because waits carry over and every explore phase starts
+/// on the shifted node. So rotating both starts of a pair execution
+/// shifts both walks alike: the meeting round, the cost and every
+/// crossing (both agents move and swap nodes) are unchanged, on the
+/// stepped engine as on the batched one. The clockwise walk of
+/// `OrientedRingExplorer` on an oriented ring passes (so does a DFS of
+/// the ring's map, which takes the same ports from every node); a DFS
+/// of a grid's map fails, since its walk depends on where it starts.
+///
+/// A label outside the algorithm's space fails the certificate (the
+/// sweep then reports the label itself).
+///
+/// # Examples
+///
+/// ```
+/// use rendezvous_core::{rotation_equivariant, Cheap, LabelSpace};
+/// use rendezvous_explore::{DfsMapExplorer, OrientedRingExplorer};
+/// use rendezvous_graph::generators;
+/// use std::sync::Arc;
+///
+/// let space = LabelSpace::new(4).unwrap();
+/// let ring = Arc::new(generators::oriented_ring(6).unwrap());
+/// let clockwise = Arc::new(OrientedRingExplorer::new(ring.clone()).unwrap());
+/// assert!(rotation_equivariant(&Cheap::new(ring, clockwise, space), &[1, 2, 3, 4]));
+/// let grid = Arc::new(generators::grid(2, 3).unwrap());
+/// let dfs = Arc::new(DfsMapExplorer::new(grid.clone()));
+/// assert!(!rotation_equivariant(&Cheap::new(grid, dfs, space), &[1, 2, 3, 4]));
+/// ```
+#[must_use]
+pub fn rotation_equivariant(algorithm: &dyn RendezvousAlgorithm, labels: &[u64]) -> bool {
+    let mut labels = labels.to_vec();
+    labels.sort_unstable();
+    labels.dedup();
+    let mut explorers: Vec<Arc<dyn Explorer>> = Vec::new();
+    for value in labels {
+        let Some(schedule) = Label::new(value).and_then(|label| algorithm.schedule(label).ok())
+        else {
+            return false;
+        };
+        for phase in schedule.phases() {
+            if let Phase::Explore(e) = phase {
+                if !explorers.iter().any(|known| Arc::ptr_eq(known, e)) {
+                    explorers.push(Arc::clone(e));
+                }
+            }
+        }
+    }
+    let memo = SegmentMemo::new(Arc::clone(algorithm.graph()));
+    explorers.iter().all(|e| memo.commutes_with_rotation(e))
 }
 
 /// A node's index as a trajectory entry.
@@ -785,6 +871,181 @@ mod tests {
                 "{}: one segment per start node, shared by every plan",
                 ex.name()
             );
+        }
+    }
+
+    /// A ring whose even nodes take port 0 clockwise and odd nodes port
+    /// 0 counter-clockwise: rotating by one node is no port-preserving
+    /// automorphism.
+    fn alternating_ring(n: usize) -> Arc<PortLabeledGraph> {
+        let mut b = rendezvous_graph::GraphBuilder::new(n);
+        for i in 0..n {
+            let j = (i + 1) % n;
+            let (pi, pj) = (
+                usize::from(!i.is_multiple_of(2)),
+                usize::from(j.is_multiple_of(2)),
+            );
+            b.add_edge_with_ports(NodeId::new(i), Port::new(pi), NodeId::new(j), Port::new(pj))
+                .unwrap();
+        }
+        Arc::new(b.build().unwrap())
+    }
+
+    /// Clockwise for `steps` rounds from every node but `odd`, where it
+    /// stops one step short: commutes with every rotation step except
+    /// the ones into and out of `odd`.
+    #[derive(Debug)]
+    struct ShortFrom {
+        odd: NodeId,
+        steps: usize,
+    }
+
+    impl Explorer for ShortFrom {
+        fn bound(&self) -> usize {
+            self.steps
+        }
+        fn begin(&self, start: NodeId) -> Box<dyn ExploreRun> {
+            let steps = self.steps - usize::from(start == self.odd);
+            Box::new(rendezvous_explore::PlannedRun::new(vec![
+                Port::new(0);
+                steps
+            ]))
+        }
+        fn name(&self) -> &'static str {
+            "short-from"
+        }
+    }
+
+    /// The certificate on the explorers the tables sweep: the clockwise
+    /// walks (`OrientedRingExplorer`, `BoundedWalkExplorer`, the
+    /// ring-doubling levels of `Iterated`) and even `DfsMapExplorer`
+    /// (its DFS takes the same ports from every node of an oriented
+    /// ring) pass on oriented rings; a DFS map of a grid or star, any
+    /// explorer on a ring whose ports alternate, an explorer that
+    /// deviates from one node only (the first, a middle or the last)
+    /// and a label outside the space fail.
+    #[test]
+    fn rotation_certificate_accepts_ring_walks_and_rejects_the_rest() {
+        use crate::{BaseAlgorithm, Cheap, Fast, Iterated, LabelSpace, RendezvousAlgorithm};
+        use rendezvous_explore::{ExplorationFamily, OrientedRingExplorer, RingDoublingFamily};
+        let space = LabelSpace::new(5).unwrap();
+        let labels: Vec<u64> = (1..=5).collect();
+        for n in 3..=9 {
+            let g = Arc::new(generators::oriented_ring(n).unwrap());
+            let explorers: [Arc<dyn Explorer>; 3] = [
+                Arc::new(OrientedRingExplorer::new(g.clone()).unwrap()),
+                Arc::new(BoundedWalkExplorer::new(2 * n)),
+                Arc::new(DfsMapExplorer::new(g.clone())),
+            ];
+            for ex in explorers {
+                for alg in [
+                    Box::new(Cheap::new(g.clone(), ex.clone(), space))
+                        as Box<dyn RendezvousAlgorithm>,
+                    Box::new(Fast::new(g.clone(), ex.clone(), space)),
+                ] {
+                    assert!(
+                        rotation_equivariant(alg.as_ref(), &labels),
+                        "{} over {} on the {n}-ring",
+                        alg.name(),
+                        ex.name()
+                    );
+                    assert!(
+                        !rotation_equivariant(alg.as_ref(), &[1, 6]),
+                        "label 6 ∉ [5]"
+                    );
+                }
+                for odd in [0, n / 2, n - 1] {
+                    let short: Arc<dyn Explorer> = Arc::new(ShortFrom {
+                        odd: NodeId::new(odd),
+                        steps: n,
+                    });
+                    let alg = Cheap::new(g.clone(), short, space);
+                    assert!(
+                        !rotation_equivariant(&alg, &labels),
+                        "odd node {odd} of {n}"
+                    );
+                }
+            }
+            for base in [BaseAlgorithm::Cheap, BaseAlgorithm::Fast] {
+                let family = Arc::new(RingDoublingFamily::new());
+                let top = family.level_for(n);
+                let alg = Iterated::new(g.clone(), family, space, base, 1..=top).unwrap();
+                assert!(
+                    rotation_equivariant(&alg, &labels),
+                    "{base:?} on the {n}-ring"
+                );
+            }
+            if n % 2 == 0 {
+                let alternating = alternating_ring(n);
+                for ex in [
+                    Arc::new(DfsMapExplorer::new(alternating.clone())) as Arc<dyn Explorer>,
+                    Arc::new(BoundedWalkExplorer::new(n)),
+                ] {
+                    let alg = Cheap::new(alternating.clone(), ex, space);
+                    assert!(!rotation_equivariant(&alg, &labels), "alternating {n}-ring");
+                }
+            }
+        }
+        for g in [
+            generators::grid(3, 3).unwrap(),
+            generators::star(5).unwrap(),
+        ] {
+            let g = Arc::new(g);
+            let alg = Cheap::new(g.clone(), Arc::new(DfsMapExplorer::new(g)), space);
+            assert!(!rotation_equivariant(&alg, &labels));
+        }
+    }
+
+    /// What the certificate promises: a certified algorithm's compiled
+    /// walk of every label from v + k is its walk from v with every node
+    /// shifted by k, move for move.
+    #[test]
+    fn certified_trajectories_rotate_with_their_start() {
+        use crate::{
+            BaseAlgorithm, Cheap, Fast, FastWithRelabeling, Iterated, Label, LabelSpace,
+            RendezvousAlgorithm,
+        };
+        use rendezvous_explore::{ExplorationFamily, OrientedRingExplorer, RingDoublingFamily};
+        let space = LabelSpace::new(6).unwrap();
+        for n in [3, 7, 12] {
+            let g = Arc::new(generators::oriented_ring(n).unwrap());
+            let ex: Arc<dyn Explorer> = Arc::new(OrientedRingExplorer::new(g.clone()).unwrap());
+            let iterated = |base| {
+                let family = Arc::new(RingDoublingFamily::new());
+                let top = family.level_for(n);
+                Iterated::new(g.clone(), family, space, base, 1..=top).unwrap()
+            };
+            let algs: Vec<Box<dyn RendezvousAlgorithm>> = vec![
+                Box::new(Cheap::new(g.clone(), ex.clone(), space)),
+                Box::new(Fast::new(g.clone(), ex.clone(), space)),
+                Box::new(FastWithRelabeling::new(g.clone(), ex.clone(), space, 2).unwrap()),
+                Box::new(iterated(BaseAlgorithm::Cheap)),
+                Box::new(iterated(BaseAlgorithm::Fast)),
+            ];
+            let ring = n as u32;
+            for alg in &algs {
+                assert!(rotation_equivariant(alg.as_ref(), &[1, 2, 3, 4, 5, 6]));
+                let memo = SegmentMemo::new(g.clone());
+                for label in 1..=6 {
+                    let schedule = alg.schedule(Label::new(label).unwrap()).unwrap();
+                    let from_0 = memo.trajectory(&schedule, NodeId::new(0));
+                    for k in 1..n {
+                        let from_k = memo.trajectory(&schedule, NodeId::new(k));
+                        let shifted: Vec<u32> = (from_0.positions().iter())
+                            .map(|&p| (p + k as u32) % ring)
+                            .collect();
+                        assert_eq!(
+                            from_k.positions(),
+                            &shifted[..],
+                            "{} label {label}",
+                            alg.name()
+                        );
+                        for r in 0..=from_0.steps() {
+                            assert_eq!(from_k.moves_through(r), from_0.moves_through(r));
+                        }
+                    }
+                }
+            }
         }
     }
 

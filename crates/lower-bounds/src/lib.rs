@@ -16,8 +16,9 @@
 //!   of Fact 3.17.
 //!
 //! Both start from procedure `Trim`, which is one sweep: a [`TrimSweep`]
-//! (every label pair × every ordered start pair) swept by any runner or
-//! sweep path, then folded by [`TrimmedAlgorithm::from_report`]. The
+//! (every label pair × every ordered start pair, up to rotation) swept
+//! by any runner or sweep path, then folded by
+//! [`TrimmedAlgorithm::from_report`]. The
 //! construction after the trim is a separate call — [`eager_chain`] and
 //! [`progress`] — so a caller that sweeps the trim elsewhere (a result
 //! store, a distributed fabric) feeds its report straight in; the audits

@@ -8,9 +8,9 @@
 //!
 //! The procedure is a sweep and a fold. [`TrimSweep`] is its whole
 //! execution space as one [`Workload`] — every label pair `x < y` ×
-//! every ordered start pair, delay 0 — cut into one fold group per label
-//! pair, so it runs through any sweep path (a [`Runner`], a result
-//! store, a fabric lease) like every other grid.
+//! every ordered start pair up to rotation, delay 0 — cut into one fold
+//! group per label pair, so it runs through any sweep path (a
+//! [`Runner`], a result store, a fabric lease) like every other grid.
 //! [`TrimmedAlgorithm::from_report`] folds the horizons and extremes
 //! from the swept report's pair groups; [`trim`] composes the two on a
 //! sequential runner.
@@ -139,9 +139,20 @@ impl TrimmedAlgorithm {
 }
 
 /// Every execution procedure `Trim` makes, as one [`Workload`]: all
-/// label pairs `x < y` (outer) × all ordered start pairs (inner), delay
-/// 0. Each label pair's block of `n(n − 1)` units folds under its own
-/// key, so one report holds every pair's extremes.
+/// label pairs `x < y` (outer) × the ordered start pairs of
+/// [`Grid::start_orbits`] (inner), delay 0. Each label pair's block
+/// folds under its own key, so one report holds every pair's extremes.
+///
+/// On the oriented ring every explorer the tables trim with commutes
+/// with rotation, so a block is the n − 1 representatives (0, d) of the
+/// n(n − 1) start pairs. Rotating both starts of a simultaneous-start
+/// execution changes neither its meeting round nor its cost, and the
+/// rotations act freely on distinct pairs (each orbit holds n of them),
+/// so every pair's `max_time` and `max_cost`, hence every `m_x`, equal
+/// the full axis's. The first miss in (x, y, px, py) order is some
+/// (0, d) too: a miss from (px, py) is also one from (0, py − px mod n),
+/// which comes earlier. An explorer that fails the certificate keeps
+/// blocks of all n(n − 1) pairs.
 #[derive(Debug, Clone)]
 pub struct TrimSweep {
     grid: Grid,
@@ -150,7 +161,7 @@ pub struct TrimSweep {
     /// The fold key of each block: the pair's labels, zero-padded so
     /// the report's key order is block order.
     keys: Vec<String>,
-    /// Units per block: the ordered start pairs.
+    /// Units per block: the grid's start axis.
     block: usize,
 }
 
@@ -165,7 +176,7 @@ impl TrimSweep {
         algorithm: &dyn RendezvousAlgorithm,
         horizon: u64,
     ) -> Result<TrimSweep, LowerBoundError> {
-        let n = oriented_ring_size(algorithm.graph())?;
+        oriented_ring_size(algorithm.graph())?;
         let l = algorithm.label_space().size();
         let pairs: Vec<(u64, u64)> = (1..=l)
             .flat_map(|x| ((x + 1)..=l).map(move |y| (x, y)))
@@ -177,12 +188,13 @@ impl TrimSweep {
             .collect();
         let grid = Grid::new(horizon)
             .label_pairs_ordered(&pairs)
-            .all_start_pairs(algorithm.graph());
+            .start_orbits(algorithm);
+        let block = grid.start_pair_count();
         Ok(TrimSweep {
             grid,
             pairs,
             keys,
-            block: n * (n - 1),
+            block,
         })
     }
 }
@@ -236,9 +248,9 @@ impl Workload for TrimSweep {
 
 /// Runs procedure `Trim` for `algorithm` on its oriented ring, exhausting
 /// all unordered label pairs and all ordered pairs of distinct start
-/// positions, with simultaneous start (the lower-bound scenario): the
-/// [`TrimSweep`] on a sequential [`Runner`] through a [`BatchExecutor`],
-/// folded by [`TrimmedAlgorithm::from_report`].
+/// positions (up to rotation), with simultaneous start (the lower-bound
+/// scenario): the [`TrimSweep`] on a sequential [`Runner`] through a
+/// [`BatchExecutor`], folded by [`TrimmedAlgorithm::from_report`].
 ///
 /// `horizon` caps each execution; it must exceed the algorithm's time
 /// bound or [`LowerBoundError::NoMeeting`] is returned.
@@ -326,9 +338,10 @@ mod tests {
             let alg = cheap_sim(n, l);
             let sweep = TrimSweep::new(&alg, 4 * alg.time_bound()).unwrap();
             let size = sweep.size();
-            prop_assert_eq!(size, (l * (l - 1) / 2) as usize * n * (n - 1));
+            // One block of n − 1 rotation representatives per label pair.
+            prop_assert_eq!(size, (l * (l - 1) / 2) as usize * (n - 1));
             let mut points: Vec<usize> = cuts.iter().map(|c| c % (size + 1)).collect();
-            points.extend([0, n * (n - 1) / 2, size]);
+            points.extend([0, (n - 1) / 2, size]);
             points.sort_unstable();
             points.dedup();
 
@@ -336,6 +349,18 @@ mod tests {
             let runner = Runner::sequential();
             let whole = runner.sweep(&sweep, &executor).unwrap();
             prop_assert_eq!(whole.groups.len(), (l * (l - 1) / 2) as usize);
+            // Each pair group holds the extremes of all n(n − 1) start
+            // pairs, in 1/n of the executions.
+            for (group, &pair) in whole.groups.iter().zip(&sweep.pairs) {
+                let full = Grid::new(4 * alg.time_bound())
+                    .label_pairs_ordered(&[pair])
+                    .all_start_pairs(alg.graph());
+                let full = runner.sweep(&full, &executor).unwrap().solo();
+                prop_assert_eq!(
+                    (group.max_time, group.max_cost, group.executed * n),
+                    (full.max_time, full.max_cost, full.executed)
+                );
+            }
             let mut merged = SweepReport::default();
             let mut scenarios = Vec::new();
             for w in points.windows(2) {
@@ -345,10 +370,10 @@ mod tests {
                 let mut at = lo;
                 for piece in &pieces {
                     prop_assert_eq!(piece.offset, at);
-                    let block = at / (n * (n - 1));
+                    let block = at / (n - 1);
                     prop_assert_eq!(piece.key, sweep.keys[block].as_str());
                     at += piece.scenarios.len();
-                    prop_assert!(at <= (block + 1) * n * (n - 1), "a piece spans blocks");
+                    prop_assert!(at <= (block + 1) * (n - 1), "a piece spans blocks");
                 }
                 prop_assert_eq!(at, hi);
                 scenarios.extend(pieces.into_iter().flat_map(|p| p.scenarios));
@@ -357,6 +382,96 @@ mod tests {
             prop_assert_eq!(&scenarios, &sweep.grid.scenarios());
             prop_assert_eq!(merged, whole);
         }
+    }
+
+    /// `Trim` over the full start axis through `executor`: for each
+    /// label pair x < y, every ordered pair of distinct starts, delay 0,
+    /// in (x, y, px, py) order — the reference the rotation
+    /// representatives must reproduce, first miss included.
+    fn full_axis_trim(
+        alg: &dyn RendezvousAlgorithm,
+        horizon: u64,
+        executor: &dyn PieceExecutor,
+    ) -> Result<(Vec<u64>, u64, u64), LowerBoundError> {
+        let runner = Runner::sequential();
+        let l = alg.label_space().size();
+        let mut horizons = vec![0u64; l as usize];
+        let (mut max_time, mut max_cost) = (0, 0);
+        for x in 1..=l {
+            for y in (x + 1)..=l {
+                let grid = Grid::new(horizon)
+                    .label_pairs_ordered(&[(x, y)])
+                    .all_start_pairs(alg.graph());
+                let piece = grid.pieces(0, grid.size()).remove(0);
+                for out in executor.run_piece(&runner, &piece)?.0 {
+                    let Some(t) = out.time else {
+                        let s = &out.scenario;
+                        return Err(LowerBoundError::NoMeeting {
+                            labels: (x, y),
+                            starts: (s.start_a().index(), s.start_b().index()),
+                            horizon,
+                        });
+                    };
+                    horizons[(x - 1) as usize] = horizons[(x - 1) as usize].max(t);
+                    horizons[(y - 1) as usize] = horizons[(y - 1) as usize].max(t);
+                    max_time = max_time.max(t);
+                    max_cost = max_cost.max(out.cost);
+                }
+            }
+        }
+        Ok((horizons, max_time, max_cost))
+    }
+
+    /// The trim sweep on its n − 1 rotation representatives equals the
+    /// full-axis reference on both engines, for every algorithm the
+    /// tables trim or could: horizons, `max_time` and `max_cost` under a
+    /// sufficient horizon, and the `NoMeeting` error naming the first
+    /// miss in (x, y, px, py) order under horizons too small to meet.
+    #[test]
+    fn trim_on_rotation_representatives_equals_the_full_axis() {
+        use rendezvous_core::FastWithRelabeling;
+        let (mut met, mut missed) = (0, 0);
+        for n in [3, 6, 12] {
+            for l in [2, 3, 5] {
+                let (g, ex) = ring(n);
+                let space = LabelSpace::new(l).unwrap();
+                let algorithms: [Box<dyn RendezvousAlgorithm>; 5] = [
+                    Box::new(Cheap::new(g.clone(), ex.clone(), space)),
+                    Box::new(CheapSimultaneous::new(g.clone(), ex.clone(), space)),
+                    Box::new(Fast::new(g.clone(), ex.clone(), space)),
+                    Box::new(FastWithRelabeling::new(g.clone(), ex.clone(), space, 1).unwrap()),
+                    Box::new(FastWithRelabeling::new(g, ex, space, 2).unwrap()),
+                ];
+                for alg in &algorithms {
+                    let alg = alg.as_ref();
+                    let stepped = AlgorithmExecutor::new(alg);
+                    let batched = BatchExecutor::new(alg);
+                    let engines: [(&str, &dyn PieceExecutor); 2] =
+                        [("stepped", &stepped), ("batched", &batched)];
+                    for horizon in [10 * alg.time_bound(), 3, n as u64] {
+                        for (engine, executor) in engines {
+                            let at = format!("{} on the {n}-ring, L = {l}, {engine}", alg.name());
+                            let runner = Runner::sequential();
+                            let sweep = TrimSweep::new(alg, horizon).unwrap();
+                            assert_eq!(sweep.size(), (l * (l - 1) / 2) as usize * (n - 1));
+                            let report = runner.sweep(&sweep, executor).unwrap();
+                            let reduced = TrimmedAlgorithm::from_report(
+                                alg, &sweep, &report, executor, &runner,
+                            )
+                            .map(|t| (t.horizons, t.max_time, t.max_cost));
+                            let full = full_axis_trim(alg, horizon, executor);
+                            assert_eq!(reduced, full, "{at}, horizon {horizon}");
+                            if full.is_ok() {
+                                met += 1;
+                            } else {
+                                missed += 1;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        assert!(met > 0 && missed > 0, "both outcomes must occur");
     }
 
     #[test]

@@ -2,6 +2,7 @@
 
 use crate::workload::{WorkPiece, Workload, WorkloadKind, WorkloadMeta};
 use crate::{Placement, Scenario};
+use rendezvous_core::{rotation_equivariant, RendezvousAlgorithm};
 use rendezvous_graph::{NodeId, PortLabeledGraph};
 
 /// The deterministic placement-spreading rule of a fleet sweep: given a
@@ -216,6 +217,57 @@ impl Grid {
             }
         }
         self
+    }
+
+    /// Sweeps every ordered pair of distinct start nodes **up to
+    /// rotation** when that is exact, and all of them otherwise: the one
+    /// place a pair sweep chooses its start axis.
+    ///
+    /// If [`rotation_equivariant`] certifies `algorithm` for the labels
+    /// of the grid's label pairs (so set those first), the axis is the
+    /// orbit representatives (0, d) for d = 1…n−1. Rotating both starts
+    /// then changes no execution's meeting round, cost or crossings,
+    /// and the rotation v ↦ v + k acts freely on distinct ordered pairs,
+    /// so each orbit holds exactly n of the n(n−1) pairs and contains
+    /// (0, b − a mod n). Hence:
+    ///
+    /// * maxima, failures and bound violations equal the full axis's;
+    /// * the full axis's lowest-index witness and first failure are
+    ///   always some (0, d) (for a fixed label pair and delay, the pairs
+    ///   with a = 0 come first and cover every orbit), so the same
+    ///   scenarios are named, in the same order;
+    /// * counts (executed, meetings, total time) are those of the
+    ///   executions that ran, 1/n of the full axis's.
+    ///
+    /// Otherwise (a map-based explorer such as `DfsMapExplorer` on a
+    /// grid or tree fails the certificate) it is
+    /// [`Grid::all_start_pairs`]. Capped grids should
+    /// keep [`Grid::all_start_pairs`]: a stride sample over the reduced
+    /// axis picks other scenarios than one over the full axis.
+    ///
+    /// # Panics
+    ///
+    /// Panics in fleet mode or when no label pair is set yet.
+    #[must_use]
+    pub fn start_orbits(mut self, algorithm: &dyn RendezvousAlgorithm) -> Self {
+        assert!(
+            !self.label_pairs.is_empty(),
+            "start orbits are certified for the grid's label pairs: set them first"
+        );
+        let labels: Vec<u64> = self.label_pairs.iter().flat_map(|&(a, b)| [a, b]).collect();
+        if !rotation_equivariant(algorithm, &labels) {
+            return self.all_start_pairs(algorithm.graph());
+        }
+        let n = algorithm.graph().node_count();
+        self.start_pairs
+            .extend((1..n).map(|d| (NodeId::new(0), NodeId::new(d))));
+        self
+    }
+
+    /// Number of entries of the start-pair axis.
+    #[must_use]
+    pub fn start_pair_count(&self) -> usize {
+        self.start_pairs.len()
     }
 
     /// Sweeps the given ordered start pairs, **skipping** any pair whose
