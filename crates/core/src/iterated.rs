@@ -80,8 +80,10 @@ pub struct Iterated {
     graph: Arc<PortLabeledGraph>,
     family: Arc<dyn ExplorationFamily>,
     space: LabelSpace,
-    base: BaseAlgorithm,
     levels: std::ops::RangeInclusive<u32>,
+    /// The base algorithm at each level of `levels`, in order, built once
+    /// so every label's schedule shares each level's explorer.
+    level_algorithms: Vec<Box<dyn RendezvousAlgorithm>>,
 }
 
 impl Iterated {
@@ -105,15 +107,16 @@ impl Iterated {
         if levels.is_empty() {
             return Err(CoreError::NoLevels);
         }
-        // Validate the base configuration eagerly (e.g. bad weights).
-        let probe = family.level(*levels.start());
-        base.instantiate(Arc::clone(&graph), probe, space)?;
+        let level_algorithms = levels
+            .clone()
+            .map(|level| base.instantiate(Arc::clone(&graph), family.level(level), space))
+            .collect::<Result<_, _>>()?;
         Ok(Iterated {
             graph,
             family,
             space,
-            base,
             levels,
+            level_algorithms,
         })
     }
 
@@ -124,13 +127,6 @@ impl Iterated {
         self.family.level_for(n)
     }
 
-    fn level_algorithm(&self, level: u32) -> Box<dyn RendezvousAlgorithm> {
-        let explorer = self.family.level(level);
-        self.base
-            .instantiate(Arc::clone(&self.graph), explorer, self.space)
-            .expect("validated at construction")
-    }
-
     /// Sum of padded iteration lengths up to and including `level` — the
     /// round by which rendezvous is guaranteed if the decisive level is
     /// `level` (simultaneous start).
@@ -139,10 +135,10 @@ impl Iterated {
         let max_label = Label::new(self.space.size()).expect("L >= 2");
         self.levels
             .clone()
-            .take_while(|&i| i <= level)
-            .map(|i| {
-                self.level_algorithm(i)
-                    .schedule(max_label)
+            .zip(&self.level_algorithms)
+            .take_while(|&(i, _)| i <= level)
+            .map(|(_, alg)| {
+                alg.schedule(max_label)
                     .expect("max label is in space")
                     .total_rounds()
             })
@@ -173,8 +169,7 @@ impl RendezvousAlgorithm for Iterated {
         self.space.check(label)?;
         let max_label = Label::new(self.space.size()).expect("L >= 2");
         let mut out = Schedule::default();
-        for level in self.levels.clone() {
-            let alg = self.level_algorithm(level);
+        for alg in &self.level_algorithms {
             let mine = alg.schedule(label)?;
             let longest = alg.schedule(max_label)?.total_rounds();
             let pad = longest - mine.total_rounds();
@@ -195,9 +190,9 @@ impl RendezvousAlgorithm for Iterated {
 
     /// Sum of base cost bounds over the levels; telescopes like the time.
     fn cost_bound(&self) -> u64 {
-        self.levels
-            .clone()
-            .map(|i| self.level_algorithm(i).cost_bound())
+        self.level_algorithms
+            .iter()
+            .map(|alg| alg.cost_bound())
             .sum()
     }
 }
@@ -285,6 +280,36 @@ mod tests {
             .map(|l| alg.schedule(Label::new(l).unwrap()).unwrap().total_rounds())
             .collect();
         assert_eq!(lens.len(), 1, "padding must equalize iteration boundaries");
+    }
+
+    /// Every label's schedule runs the explorer its level was built
+    /// with: one `Arc` per level, however many labels, so compiles keyed
+    /// by explorer identity happen once per level.
+    #[test]
+    fn labels_share_each_levels_explorer() {
+        let alg = iterated_on_ring(12, 6, BaseAlgorithm::Fast);
+        let explorers = |l: u64| -> Vec<Arc<dyn rendezvous_explore::Explorer>> {
+            let schedule = alg.schedule(Label::new(l).unwrap()).unwrap();
+            schedule
+                .phases()
+                .iter()
+                .filter_map(|phase| match phase {
+                    Phase::Explore(ex) => Some(Arc::clone(ex)),
+                    Phase::Wait(_) => None,
+                })
+                .collect()
+        };
+        // Labels 1 and 2 both begin with an explore phase at the first level.
+        assert!(Arc::ptr_eq(&explorers(1)[0], &explorers(2)[0]));
+        let mut distinct: Vec<Arc<dyn rendezvous_explore::Explorer>> = Vec::new();
+        for l in 1..=6 {
+            for ex in explorers(l) {
+                if !distinct.iter().any(|d| Arc::ptr_eq(d, &ex)) {
+                    distinct.push(ex);
+                }
+            }
+        }
+        assert_eq!(distinct.len(), alg.levels.clone().count());
     }
 
     #[test]

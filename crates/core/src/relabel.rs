@@ -288,12 +288,10 @@ impl RendezvousAlgorithm for FastWithRelabeling {
     fn schedule(&self, label: Label) -> Result<Schedule, CoreError> {
         let bits = self.relabel(label)?;
         let pattern = doubled_pattern(&bits);
-        let mut schedule = pattern_schedule(&pattern, &self.explorer);
+        let schedule = pattern_schedule(&pattern, &self.explorer);
         // All schedules have identical length (2t+1 blocks); no padding
         // needed — noted here because Cheap/Fast schedules differ by label.
         debug_assert_eq!(schedule.phases().len() as u64, 2 * self.t + 1);
-        // Normalize zero-length wait phases away is unnecessary; keep as-is.
-        let _ = &mut schedule;
         Ok(schedule)
     }
 

@@ -48,7 +48,6 @@ mod behavior_vector;
 mod eager;
 mod error;
 mod progress;
-mod segments;
 mod tournament;
 mod trim;
 
@@ -58,6 +57,5 @@ pub use error::LowerBoundError;
 pub use progress::{
     aggregate_vector, define_progress, progress, progress_audit, surplus, ProgressReport,
 };
-pub use segments::{disjoint_offset, Segments};
 pub use tournament::{hamiltonian_path, is_hamiltonian_path};
 pub use trim::{trim, TrimSweep, TrimmedAlgorithm};

@@ -12,10 +12,8 @@
 //! pigeonhole), and that `2k` non-zero entries force `k·E/6` cost
 //! (Fact 3.17).
 
-use crate::{oriented_ring_size, trim, LowerBoundError, TrimmedAlgorithm};
+use crate::{oriented_ring_size, trim, BehaviorVector, LowerBoundError, TrimmedAlgorithm};
 use rendezvous_core::{Label, RendezvousAlgorithm};
-use rendezvous_graph::NodeId;
-use rendezvous_sim::run_solo;
 use std::collections::BTreeMap;
 
 /// Sum of a slice of aggregate entries (the paper's `surplus`).
@@ -96,7 +94,8 @@ pub fn define_progress(agg: &[i8]) -> Vec<i8> {
 ///
 /// # Errors
 ///
-/// Propagates simulation failures.
+/// The errors of [`behavior_vector`](crate::behavior_vector), whose solo
+/// walk this reads.
 ///
 /// # Panics
 ///
@@ -109,32 +108,38 @@ pub fn aggregate_vector(
     blocks: usize,
     block_len: usize,
 ) -> Result<Vec<i8>, LowerBoundError> {
-    let graph = algorithm.graph();
-    let n = graph.node_count();
+    let n = algorithm.graph().node_count();
+    let rounds = blocks as u64 * block_len as u64;
+    let vector = crate::behavior_vector(algorithm, label, rounds)?;
+    Ok(aggregate_of(&vector, n, blocks, block_len))
+}
+
+/// [`aggregate_vector`] read off a behaviour vector of at least
+/// `blocks · block_len` rounds: from start 0 on the oriented `n`-ring,
+/// the agent stands on node `displacement_prefix(t) mod n` after round
+/// `t`.
+fn aggregate_of(vector: &BehaviorVector, n: usize, blocks: usize, block_len: usize) -> Vec<i8> {
     let sectors = 6usize;
     assert_eq!(n % sectors, 0, "caller must ensure 6 | n");
-    let start = NodeId::new(0);
-    let mut agent = algorithm.agent(label, start)?;
-    let rounds = blocks as u64 * block_len as u64;
-    let trace = run_solo(graph, &mut agent, start, rounds)?;
-    let sector = |v: NodeId| v.index() / block_len;
-    let mut agg = Vec::with_capacity(blocks);
-    for i in 0..blocks {
-        let before = sector(trace.positions[i * block_len]);
-        let after = sector(trace.positions[(i + 1) * block_len]);
-        let drift = ((after + sectors).wrapping_sub(before)) % sectors;
-        let z: i8 = match drift {
-            0 => 0,
-            1 => 1,
-            5 => -1,
-            other => panic!(
-                "Fact 3.9 violated: drift of {other} sectors in one block \
-                 (block_len {block_len}, n {n})"
-            ),
-        };
-        agg.push(z);
-    }
-    Ok(agg)
+    let sector = |t: usize| {
+        let node = vector.displacement_prefix(t).rem_euclid(n as i64) as usize;
+        node / block_len
+    };
+    (0..blocks)
+        .map(|i| {
+            let before = sector(i * block_len);
+            let after = sector((i + 1) * block_len);
+            match (after + sectors - before) % sectors {
+                0 => 0,
+                1 => 1,
+                5 => -1,
+                other => panic!(
+                    "Fact 3.9 violated: drift of {other} sectors in one block \
+                     (block_len {block_len}, n {n})"
+                ),
+            }
+        })
+        .collect()
 }
 
 /// The Theorem 3.2 construction's output on a concrete algorithm.
@@ -216,16 +221,15 @@ pub fn progress(
     let mut max_nonzero = 0usize;
     let mut witnesses_hold = true;
     for &label in &group {
-        let agg = aggregate_vector(algorithm, label, m_blocks, block_len)?;
+        let solo = crate::behavior_vector(algorithm, label, m_blocks as u64 * block_len as u64)?;
+        let agg = aggregate_of(&solo, n, m_blocks, block_len);
         let prog = define_progress(&agg);
         let nz = prog.iter().filter(|&&e| e != 0).count();
         max_nonzero = max_nonzero.max(nz);
         // Fact 3.17: k pairs of non-zero entries force k * (n/6) cost in
         // the solo execution over the analyzed window.
         let k = (nz / 2) as u64;
-        let solo_cost =
-            crate::behavior_vector(algorithm, label, m_blocks as u64 * block_len as u64)?.weight();
-        if solo_cost < k * (block_len as u64) {
+        if solo.weight() < k * (block_len as u64) {
             witnesses_hold = false;
         }
         vectors.push((label, agg, prog));

@@ -9,8 +9,8 @@ use rendezvous_graph::{NodeId, PortLabeledGraph};
 /// fleet size `k`, a start rotation and a delay phase, it lays `k` agents
 /// out over the graph — labels spread evenly across `{1, …, L}`, starts
 /// spread evenly over the `n` nodes (rotated by the rotation axis), and
-/// wake-up delays staggered by a linear congruence
-/// `(stride · i + phase) mod modulus`.
+/// wake-up delays staggered by the linear congruence
+/// `(7 · i + phase) mod 13`.
 ///
 /// The rule is what turns the [`Grid`]'s scalar fleet axes (sizes ×
 /// rotations × delay phases) into full k-agent [`Scenario`]s while
@@ -22,11 +22,13 @@ pub struct FleetRule {
     nodes: usize,
     /// Size of the label space placements draw from (labels `1..=L`).
     label_space: u64,
-    /// Delay stagger stride (`delay_i = (stride·i + phase) % modulus`).
-    delay_stride: u64,
-    /// Delay stagger modulus (`> 0`).
-    delay_modulus: u64,
 }
+
+/// Delay stagger stride: agent `i` sleeps `(DELAY_STRIDE·i + phase) mod
+/// DELAY_MODULUS` rounds.
+const DELAY_STRIDE: u64 = 7;
+/// Delay stagger modulus.
+const DELAY_MODULUS: u64 = 13;
 
 impl FleetRule {
     /// The standard spreading rule over `graph` with label space `L` and
@@ -44,24 +46,7 @@ impl FleetRule {
         FleetRule {
             nodes: graph.node_count(),
             label_space,
-            delay_stride: 7,
-            delay_modulus: 13,
         }
-    }
-
-    /// Overrides the delay stagger: agent `i` sleeps
-    /// `(stride·i + phase) mod modulus` rounds, where `phase` comes from
-    /// the grid's delay axis.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `modulus == 0`.
-    #[must_use]
-    pub fn stagger(mut self, stride: u64, modulus: u64) -> Self {
-        assert!(modulus > 0, "delay stagger modulus must be positive");
-        self.delay_stride = stride;
-        self.delay_modulus = modulus;
-        self
     }
 
     /// Folds the rule's parameters into a workload digest — fleet grids
@@ -70,8 +55,8 @@ impl FleetRule {
     pub(crate) fn digest_into(&self, h: &mut crate::workload::Fnv1a) {
         h.write_usize(self.nodes);
         h.write_u64(self.label_space);
-        h.write_u64(self.delay_stride);
-        h.write_u64(self.delay_modulus);
+        h.write_u64(DELAY_STRIDE);
+        h.write_u64(DELAY_MODULUS);
     }
 
     /// The largest fleet this rule can place: every agent needs its own
@@ -83,12 +68,11 @@ impl FleetRule {
     }
 
     /// The largest wake-up delay this rule's stagger can ever produce
-    /// (`modulus − 1`) — what horizon and loosest-bound calculations
-    /// should be sized against instead of hardcoding the default
-    /// stagger's 12.
+    /// (`DELAY_MODULUS − 1`, that is 12) — what horizon and loosest-bound
+    /// calculations should be sized against.
     #[must_use]
     pub fn max_delay(&self) -> u64 {
-        self.delay_modulus - 1
+        DELAY_MODULUS - 1
     }
 
     /// Lays out a `k`-agent fleet: distinct labels spread over
@@ -118,7 +102,7 @@ impl FleetRule {
                 // distinct values in 0..n because k ≤ n, and the rotation
                 // is a bijection mod n, so starts stay pairwise distinct.
                 start: NodeId::new((i * self.nodes / k + rotation) % self.nodes),
-                delay: (self.delay_stride * i as u64 + phase) % self.delay_modulus,
+                delay: (DELAY_STRIDE * i as u64 + phase) % DELAY_MODULUS,
             })
             .collect()
     }
@@ -910,35 +894,6 @@ mod tests {
             }
             assert_eq!(rebuilt, whole, "fleet ranges ({chunk}) != full list");
         }
-    }
-
-    /// A custom stagger rewires the delay congruence: agent `i` of any
-    /// fleet sleeps `(stride·i + phase) mod modulus` rounds.
-    #[test]
-    fn stagger_overrides_the_delay_congruence() {
-        let g = generators::oriented_ring(10).unwrap();
-        let rule = FleetRule::spread(&g, 16).stagger(5, 9);
-        let placements = rule.placements(4, 0, 2);
-        let delays: Vec<u64> = placements.iter().map(|p| p.delay).collect();
-        assert_eq!(delays, vec![2, 7, 3, 8], "(5·i + 2) mod 9");
-        // And through a grid: the phase axis feeds the custom congruence.
-        let grid = Grid::new(100)
-            .fleet_sizes(&[3])
-            .fleet_rule(FleetRule::spread(&g, 16).stagger(5, 9))
-            .delays(&[4]);
-        let s = &grid.scenarios()[0];
-        assert_eq!(
-            s.placements.iter().map(|p| p.delay).collect::<Vec<_>>(),
-            vec![4, 0, 5],
-            "(5·i + 4) mod 9"
-        );
-    }
-
-    #[test]
-    #[should_panic(expected = "modulus must be positive")]
-    fn stagger_rejects_a_zero_modulus() {
-        let g = generators::oriented_ring(4).unwrap();
-        let _ = FleetRule::spread(&g, 4).stagger(3, 0);
     }
 
     #[test]

@@ -1,33 +1,34 @@
 //! The synchronous-round execution engine.
 //!
-//! Semantics, straight from §1.2 of the paper:
+//! Each round is the one §1.2 round every stepped engine plays
+//! (`step` in `round.rs`, which states the rules). What this
+//! engine adds on top:
 //!
-//! * agents occupy their start nodes **from the beginning**, even before
-//!   their wake-up round (the adversary may delay wake-ups; a sleeping agent
-//!   can be found by the other one);
-//! * all awake agents decide simultaneously each round, then all moves are
-//!   applied simultaneously;
-//! * rendezvous ⇔ two agents occupy the same node at the end of a round;
-//! * "when agents cross each other on an edge, traversing it simultaneously
-//!   in different directions, they do not notice this fact" — crossings are
-//!   counted but are **not** meetings;
+//! * crossings — two agents swapping nodes through one edge — are
+//!   counted, but are **not** meetings;
+//! * rendezvous ⇔ two agents occupy the same node at the end of a round,
+//!   reported at the node of the lowest-indexed such agent;
 //! * upon meeting, both agents stop.
 
-use crate::{Action, AgentBehavior, Observation, SimError};
-use rendezvous_graph::{NodeId, Port, PortLabeledGraph};
+use crate::round::{step, Walker};
+use crate::{Action, AgentBehavior, SimError};
+use rendezvous_graph::{NodeId, PortLabeledGraph};
 
 /// Crossing count for one round by pairwise scan: agents `i < j` crossed
 /// iff both moved and swapped nodes (on a simple graph that means the same
 /// edge in opposite directions).
-fn count_crossings(previous: &[NodeId], positions: &[NodeId], actions: &[Action]) -> u64 {
-    let k = positions.len();
+fn count_crossings(previous: &[NodeId], walkers: &[Walker]) -> u64 {
+    let k = walkers.len();
     let mut crossings = 0;
     for i in 0..k {
-        if !actions[i].is_move() {
+        if !walkers[i].action.is_move() {
             continue;
         }
         for j in (i + 1)..k {
-            if actions[j].is_move() && positions[i] == previous[j] && positions[j] == previous[i] {
+            if walkers[j].action.is_move()
+                && walkers[i].position == previous[j]
+                && walkers[j].position == previous[i]
+            {
                 crossings += 1;
             }
         }
@@ -37,12 +38,12 @@ fn count_crossings(previous: &[NodeId], positions: &[NodeId], actions: &[Action]
 
 /// The node of the first agent (lowest index) that shares its node with
 /// any other agent — the meeting witness, by pairwise scan.
-fn first_shared_node(positions: &[NodeId]) -> Option<NodeId> {
-    let k = positions.len();
+fn first_shared_node(walkers: &[Walker]) -> Option<NodeId> {
+    let k = walkers.len();
     for i in 0..k {
         for j in (i + 1)..k {
-            if positions[i] == positions[j] {
-                return Some(positions[i]);
+            if walkers[i].position == walkers[j].position {
+                return Some(walkers[i].position);
             }
         }
     }
@@ -300,70 +301,33 @@ impl<'a> Simulation<'a> {
             return Err(SimError::NotConnected);
         }
 
-        let wake_rounds: Vec<u64> = agents.iter().map(|(_, s)| s.wake_round).collect();
-        let mut positions: Vec<NodeId> = agents.iter().map(|(_, s)| s.start).collect();
-        let mut entry_ports: Vec<Option<Port>> = vec![None; k];
-        let mut per_agent_cost = vec![0u64; k];
+        let mut walkers: Vec<Walker> = specs.into_iter().map(Walker::new).collect();
         let mut crossings = 0u64;
         let mut trace = record_trace.then(|| Trace {
-            positions: positions.iter().map(|&p| vec![p]).collect(),
+            positions: walkers.iter().map(|w| vec![w.position]).collect(),
             actions: vec![Vec::new(); k],
         });
-
-        // Hot-loop buffers, allocated once and reused every round.
-        let mut previous: Vec<NodeId> = positions.clone();
-        let mut actions: Vec<Action> = vec![Action::Stay; k];
+        // Start-of-round positions, for the crossing scan.
+        let mut previous: Vec<NodeId> = walkers.iter().map(|w| w.position).collect();
 
         let mut meeting = None;
         let mut rounds_executed = 0;
         for round in 1..=max_rounds {
             rounds_executed = round;
-            // Decision phase: all awake agents observe and decide.
-            actions.fill(Action::Stay);
-            for (i, (behavior, spec)) in agents.iter_mut().enumerate() {
-                if round >= spec.wake_round {
-                    let obs = Observation {
-                        local_round: round - spec.wake_round,
-                        degree: graph.degree(positions[i]),
-                        entry_port: entry_ports[i],
-                    };
-                    let a = behavior.next_action(obs);
-                    if let Action::Move(p) = a {
-                        if p.index() >= graph.degree(positions[i]) {
-                            return Err(SimError::InvalidMove {
-                                agent: i,
-                                round,
-                                port: p,
-                                degree: graph.degree(positions[i]),
-                            });
-                        }
-                    }
-                    actions[i] = a;
-                }
+            for (p, w) in previous.iter_mut().zip(&walkers) {
+                *p = w.position;
             }
-            // Move phase: apply all moves simultaneously.
-            previous.copy_from_slice(&positions);
-            for i in 0..k {
-                match actions[i] {
-                    Action::Stay => entry_ports[i] = None,
-                    Action::Move(p) => {
-                        let t = graph.traverse(positions[i], p)?;
-                        positions[i] = t.target;
-                        entry_ports[i] = Some(t.entry_port);
-                        per_agent_cost[i] += 1;
-                    }
-                }
-            }
-            // Crossing detection (simple graph: a swap means same edge).
-            crossings += count_crossings(&previous, &positions, &actions);
+            step(graph, &mut walkers, round, |i, obs, _| {
+                agents[i].0.next_action(obs)
+            })?;
+            crossings += count_crossings(&previous, &walkers);
             if let Some(t) = trace.as_mut() {
-                for i in 0..k {
-                    t.positions[i].push(positions[i]);
-                    t.actions[i].push(actions[i]);
+                for (i, w) in walkers.iter().enumerate() {
+                    t.positions[i].push(w.position);
+                    t.actions[i].push(w.action);
                 }
             }
-            // Meeting check at end of round.
-            if let Some(node) = first_shared_node(&positions) {
+            if let Some(node) = first_shared_node(&walkers) {
                 meeting = Some(Meeting { round, node });
                 break;
             }
@@ -372,9 +336,9 @@ impl<'a> Simulation<'a> {
         Ok(Outcome {
             meeting,
             rounds_executed,
-            per_agent_cost,
+            per_agent_cost: walkers.iter().map(|w| w.cost).collect(),
             crossings,
-            wake_rounds,
+            wake_rounds: walkers.iter().map(|w| w.wake_round).collect(),
             trace,
         })
     }
@@ -384,7 +348,7 @@ impl<'a> Simulation<'a> {
 mod tests {
     use super::*;
     use crate::{IdleAgent, ScriptedAgent};
-    use rendezvous_graph::generators;
+    use rendezvous_graph::{generators, Port};
 
     fn cw(steps: usize) -> Box<ScriptedAgent> {
         Box::new(ScriptedAgent::new(vec![Action::Move(Port::new(0)); steps]))

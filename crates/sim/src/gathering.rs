@@ -12,15 +12,18 @@
 //! positions alone).
 //!
 //! [`run_gathering`] steps arbitrary [`GatheringBehavior`]s round by
-//! round. [`FleetSolver`] sits beside it as
+//! round, through the §1.2 round every stepped engine shares (`step` in
+//! `round.rs`); it adds the co-located labels, the cluster history and
+//! the all-on-one-node stop. [`FleetSolver`] sits beside it as
 //! [`BatchSolver`](crate::BatchSolver) sits beside
 //! [`Simulation`](crate::Simulation): it replays the merge-and-restart
 //! strategy from precomputed walks ([`Trajectory`]s, one per effective
 //! label and restart node), with no behavior objects and no allocation
 //! in its round loop.
 
+use crate::round::{step, Walker};
 use crate::{check_agents, Action, AgentSpec, Meeting, Observation, SimError, Trajectory};
-use rendezvous_graph::{NodeId, Port, PortLabeledGraph};
+use rendezvous_graph::{NodeId, PortLabeledGraph};
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -120,66 +123,37 @@ pub fn run_gathering(
         return Err(SimError::NotConnected);
     }
 
-    let mut positions: Vec<NodeId> = agents.iter().map(|(_, _, s)| s.start).collect();
-    let mut entry_ports: Vec<Option<Port>> = vec![None; k];
-    let mut per_agent_cost = vec![0u64; k];
+    let mut walkers: Vec<Walker> = fleet.iter().map(|(_, spec)| Walker::new(*spec)).collect();
+    let mut co_located = Vec::with_capacity(k);
     let mut cluster_history = Vec::new();
     let mut gathered = None;
     let mut rounds_executed = 0;
 
     for round in 1..=max_rounds {
         rounds_executed = round;
-        // Who is awake and who stands where (start-of-round snapshot).
-        let awake: Vec<bool> = agents
-            .iter()
-            .map(|(_, _, s)| round >= s.wake_round)
-            .collect();
-        let mut actions = vec![Action::Stay; k];
-        for i in 0..k {
-            if !awake[i] {
-                continue;
-            }
-            let co_located: Vec<u64> = (0..k)
-                .filter(|&j| j != i && awake[j] && positions[j] == positions[i])
-                .map(|j| agents[j].0)
-                .collect();
-            let obs = Observation {
-                local_round: round - agents[i].2.wake_round,
-                degree: graph.degree(positions[i]),
-                entry_port: entry_ports[i],
-            };
-            let a = agents[i].1.next_action(obs, &co_located);
-            if let Action::Move(p) = a {
-                if p.index() >= graph.degree(positions[i]) {
-                    return Err(SimError::InvalidMove {
-                        agent: i,
-                        round,
-                        port: p,
-                        degree: graph.degree(positions[i]),
-                    });
-                }
-            }
-            actions[i] = a;
-        }
-        for i in 0..k {
-            match actions[i] {
-                Action::Stay => entry_ports[i] = None,
-                Action::Move(p) => {
-                    let t = graph.traverse(positions[i], p)?;
-                    positions[i] = t.target;
-                    entry_ports[i] = Some(t.entry_port);
-                    per_agent_cost[i] += 1;
-                }
-            }
-        }
-        let mut occupied: Vec<NodeId> = positions.clone();
+        step(graph, &mut walkers, round, |i, obs, at_start| {
+            // The labels of the other awake agents on this node.
+            co_located.clear();
+            co_located.extend(
+                at_start
+                    .iter()
+                    .zip(&fleet)
+                    .enumerate()
+                    .filter(|&(j, (w, _))| {
+                        j != i && round >= w.wake_round && w.position == at_start[i].position
+                    })
+                    .map(|(_, (_, (label, _)))| *label),
+            );
+            agents[i].1.next_action(obs, &co_located)
+        })?;
+        let mut occupied: Vec<NodeId> = walkers.iter().map(|w| w.position).collect();
         occupied.sort_unstable();
         occupied.dedup();
         cluster_history.push(occupied.len());
         if occupied.len() == 1 {
             gathered = Some(Meeting {
                 round,
-                node: positions[0],
+                node: walkers[0].position,
             });
             break;
         }
@@ -188,7 +162,7 @@ pub fn run_gathering(
     Ok(GatheringOutcome {
         gathered,
         rounds_executed,
-        per_agent_cost,
+        per_agent_cost: walkers.iter().map(|w| w.cost).collect(),
         cluster_history,
     })
 }
@@ -407,7 +381,7 @@ fn outcome<P>(members: &[Member<P>], gathered: Option<u64>, merges: u64) -> Flee
 #[cfg(test)]
 mod tests {
     use super::*;
-    use rendezvous_graph::generators;
+    use rendezvous_graph::{generators, Port};
 
     /// A gathering agent that walks clockwise until it has ever seen a
     /// smaller label, then freezes. Smallest label freezes... no: smallest

@@ -42,6 +42,7 @@ mod engine;
 mod error;
 pub mod gathering;
 pub mod render;
+mod round;
 mod solo;
 
 pub use batch::{BatchSolver, DelayOutcome, Trajectory};

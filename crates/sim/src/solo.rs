@@ -4,9 +4,14 @@
 //! an agent's *behaviour vector* is defined by what it does when no other
 //! agent is present, and (by determinism) its behaviour in a real execution
 //! coincides with its solo behaviour until the meeting round.
+//!
+//! A solo run is the §1.2 round every stepped engine shares (`step` in
+//! `round.rs`), played by one agent awake from round 1 for a fixed
+//! number of rounds.
 
-use crate::{Action, AgentBehavior, Observation, SimError};
-use rendezvous_graph::{NodeId, Port, PortLabeledGraph};
+use crate::round::{step, Walker};
+use crate::{Action, AgentBehavior, AgentSpec, SimError};
+use rendezvous_graph::{NodeId, PortLabeledGraph};
 
 /// History of a solo execution.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -47,36 +52,18 @@ pub fn run_solo(
     if !graph.contains(start) {
         return Err(SimError::StartOutOfRange { node: start });
     }
+    let mut walker = [Walker::new(AgentSpec::immediate(start))];
     let mut positions = Vec::with_capacity(rounds as usize + 1);
     positions.push(start);
     let mut actions = Vec::with_capacity(rounds as usize);
-    let mut at = start;
-    let mut entry: Option<Port> = None;
     for round in 1..=rounds {
-        let obs = Observation {
-            local_round: round - 1,
-            degree: graph.degree(at),
-            entry_port: entry,
-        };
-        let a = behavior.next_action(obs);
-        match a {
-            Action::Stay => entry = None,
-            Action::Move(p) => {
-                if p.index() >= graph.degree(at) {
-                    return Err(SimError::InvalidMove {
-                        agent: 0,
-                        round,
-                        port: p,
-                        degree: graph.degree(at),
-                    });
-                }
-                let t = graph.traverse(at, p)?;
-                at = t.target;
-                entry = Some(t.entry_port);
-            }
-        }
-        positions.push(at);
-        actions.push(a);
+        step(graph, &mut walker, round, |_, obs, _| {
+            // Kept as decided: a refused move discards the whole trace.
+            let action = behavior.next_action(obs);
+            actions.push(action);
+            action
+        })?;
+        positions.push(walker[0].position);
     }
     Ok(SoloTrace { positions, actions })
 }
@@ -85,7 +72,7 @@ pub fn run_solo(
 mod tests {
     use super::*;
     use crate::ScriptedAgent;
-    use rendezvous_graph::generators;
+    use rendezvous_graph::{generators, Port};
 
     #[test]
     fn solo_walk_positions() {
